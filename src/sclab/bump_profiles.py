@@ -126,10 +126,6 @@ class BumpProfile:
             raise ValueError(f"order must be in 0..{K_MAX}")
         return _fd_richardson(self.__call__, np.asarray(x, dtype=float), order)
 
-    def sup_norm(self) -> float:
-        xs = np.linspace(-1, 1, 10001)
-        return float(np.max(self(xs)))
-
 
 _BUMP_CACHE: dict = {}
 
@@ -320,16 +316,23 @@ def phi_gate(t: float) -> LogScalar:
 # reparameterized steps
 
 
-def step_n(n: int, t: float, order: int = 0) -> float:
-    """order-th derivative of f(0.5*(n(n+1)t + 1 - n)) by the chain rule."""
-    if n < 1:
+def step_n(n, t: float, order: int = 0):
+    """order-th derivative of f(0.5*(n(n+1)t + 1 - n)) by the chain rule.
+
+    n is an integer or an integer array; an array gives one value per entry
+    and a scalar gives a float.  Every operation is elementwise, so an array
+    call returns the same bits as one scalar call per entry.
+    """
+    n = np.asarray(n)
+    if np.any(n < 1):
         raise ValueError("n must be >= 1")
     if order < 0 or order > K_MAX:
         raise ValueError(f"order must be in 0..{K_MAX}")
     step = make_smooth_step()
     arg = 0.5 * (n * (n + 1) * t + 1 - n)
     scale = (n * (n + 1) / 2.0) ** order
-    return float(scale * step.derivative(np.asarray(arg, dtype=float), order))
+    out = scale * step.derivative(arg, order)
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -347,8 +350,6 @@ def log_limit_probe(
     ts = list(t_grid)
     if any(t <= 0 or t > 1 for t in ts):
         raise ValueError("t grid must lie in (0, 1]")
-    if any(b < a for a, b in zip(ts, ts[1:])):
-        pass  # decreasing expected; tolerate but evaluate as given
     out = []
     for t in ts:
         gate = phi_gate_logmag(t)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -39,26 +40,33 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args) -> ExperimentConfig:
+    """Build the effective config; every source passes the same validation."""
     if args.config:
         cfg = ExperimentConfig.from_file(args.config, seed=args.seed)
+    elif args.seed is not None:
+        cfg = ExperimentConfig(seed=args.seed)
     else:
         cfg = ExperimentConfig()
-        if args.seed is not None:
-            cfg.seed = args.seed
     out = args.out or os.environ.get(_OUT_ENV)
     if out:
-        cfg.out_dir = out
+        cfg = dataclasses.replace(cfg, out_dir=out)
     return cfg
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
+    """Exit status: 0 when every check passed, 1 when a check failed, 2 for a
+    usage or config error."""
     args = _build_parser().parse_args(argv)
     if args.command == "list":
         for eid, desc in list_experiments():
             print(f"{eid}: {desc}")
         return 0
 
-    cfg = _load_config(args)
+    try:
+        cfg = _load_config(args)
+    except (OSError, ValueError) as exc:
+        print(f"sclab: error: {exc}", file=sys.stderr)
+        return 2
     report = run(args.experiment, cfg)
     rendered = emit(report, args.fmt)
     if cfg.out_dir:

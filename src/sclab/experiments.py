@@ -71,6 +71,15 @@ __all__ = [
 ]
 
 
+_T_GRIDS = ("blowup_t_grid", "dichotomy_t_grid", "branching_t_grid", "smoothness_t_grid")
+
+
+def _is_real(x) -> bool:
+    if isinstance(x, bool):
+        return False
+    return isinstance(x, int) or (isinstance(x, float) and math.isfinite(x))
+
+
 @dataclass
 class ExperimentConfig:
     """Flat, JSON-serializable configuration; every report echoes the
@@ -94,10 +103,35 @@ class ExperimentConfig:
     out_dir: Optional[str] = None
 
     def __post_init__(self):
+        for name in ("spacing", "margin", "weight_step", "tail_delta", "dichotomy_delta"):
+            if not _is_real(getattr(self, name)):
+                raise ValueError(f"{name} must be a finite number")
+        for name in ("levels", "truncation_n", "seed", "germ_level"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer")
+        for name in _T_GRIDS:
+            grid = getattr(self, name)
+            if not (
+                isinstance(grid, (list, tuple))
+                and grid
+                and all(_is_real(t) and t > 0 for t in grid)
+            ):
+                raise ValueError(f"{name} must be a non-empty list of parameters t > 0")
+        if self.out_dir is not None and not isinstance(self.out_dir, str):
+            raise ValueError("out_dir must be a path string")
         if self.spacing <= 0 or self.margin <= 0:
             raise ValueError("spacing and margin must be positive")
+        if self.weight_step <= 0:
+            raise ValueError("weight_step must be positive")
         if self.truncation_n < 1 or self.levels < 1:
             raise ValueError("truncation and level count must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
+        if not 0 <= self.germ_level <= self.levels + 1:
+            raise ValueError(f"germ_level must lie in 0..{self.levels + 1}")
+        if any(t > 1 for t in self.smoothness_t_grid):
+            raise ValueError("smoothness_t_grid must lie in (0, 1]")
 
     @classmethod
     def from_file(cls, path: str, **overrides) -> "ExperimentConfig":
@@ -208,7 +242,7 @@ def _seq_discontinuity(cfg: ExperimentConfig) -> List[Check]:
     worst_op = 0.0
     for n in (2, 4, 7):
         t = 1.0 / n
-        diag = np.array([step_n(m, t, 0) - 1.0 for m in range(1, N + 1)])
+        diag = step_n(np.arange(1, N + 1), t, 0) - 1.0
         for i in range(3):
             gram = np.diag(np.arange(1, N + 1, dtype=float) ** (6 * i))
             op = OperatorHandle(np.diag(diag), gram, gram)

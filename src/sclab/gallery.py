@@ -31,14 +31,15 @@ from .scale_core import (
     GridFunction,
     LogScalar,
     SeqVector,
+    WeightSchedule,
     grid_combine,
+    grid_l2_inner,
     grid_sobolev_norm,
     seq_norm,
 )
 
 __all__ = [
     "rho_eval",
-    "rho_diff",
     "s_proj",
     "s_proj_diff",
     "TrackedScalar",
@@ -63,7 +64,6 @@ __all__ = [
     "seq_diffeo_handle",
     "h_family_handle",
     "s_proj_handle",
-    "MAP_IDS",
 ]
 
 
@@ -84,18 +84,6 @@ def rho_eval(
     if a == 0.0 and not is_representable(t):
         return (t, f.zeros_like())
     return (t, shifted_bump(t, 0, spacing, margin).scaled(a))
-
-
-def rho_diff(
-    t: float,
-    T: float,
-    F: GridFunction,
-    spacing: float = DEFAULT_SPACING,
-    margin: float = DEFAULT_MARGIN,
-):
-    """Differential of the retraction at (t, 0): (T, <F, b_t> b_t) or (T, 0)."""
-    _, g = rho_eval(t, F, spacing, margin)
-    return (T, g)
 
 
 # ---------------------------------------------------------------------------
@@ -137,8 +125,6 @@ def s_proj_diff(
     if T != 0.0 and is_representable(t):
         bp = shifted_bump(t, 1, spacing, margin)
         af = pair_with_bump(f, t, spacing, margin)
-        from .scale_core import grid_l2_inner
-
         afp = grid_l2_inner(f, bp)
         if af != 0.0 or afp != 0.0:
             if b is None:
@@ -353,8 +339,6 @@ def h_diff(
                 b = shifted_bump(t, 0, spacing, margin)
             terms.append((-T * dphit.to_real(), b))
         bp = shifted_bump(t, 1, spacing, margin)
-        from .scale_core import grid_l2_inner
-
         f_dot_dbt = dshift * grid_l2_inner(f, bp)
         if f_dot_dbt != 0.0:
             if b is None:
@@ -402,8 +386,6 @@ def h_transversality_data(
     direct = LogScalar(1, math.fsum([-3.0 * math.log(t), 1.0 / (t * t), -2.0 * E]))
     # independent route: |d_t phi_t(x_t)| * <b_t, b_t> with x_t = gate / 2
     if is_representable(t):
-        from .scale_core import grid_l2_inner
-
         b = shifted_bump(t, 0, spacing, margin)
         q = grid_l2_inner(b, b)
     else:
@@ -433,16 +415,14 @@ def seq_diffeo(t: float, x: SeqVector) -> SeqVector:
     """Coefficient-wise multiplication by the plateau values f_n(t)."""
     if x.dim == 0:
         return x
-    factors = np.array([step_n(n, t, 0) for n in range(1, x.dim + 1)])
-    return SeqVector(factors * x.coeffs)
+    return SeqVector(step_n(np.arange(1, x.dim + 1), t, 0) * x.coeffs)
 
 
 def seq_diffeo_inv(t: float, y: SeqVector) -> SeqVector:
     """Coefficient-wise division by f_n(t); exact since f_n never vanishes."""
     if y.dim == 0:
         return y
-    factors = np.array([step_n(n, t, 0) for n in range(1, y.dim + 1)])
-    return SeqVector(y.coeffs / factors)
+    return SeqVector(y.coeffs / step_n(np.arange(1, y.dim + 1), t, 0))
 
 
 def rho_k_eval(k: int, t: float, x: SeqVector) -> SeqVector:
@@ -457,8 +437,7 @@ def rho_k_eval(k: int, t: float, x: SeqVector) -> SeqVector:
         return seq_diffeo(t, x)
     if t <= 0 or x.dim == 0:
         return SeqVector(np.zeros(0))
-    factors = np.array([step_n(n, t, k) for n in range(1, x.dim + 1)])
-    return SeqVector(factors * x.coeffs)
+    return SeqVector(step_n(np.arange(1, x.dim + 1), t, k) * x.coeffs)
 
 
 def rho_k_tangent(k: int, t: float, x: SeqVector, T: float, X: SeqVector) -> SeqVector:
@@ -533,8 +512,6 @@ def _grid_pair_combine(terms):
 
 
 def _grid_norm(g: GridFunction, i: int, schedule=None) -> float:
-    from .scale_core import WeightSchedule
-
     schedule = schedule or WeightSchedule.default()
     return grid_sobolev_norm(g, i, schedule.delta(i))
 
@@ -569,6 +546,3 @@ def h_family_handle(
         cod_combine=lambda terms: grid_combine(terms),
         cod_norm=lambda g, i: _grid_norm(g, i),
     )
-
-
-MAP_IDS = ("rho", "s-proj", "s-tilde", "h-family", "seq-diffeo", "rho-k")

@@ -26,7 +26,6 @@ __all__ = [
     "grid_l2_inner",
     "grid_sobolev_norm",
     "grid_sobolev_inner",
-    "grid_derivative",
     "grid_combine",
     "seq_inner",
     "seq_norm",
@@ -296,18 +295,6 @@ def grid_l2_inner(f: GridFunction, g: GridFunction) -> float:
         return 0.0
     sf, sg = sl
     return float(np.trapezoid(f.values[sf] * g.values[sg], dx=f.spacing))
-
-
-def grid_derivative(f: GridFunction, order: int) -> GridFunction:
-    """Repeated central differences (one-sided at the window edges)."""
-    if order < 0:
-        raise ValueError("derivative order must be >= 0")
-    if f.n_nodes < 2 * order + 1:
-        raise ValueError(f"{f.n_nodes} nodes too few for derivative order {order}")
-    vals = f.values
-    for _ in range(order):
-        vals = np.gradient(vals, f.spacing, edge_order=2)
-    return GridFunction(f.x0, f.spacing, vals)
 
 
 def _weighted_l2(values: np.ndarray, xs: np.ndarray, delta: float, spacing: float) -> float:

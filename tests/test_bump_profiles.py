@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sclab.bump_profiles import (
+    K_MAX,
     RepresentabilityError,
     is_representable,
     log_limit_probe,
@@ -113,6 +114,36 @@ class TestStepN:
                 got = max(abs(step_n(n, t, k)) for t in ts)
                 expected = (n * (n + 1) / 2.0) ** k * f.derivative_sup(k)
                 assert got == pytest.approx(expected, rel=0.01)
+
+    def test_array_call_is_bit_identical_to_scalar_loop(self):
+        ns = np.arange(1, 65)
+        ts = np.concatenate(
+            [
+                np.linspace(-0.3, 1.3, 161),  # t <= 0, plateaus, transitions, t > 1
+                1.0 / ns,  # the knots
+                1.0 / ns + 1e-7,
+                0.5 * (1.0 / ns + 1.0 / (ns + 1)),  # mid-transition
+            ]
+        )
+        for k in range(K_MAX + 1):
+            for t in ts:
+                got = step_n(ns, float(t), k)
+                loop = np.array([step_n(int(n), float(t), k) for n in ns])
+                assert got.shape == ns.shape
+                assert np.array_equal(got.view(np.int64), loop.view(np.int64)), (k, t)
+
+    def test_scalar_n_returns_float(self):
+        for k in range(K_MAX + 1):
+            assert type(step_n(3, 0.3, k)) is float
+            assert type(step_n(np.int64(3), 0.3, k)) is float
+
+    def test_rejects_any_n_below_one(self):
+        with pytest.raises(ValueError):
+            step_n(0, 0.3)
+        with pytest.raises(ValueError):
+            step_n(np.array([3, 2, 0, 5]), 0.3)
+        with pytest.raises(ValueError):
+            step_n(np.arange(-1, 4), 0.3, 1)
 
 
 class TestShiftedBump:

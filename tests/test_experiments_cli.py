@@ -45,6 +45,25 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(levels=0)
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"blowup_t_grid": [0.0]},
+            {"smoothness_t_grid": []},
+            {"seed": -1},
+            {"spacing": "x"},
+            {"germ_level": 9},
+        ],
+    )
+    def test_rejects_input_that_used_to_crash_an_experiment(self, bad):
+        with pytest.raises(ValueError):
+            ExperimentConfig(**bad)
+
+    def test_accepts_large_seeds_and_small_dichotomy_parameters(self):
+        # t < 1/ln(1e6) stays a valid input; the experiment reports it
+        assert ExperimentConfig(seed=2**31).seed == 2**31
+        assert ExperimentConfig(dichotomy_t_grid=[0.05]).dichotomy_t_grid == [0.05]
+
     def test_from_file_with_override(self, tmp_path):
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps({"seed": 7, "truncation_n": 16}))
@@ -141,6 +160,24 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             cli.main(["run", "bogus"])
         assert exc.value.code == 2
+
+    def test_config_error_exits_two_with_one_line(self, tmp_path, capsys):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"germ_level": 9}))
+        assert cli.main(["run", "germ-openness", "--config", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert "germ_level" in captured.err
+
+    def test_seed_flag_is_validated(self, capsys):
+        assert cli.main(["run", "seq-discontinuity", "--seed", "-1"]) == 2
+        assert "seed" in capsys.readouterr().err
+
+    def test_missing_config_file_exits_two(self, tmp_path, capsys):
+        missing = tmp_path / "absent.json"
+        assert cli.main(["run", "seq-discontinuity", "--config", str(missing)]) == 2
+        assert len(capsys.readouterr().err.splitlines()) == 1
 
     def test_out_dir_flag_writes_file(self, tmp_path, capsys):
         code = cli.main(

@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from sclab.bump_profiles import pair_with_bump, phi_gate, shift_amount, shifted_bump
+from sclab.bump_profiles import (
+    K_MAX,
+    pair_with_bump,
+    phi_gate,
+    shift_amount,
+    shifted_bump,
+    step_n,
+)
 from sclab.gallery import (
     default_phi_family,
     h_diff,
@@ -278,3 +285,23 @@ class TestSeqDiffeo:
             sups.append(max(seq_norm(rho_k_eval(1, t, x), 0) for t in ts))
         assert sups[1] > 3.0 * sups[0]
         assert sups[2] > 3.0 * sups[1]
+
+    def test_maps_match_per_coefficient_factors_bitwise(self):
+        # reference: the per-coefficient form, one scalar step_n call per n
+        def factors(k, t, dim):
+            return np.array([step_n(n, t, k) for n in range(1, dim + 1)])
+
+        def same_bits(a, b):
+            return np.array_equal(a.coeffs.view(np.int64), b.coeffs.view(np.int64))
+
+        rng = np.random.default_rng(11)
+        x = SeqVector(rng.normal(size=40))
+        for t in (-0.2, 0.0, 0.05, 0.21, 1.0 / 3.0, 0.29, 0.5, 0.7, 1.4):
+            ref = SeqVector(factors(0, t, x.dim) * x.coeffs)
+            assert same_bits(seq_diffeo(t, x), ref)
+            ref = SeqVector(x.coeffs / factors(0, t, x.dim))
+            assert same_bits(seq_diffeo_inv(t, x), ref)
+            if t > 0:
+                for k in range(1, K_MAX + 1):
+                    ref = SeqVector(factors(k, t, x.dim) * x.coeffs)
+                    assert same_bits(rho_k_eval(k, t, x), ref)
