@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence, Union
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .scale_core import (
     AnalyticTailFunction,
@@ -254,6 +253,19 @@ def pair_with_bump(
     return grid_l2_inner(f, shifted_bump(t, 0, spacing, margin))
 
 
+def _logsumexp(a: np.ndarray) -> float:
+    """log(sum(exp(a))) for a non-empty array of finite logs.
+
+    Shifts by the maximum and sums the maxima apart, in the order and with
+    the rounding of scipy.special.logsumexp, so results match it bit for bit.
+    """
+    top = a.max()
+    is_top = a == top
+    m = np.count_nonzero(is_top)
+    s = np.sum(np.exp(np.where(is_top, -np.inf, a - top)))
+    return float(np.log1p(s / m) + np.log(m) + top)
+
+
 def _pair_tail_log(f: AnalyticTailFunction, t: float, spacing: float) -> LogScalar:
     shift = shift_amount(t)
     if not math.isfinite(shift):
@@ -276,9 +288,9 @@ def _pair_tail_log(f: AnalyticTailFunction, t: float, spacing: float) -> LogScal
             signs[j] = ls.sign
         pos = log_terms[signs > 0]
         neg = log_terms[signs < 0]
-        lp = logsumexp(pos) if pos.size else -math.inf
-        ln = logsumexp(neg) if neg.size else -math.inf
-        return LogScalar.from_log(1, float(lp)).add(LogScalar.from_log(-1, float(ln)))
+        lp = _logsumexp(pos) if pos.size else -math.inf
+        ln = _logsumexp(neg) if neg.size else -math.inf
+        return LogScalar.from_log(1, lp).add(LogScalar.from_log(-1, ln))
 
     # factor-4 refinement until the log magnitudes settle
     h = spacing

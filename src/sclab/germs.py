@@ -25,7 +25,7 @@ from .bump_profiles import (
     make_bump,
     shifted_bump,
 )
-from .operator_probe import OperatorHandle
+from .operator_probe import OperatorHandle, metric_singular_values
 from .scale_core import (
     GridFunction,
     WeightSchedule,
@@ -76,6 +76,7 @@ class GermContext:
     atoms: Tuple[GridFunction, ...]
     schedule: WeightSchedule
     _grams: Dict[int, np.ndarray] = field(default_factory=dict)
+    _pairs: Dict[int, np.ndarray] = field(default_factory=dict)
 
     @property
     def dim(self) -> int:
@@ -98,8 +99,12 @@ class GermContext:
         g = self.gram(level)
         return math.sqrt(max(0.0, float(v @ g @ v)))
 
-    def l2_pair_vector(self, g: GridFunction) -> np.ndarray:
-        return np.array([grid_l2_inner(a, g) for a in self.atoms])
+    def l2_pair_vector(self, j: int) -> np.ndarray:
+        """L2 pairings of every atom with atom j."""
+        if j not in self._pairs:
+            g = self.atoms[j]
+            self._pairs[j] = np.array([grid_l2_inner(a, g) for a in self.atoms])
+        return self._pairs[j]
 
 
 @dataclass(frozen=True)
@@ -157,10 +162,12 @@ def modulus_with_count(
         g_level = ctx.gram(level)
         m = ctx.dim
 
-        def draw(radius: float) -> np.ndarray:
-            v = rng.normal(size=m)
+        def scaled(v: np.ndarray, radius: float) -> np.ndarray:
             n = math.sqrt(max(float(v @ g_level @ v), 1e-300))
             return v * (radius / n)
+
+        def draw(radius: float) -> np.ndarray:
+            return scaled(rng.normal(size=m), radius)
 
         r1 = 0.999 * delta if trial % 2 == 0 else delta * rng.uniform(0.05, 0.95)
         w1 = draw(r1)
@@ -169,6 +176,10 @@ def modulus_with_count(
             (w1, draw(delta * rng.uniform(0.05, 0.95))),
             (w1, w1 + draw(1e-3 * delta)),
         ]
+        if germ.c_dependent_atoms:
+            # the bad direction moves with c and random draws can miss it:
+            # also sample the witness atom itself
+            pairs.append((scaled(np.eye(m)[-1], r1), np.zeros(m)))
         for wa, wb in pairs:
             diff = wa - wb
             denom = ctx.norm(diff, level)
@@ -298,6 +309,17 @@ def replay_certificate(germ: BasicGerm, cert: ContractionCertificate) -> bool:
 # differential probes
 
 
+def _central(
+    fun: Callable[[np.ndarray], np.ndarray],
+    x: np.ndarray,
+    directions: Sequence[np.ndarray],
+    h: float,
+) -> np.ndarray:
+    """Central differences (fun(x + h d) - fun(x - h d)) / 2h, one row per
+    direction d."""
+    return np.array([(fun(x + h * d) - fun(x - h * d)) / (2.0 * h) for d in directions])
+
+
 def dW_opnorm_probe(
     germ: BasicGerm,
     level: int,
@@ -325,10 +347,9 @@ def dW_opnorm_probe(
         w = unit(rng.normal(size=m)) * (0.999 * radius if trial % 2 == 0 else radius * rng.uniform(0.05, 0.95))
         directions = [unit(np.eye(m)[j]) for j in range(m)]
         directions.append(unit(rng.normal(size=m)))
-        for h in directions:
-            bp = germ.B(c, w + fd_step * h, ctx)
-            bm = germ.B(c, w - fd_step * h, ctx)
-            worst = max(worst, ctx.norm((bp - bm) / (2.0 * fd_step), level))
+        rows = _central(lambda x: germ.B(c, x, ctx), w, directions, fd_step)
+        for row in rows:
+            worst = max(worst, ctx.norm(row, level))
     if worst == 0.0 and n_samples > 0:
         # legal (B may vanish identically near 0) but flag impossible c-sampling
         probe_c = germ.sample_c(np.random.default_rng(seed), radius)
@@ -400,17 +421,8 @@ def _da_variation(
     rng = np.random.default_rng(seed + 2)
 
     def grad(c: float, v: np.ndarray, ctx: GermContext) -> np.ndarray:
-        m = ctx.dim
-        out = np.zeros(1 + m)
-        out[0] = (germ.a(c + fd_step, v, ctx) - germ.a(c - fd_step, v, ctx)) / (
-            2.0 * fd_step
-        )
-        for j in range(m):
-            e = np.eye(m)[j]
-            out[1 + j] = (
-                germ.a(c, v + fd_step * e, ctx) - germ.a(c, v - fd_step * e, ctx)
-            ) / (2.0 * fd_step)
-        return out
+        x = np.concatenate(([c], v))
+        return _central(lambda y: germ.a(y[0], y[1:], ctx), x, np.eye(x.size), fd_step)
 
     ctx0 = germ.context_for(0.0)
     g0 = grad(0.0, np.zeros(ctx0.dim), ctx0)
@@ -472,30 +484,26 @@ def _full_diff_cond(
     """Condition number of the full differential of (c, w) -> (a, w - B) in
     the metric of level i, with the parameter direction included."""
     m = ctx.dim
-    M = np.zeros((1 + m, 1 + m))
+    x = np.concatenate(([c], v))
+    eye = np.eye(1 + m)
 
-    def f_at(cc: float, vv: np.ndarray) -> np.ndarray:
-        aa, ww = germ_eval(germ, cc, vv, ctx)
+    def f_at(y: np.ndarray) -> np.ndarray:
+        aa, ww = germ_eval(germ, y[0], y[1:], ctx)
         return np.concatenate(([aa], ww))
 
-    if germ.c_dependent_atoms:
-        # atoms move with c; probe only the a-component in the c-direction
-        M[0, 0] = (germ.a(c + fd_step, v, ctx) - germ.a(c - fd_step, v, ctx)) / (
-            2.0 * fd_step
-        )
-    else:
-        M[:, 0] = (f_at(c + fd_step, v) - f_at(c - fd_step, v)) / (2.0 * fd_step)
-    for j in range(m):
-        e = np.eye(m)[j]
-        M[:, 1 + j] = (f_at(c, v + fd_step * e) - f_at(c, v - fd_step * e)) / (
-            2.0 * fd_step
-        )
+    def a_at(y: np.ndarray) -> np.ndarray:
+        return eye[0] * germ.a(y[0], y[1:], ctx)
+
+    # where atoms move with c, probe only the a-component in the c-direction
+    c_fun = a_at if germ.c_dependent_atoms else f_at
+    # row k of the stacked differences is column k of the differential
+    cols = np.vstack(
+        [_central(c_fun, x, eye[:1], fd_step), _central(f_at, x, eye[1:], fd_step)]
+    )
     g = ctx.gram(level)
     gram = np.block([[np.ones((1, 1)), np.zeros((1, m))], [np.zeros((m, 1)), g]])
-    op = OperatorHandle(M, gram, gram, label=f"{germ.name} full differential")
-    from .operator_probe import _whitened
-
-    sv = np.linalg.svd(_whitened(op), compute_uv=False)
+    op = OperatorHandle(cols.T, gram, gram, label=f"{germ.name} full differential")
+    sv = metric_singular_values(op)
     if sv[-1] <= 1e-300:
         return float("inf")
     return float(sv[0] / sv[-1])
@@ -568,7 +576,7 @@ def make_rank_one_germ(
     schedule = schedule or WeightSchedule.default()
     atoms = _base_atoms(spacing)
     ctx = GermContext(atoms, schedule)
-    pair_vec = ctx.l2_pair_vector(atoms[0])
+    pair_vec = ctx.l2_pair_vector(0)
     e_bump = np.eye(len(atoms))[0]
 
     def B(c: float, v: np.ndarray, _ctx: GermContext) -> np.ndarray:
@@ -590,7 +598,7 @@ def make_quadratic_germ(
     schedule = schedule or WeightSchedule.default()
     atoms = _base_atoms(spacing)
     ctx = GermContext(atoms, schedule)
-    pair_vec = ctx.l2_pair_vector(atoms[0])
+    pair_vec = ctx.l2_pair_vector(0)
 
     def B(c: float, v: np.ndarray, _ctx: GermContext) -> np.ndarray:
         return float(pair_vec @ v) * v
@@ -629,10 +637,8 @@ def make_moving_bump_pseudo_germ(
     def B(c: float, v: np.ndarray, ctx: GermContext) -> np.ndarray:
         if c <= 0.0 or ctx.dim == len(base):
             return np.zeros(ctx.dim)
-        bc = ctx.atoms[-1]
-        pair_vec = ctx.l2_pair_vector(bc)
         out = np.zeros(ctx.dim)
-        out[-1] = float(pair_vec @ v)
+        out[-1] = float(ctx.l2_pair_vector(ctx.dim - 1) @ v)
         return out
 
     def sample_c(rng: np.random.Generator, delta: float) -> Optional[float]:

@@ -11,15 +11,21 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.linalg
 
-from .bump_profiles import DEFAULT_MARGIN, DEFAULT_SPACING, shift_amount, shifted_bump
+from .bump_profiles import (
+    DEFAULT_MARGIN,
+    DEFAULT_SPACING,
+    phi_gate,
+    shift_amount,
+    shifted_bump,
+)
 from .gallery import ScMapHandle
-from .scale_core import WeightSchedule, grid_l2_inner, grid_sobolev_norm
+from .scale_core import LogScalar, grid_combine, grid_l2_inner, grid_sobolev_norm
 
 __all__ = [
     "OperatorHandle",
     "witness_lower_bound",
+    "metric_singular_values",
     "truncation_opnorm",
     "numerical_rank",
     "DiffReport",
@@ -79,26 +85,26 @@ def witness_lower_bound(op: OperatorHandle, v: np.ndarray) -> float:
     return op.cod_norm(op.apply(v)) / nv
 
 
-def _whitened(op: OperatorHandle) -> np.ndarray:
-    """Matrix of the operator between the orthonormalized bases, via
-    Cholesky factors of the two Gram matrices."""
-    ld = scipy.linalg.cholesky(op.gram_dom, lower=True)
-    lc = scipy.linalg.cholesky(op.gram_cod, lower=True)
+def metric_singular_values(op: OperatorHandle) -> np.ndarray:
+    """Singular values of the operator under the Gram inner products,
+    largest first."""
+    ld = np.linalg.cholesky(op.gram_dom)
+    lc = np.linalg.cholesky(op.gram_cod)
     # B = L_c^T A L_d^{-T} has plain-euclidean singular values equal to the
     # metric singular values of A
-    right = scipy.linalg.solve_triangular(ld, op.matrix.T, lower=True)
-    return lc.T @ right.T
+    right = np.linalg.solve(ld, op.matrix.T)
+    return np.linalg.svd(lc.T @ right.T, compute_uv=False)
 
 
 def truncation_opnorm(op: OperatorHandle) -> float:
     """Operator norm of the truncation under the supplied inner products."""
-    sv = scipy.linalg.svdvals(_whitened(op))
+    sv = metric_singular_values(op)
     return float(sv[0]) if sv.size else 0.0
 
 
 def numerical_rank(op: OperatorHandle, threshold: float = RANK_THRESHOLD) -> int:
     """Number of metric singular values above threshold * largest."""
-    sv = scipy.linalg.svdvals(_whitened(op))
+    sv = metric_singular_values(op)
     if sv.size == 0 or sv[0] == 0.0:
         return 0
     return int(np.count_nonzero(sv > threshold * sv[0]))
@@ -220,9 +226,6 @@ def opnorm_dichotomy(
     region.  Each row reports the witness lower bound, the closed-form
     cross-level upper bound, and the worst sampled cross-level ratio.
     """
-    from .bump_profiles import phi_gate
-    from .scale_core import LogScalar, grid_combine
-
     rng = np.random.default_rng(seed)
     rows = []
     for t in t_grid:

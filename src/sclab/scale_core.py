@@ -20,9 +20,6 @@ __all__ = [
     "SeqVector",
     "AnalyticTailFunction",
     "GridMismatchError",
-    "log_mul",
-    "log_add",
-    "log_cmp",
     "grid_l2_inner",
     "grid_sobolev_norm",
     "grid_sobolev_inner",
@@ -166,18 +163,6 @@ class LogScalar:
         return self.cmp(other) >= 0
 
 
-def log_mul(a: LogScalar, b: LogScalar) -> LogScalar:
-    return a.mul(b)
-
-
-def log_add(a: LogScalar, b: LogScalar) -> LogScalar:
-    return a.add(b)
-
-
-def log_cmp(a: LogScalar, b: LogScalar) -> int:
-    return a.cmp(b)
-
-
 # ---------------------------------------------------------------------------
 # weight schedules
 
@@ -251,10 +236,6 @@ class GridFunction:
 
     def scaled(self, c: float) -> "GridFunction":
         return GridFunction(self.x0, self.spacing, c * self.values)
-
-    @staticmethod
-    def zeros(x0: float, spacing: float, n_nodes: int) -> "GridFunction":
-        return GridFunction(x0, spacing, np.zeros(n_nodes))
 
     def zeros_like(self) -> "GridFunction":
         return GridFunction(self.x0, self.spacing, np.zeros(self.n_nodes))
@@ -409,9 +390,6 @@ class SeqVector:
     def dim(self) -> int:
         return self.coeffs.size
 
-    def coeff(self, n: int) -> float:
-        return float(self.coeffs[n - 1]) if 1 <= n <= self.dim else 0.0
-
     def add(self, other: "SeqVector") -> "SeqVector":
         n = max(self.dim, other.dim)
         c = np.zeros(n)
@@ -456,7 +434,6 @@ def tail_projection(x: SeqVector, N: int) -> SeqVector:
 class AnalyticTailFunction:
     """Closed-form function with a log-domain evaluator for far-field pairings."""
 
-    evaluate: Callable[[float], float]
     log_evaluate: Callable[[float], LogScalar]
     delta: float
 
@@ -464,13 +441,9 @@ class AnalyticTailFunction:
     def inverse_square_tail(delta: float) -> "AnalyticTailFunction":
         """f(x) = exp(-delta |x|) / x^2 for |x| > 1 (capped at |x| <= 1)."""
 
-        def ev(x: float) -> float:
-            ax = abs(x)
-            return math.exp(-delta * ax) * min(1.0, ax**-2.0 if ax > 0 else 1.0)
-
         def lev(x: float) -> LogScalar:
             ax = abs(x)
             lm = -delta * ax - (2.0 * math.log(ax) if ax > 1.0 else 0.0)
             return LogScalar(1, lm)
 
-        return AnalyticTailFunction(ev, lev, delta)
+        return AnalyticTailFunction(lev, delta)

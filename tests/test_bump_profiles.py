@@ -6,6 +6,7 @@ import pytest
 from sclab.bump_profiles import (
     K_MAX,
     RepresentabilityError,
+    _logsumexp,
     is_representable,
     log_limit_probe,
     make_bump,
@@ -189,6 +190,43 @@ class TestShiftedBump:
             lower = -0.1 * (shift + 1.0) - 2.0 * math.log(shift + 1.0) - 1.0
             assert got.sign == 1
             assert lower <= got.logmag <= upper
+
+
+def _fsum_logsumexp(a) -> float:
+    return math.log(math.fsum(map(math.exp, a)))
+
+
+class TestLogSumExp:
+    def test_matches_exact_sum_on_moderate_inputs(self):
+        rng = np.random.default_rng(0)
+        for n in (1, 2, 7, 100, 1000):
+            a = rng.normal(scale=5.0, size=n)
+            assert _logsumexp(a) == pytest.approx(_fsum_logsumexp(a), rel=1e-14)
+
+    def test_tie_of_several_maxima(self):
+        a = np.array([3.0, -1.0, 3.0, 2.5, 3.0, 3.0])
+        assert _logsumexp(a) == pytest.approx(_fsum_logsumexp(a), rel=1e-14)
+        assert _logsumexp(np.full(5, 3.0)) == pytest.approx(3.0 + math.log(5.0), rel=1e-15)
+
+    def test_shift_invariance_far_outside_exp_range(self):
+        a = np.random.default_rng(1).normal(scale=5.0, size=50)
+        base = _logsumexp(a)
+        for shift in (800.0, -800.0):
+            assert _logsumexp(a + shift) == pytest.approx(base + shift, rel=1e-14)
+        # near 1e300 every offset below the spacing of floats is absorbed
+        for shift in (1e300, -1e300):
+            assert _logsumexp(a + shift) == base + shift == shift
+        spread = np.array([1e300, 0.5e300, -1e300, 1e300])
+        assert _logsumexp(spread) == 1e300
+
+    def test_bit_identical_to_scipy(self):
+        logsumexp = pytest.importorskip("scipy.special").logsumexp
+        rng = np.random.default_rng(2)
+        for k in range(400):
+            a = rng.normal(scale=10.0 ** (k % 5), size=1 + k % 60)
+            if k % 3 == 0:
+                a[rng.integers(a.size, size=3)] = a.max()
+            assert _logsumexp(a) == float(logsumexp(a))
 
 
 class TestPhiGate:

@@ -1,6 +1,10 @@
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -92,6 +96,11 @@ class TestReports:
             assert report.experiment == eid
             assert report.checks
 
+    @pytest.mark.parametrize("seed", [2, 8, 12, 17, 35])
+    def test_germ_continuity_passes_where_random_draws_missed_the_witness(self, seed):
+        report = run("germ-continuity", ExperimentConfig(seed=seed))
+        assert report.passed, emit(report, "text")
+
     def test_reproducible_modulo_stamp(self):
         a, b = run("seq-discontinuity"), run("seq-discontinuity")
         da, db = a.to_dict(), b.to_dict()
@@ -138,6 +147,58 @@ def _failing_report(eid: str) -> ExperimentReport:
         config=ExperimentConfig().to_dict(),
         stamp={},
     )
+
+
+class TestExperimentErrors:
+    @pytest.mark.parametrize(
+        "eid, override, exc_type",
+        [
+            ("inverse-blowup", {"blowup_t_grid": [0.03]}, "ValueError"),
+            ("transversality-witness", {"branching_t_grid": [0.02]}, "OverflowError"),
+            ("opnorm-dichotomy", {"dichotomy_t_grid": [0.05]}, "RepresentabilityError"),
+        ],
+    )
+    def test_exception_becomes_one_failing_error_check(self, eid, override, exc_type):
+        report = run(eid, ExperimentConfig(**override))
+        assert not report.passed
+        assert [c.name for c in report.checks] == ["error"]
+        assert report.checks[0].measured.startswith(exc_type + ": ")
+        assert not report.checks[0].passed
+
+    @pytest.mark.parametrize(
+        "eid, override",
+        [
+            ("inverse-blowup", {"blowup_t_grid": [0.03]}),
+            ("transversality-witness", {"branching_t_grid": [0.02]}),
+        ],
+    )
+    def test_cli_exits_one_without_traceback(self, tmp_path, capsys, eid, override):
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(override))
+        assert cli.main(["run", eid, "--config", str(p), "--format", "text"]) == 1
+        captured = capsys.readouterr()
+        assert "[FAIL] error:" in captured.out
+        assert "Traceback" not in captured.out + captured.err
+
+
+def test_runs_without_scipy():
+    code = (
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from sclab import cli\n"
+        "for eid in ('inverse-blowup', 'seq-discontinuity', 'germ-openness'):\n"
+        "    assert cli.main(['run', eid]) == 0, eid\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestCli:
