@@ -7,6 +7,7 @@ routed through log-domain arithmetic whenever they can leave float range.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence, Union
@@ -22,6 +23,7 @@ from .scale_core import (
 
 __all__ = [
     "RepresentabilityError",
+    "ConvergenceError",
     "BumpProfile",
     "SmoothStep",
     "make_bump",
@@ -52,6 +54,10 @@ _LOG_MIN = -1.7976931348623157e308
 
 class RepresentabilityError(ValueError):
     """A shift exp(1/t) is too large for the grid path; use log-domain ops."""
+
+
+class ConvergenceError(ArithmeticError):
+    """A refined quadrature did not settle; the message names its last two iterates."""
 
 
 def _safe_exp(x: float) -> float:
@@ -98,17 +104,23 @@ def _bump_unnormalized(x: np.ndarray) -> np.ndarray:
 
 
 def _refined_trapezoid(fun, a: float, b: float, rel_tol: float = 1e-13, n0: int = 2001):
-    """Trapezoid with factor-4 refinement until two values agree."""
+    """Trapezoid with factor-4 refinement until two values agree.
+
+    At most 5 refinements (2,048,001 nodes from the default n0), then
+    ConvergenceError.
+    """
     n = n0
-    prev = None
-    for _ in range(12):
+    prev = val = None
+    for _ in range(6):
         xs = np.linspace(a, b, n)
-        val = float(np.trapezoid(fun(xs), xs))
+        prev, val = val, float(np.trapezoid(fun(xs), xs))
         if prev is not None and abs(val - prev) <= rel_tol * max(abs(val), 1e-300):
             return val
-        prev = val
         n = 4 * (n - 1) + 1
-    return prev
+    raise ConvergenceError(
+        f"trapezoid on [{a:g}, {b:g}] did not settle after 5 refinements: "
+        f"last two iterates {prev!r} and {val!r}"
+    )
 
 
 @dataclass(frozen=True)
@@ -212,11 +224,23 @@ def shifted_bump(
             f"exp(1/t) = exp({1.0 / t:.3g}) exceeds the grid policy bound "
             f"{MAX_SHIFT:g}; use the log-domain path"
         )
+    vals = _bump_window(order, spacing, margin)
+    return GridFunction(x0=-shift_amount(t) - (1.0 + margin), spacing=spacing, values=vals)
+
+
+@functools.lru_cache(maxsize=32)
+def _bump_window(order: int, spacing: float, margin: float) -> np.ndarray:
+    """Read-only samples of the order-th bump derivative on [-1-margin, 1+margin].
+
+    They do not depend on t, so each (order, spacing, margin) is sampled once;
+    GridFunction copies them, so no caller can write to the cached array.
+    """
     bump = make_bump()
     n = round(2 * (1.0 + margin) / spacing) + 1
     u = -(1.0 + margin) + spacing * np.arange(n)
     vals = bump.derivative(u, order) if order else bump(u)
-    return GridFunction(x0=-shift_amount(t) - (1.0 + margin), spacing=spacing, values=vals)
+    vals.flags.writeable = False
+    return vals
 
 
 def _far_left_of(f: GridFunction, t: float) -> bool:
@@ -279,13 +303,8 @@ def _pair_tail_log(f: AnalyticTailFunction, t: float, spacing: float) -> LogScal
         keep = bv > 0
         u = u[keep]
         bv = bv[keep]
-        logw = math.log(h)
-        log_terms = np.log(bv) + logw
-        signs = np.empty(u.size)
-        for j, uu in enumerate(u):
-            ls = f.log_evaluate(uu - shift)
-            log_terms[j] += ls.logmag
-            signs[j] = ls.sign
+        signs, logf = f.log_evaluate(u - shift)
+        log_terms = np.log(bv) + math.log(h) + logf
         pos = log_terms[signs > 0]
         neg = log_terms[signs < 0]
         lp = _logsumexp(pos) if pos.size else -math.inf
@@ -294,17 +313,19 @@ def _pair_tail_log(f: AnalyticTailFunction, t: float, spacing: float) -> LogScal
 
     # factor-4 refinement until the log magnitudes settle
     h = spacing
-    prev = quad(h)
+    cur = quad(h)
     for _ in range(4):
         h /= 4.0
-        cur = quad(h)
+        prev, cur = cur, quad(h)
         if (
             prev.sign == cur.sign
             and abs(prev.logmag - cur.logmag) <= 1e-9 * max(1.0, abs(cur.logmag))
         ):
             return cur
-        prev = cur
-    return prev
+    raise ConvergenceError(
+        f"tail pairing at t={t:g} did not settle after 4 refinements: "
+        f"last two iterates {prev} and {cur}"
+    )
 
 
 # ---------------------------------------------------------------------------

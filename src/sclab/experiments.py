@@ -455,12 +455,12 @@ def _identity_differential(cfg: ExperimentConfig) -> List[Check]:
     n = round(4.0 / h) + 1
     xs = x0 + h * np.arange(n)
     bump = bump_profiles.make_bump()
+    b0, b1, b2 = bump(xs), bump(xs - 0.5), bump(xs + 0.5)
     zero = GridFunction(x0, h, np.zeros(n))
 
     def direction() -> GridFunction:
         c = rng.normal(size=3)
-        vals = c[0] * bump(xs) + c[1] * bump(xs - 0.5) + c[2] * bump(xs + 0.5)
-        return GridFunction(x0, h, vals)
+        return GridFunction(x0, h, c[0] * b0 + c[1] * b1 + c[2] * b2)
 
     worst_proj = 0.0
     worst_branch = 0.0

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -432,18 +432,26 @@ def tail_projection(x: SeqVector, N: int) -> SeqVector:
 
 @dataclass(frozen=True)
 class AnalyticTailFunction:
-    """Closed-form function with a log-domain evaluator for far-field pairings."""
+    """Closed-form function with a log-domain evaluator for far-field pairings.
 
-    log_evaluate: Callable[[float], LogScalar]
+    ``log_evaluate(xs)`` takes a float array of points and returns two float
+    arrays ``(signs, logmags)`` with one entry per point: the function equals
+    ``signs * exp(logmags)`` there, with signs in {-1, 0, +1} and logmags
+    -inf exactly where the sign is 0.
+    """
+
+    # points array -> (signs, logmags) arrays, one entry per point
+    log_evaluate: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
     delta: float
 
     @staticmethod
     def inverse_square_tail(delta: float) -> "AnalyticTailFunction":
         """f(x) = exp(-delta |x|) / x^2 for |x| > 1 (capped at |x| <= 1)."""
 
-        def lev(x: float) -> LogScalar:
-            ax = abs(x)
-            lm = -delta * ax - (2.0 * math.log(ax) if ax > 1.0 else 0.0)
-            return LogScalar(1, lm)
+        def lev(xs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+            ax = np.abs(xs)
+            # the max keeps log away from 0 where the cap applies, so x = 0 is silent
+            lm = -delta * ax - np.where(ax > 1.0, 2.0 * np.log(np.maximum(ax, 1.0)), 0.0)
+            return np.ones_like(lm), lm
 
         return AnalyticTailFunction(lev, delta)

@@ -1,12 +1,19 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from sclab.bump_profiles import (
+    DEFAULT_MARGIN,
+    DEFAULT_SPACING,
     K_MAX,
+    ConvergenceError,
     RepresentabilityError,
+    _bump_window,
     _logsumexp,
+    _pair_tail_log,
+    _refined_trapezoid,
     is_representable,
     log_limit_probe,
     make_bump,
@@ -17,7 +24,7 @@ from sclab.bump_profiles import (
     shifted_bump,
     step_n,
 )
-from sclab.scale_core import AnalyticTailFunction, GridFunction, grid_l2_inner
+from sclab.scale_core import AnalyticTailFunction, GridFunction, LogScalar, grid_l2_inner
 
 
 def _oracle_integral(fn, lo, hi, n=200001):
@@ -190,6 +197,113 @@ class TestShiftedBump:
             lower = -0.1 * (shift + 1.0) - 2.0 * math.log(shift + 1.0) - 1.0
             assert got.sign == 1
             assert lower <= got.logmag <= upper
+
+    def test_window_matches_direct_sampling(self):
+        b = make_bump()
+        for spacing in (1e-3, 5e-4):
+            n = round(4.0 / spacing) + 1
+            u = -2.0 + spacing * np.arange(n)
+            for k in range(K_MAX + 1):
+                direct = b.derivative(u, k) if k else b(u)
+                got = shifted_bump(0.4, k, spacing, 1.0).values
+                assert np.array_equal(got.view(np.int64), direct.view(np.int64)), (k, spacing)
+
+    def test_windows_share_values_not_memory(self):
+        a = shifted_bump(0.5, 1)
+        b = shifted_bump(0.3, 1)
+        assert a.x0 != b.x0
+        assert np.array_equal(a.values, b.values)
+        assert not np.shares_memory(a.values, b.values)
+
+    def test_cached_window_is_read_only(self):
+        w = _bump_window(2, DEFAULT_SPACING, DEFAULT_MARGIN)
+        assert not w.flags.writeable
+        with pytest.raises(ValueError):
+            w[0] = 1.0
+
+
+def _scalar_tail_logmag(delta: float, x: float) -> float:
+    """The inverse-square tail's log magnitude, one point at a time."""
+    ax = abs(x)
+    return -delta * ax - (2.0 * math.log(ax) if ax > 1.0 else 0.0)
+
+
+def _loop_pair_tail_log(delta: float, t: float, spacing: float) -> LogScalar:
+    """Reference tail pairing with one scalar evaluation per quadrature node."""
+    shift = shift_amount(t)
+    bump = make_bump()
+
+    def quad(h):
+        u = np.linspace(-1.0, 1.0, round(2.0 / h) + 1)
+        bv = bump(u)
+        keep = bv > 0
+        log_terms = np.log(bv[keep]) + math.log(h)
+        for j, uu in enumerate(u[keep]):
+            log_terms[j] += _scalar_tail_logmag(delta, uu - shift)
+        return LogScalar.from_log(1, _logsumexp(log_terms))
+
+    h = spacing
+    cur = quad(h)
+    for _ in range(4):
+        h /= 4.0
+        prev, cur = cur, quad(h)
+        if abs(prev.logmag - cur.logmag) <= 1e-9 * max(1.0, abs(cur.logmag)):
+            return cur
+    raise AssertionError("reference pairing did not settle")
+
+
+def _never_settles(xs):
+    return np.ones(xs.size), np.full(xs.size, float(xs.size))
+
+
+class TestTailPairing:
+    def test_array_evaluator_is_bit_identical_to_scalar_formula(self):
+        xs = np.concatenate(
+            [
+                [0.0, -0.0, 1.0, -1.0, 1.0 + 2**-52, np.nextafter(1.0, 0.0)],
+                np.linspace(-1.0, 1.0, 101),  # capped region
+                np.linspace(-3.0, 3.0, 97),
+                -np.exp(np.linspace(0.0, 14.0, 301)),  # bump locations -e^{1/t}
+                np.exp(np.linspace(-5.0, 30.0, 101)),
+            ]
+        )
+        for delta in (0.0, 0.1, 0.3):
+            tail = AnalyticTailFunction.inverse_square_tail(delta)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # log(0) at x = 0 would warn
+                signs, logmags = tail.log_evaluate(xs)
+            loop = np.array([_scalar_tail_logmag(delta, float(x)) for x in xs])
+            assert signs.shape == logmags.shape == xs.shape
+            assert np.all(signs == 1.0)
+            assert np.array_equal(logmags.view(np.int64), loop.view(np.int64)), delta
+
+    def test_pairing_is_bit_identical_to_per_node_loop(self):
+        for delta in (0.0, 0.1, 0.3):
+            f = AnalyticTailFunction.inverse_square_tail(delta)
+            for t in (0.5, 0.3):
+                for h in (2e-3, 5e-3):
+                    got = _pair_tail_log(f, t, h)
+                    ref = _loop_pair_tail_log(delta, t, h)
+                    assert (got.sign, got.logmag.hex()) == (ref.sign, ref.logmag.hex())
+
+    def test_unsettled_tail_pairing_raises(self):
+        f = AnalyticTailFunction(_never_settles, 0.1)
+        with pytest.raises(ConvergenceError, match="last two iterates") as info:
+            _pair_tail_log(f, 0.4, 1e-2)
+        assert isinstance(info.value, ArithmeticError)
+        assert str(info.value).count("LogScalar(sign=1") == 2
+
+    def test_unsettled_trapezoid_raises_after_five_refinements(self):
+        sizes = []
+
+        def fun(xs):
+            sizes.append(xs.size)
+            return np.full(xs.size, float(xs.size))
+
+        # the iterates are 2 * 512001 and 2 * 2048001, up to rounding
+        with pytest.raises(ConvergenceError, match=r"iterates 1024002\.\d* and 4096002\.\d*"):
+            _refined_trapezoid(fun, -1.0, 1.0)
+        assert sizes == [2001, 8001, 32001, 128001, 512001, 2048001]
 
 
 def _fsum_logsumexp(a) -> float:

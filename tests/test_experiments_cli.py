@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from sclab import cli, experiments
@@ -18,6 +19,7 @@ from sclab.experiments import (
     list_experiments,
     run,
 )
+from sclab.scale_core import AnalyticTailFunction
 
 FAST_IDS = ("seq-discontinuity", "seq-tail-bounds", "seq-tangent-check")
 
@@ -164,6 +166,20 @@ class TestExperimentErrors:
         assert [c.name for c in report.checks] == ["error"]
         assert report.checks[0].measured.startswith(exc_type + ": ")
         assert not report.checks[0].passed
+
+    def test_unsettled_quadrature_becomes_failing_error_check(self, monkeypatch):
+        def never_settles(xs):
+            return np.ones(xs.size), np.full(xs.size, float(xs.size))
+
+        monkeypatch.setattr(
+            AnalyticTailFunction,
+            "inverse_square_tail",
+            staticmethod(lambda delta: AnalyticTailFunction(never_settles, delta)),
+        )
+        report = run("inverse-blowup", ExperimentConfig(blowup_t_grid=[0.5]))
+        assert not report.passed
+        assert [c.name for c in report.checks] == ["error"]
+        assert report.checks[0].measured.startswith("ConvergenceError: ")
 
     @pytest.mark.parametrize(
         "eid, override",
