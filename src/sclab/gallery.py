@@ -433,6 +433,10 @@ def rho_k_eval(k: int, t: float, x: SeqVector) -> SeqVector:
     """
     if k < 0 or k > K_MAX:
         raise ValueError(f"k must be in 0..{K_MAX}")
+    return _rho(k, t, x)
+
+
+def _rho(k: int, t: float, x: SeqVector) -> SeqVector:
     if k == 0:
         return seq_diffeo(t, x)
     if t <= 0 or x.dim == 0:
@@ -441,10 +445,8 @@ def rho_k_eval(k: int, t: float, x: SeqVector) -> SeqVector:
 
 
 def rho_k_tangent(k: int, t: float, x: SeqVector, T: float, X: SeqVector) -> SeqVector:
-    """Tangent map: rho_k(t, X) + T rho_{k+1}(t, x)."""
-    if k + 1 > K_MAX:
-        raise ValueError(f"tangent of order {k} needs derivative order {k + 1} <= {K_MAX}")
-    return rho_k_eval(k, t, X).add(rho_k_eval(k + 1, t, x).scaled(T))
+    """Tangent map: rho_k(t, X) + T rho_{k+1}(t, x), for every k of the family."""
+    return rho_k_eval(k, t, X).add(_rho(k + 1, t, x).scaled(T))
 
 
 # ---------------------------------------------------------------------------
@@ -466,10 +468,7 @@ class ScMapHandle:
 
 def _seq_pair_combine(terms):
     T = sum(c * tan[0] for c, tan in terms)
-    vec = SeqVector(np.zeros(0))
-    for c, tan in terms:
-        vec = vec.add(tan[1].scaled(c))
-    return (T, vec)
+    return (T, _seq_combine([(c, tan[1]) for c, tan in terms]))
 
 
 def _seq_pair_norm(tan, i: int) -> float:
@@ -477,10 +476,11 @@ def _seq_pair_norm(tan, i: int) -> float:
 
 
 def _seq_combine(terms):
-    vec = SeqVector(np.zeros(0))
+    """sum(c * v), each term added in order into one zero array."""
+    out = np.zeros(max((v.dim for _, v in terms), default=0))
     for c, v in terms:
-        vec = vec.add(v.scaled(c))
-    return vec
+        out[: v.dim] += c * v.coeffs
+    return SeqVector(out)
 
 
 def seq_rho_k_handle(k: int) -> ScMapHandle:

@@ -7,6 +7,7 @@ threads.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Tuple
@@ -212,14 +213,13 @@ class GridFunction:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        vals = np.asarray(self.values, dtype=float)
+        vals = np.array(self.values, dtype=float)  # a copy: never alias the caller
         if vals.ndim != 1 or vals.size < 2:
             raise ValueError("grid function needs at least 2 nodes")
-        if not np.all(np.isfinite(vals)):
+        if not np.isfinite(vals).all():
             raise ValueError("grid values must be finite")
         if not (self.spacing > 0):
             raise ValueError("spacing must be positive")
-        vals = vals.copy()
         vals.flags.writeable = False
         object.__setattr__(self, "values", vals)
 
@@ -368,13 +368,14 @@ class SeqVector:
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        c = np.asarray(self.coeffs, dtype=float)
+        c = np.array(self.coeffs, dtype=float)  # a copy: never alias the caller
         if c.ndim != 1:
             raise ValueError("coefficients must be one-dimensional")
-        if not np.all(np.isfinite(c)):
+        if not np.isfinite(c).all():
             raise ValueError("coefficients must be finite")
-        nz = np.nonzero(c)[0]
-        c = c[: nz[-1] + 1].copy() if nz.size else np.zeros(0)
+        if c.size and c[-1] == 0.0:  # most vectors end in a non-zero: skip the scan
+            nz = np.flatnonzero(c)
+            c = c[: nz[-1] + 1] if nz.size else c[:0]
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
 
@@ -401,14 +402,21 @@ class SeqVector:
         return SeqVector(c * self.coeffs)
 
 
+@functools.lru_cache(maxsize=256)
+def _seq_weights(n: int, i: int) -> np.ndarray:
+    """Read-only level-i weights n^(6i) for modes 1..n."""
+    w = np.arange(1, n + 1, dtype=float) ** (6 * i)
+    w.flags.writeable = False
+    return w
+
+
 def seq_inner(x: SeqVector, y: SeqVector, i: int) -> float:
     """Level-i inner product: sum over n of n^(6i) x_n y_n."""
-    check_level(i)
+    i = check_level(i)
     n = min(x.dim, y.dim)
     if n == 0:
         return 0.0
-    ns = np.arange(1, n + 1, dtype=float)
-    return float(np.sum(ns ** (6 * i) * x.coeffs[:n] * y.coeffs[:n]))
+    return float((_seq_weights(n, i) * x.coeffs[:n] * y.coeffs[:n]).sum())
 
 
 def seq_norm(x: SeqVector, i: int) -> float:

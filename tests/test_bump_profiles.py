@@ -64,8 +64,9 @@ class TestBump:
 
     def test_derivatives_vanish_outside(self):
         b = make_bump()
-        for order in (1, 2, 3):
+        for order in range(1, 9):
             assert b.derivative(1.2, order) == 0.0
+            assert np.all(b.derivative(np.array([-7.0, -1.0, 1.0, 1.2]), order) == 0.0)
             assert abs(b.derivative(0.3, order)) > 0.0
 
     def test_mass_exceeds_one(self):
@@ -89,6 +90,11 @@ class TestSmoothStep:
         xs = np.linspace(0.5, 1.0, 500)
         vals = [f(x) for x in xs]
         assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
+
+    def test_derivatives_vanish_on_the_plateaus(self):
+        f = make_smooth_step()
+        for order in range(1, 9):
+            assert np.all(f.derivative(np.array([-3.0, 0.0, 0.5, 1.0, 1.7, 40.0]), order) == 0.0)
 
     def test_derivative_sup_constants(self):
         f = make_smooth_step()
@@ -141,7 +147,7 @@ class TestStepN:
                 assert np.array_equal(got.view(np.int64), loop.view(np.int64)), (k, t)
 
     def test_scalar_n_returns_float(self):
-        for k in range(K_MAX + 1):
+        for k in range(K_MAX + 2):
             assert type(step_n(3, 0.3, k)) is float
             assert type(step_n(np.int64(3), 0.3, k)) is float
 
@@ -152,6 +158,143 @@ class TestStepN:
             step_n(np.array([3, 2, 0, 5]), 0.3)
         with pytest.raises(ValueError):
             step_n(np.arange(-1, 4), 0.3, 1)
+
+
+# Order-0 expressions as they stood before the closed-form kernel; kept as the
+# bit-identity reference for the values every experiment reads.
+def _ref_two_sided(y):
+    y = np.asarray(y, dtype=float)
+    out = np.zeros_like(y)
+    m = y > 0
+    with np.errstate(over="ignore", under="ignore"):
+        out[m] = np.exp(-1.0 / y[m])
+    return out
+
+
+def _ref_step_closed(x):
+    x = np.asarray(x, dtype=float)
+    g_hi = _ref_two_sided(1.0 - x)
+    g_lo = _ref_two_sided(x - 0.5)
+    den = g_hi + g_lo
+    with np.errstate(invalid="ignore"):
+        frac = np.divide(g_hi, den, out=np.ones_like(g_hi), where=den > 0)
+    return 0.5 + 0.5 * frac
+
+
+def _ref_bump(x):
+    x = np.asarray(x, dtype=float)
+    z = 1.0 - x * x
+    out = np.zeros_like(z)
+    m = z > 0
+    with np.errstate(over="ignore", under="ignore"):
+        out[m] = np.exp(-1.0 / z[m])
+    return make_bump().normalization * out
+
+
+def _profile(name):
+    """(derivative function, transition interval) of the bump or the step."""
+    if name == "bump":
+        return make_bump().derivative, (-1.0, 1.0)
+    return make_smooth_step().derivative, (0.5, 1.0)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestClosedFormDerivatives:
+    @pytest.mark.parametrize("name", ["bump", "step"])
+    def test_matches_mpmath_to_rounding(self, name):
+        mp = pytest.importorskip("mpmath")
+        mp.mp.dps = 40
+        half = mp.mpf(1) / 2
+
+        def g(y):
+            return mp.exp(-1 / y) if y > 0 else mp.mpf(0)
+
+        if name == "bump":
+            norm = mp.mpf(make_bump().normalization)
+            ref = lambda x: norm * g(1 - x * x)  # noqa: E731
+            xs = np.linspace(-0.99, 0.99, 81)
+        else:
+            ref = lambda x: half + half * g(1 - x) / (g(1 - x) + g(x - half))  # noqa: E731
+            xs = np.linspace(0.505, 0.995, 81)
+        fn, _ = _profile(name)
+        for k in range(5):
+            exact = np.array([float(mp.diff(ref, mp.mpf(float(x)), k)) for x in xs])
+            err = np.max(np.abs(fn(xs, k) - exact))
+            assert err <= 1e-12 * np.max(np.abs(exact)), (k, err)
+
+    @pytest.mark.parametrize("name", ["bump", "step"])
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_trapezoid_of_next_order_reproduces_increments(self, name, k):
+        fn, (a, b) = _profile(name)
+        n = 20001
+        xs = np.linspace(a, b, n)
+        h = (b - a) / (n - 1)
+        nxt = fn(xs, k + 1)
+        integral = np.concatenate([[0.0], np.cumsum(0.5 * h * (nxt[1:] + nxt[:-1]))])
+        increments = fn(xs, k) - fn(xs[0], k)
+        eps = np.finfo(float).eps
+        # composite trapezoid on [a, x]: |error| <= (x - a) h^2 / 12 sup|f^(k+3)|;
+        # the running sum adds at most n eps (b - a) sup|f^(k+1)|, and each
+        # evaluation of f^(k) is allowed 1e-12 of its sup (the mpmath gate)
+        tol = (
+            (b - a) * h**2 / 12.0 * np.max(np.abs(fn(xs, k + 3)))
+            + n * eps * (b - a) * np.max(np.abs(nxt))
+            + 2e-12 * np.max(np.abs(fn(xs, k)))
+        )
+        assert np.max(np.abs(integral - increments)) <= tol
+
+    def test_order_zero_is_bit_identical_to_the_closed_forms(self):
+        ns = np.arange(1, 65)
+        xs = np.concatenate(
+            [
+                np.linspace(-1.5, 2.0, 7001),  # both plateaus and the transition
+                [0.5, 1.0, -1.0, np.nextafter(0.5, 1.0), np.nextafter(1.0, 0.0)],
+                0.5 + np.geomspace(1e-17, 0.4, 200),
+                1.0 - np.geomspace(1e-17, 0.4, 200),
+                [-np.inf, np.inf],
+            ]
+        )
+        f = make_smooth_step()
+        assert _same_bits(f(xs), _ref_step_closed(xs))
+        assert _same_bits(f.derivative(xs, 0), _ref_step_closed(xs))
+        for x in xs[::50]:
+            assert _same_bits(f(float(x)), _ref_step_closed(float(x)))
+        b = make_bump()
+        bx = xs[np.isfinite(xs)] - 0.5
+        assert _same_bits(b.derivative(bx, 0), _ref_bump(bx))
+        # the step family at the knots 1/n, just past them and mid-window
+        ts = np.concatenate([np.linspace(-0.3, 1.3, 161), 1.0 / ns, 1.0 / ns + 1e-9])
+        for t in ts:
+            arg = 0.5 * (ns * (ns + 1) * t + 1 - ns)
+            assert _same_bits(step_n(ns, float(t), 0), _ref_step_closed(arg)), t
+
+    def test_any_order_is_finite_and_silent_at_the_edges(self):
+        xs = np.array(
+            [np.nextafter(0.5, 1.0), 0.5 + 1e-4, 0.75, 1.0 - 1e-4, np.nextafter(1.0, 0.0)]
+        )
+        bx = np.array([np.nextafter(-1.0, 0.0), -1.0 + 7e-4, 0.0, 1.0 - 7e-4, np.nextafter(1.0, 0.0)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for k in range(13):
+                assert np.all(np.isfinite(make_smooth_step().derivative(xs, k)))
+                assert np.all(np.isfinite(make_bump().derivative(bx, k)))
+                assert np.all(np.isfinite(step_n(np.arange(1, 9), 0.3, k)))
+
+    def test_rejects_negative_order(self):
+        for fn in (make_bump().derivative, make_smooth_step().derivative):
+            with pytest.raises(ValueError):
+                fn(0.3, -1)
+        with pytest.raises(ValueError):
+            step_n(3, 0.3, -1)
+
+    def test_scalar_in_gives_zero_d_out(self):
+        for k in range(5):
+            for fn in (make_bump().derivative, make_smooth_step().derivative):
+                assert np.ndim(fn(0.7, k)) == 0
 
 
 class TestShiftedBump:

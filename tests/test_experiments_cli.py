@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -91,12 +92,23 @@ class TestConfig:
 
 
 class TestReports:
+    # a numpy RuntimeWarning raised as an error inside an experiment becomes its
+    # failing `error` check, so these runs also show the default configs are silent
     def test_fast_experiments_pass(self):
-        for eid in FAST_IDS:
-            report = run(eid)
-            assert report.passed, emit(report, "text")
-            assert report.experiment == eid
-            assert report.checks
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            for eid in FAST_IDS:
+                report = run(eid)
+                assert report.passed, emit(report, "text")
+                assert report.experiment == eid
+                assert report.checks
+
+    @pytest.mark.parametrize("eid", [e for e in EXPERIMENT_IDS if e not in FAST_IDS])
+    def test_default_config_passes_without_runtime_warnings(self, eid):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report = run(eid, ExperimentConfig(seed=0))
+        assert report.passed, emit(report, "text")
 
     @pytest.mark.parametrize("seed", [2, 8, 12, 17, 35])
     def test_germ_continuity_passes_where_random_draws_missed_the_witness(self, seed):

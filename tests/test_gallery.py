@@ -276,6 +276,19 @@ class TestSeqDiffeo:
         expect = rho_k_eval(0, t, X).add(rho_k_eval(1, t, x).scaled(T))
         assert np.allclose(got.coeffs, expect.coeffs, rtol=1e-14)
 
+    def test_tangent_serves_the_whole_family(self):
+        t = 0.29
+        x = SeqVector(np.ones(6))
+        X = SeqVector(np.arange(1.0, 7.0))
+        got = rho_k_tangent(K_MAX, t, x, 0.7, X)
+        top = SeqVector(step_n(np.arange(1, 7), t, K_MAX + 1) * x.coeffs)
+        expect = rho_k_eval(K_MAX, t, X).add(top.scaled(0.7))
+        assert np.array_equal(got.coeffs, expect.coeffs)
+        with pytest.raises(ValueError):
+            rho_k_tangent(K_MAX + 1, t, x, 0.7, X)
+        with pytest.raises(ValueError):
+            rho_k_eval(K_MAX + 1, t, x)
+
     def test_derivative_family_unbounded_in_n(self):
         # sup over t of the k-th derivative factor grows like n^(2k)
         sups = []

@@ -125,6 +125,25 @@ class TestFiniteDiffDifferential:
         # (the estimate from two coarse steps lands a bit under the limit)
         assert rep.order_estimate > 1.7
 
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_tangent_formula_at_high_orders(self, k):
+        # rho_3's tangent reads the 4th step derivative, beyond the family's K_MAX
+        rng = np.random.default_rng(20 + k)
+        steps = (1e-3, 3e-4, 1e-4, 3e-5, 1e-5)
+        handle = seq_rho_k_handle(k)
+        worst = 0.0
+        for n in range(2, 7):
+            lo, hi = 1.0 / (n + 1), 1.0 / n
+            for frac in (0.35, 0.6):
+                x = SeqVector(rng.normal(size=10))
+                tan = (float(rng.uniform(0.5, 1.5)), SeqVector(rng.normal(size=10)))
+                rep = finite_diff_differential(
+                    handle, (lo + frac * (hi - lo), x), tan, level=0, steps=steps
+                )
+                worst = max(worst, rep.mismatch)
+        # the seq-tangent-check threshold
+        assert worst <= 1e-6
+
     def test_report_fields(self):
         handle = seq_rho_k_handle(0)
         rep = finite_diff_differential(
