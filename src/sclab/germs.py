@@ -11,6 +11,7 @@ directions move with the parameter.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -71,10 +72,14 @@ class DegenerateSampleError(RuntimeError):
 @dataclass
 class GermContext:
     """Atoms spanning the sampled w-subspace at one parameter value, with
-    cached level Gram matrices."""
+    cached level Gram matrices and L2 pairings (read-only arrays).
+
+    A context made by `extended` keeps its base and copies the base's Gram
+    block, so only the rows of the new atoms are integrated."""
 
     atoms: Tuple[GridFunction, ...]
     schedule: WeightSchedule
+    base: Optional["GermContext"] = field(default=None, repr=False)
     _grams: Dict[int, np.ndarray] = field(default_factory=dict)
     _pairs: Dict[int, np.ndarray] = field(default_factory=dict)
 
@@ -82,16 +87,25 @@ class GermContext:
     def dim(self) -> int:
         return len(self.atoms)
 
+    def extended(self, *atoms: GridFunction) -> "GermContext":
+        """This context's atoms followed by the given ones."""
+        return GermContext(self.atoms + atoms, self.schedule, base=self)
+
     def gram(self, level: int) -> np.ndarray:
         if level not in self._grams:
             delta = self.schedule.delta(level)
             m = self.dim
             g = np.zeros((m, m))
-            for p in range(m):
-                for q in range(p, m):
+            k = 0
+            if self.base is not None:
+                k = self.base.dim
+                g[:k, :k] = self.base.gram(level)
+            for q in range(k, m):
+                for p in range(q + 1):
                     g[p, q] = g[q, p] = grid_sobolev_inner(
                         self.atoms[p], self.atoms[q], level, delta
                     )
+            g.flags.writeable = False
             self._grams[level] = g
         return self._grams[level]
 
@@ -103,7 +117,9 @@ class GermContext:
         """L2 pairings of every atom with atom j."""
         if j not in self._pairs:
             g = self.atoms[j]
-            self._pairs[j] = np.array([grid_l2_inner(a, g) for a in self.atoms])
+            pairs = np.array([grid_l2_inner(a, g) for a in self.atoms])
+            pairs.flags.writeable = False
+            self._pairs[j] = pairs
         return self._pairs[j]
 
 
@@ -181,11 +197,12 @@ def modulus_with_count(
             # also sample the witness atom itself
             pairs.append((scaled(np.eye(m)[-1], r1), np.zeros(m)))
         for wa, wb in pairs:
-            diff = wa - wb
-            denom = ctx.norm(diff, level)
+            d = wa - wb
+            denom = math.sqrt(max(0.0, float(d @ g_level @ d)))
             if denom == 0.0:
                 continue
-            num = ctx.norm(germ.B(c, wa, ctx) - germ.B(c, wb, ctx), level)
+            d = germ.B(c, wa, ctx) - germ.B(c, wb, ctx)
+            num = math.sqrt(max(0.0, float(d @ g_level @ d)))
             worst = max(worst, num / denom)
             used += 1
     if used == 0:
@@ -551,17 +568,17 @@ def openness_probe(
 # concrete germs
 
 
-def _base_atoms(spacing: float = DEFAULT_SPACING) -> Tuple[GridFunction, ...]:
+@functools.lru_cache(maxsize=32)
+def _base_context(schedule: WeightSchedule, spacing: float) -> GermContext:
+    """The bump, its shifts by -1/2 and 1/2 and its derivative as atoms, with
+    their cached Gram matrices: built once per (schedule, spacing) and shared
+    by every germ."""
     bump = make_bump()
     x0, x1 = _ATOM_WINDOW
     n = round((x1 - x0) / spacing) + 1
     xs = x0 + spacing * np.arange(n)
-    return (
-        GridFunction(x0, spacing, bump(xs)),
-        GridFunction(x0, spacing, bump(xs - 0.5)),
-        GridFunction(x0, spacing, bump(xs + 0.5)),
-        GridFunction(x0, spacing, bump.derivative(xs, 1)),
-    )
+    samples = (bump(xs), bump(xs - 0.5), bump(xs + 0.5), bump.derivative(xs, 1))
+    return GermContext(tuple(GridFunction(x0, spacing, v) for v in samples), schedule)
 
 
 def _symmetric_sampler(rng: np.random.Generator, delta: float) -> float:
@@ -573,11 +590,9 @@ def make_rank_one_germ(
 ) -> BasicGerm:
     """B(c, w) = c <w, b> b with the unit bump b: linear in w, contraction
     radius proportional to the target modulus."""
-    schedule = schedule or WeightSchedule.default()
-    atoms = _base_atoms(spacing)
-    ctx = GermContext(atoms, schedule)
+    ctx = _base_context(schedule or WeightSchedule.default(), spacing)
     pair_vec = ctx.l2_pair_vector(0)
-    e_bump = np.eye(len(atoms))[0]
+    e_bump = np.eye(ctx.dim)[0]
 
     def B(c: float, v: np.ndarray, _ctx: GermContext) -> np.ndarray:
         return c * float(pair_vec @ v) * e_bump
@@ -595,9 +610,7 @@ def make_quadratic_germ(
     schedule: Optional[WeightSchedule] = None, spacing: float = DEFAULT_SPACING
 ) -> BasicGerm:
     """B(c, w) = <w, b> w: quadratic in w, independent of c."""
-    schedule = schedule or WeightSchedule.default()
-    atoms = _base_atoms(spacing)
-    ctx = GermContext(atoms, schedule)
+    ctx = _base_context(schedule or WeightSchedule.default(), spacing)
     pair_vec = ctx.l2_pair_vector(0)
 
     def B(c: float, v: np.ndarray, _ctx: GermContext) -> np.ndarray:
@@ -619,23 +632,24 @@ def make_moving_bump_pseudo_germ(
 ) -> BasicGerm:
     """B(c, w) = <w, b_c> b_c with the escaping bump b_c for c > 0 (zero
     for c <= 0): the projection map's correction term.  Not a contraction —
-    along the direction b_c the ratio stays near 1 at every radius."""
-    schedule = schedule or WeightSchedule.default()
-    base = _base_atoms(spacing)
-    base_ctx = GermContext(base, schedule)
+    along the direction b_c the ratio stays near 1 at every radius.
+
+    Each context for c > 0 extends the shared base context by b_c.  For
+    c >= 1/ln 4 the window of b_c meets the base window on nodes that do not
+    line up, and its Gram matrix raises GridMismatchError; the experiments
+    draw c < 0.5."""
+    base_ctx = _base_context(schedule or WeightSchedule.default(), spacing)
     contexts: Dict[float, GermContext] = {}
 
     def context_for(c: float) -> GermContext:
         if c <= 0.0 or not is_representable(c):
             return base_ctx
         if c not in contexts:
-            contexts[c] = GermContext(
-                base + (shifted_bump(c, 0, spacing, margin),), schedule
-            )
+            contexts[c] = base_ctx.extended(shifted_bump(c, 0, spacing, margin))
         return contexts[c]
 
     def B(c: float, v: np.ndarray, ctx: GermContext) -> np.ndarray:
-        if c <= 0.0 or ctx.dim == len(base):
+        if c <= 0.0 or ctx.dim == base_ctx.dim:
             return np.zeros(ctx.dim)
         out = np.zeros(ctx.dim)
         out[-1] = float(ctx.l2_pair_vector(ctx.dim - 1) @ v)

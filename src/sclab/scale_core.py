@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Tuple
 
@@ -32,6 +33,7 @@ __all__ = [
 ]
 
 _NEG_INF = float("-inf")
+_FLOAT_MIN = sys.float_info.min  # smallest normal float
 
 
 class GridMismatchError(ValueError):
@@ -320,8 +322,7 @@ def grid_sobolev_inner(f: GridFunction, g: GridFunction, k: int, delta: float) -
     if sl is None:
         return 0.0
     sf, sg = sl
-    xs = f.xs()[sf]
-    w2 = np.exp(2.0 * delta * np.abs(xs)) if delta != 0.0 else 1.0
+    w2 = np.exp(2.0 * delta * np.abs(f.xs()[sf])) if delta != 0.0 else 1.0
     fv, gv = f.values, g.values
     total = 0.0
     for j in range(k + 1):
@@ -420,7 +421,24 @@ def seq_inner(x: SeqVector, y: SeqVector, i: int) -> float:
 
 
 def seq_norm(x: SeqVector, i: int) -> float:
-    return math.sqrt(seq_inner(x, x, i))
+    """Level-i norm.  Where the plain weighted sum of squares under- or
+    overflows the normal range, it is recomputed with the coefficients
+    scaled by their largest magnitude; elsewhere it is sqrt(seq_inner(x, x, i))
+    bit for bit."""
+    c = x.coeffs
+    if not c.size:
+        return 0.0
+    w = _seq_weights(c.size, check_level(i))
+    s = _weighted_square_sum(w, c)
+    if _FLOAT_MIN <= s < math.inf:
+        return math.sqrt(s)
+    m = float(np.abs(c).max())
+    return m * math.sqrt(_weighted_square_sum(w, c / m))
+
+
+@np.errstate(over="ignore")  # an overflowing sum comes back inf and is rescaled
+def _weighted_square_sum(w: np.ndarray, c: np.ndarray) -> float:
+    return float((w * c * c).sum())
 
 
 def tail_projection(x: SeqVector, N: int) -> SeqVector:

@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
+from sclab import germs
 from sclab.germs import (
     DegenerateSampleError,
+    GermContext,
     certificate_from_json,
     certificate_to_json,
     certify,
@@ -21,6 +23,7 @@ from sclab.germs import (
     radius_shrink_probes,
     replay_certificate,
 )
+from sclab.scale_core import WeightSchedule
 
 
 class TestGermEval:
@@ -190,3 +193,44 @@ class TestFactory:
     def test_unknown_id(self):
         with pytest.raises(KeyError):
             make_germ("nope")
+
+
+class TestContexts:
+    @pytest.mark.parametrize("c", [0.1, 0.3, 0.5, 0.7])
+    def test_moving_bump_gram_matches_a_fresh_context(self, c):
+        ctx = make_moving_bump_pseudo_germ().context_for(c)
+        fresh = GermContext(ctx.atoms, ctx.schedule)
+        assert ctx.base is not None and ctx.dim == 5
+        # at c = 0.1 the level-1 and level-2 weights exp(2 delta |x|) overflow
+        # on the bump's window, so both contexts hold the same NaN there
+        with np.errstate(over="ignore", invalid="ignore"):
+            for level in range(3):
+                assert np.array_equal(ctx.gram(level), fresh.gram(level), equal_nan=True)
+
+    def test_extension_integrates_only_the_new_row(self, monkeypatch):
+        germ = make_moving_bump_pseudo_germ()
+        germ.context_for(0.0).gram(1)
+        calls = []
+        inner = germs.grid_sobolev_inner
+
+        def counting(*args):
+            calls.append(args)
+            return inner(*args)
+
+        monkeypatch.setattr(germs, "grid_sobolev_inner", counting)
+        ctx = germ.context_for(0.3)
+        ctx.gram(1)
+        assert ctx.dim == 5
+        assert len(calls) == 5
+
+    def test_factories_share_the_base_context(self):
+        base = make_rank_one_germ(WeightSchedule.default()).context_for(0.2)
+        assert make_quadratic_germ(WeightSchedule.default()).context_for(0.0) is base
+        moving = make_moving_bump_pseudo_germ(WeightSchedule.default())
+        assert moving.context_for(-0.1) is base
+        assert moving.context_for(0.3).base is base
+
+    def test_cached_arrays_are_read_only(self):
+        ctx = make_moving_bump_pseudo_germ().context_for(0.3)
+        for arr in (ctx.gram(0), ctx.base.gram(0), ctx.l2_pair_vector(4), ctx.base.l2_pair_vector(0)):
+            assert not arr.flags.writeable

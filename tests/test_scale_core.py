@@ -175,6 +175,27 @@ class TestSeqModel:
         got = Fraction(seq_norm(x, i)) ** 2
         assert abs(got - exact) <= ((1 + gamma) * (1 + u) ** 2 - 1) * exact
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize(
+        "coeffs",
+        [[2.9e-223], [2.9e-223, 1e-160], [1e200]],
+        ids=["underflow", "partial-underflow", "overflow"],
+    )
+    def test_seq_norm_outside_the_normal_range(self, coeffs):
+        # the plain sum of squares is 0.0, a subnormal and inf here; the
+        # rescaled sum takes m + 5 roundings (m terms), far below 2^-48
+        x = SeqVector(np.array(coeffs))
+        exact = _exact_sq_norm(x, 0)
+        got = Fraction(seq_norm(x, 0)) ** 2
+        assert abs(got - exact) <= Fraction(1, 2**48) * exact
+
+    def test_seq_norm_is_plain_in_the_normal_range(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            x = SeqVector(rng.normal(size=int(rng.integers(1, 65))))
+            i = int(rng.integers(0, 4))
+            assert seq_norm(x, i) == math.sqrt(seq_inner(x, x, i))
+
     def test_tail_bound_equality_at_single_mode(self):
         for N in (4, 16, 32):
             e = SeqVector.basis(N)
