@@ -30,7 +30,6 @@ from .operator_probe import OperatorHandle, metric_singular_values
 from .scale_core import (
     GridFunction,
     WeightSchedule,
-    grid_l2_inner,
     grid_sobolev_inner,
 )
 
@@ -69,10 +68,39 @@ class DegenerateSampleError(RuntimeError):
     """All sampled pairs were degenerate (zero difference or no valid c)."""
 
 
+def _quad(v: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Quadratic forms v @ g @ v of the rows of v (n, m), with one Gram
+    matrix g (m, m) or one per row (n, m, m).  The stacked matmul agrees with
+    the one-row float(v @ g @ v) bit for bit; einsum, vecdot and a summed
+    elementwise product add in another order."""
+    return (v[:, None, :] @ g @ v[:, :, None])[:, 0, 0]
+
+
+def _norms(v: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Row norms sqrt(v g v), with q < 0 and NaN read as 0 (Python's max(0, q))."""
+    return np.sqrt(np.fmax(0.0, _quad(v, g)))
+
+
+def _scale_norms(v: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Row norms floored at sqrt(1e-300), the divisors that rescale samples."""
+    return np.sqrt(np.maximum(_quad(v, g), 1e-300))
+
+
+def _dots(v: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Row-wise pairings of v (n, m) with one vector p (m,) or one per row
+    (n, m), as the stacked matmul (bit for bit the one-row p @ v)."""
+    return (v[:, None, :] @ p[..., :, None])[:, 0, 0]
+
+
+def _worst(values: np.ndarray) -> float:
+    """The running max(0.0, ...) of Python floats: NaN and -0.0 never win."""
+    return float(np.max(values, initial=0.0, where=values > 0.0))
+
+
 @dataclass
 class GermContext:
     """Atoms spanning the sampled w-subspace at one parameter value, with
-    cached level Gram matrices and L2 pairings (read-only arrays).
+    cached level Gram matrices (read-only arrays).
 
     A context made by `extended` keeps its base and copies the base's Gram
     block, so only the rows of the new atoms are integrated."""
@@ -81,7 +109,7 @@ class GermContext:
     schedule: WeightSchedule
     base: Optional["GermContext"] = field(default=None, repr=False)
     _grams: Dict[int, np.ndarray] = field(default_factory=dict)
-    _pairs: Dict[int, np.ndarray] = field(default_factory=dict)
+    _l2: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
@@ -91,47 +119,64 @@ class GermContext:
         """This context's atoms followed by the given ones."""
         return GermContext(self.atoms + atoms, self.schedule, base=self)
 
+    def _integrate(
+        self, order: int, delta: float, base_block: Callable[["GermContext"], np.ndarray]
+    ) -> np.ndarray:
+        m = self.dim
+        g = np.zeros((m, m))
+        k = 0
+        if self.base is not None:
+            k = self.base.dim
+            g[:k, :k] = base_block(self.base)
+        for q in range(k, m):
+            for p in range(q + 1):
+                g[p, q] = g[q, p] = grid_sobolev_inner(
+                    self.atoms[p], self.atoms[q], order, delta
+                )
+        g.flags.writeable = False
+        return g
+
     def gram(self, level: int) -> np.ndarray:
         if level not in self._grams:
-            delta = self.schedule.delta(level)
-            m = self.dim
-            g = np.zeros((m, m))
-            k = 0
-            if self.base is not None:
-                k = self.base.dim
-                g[:k, :k] = self.base.gram(level)
-            for q in range(k, m):
-                for p in range(q + 1):
-                    g[p, q] = g[q, p] = grid_sobolev_inner(
-                        self.atoms[p], self.atoms[q], level, delta
-                    )
-            g.flags.writeable = False
-            self._grams[level] = g
+            self._grams[level] = self._integrate(
+                level, self.schedule.delta(level), lambda base: base.gram(level)
+            )
         return self._grams[level]
 
+    def l2_gram(self) -> np.ndarray:
+        """The order-0, delta = 0 Gram matrix: gram(0) itself when delta_0 = 0."""
+        if self._l2 is None:
+            if self.schedule.delta(0) == 0.0:
+                self._l2 = self.gram(0)
+            else:
+                self._l2 = self._integrate(0, 0.0, GermContext.l2_gram)
+        return self._l2
+
     def norm(self, v: np.ndarray, level: int) -> float:
-        g = self.gram(level)
-        return math.sqrt(max(0.0, float(v @ g @ v)))
+        return float(_norms(v[None, :], self.gram(level))[0])
 
     def l2_pair_vector(self, j: int) -> np.ndarray:
-        """L2 pairings of every atom with atom j."""
-        if j not in self._pairs:
-            g = self.atoms[j]
-            pairs = np.array([grid_l2_inner(a, g) for a in self.atoms])
-            pairs.flags.writeable = False
-            self._pairs[j] = pairs
-        return self._pairs[j]
+        """L2 pairings of atom j with every atom: row j of the L2 Gram matrix
+        (a contiguous read-only view)."""
+        return self.l2_gram()[j]
+
+
+#: a and B of a germ act on row stacks: parameters c of shape (n,) and
+#: coefficient rows v of shape (n, m), each row over the atoms of its own
+#: context in ctxs; a returns shape (n,) and B shape (n, m).
+RowMap = Callable[[np.ndarray, np.ndarray, Sequence[GermContext]], np.ndarray]
 
 
 @dataclass(frozen=True)
 class BasicGerm:
     """A germ (c, w) -> (a(c, w), w - B(c, w)) restricted to the sampled
-    atom span; B and a act on coefficient vectors over the context atoms."""
+    atom span; B and a act on row stacks of coefficient vectors over the
+    context atoms (see RowMap)."""
 
     name: str
     context_for: Callable[[float], GermContext]
-    a: Callable[[float, np.ndarray, GermContext], float]
-    B: Callable[[float, np.ndarray, GermContext], np.ndarray]
+    a: RowMap
+    B: RowMap
     sample_c: Callable[[np.random.Generator, float], Optional[float]]
     contraction_claimed: bool = True
     c_dependent_atoms: bool = False
@@ -140,9 +185,19 @@ class BasicGerm:
 def germ_eval(
     germ: BasicGerm, c: float, v: np.ndarray, ctx: Optional[GermContext] = None
 ) -> Tuple[float, np.ndarray]:
-    """(a(c, w), w - B(c, w)) in coefficient coordinates."""
-    ctx = ctx or germ.context_for(c)
-    return germ.a(c, v, ctx), v - germ.B(c, v, ctx)
+    """(a(c, w), w - B(c, w)) in coefficient coordinates, at one point."""
+    cs, vs, ctxs = np.array([c]), v[None, :], [ctx or germ.context_for(c)]
+    return float(germ.a(cs, vs, ctxs)[0]), v - germ.B(cs, vs, ctxs)[0]
+
+
+def _over_dims(trials: List[tuple], evaluate: Callable[[List[tuple]], np.ndarray]) -> np.ndarray:
+    """evaluate(group) for the sampled trials grouped by the dimension of
+    their context (a trial's second entry), so that each group stacks into
+    arrays; the results concatenated."""
+    groups: Dict[int, List[tuple]] = {}
+    for trial in trials:
+        groups.setdefault(trial[1].dim, []).append(trial)
+    return np.concatenate([np.empty(0)] + [evaluate(group) for group in groups.values()])
 
 
 # ---------------------------------------------------------------------------
@@ -164,52 +219,60 @@ def modulus_with_count(
 ) -> ModulusResult:
     """Worst sampled ratio ||B(c,w1) - B(c,w2)||_i / ||w1 - w2||_i over
     |c|, ||w1||_i, ||w2||_i < delta, with the sample count.  Deterministic
-    given the seed."""
+    given the seed: every trial's draws are read first, in trial order, and
+    then all pairs are evaluated as row stacks."""
     if delta <= 0:
         raise ValueError("delta must be positive")
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    used = 0
+    trials = []
     for trial in range(n_samples):
         c = germ.sample_c(rng, delta)
         if c is None:
             continue
         ctx = germ.context_for(c)
-        g_level = ctx.gram(level)
-        m = ctx.dim
-
-        def scaled(v: np.ndarray, radius: float) -> np.ndarray:
-            n = math.sqrt(max(float(v @ g_level @ v), 1e-300))
-            return v * (radius / n)
-
-        def draw(radius: float) -> np.ndarray:
-            return scaled(rng.normal(size=m), radius)
-
         r1 = 0.999 * delta if trial % 2 == 0 else delta * rng.uniform(0.05, 0.95)
-        w1 = draw(r1)
-        pairs = [
-            (w1, np.zeros(m)),
-            (w1, draw(delta * rng.uniform(0.05, 0.95))),
-            (w1, w1 + draw(1e-3 * delta)),
-        ]
-        if germ.c_dependent_atoms:
-            # the bad direction moves with c and random draws can miss it:
-            # also sample the witness atom itself
-            pairs.append((scaled(np.eye(m)[-1], r1), np.zeros(m)))
-        for wa, wb in pairs:
-            d = wa - wb
-            denom = math.sqrt(max(0.0, float(d @ g_level @ d)))
-            if denom == 0.0:
-                continue
-            d = germ.B(c, wa, ctx) - germ.B(c, wb, ctx)
-            num = math.sqrt(max(0.0, float(d @ g_level @ d)))
-            worst = max(worst, num / denom)
-            used += 1
-    if used == 0:
+        n1 = rng.normal(size=ctx.dim)
+        r2 = delta * rng.uniform(0.05, 0.95)
+        n2, n3 = rng.normal(size=ctx.dim), rng.normal(size=ctx.dim)
+        trials.append((c, ctx, r1, n1, r2, n2, n3))
+    ratios = _over_dims(trials, lambda group: _pair_ratios(germ, level, delta, group))
+    if ratios.size == 0:
         raise DegenerateSampleError(
             f"no admissible contraction samples for {germ.name} at delta={delta}"
         )
-    return ModulusResult(worst, used)
+    return ModulusResult(_worst(ratios), ratios.size)
+
+
+def _pair_ratios(germ: BasicGerm, level: int, delta: float, trials: List[tuple]) -> np.ndarray:
+    """Contraction ratios of the pairs with a non-zero difference, for
+    trials whose contexts share one dimension.  Each trial pairs w1 (radius
+    r1) with 0, with a w2 of radius r2 and with w1 plus a step of radius
+    1e-3 delta."""
+    c, ctxs, r1, n1, r2, n2, n3 = zip(*trials)
+    g = np.stack([ctx.gram(level) for ctx in ctxs])
+
+    def scaled(v: np.ndarray, radius) -> np.ndarray:
+        return v * (radius / _scale_norms(v, g))[:, None]
+
+    r1 = np.array(r1)
+    w1 = scaled(np.array(n1), r1)
+    zero = np.zeros_like(w1)
+    wa = [w1, w1, w1]
+    wb = [zero, scaled(np.array(n2), np.array(r2)), w1 + scaled(np.array(n3), 1e-3 * delta)]
+    if germ.c_dependent_atoms:
+        # the bad direction moves with c and random draws can miss it:
+        # also sample the witness atom itself
+        witness = zero.copy()
+        witness[:, -1] = 1.0
+        wa.append(scaled(witness, r1))
+        wb.append(zero)
+    k = len(wa)
+    wa, wb, g = np.concatenate(wa), np.concatenate(wb), np.concatenate([g] * k)
+    denom = _norms(wa - wb, g)
+    b = germ.B(np.array(c * 2 * k), np.concatenate((wa, wb)), ctxs * 2 * k)
+    num = _norms(b[: len(wa)] - b[len(wa) :], g)
+    admissible = denom != 0.0
+    return num[admissible] / denom[admissible]
 
 
 def contraction_modulus(
@@ -329,12 +392,16 @@ def replay_certificate(germ: BasicGerm, cert: ContractionCertificate) -> bool:
 def _central(
     fun: Callable[[np.ndarray], np.ndarray],
     x: np.ndarray,
-    directions: Sequence[np.ndarray],
+    directions: np.ndarray,
     h: float,
 ) -> np.ndarray:
     """Central differences (fun(x + h d) - fun(x - h d)) / 2h, one row per
-    direction d."""
-    return np.array([(fun(x + h * d) - fun(x - h * d)) / (2.0 * h) for d in directions])
+    row d of the direction stack; x is one point or one per direction.  fun
+    maps a row stack to a row stack and is called once, on the rows x + h d
+    followed by the rows x - h d."""
+    k = len(directions)
+    f = fun(np.concatenate((x + h * directions, x - h * directions)))
+    return (f[:k] - f[k:]) / (2.0 * h)
 
 
 def dW_opnorm_probe(
@@ -346,27 +413,20 @@ def dW_opnorm_probe(
     fd_step: float = 1e-6,
 ) -> float:
     """Sampled operator norm of the w-partial differential of B over base
-    points with |c|, ||w||_i < radius, by central finite differences."""
+    points with |c|, ||w||_i < radius, by central finite differences along
+    each atom and one random direction.  The draws are read first, in trial
+    order; all differences are then taken as one row stack."""
     rng = np.random.default_rng(seed)
-    worst = 0.0
+    trials = []
     for trial in range(n_samples):
         c = germ.sample_c(rng, radius)
         if c is None:
             continue
         ctx = germ.context_for(c)
-        g_level = ctx.gram(level)
-        m = ctx.dim
-
-        def unit(v: np.ndarray) -> np.ndarray:
-            n = math.sqrt(max(float(v @ g_level @ v), 1e-300))
-            return v / n
-
-        w = unit(rng.normal(size=m)) * (0.999 * radius if trial % 2 == 0 else radius * rng.uniform(0.05, 0.95))
-        directions = [unit(np.eye(m)[j]) for j in range(m)]
-        directions.append(unit(rng.normal(size=m)))
-        rows = _central(lambda x: germ.B(c, x, ctx), w, directions, fd_step)
-        for row in rows:
-            worst = max(worst, ctx.norm(row, level))
+        n0 = rng.normal(size=ctx.dim)
+        r = 0.999 * radius if trial % 2 == 0 else radius * rng.uniform(0.05, 0.95)
+        trials.append((c, ctx, n0, r, rng.normal(size=ctx.dim)))
+    worst = _worst(_over_dims(trials, lambda group: _dW_row_norms(germ, level, group, fd_step)))
     if worst == 0.0 and n_samples > 0:
         # legal (B may vanish identically near 0) but flag impossible c-sampling
         probe_c = germ.sample_c(np.random.default_rng(seed), radius)
@@ -375,6 +435,30 @@ def dW_opnorm_probe(
                 f"no admissible parameter values for {germ.name} at radius={radius}"
             )
     return worst
+
+
+def _dW_row_norms(germ: BasicGerm, level: int, trials: List[tuple], fd_step: float) -> np.ndarray:
+    """Norms of the difference quotients of B at each trial's point w along
+    its unit directions, for trials whose contexts share one dimension."""
+    c, ctxs, n0, r, nd = zip(*trials)
+    m = ctxs[0].dim
+    g = np.stack([ctx.gram(level) for ctx in ctxs])
+    n0 = np.array(n0)
+    w = (n0 / _scale_norms(n0, g)[:, None]) * np.array(r)[:, None]
+    # per trial: the m atom directions, then the random one, each of unit norm
+    d = np.concatenate(
+        (np.broadcast_to(np.eye(m), (len(c), m, m)), np.array(nd)[:, None, :]), axis=1
+    ).reshape(-1, m)
+    g = np.repeat(g, m + 1, axis=0)
+    rows_c = np.repeat(c, m + 1)
+    rows_ctx = [ctx for ctx in ctxs for _ in range(m + 1)]
+    rows = _central(
+        lambda y: germ.B(np.concatenate((rows_c, rows_c)), y, rows_ctx * 2),
+        np.repeat(w, m + 1, axis=0),
+        d / _scale_norms(d, g)[:, None],
+        fd_step,
+    )
+    return _norms(rows, g)
 
 
 @dataclass(frozen=True)
@@ -439,7 +523,8 @@ def _da_variation(
 
     def grad(c: float, v: np.ndarray, ctx: GermContext) -> np.ndarray:
         x = np.concatenate(([c], v))
-        return _central(lambda y: germ.a(y[0], y[1:], ctx), x, np.eye(x.size), fd_step)
+        ctxs = [ctx] * (2 * x.size)
+        return _central(lambda y: germ.a(y[:, 0], y[:, 1:], ctxs), x, np.eye(x.size), fd_step)
 
     ctx0 = germ.context_for(0.0)
     g0 = grad(0.0, np.zeros(ctx0.dim), ctx0)
@@ -449,9 +534,8 @@ def _da_variation(
         if c is None:
             continue
         ctx = germ.context_for(c)
-        gram = ctx.gram(level)
         v = rng.normal(size=ctx.dim)
-        v *= 0.5 * radius / math.sqrt(max(float(v @ gram @ v), 1e-300))
+        v *= 0.5 * radius / _scale_norms(v[None, :], ctx.gram(level))[0]
         g = grad(c, v, ctx)
         n = min(g.size, g0.size)
         worst = max(worst, float(np.linalg.norm(g[:n] - g0[:n])))
@@ -505,11 +589,11 @@ def _full_diff_cond(
     eye = np.eye(1 + m)
 
     def f_at(y: np.ndarray) -> np.ndarray:
-        aa, ww = germ_eval(germ, y[0], y[1:], ctx)
-        return np.concatenate(([aa], ww))
+        cs, vs, ctxs = y[:, 0], y[:, 1:], [ctx] * len(y)
+        return np.column_stack((germ.a(cs, vs, ctxs), vs - germ.B(cs, vs, ctxs)))
 
     def a_at(y: np.ndarray) -> np.ndarray:
-        return eye[0] * germ.a(y[0], y[1:], ctx)
+        return germ.a(y[:, 0], y[:, 1:], [ctx] * len(y))[:, None] * eye[0]
 
     # where atoms move with c, probe only the a-component in the c-direction
     c_fun = a_at if germ.c_dependent_atoms else f_at
@@ -556,7 +640,7 @@ def openness_probe(
             v = np.zeros(ctx.dim)
             if w_radius > 0:
                 v = rng.normal(size=ctx.dim)
-                v *= w_radius / math.sqrt(max(float(v @ g @ v), 1e-300))
+                v *= w_radius / _scale_norms(v[None, :], g)[0]
             cond = _full_diff_cond(germ, c, v, ctx, level)
             rows.append((c, w_radius, cond))
             worst = max(worst, cond)
@@ -585,6 +669,11 @@ def _symmetric_sampler(rng: np.random.Generator, delta: float) -> float:
     return float(rng.uniform(-0.999 * delta, 0.999 * delta))
 
 
+def _a_is_c(c: np.ndarray, v: np.ndarray, ctxs: Sequence[GermContext]) -> np.ndarray:
+    """a(c, w) = c."""
+    return c
+
+
 def make_rank_one_germ(
     schedule: Optional[WeightSchedule] = None, spacing: float = DEFAULT_SPACING
 ) -> BasicGerm:
@@ -594,13 +683,13 @@ def make_rank_one_germ(
     pair_vec = ctx.l2_pair_vector(0)
     e_bump = np.eye(ctx.dim)[0]
 
-    def B(c: float, v: np.ndarray, _ctx: GermContext) -> np.ndarray:
-        return c * float(pair_vec @ v) * e_bump
+    def B(c: np.ndarray, v: np.ndarray, _ctxs: Sequence[GermContext]) -> np.ndarray:
+        return (c * _dots(v, pair_vec))[:, None] * e_bump
 
     return BasicGerm(
         name="rank-one",
         context_for=lambda c: ctx,
-        a=lambda c, v, _ctx: c,
+        a=_a_is_c,
         B=B,
         sample_c=_symmetric_sampler,
     )
@@ -613,13 +702,13 @@ def make_quadratic_germ(
     ctx = _base_context(schedule or WeightSchedule.default(), spacing)
     pair_vec = ctx.l2_pair_vector(0)
 
-    def B(c: float, v: np.ndarray, _ctx: GermContext) -> np.ndarray:
-        return float(pair_vec @ v) * v
+    def B(c: np.ndarray, v: np.ndarray, _ctxs: Sequence[GermContext]) -> np.ndarray:
+        return _dots(v, pair_vec)[:, None] * v
 
     return BasicGerm(
         name="quadratic",
         context_for=lambda c: ctx,
-        a=lambda c, v, _ctx: c,
+        a=_a_is_c,
         B=B,
         sample_c=_symmetric_sampler,
     )
@@ -648,11 +737,13 @@ def make_moving_bump_pseudo_germ(
             contexts[c] = base_ctx.extended(shifted_bump(c, 0, spacing, margin))
         return contexts[c]
 
-    def B(c: float, v: np.ndarray, ctx: GermContext) -> np.ndarray:
-        if c <= 0.0 or ctx.dim == base_ctx.dim:
-            return np.zeros(ctx.dim)
-        out = np.zeros(ctx.dim)
-        out[-1] = float(ctx.l2_pair_vector(ctx.dim - 1) @ v)
+    def B(c: np.ndarray, v: np.ndarray, ctxs: Sequence[GermContext]) -> np.ndarray:
+        out = np.zeros(v.shape)
+        m = v.shape[1]
+        if m > base_ctx.dim:
+            live = c > 0.0
+            pairs = np.stack([ctx.l2_gram()[m - 1] for ctx in ctxs])
+            out[live, -1] = _dots(v[live], pairs[live])
         return out
 
     def sample_c(rng: np.random.Generator, delta: float) -> Optional[float]:
@@ -665,7 +756,7 @@ def make_moving_bump_pseudo_germ(
     return BasicGerm(
         name="moving-bump",
         context_for=context_for,
-        a=lambda c, v, _ctx: c,
+        a=_a_is_c,
         B=B,
         sample_c=sample_c,
         contraction_claimed=False,

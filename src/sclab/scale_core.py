@@ -34,6 +34,7 @@ __all__ = [
 
 _NEG_INF = float("-inf")
 _FLOAT_MIN = sys.float_info.min  # smallest normal float
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)  # exp overflows above this
 
 
 class GridMismatchError(ValueError):
@@ -312,6 +313,10 @@ def grid_sobolev_norm(
     raise ValueError(f"unknown variant {variant!r}")
 
 
+def _window(f: GridFunction, sl: slice) -> str:
+    return f"[{f.x0 + f.spacing * sl.start!r}, {f.x0 + f.spacing * (sl.stop - 1)!r}]"
+
+
 def grid_sobolev_inner(f: GridFunction, g: GridFunction, k: int, delta: float) -> float:
     """Quadratic-variant weighted Sobolev inner product over the overlap."""
     if k < 0 or delta < 0:
@@ -322,7 +327,15 @@ def grid_sobolev_inner(f: GridFunction, g: GridFunction, k: int, delta: float) -
     if sl is None:
         return 0.0
     sf, sg = sl
-    w2 = np.exp(2.0 * delta * np.abs(f.xs()[sf])) if delta != 0.0 else 1.0
+    w2 = 1.0
+    if delta != 0.0:
+        exponent = 2.0 * delta * np.abs(f.xs()[sf])
+        if exponent.max() > _LOG_FLOAT_MAX:
+            raise OverflowError(
+                f"weight exp(2*delta*|x|) with delta={delta!r} overflows on the "
+                f"overlap window {_window(f, sf)}"
+            )
+        w2 = np.exp(exponent)
     fv, gv = f.values, g.values
     total = 0.0
     for j in range(k + 1):
@@ -330,6 +343,11 @@ def grid_sobolev_inner(f: GridFunction, g: GridFunction, k: int, delta: float) -
         if j < k:
             fv = np.gradient(fv, f.spacing, edge_order=2)
             gv = np.gradient(gv, g.spacing, edge_order=2)
+    if not math.isfinite(total):
+        raise OverflowError(
+            f"weighted Sobolev inner product with delta={delta!r} is not finite "
+            f"on the overlap window {_window(f, sf)}"
+        )
     return total
 
 

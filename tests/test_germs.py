@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,6 +6,7 @@ import pytest
 
 from sclab import germs
 from sclab.germs import (
+    GERM_IDS,
     DegenerateSampleError,
     GermContext,
     certificate_from_json,
@@ -23,7 +25,189 @@ from sclab.germs import (
     radius_shrink_probes,
     replay_certificate,
 )
-from sclab.scale_core import WeightSchedule
+from sclab.scale_core import WeightSchedule, grid_l2_inner
+
+
+def _pairings(ctx, j):
+    """L2 pairings of every atom with atom j, one quadrature each."""
+    return np.array([grid_l2_inner(a, ctx.atoms[j]) for a in ctx.atoms])
+
+
+def _one_vector_B(germ, ctx):
+    """B(c, w) on one coefficient vector over the atoms of ctx, as the germs
+    computed it before they acted on row stacks."""
+    m = ctx.dim
+    if germ.name == "rank-one":
+        pairs = _pairings(ctx, 0)
+        return lambda c, v: c * float(pairs @ v) * np.eye(m)[0]
+    if germ.name == "quadratic":
+        pairs = _pairings(ctx, 0)
+        return lambda c, v: float(pairs @ v) * v
+    pairs = _pairings(ctx, m - 1)
+
+    def moving(c, v):
+        out = np.zeros(m)
+        if c > 0.0 and m > 4:
+            out[-1] = float(pairs @ v)
+        return out
+
+    return moving
+
+
+def _per_sample_modulus(germ, level, delta, n_samples=40, seed=0):
+    """The per-sample modulus loop that modulus_with_count replaced."""
+    rng = np.random.default_rng(seed)
+    worst, used = 0.0, 0
+    for trial in range(n_samples):
+        c = germ.sample_c(rng, delta)
+        if c is None:
+            continue
+        ctx = germ.context_for(c)
+        g, m, B = ctx.gram(level), ctx.dim, _one_vector_B(germ, ctx)
+
+        def scaled(v, radius):
+            return v * (radius / math.sqrt(max(float(v @ g @ v), 1e-300)))
+
+        def draw(radius):
+            return scaled(rng.normal(size=m), radius)
+
+        r1 = 0.999 * delta if trial % 2 == 0 else delta * rng.uniform(0.05, 0.95)
+        w1 = draw(r1)
+        pairs = [
+            (w1, np.zeros(m)),
+            (w1, draw(delta * rng.uniform(0.05, 0.95))),
+            (w1, w1 + draw(1e-3 * delta)),
+        ]
+        if germ.c_dependent_atoms:
+            pairs.append((scaled(np.eye(m)[-1], r1), np.zeros(m)))
+        for wa, wb in pairs:
+            d = wa - wb
+            denom = math.sqrt(max(0.0, float(d @ g @ d)))
+            if denom == 0.0:
+                continue
+            d = B(c, wa) - B(c, wb)
+            worst = max(worst, math.sqrt(max(0.0, float(d @ g @ d))) / denom)
+            used += 1
+    return worst, used
+
+
+def _per_sample_dW(germ, level, radius, n_samples=12, seed=1, h=1e-6):
+    """The per-sample differential probe that dW_opnorm_probe replaced."""
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for trial in range(n_samples):
+        c = germ.sample_c(rng, radius)
+        if c is None:
+            continue
+        ctx = germ.context_for(c)
+        g, m, B = ctx.gram(level), ctx.dim, _one_vector_B(germ, ctx)
+
+        def unit(v):
+            return v / math.sqrt(max(float(v @ g @ v), 1e-300))
+
+        w = unit(rng.normal(size=m)) * (
+            0.999 * radius if trial % 2 == 0 else radius * rng.uniform(0.05, 0.95)
+        )
+        directions = [unit(np.eye(m)[j]) for j in range(m)] + [unit(rng.normal(size=m))]
+        for d in directions:
+            row = (B(c, w + h * d) - B(c, w - h * d)) / (2.0 * h)
+            worst = max(worst, math.sqrt(max(0.0, float(row @ g @ row))))
+    return worst
+
+
+# the moving bump's weight at levels 1-2 stays finite for c above 0.15
+_RADII = {
+    "rank-one": (0.5, 0.2, 0.05, 0.01),
+    "quadratic": (0.5, 0.2, 0.05, 0.01),
+    "moving-bump": (0.5, 0.4, 0.35, 0.3),
+}
+
+
+class TestStackedSampling:
+    @pytest.mark.parametrize("gid", GERM_IDS)
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    def test_modulus_equals_the_per_sample_loop(self, gid, level):
+        germ = make_germ(gid)
+        for delta in _RADII[gid]:
+            for seed in range(5):
+                res = modulus_with_count(germ, level, delta, seed=seed)
+                assert (res.worst_ratio, res.samples) == _per_sample_modulus(
+                    germ, level, delta, seed=seed
+                )
+
+    @pytest.mark.parametrize("gid", GERM_IDS)
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    def test_dW_probe_equals_the_per_sample_loop(self, gid, level):
+        germ = make_germ(gid)
+        for radius in _RADII[gid]:
+            for seed in range(5):
+                assert dW_opnorm_probe(germ, level, radius, seed=seed) == _per_sample_dW(
+                    germ, level, radius, seed=seed
+                )
+
+    def test_trials_of_two_context_dimensions(self):
+        # c <= 0 or too small for a representable bump gives the 4-atom base
+        # context, larger c a 5-atom one: the trials stack in two groups
+        germ = dataclasses.replace(make_germ("moving-bump"), sample_c=germs._symmetric_sampler)
+        for delta in (0.5, 0.3):
+            for seed in range(5):
+                res = modulus_with_count(germ, 0, delta, seed=seed)
+                assert (res.worst_ratio, res.samples) == _per_sample_modulus(
+                    germ, 0, delta, seed=seed
+                )
+                assert dW_opnorm_probe(germ, 0, delta, seed=seed) == _per_sample_dW(
+                    germ, 0, delta, seed=seed
+                )
+
+    @pytest.mark.parametrize("gid", GERM_IDS)
+    def test_stacked_B_equals_per_row_B(self, gid):
+        germ = make_germ(gid)
+        rng = np.random.default_rng(3)
+        c = rng.uniform(0.1, 0.45, size=30)
+        c[:3] = (-0.2, 0.0, -0.0)
+        # rows at c <= 0 over a moving-bump context still map to zero
+        ctxs = [germ.context_for(max(ci, 0.3)) for ci in c]
+        v = rng.normal(size=(30, ctxs[0].dim)) * rng.uniform(1e-3, 10.0, size=(30, 1))
+        stacked = germ.B(c, v, ctxs)
+        per_row = np.stack(
+            [germ.B(c[i : i + 1], v[i : i + 1], ctxs[i : i + 1])[0] for i in range(30)]
+        )
+        one_vector = np.stack([_one_vector_B(germ, ctxs[i])(c[i], v[i]) for i in range(30)])
+        assert stacked.shape == v.shape
+        assert np.array_equal(stacked, per_row)
+        assert np.array_equal(stacked, one_vector)
+        if gid == "moving-bump":
+            assert not stacked[:3].any() and stacked[3:, -1].all()
+
+    @pytest.mark.parametrize(
+        "schedule", [WeightSchedule.default(), WeightSchedule((0.05, 0.1, 0.2))]
+    )
+    def test_pairings_are_rows_of_the_l2_gram(self, schedule):
+        germ = make_moving_bump_pseudo_germ(schedule)
+        for ctx in (germ.context_for(0.0), germ.context_for(0.2), germ.context_for(0.4)):
+            for j in range(ctx.dim):
+                pairs = ctx.l2_pair_vector(j)
+                assert np.array_equal(pairs, _pairings(ctx, j))
+                assert pairs.flags.c_contiguous and not pairs.flags.writeable
+        # only a schedule with delta_0 = 0 shares the level-0 Gram matrix
+        ctx = germ.context_for(0.2)
+        assert (ctx.l2_gram() is ctx.gram(0)) == (schedule.delta(0) == 0.0)
+
+    def test_replay_recomputes_every_certified_pair(self, monkeypatch):
+        germ = make_germ("quadratic")
+        cert = certify(germ, 1, epsilons=(0.5, 0.25, 0.1))
+        calls = []
+        modulus = germs.modulus_with_count
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return modulus(*args, **kwargs)
+
+        monkeypatch.setattr(germs, "modulus_with_count", counting)
+        assert replay_certificate(germ, cert)
+        assert [args[2] for args in calls] == [p.delta for p in cert.pairs]
+        assert replay_certificate(germ, cert)
+        assert len(calls) == 2 * len(cert.pairs)
 
 
 class TestGermEval:
@@ -201,11 +385,14 @@ class TestContexts:
         ctx = make_moving_bump_pseudo_germ().context_for(c)
         fresh = GermContext(ctx.atoms, ctx.schedule)
         assert ctx.base is not None and ctx.dim == 5
-        # at c = 0.1 the level-1 and level-2 weights exp(2 delta |x|) overflow
-        # on the bump's window, so both contexts hold the same NaN there
-        with np.errstate(over="ignore", invalid="ignore"):
-            for level in range(3):
-                assert np.array_equal(ctx.gram(level), fresh.gram(level), equal_nan=True)
+        for level in range(3):
+            if c == 0.1 and level > 0:
+                # the weight exp(2 delta |x|) overflows on the bump's window
+                for context in (ctx, fresh):
+                    with pytest.raises(OverflowError, match="delta="):
+                        context.gram(level)
+                continue
+            assert np.array_equal(ctx.gram(level), fresh.gram(level))
 
     def test_extension_integrates_only_the_new_row(self, monkeypatch):
         germ = make_moving_bump_pseudo_germ()

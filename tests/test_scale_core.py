@@ -282,3 +282,20 @@ class TestGridModel:
         for k in (0, 1, 2):
             n = grid_sobolev_norm(f, k, 0.1, variant="quadratic")
             assert n * n == pytest.approx(grid_sobolev_inner(f, f, k, 0.1), rel=1e-10)
+
+    def test_sobolev_inner_raises_where_the_weight_overflows(self):
+        # 2 delta |x| passes log(max float) = 709.78 on this window at
+        # delta = 0.1, where exp(2 delta |x|) times zero samples gave NaN
+        f = GridFunction(-3600.0, 1e-3, np.zeros(1001))
+        with pytest.raises(OverflowError, match=r"delta=0\.1 .*\[-3600\.0, "):
+            grid_sobolev_inner(f, f, 0, 0.1)
+        # inside the float range of the weight the pairing is computed
+        g = GridFunction(-3500.0, 1e-3, np.ones(1001))
+        assert math.isfinite(grid_sobolev_inner(g, g, 1, 0.1))
+
+    def test_sobolev_inner_raises_on_a_non_finite_sum(self):
+        # the weight is finite, but weight times samples overflows
+        f = GridFunction(-3500.0, 1e-3, np.full(1001, 1e150))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(OverflowError, match="not finite"):
+                grid_sobolev_inner(f, f, 0, 0.1)
