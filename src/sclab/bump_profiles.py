@@ -390,8 +390,9 @@ def step_n(n, t: float, order: int = 0):
     """order-th derivative of f(0.5*(n(n+1)t + 1 - n)) by the chain rule.
 
     n is an integer or an integer array; an array gives one value per entry
-    and a scalar gives a float.  Every operation is elementwise, so an array
-    call returns the same bits as one scalar call per entry.
+    and a scalar gives a float.  t may be an array too: a column of t against
+    a row of modes gives one row per t.  Every operation is elementwise, so
+    an array call returns the same bits as one scalar call per entry.
     """
     n = np.asarray(n)
     if (n < 1).any():

@@ -55,7 +55,7 @@ def _load_config(args) -> ExperimentConfig:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     """Exit status: 0 when every check passed, 1 when a check failed, 2 for a
-    usage or config error."""
+    usage or config error or a report that cannot be written."""
     args = _build_parser().parse_args(argv)
     if args.command == "list":
         for eid, desc in list_experiments():
@@ -70,10 +70,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     report = run(args.experiment, cfg)
     rendered = emit(report, args.fmt)
     if cfg.out_dir:
-        out_dir = Path(cfg.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        path = out_dir / f"{args.experiment}{_EXTENSIONS[args.fmt]}"
-        path.write_text(rendered)
+        path = Path(cfg.out_dir) / f"{args.experiment}{_EXTENSIONS[args.fmt]}"
+        try:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(rendered)
+        except OSError as exc:
+            print(f"sclab: error: cannot write the report: {exc}", file=sys.stderr)
+            return 2
         print(f"wrote {path}")
     else:
         sys.stdout.write(rendered)

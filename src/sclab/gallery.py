@@ -455,13 +455,17 @@ def rho_k_tangent(k: int, t: float, x: SeqVector, T: float, X: SeqVector) -> Seq
 
 @dataclass(frozen=True)
 class ScMapHandle:
-    """A gallery map with evaluation, analytic differential, and the point
-    and tangent algebra needed for finite-difference validation."""
+    """A gallery map with evaluation along a line, analytic differential and
+    the codomain algebra needed for finite-difference validation.
+
+    ``eval(point, tangent, hs)`` returns the map's outputs at
+    point + h * tangent for each h in hs, in order, as an iterable that is
+    read once.
+    """
 
     name: str
     eval: Callable
     diff: Callable
-    move: Callable
     cod_combine: Callable
     cod_norm: Callable
 
@@ -483,12 +487,28 @@ def _seq_combine(terms):
     return SeqVector(out)
 
 
+def _seq_line(k: int, point, tangent, hs):
+    """Parameters t + h T and rows rho_k(t + h T, x + h X) for each h in hs,
+    from one step_n call; each row has the bits of the one-point map."""
+    (t, x), (T, X) = point, tangent
+    hs = np.asarray(hs, dtype=float)
+    ts = t + hs * T
+    xs = np.zeros((hs.size, max(x.dim, X.dim)))
+    xs[:, : x.dim] += x.coeffs
+    xs[:, : X.dim] += hs[:, np.newaxis] * X.coeffs
+    # for t <= 0 every mode sits left of its transition window, so the rows
+    # of k >= 1 come out zero there, as rho_k_eval makes them
+    ys = step_n(np.arange(1, xs.shape[1] + 1), ts[:, np.newaxis], k) * xs
+    return ts.tolist(), [SeqVector(y) for y in ys]
+
+
 def seq_rho_k_handle(k: int) -> ScMapHandle:
+    if k < 0 or k > K_MAX:
+        raise ValueError(f"k must be in 0..{K_MAX}")
     return ScMapHandle(
         name=f"rho-{k}",
-        eval=lambda p: rho_k_eval(k, p[0], p[1]),
+        eval=lambda p, tan, hs: _seq_line(k, p, tan, hs)[1],
         diff=lambda p, tan: rho_k_tangent(k, p[0], p[1], tan[0], tan[1]),
-        move=lambda p, h, tan: (p[0] + h * tan[0], p[1].add(tan[1].scaled(h))),
         cod_combine=_seq_combine,
         cod_norm=lambda v, i: seq_norm(v, i),
     )
@@ -497,12 +517,21 @@ def seq_rho_k_handle(k: int) -> ScMapHandle:
 def seq_diffeo_handle() -> ScMapHandle:
     return ScMapHandle(
         name="seq-diffeo",
-        eval=lambda p: (p[0], seq_diffeo(p[0], p[1])),
+        eval=lambda p, tan, hs: list(zip(*_seq_line(0, p, tan, hs))),
         diff=lambda p, tan: (tan[0], rho_k_tangent(0, p[0], p[1], tan[0], tan[1])),
-        move=lambda p, h, tan: (p[0] + h * tan[0], p[1].add(tan[1].scaled(h))),
         cod_combine=_seq_pair_combine,
         cod_norm=_seq_pair_norm,
     )
+
+
+def _grid_line(f: Callable) -> Callable:
+    """eval for a grid map f(t, g): one point of the line at a time, made
+    as it is read, so a sweep holds no more grids than its reader keeps."""
+
+    def line(p, tan, hs):
+        return (f(p[0] + h * tan[0], grid_combine([(1.0, p[1]), (h, tan[1])])) for h in hs)
+
+    return line
 
 
 def _grid_pair_combine(terms):
@@ -519,12 +548,8 @@ def _grid_norm(g: GridFunction, i: int, schedule=None) -> float:
 def s_proj_handle(spacing: float = DEFAULT_SPACING, margin: float = DEFAULT_MARGIN) -> ScMapHandle:
     return ScMapHandle(
         name="s-proj",
-        eval=lambda p: s_proj(p[0], p[1], spacing, margin),
+        eval=_grid_line(lambda t, f: s_proj(t, f, spacing, margin)),
         diff=lambda p, tan: s_proj_diff(p[0], p[1], tan[0], tan[1], spacing, margin),
-        move=lambda p, h, tan: (
-            p[0] + h * tan[0],
-            grid_combine([(1.0, p[1]), (h, tan[1])]),
-        ),
         cod_combine=_grid_pair_combine,
         cod_norm=lambda tan, i: math.hypot(tan[0], _grid_norm(tan[1], i)),
     )
@@ -537,12 +562,8 @@ def h_family_handle(
 ) -> ScMapHandle:
     return ScMapHandle(
         name="h-family",
-        eval=lambda p: h_eval(p[0], p[1], phi, spacing, margin),
+        eval=_grid_line(lambda t, f: h_eval(t, f, phi, spacing, margin)),
         diff=lambda p, tan: h_diff(p[0], p[1], tan[0], tan[1], phi, spacing, margin),
-        move=lambda p, h, tan: (
-            p[0] + h * tan[0],
-            grid_combine([(1.0, p[1]), (h, tan[1])]),
-        ),
         cod_combine=lambda terms: grid_combine(terms),
         cod_norm=lambda g, i: _grid_norm(g, i),
     )

@@ -144,24 +144,30 @@ def finite_diff_differential(
 
     The mismatch reported is the best over the step sweep, taking plain
     second-order central differences and (optionally) one Richardson
-    extrapolation step at each h.
+    extrapolation step at each h.  The map is evaluated at every signed
+    step of the sweep in one handle.eval call.
     """
     analytic = handle.diff(point, tangent)
     scale = max(handle.cod_norm(analytic, level), 1.0)
 
-    def central(h: float):
-        plus = handle.eval(handle.move(point, h, tangent))
-        minus = handle.eval(handle.move(point, -h, tangent))
-        return handle.cod_combine([(0.5 / h, plus), (-0.5 / h, minus)])
+    # the distinct steps in first-use order, each evaluated at +h and -h
+    sweep = []
+    for h in steps:
+        sweep += [h, h / 2.0] if use_richardson else [h]
+    sweep = list(dict.fromkeys(sweep))
+    outs = iter(handle.eval(point, tangent, [s for h in sweep for s in (h, -h)]))
+    centrals = {
+        h: handle.cod_combine([(0.5 / h, next(outs)), (-0.5 / h, next(outs))])
+        for h in sweep
+    }
 
     per_step: List[Tuple[float, float]] = []
-    centrals = {}
     for h in steps:
-        fd = centrals.setdefault(h, central(h))
+        fd = centrals[h]
         err = handle.cod_norm(handle.cod_combine([(1.0, fd), (-1.0, analytic)]), level)
         candidates = [err]
         if use_richardson:
-            fd_half = centrals.setdefault(h / 2.0, central(h / 2.0))
+            fd_half = centrals[h / 2.0]
             rich = handle.cod_combine([(4.0 / 3.0, fd_half), (-1.0 / 3.0, fd)])
             candidates.append(
                 handle.cod_norm(

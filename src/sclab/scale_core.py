@@ -28,6 +28,7 @@ __all__ = [
     "grid_combine",
     "seq_inner",
     "seq_norm",
+    "seq_norms",
     "tail_projection",
     "check_level",
 ]
@@ -439,24 +440,34 @@ def seq_inner(x: SeqVector, y: SeqVector, i: int) -> float:
 
 
 def seq_norm(x: SeqVector, i: int) -> float:
-    """Level-i norm.  Where the plain weighted sum of squares under- or
-    overflows the normal range, it is recomputed with the coefficients
-    scaled by their largest magnitude; elsewhere it is sqrt(seq_inner(x, x, i))
-    bit for bit."""
-    c = x.coeffs
-    if not c.size:
-        return 0.0
-    w = _seq_weights(c.size, check_level(i))
-    s = _weighted_square_sum(w, c)
-    if _FLOAT_MIN <= s < math.inf:
-        return math.sqrt(s)
-    m = float(np.abs(c).max())
-    return m * math.sqrt(_weighted_square_sum(w, c / m))
+    """Level-i norm: the one-row case of seq_norms."""
+    return float(seq_norms(x.coeffs[np.newaxis], i)[0])
 
 
 @np.errstate(over="ignore")  # an overflowing sum comes back inf and is rescaled
-def _weighted_square_sum(w: np.ndarray, c: np.ndarray) -> float:
-    return float((w * c * c).sum())
+def seq_norms(rows: np.ndarray, i: int) -> np.ndarray:
+    """Level-i norms of the rows of a finite (n, N) coefficient stack.
+
+    Where a row's plain weighted sum of squares under- or overflows the
+    normal range, it is recomputed with that row scaled by its largest
+    magnitude; elsewhere the norm is the square root of that sum, bit for
+    bit.  A zero row has norm 0.  numpy sums a row pairwise in groups set by
+    its length, so a row equals seq_norm of its SeqVector bit for bit unless
+    the row has trailing zeros, which SeqVector drops.
+    """
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2:
+        raise ValueError("coefficient stack must be two-dimensional")
+    w = _seq_weights(rows.shape[1], check_level(i))
+    s = (w * rows * rows).sum(axis=1)
+    out = np.sqrt(s)
+    if s.size and (s.min() < _FLOAT_MIN or s.max() == math.inf):
+        bad = np.flatnonzero((s < _FLOAT_MIN) | (s == math.inf))
+        m = np.abs(rows[bad]).max(axis=1, initial=0.0)
+        bad, m = bad[m > 0.0], m[m > 0.0]  # a zero row keeps norm 0
+        scaled = rows[bad] / m[:, np.newaxis]
+        out[bad] = m * np.sqrt((w * scaled * scaled).sum(axis=1))
+    return out
 
 
 def tail_projection(x: SeqVector, N: int) -> SeqVector:

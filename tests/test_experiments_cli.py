@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -20,7 +21,13 @@ from sclab.experiments import (
     list_experiments,
     run,
 )
-from sclab.scale_core import AnalyticTailFunction
+from sclab.gallery import rho_k_eval
+from sclab.scale_core import (
+    AnalyticTailFunction,
+    SeqVector,
+    _seq_weights,
+    tail_projection,
+)
 
 FAST_IDS = ("seq-discontinuity", "seq-tail-bounds", "seq-tangent-check")
 
@@ -229,6 +236,84 @@ def test_runs_without_scipy():
     assert proc.returncode == 0, proc.stderr
 
 
+def _old_seq_norm(x: SeqVector, i: int) -> float:
+    """seq_norm as it was before the row-stack form, on the 1-D coefficients."""
+    c = x.coeffs
+    if not c.size:
+        return 0.0
+    w = _seq_weights(c.size, i)
+    with np.errstate(over="ignore"):
+        s = float((w * c * c).sum())
+        if sys.float_info.min <= s < math.inf:
+            return math.sqrt(s)
+        m = float(np.abs(c).max())
+        return m * math.sqrt(float((w * (c / m) * (c / m)).sum()))
+
+
+# the three loops of seq-tail-bounds as they were, one SeqVector per trial
+
+
+def _old_single_mode_gap(rng, n_modes):
+    worst = 0.0
+    for n in range(1, n_modes + 1):
+        x = SeqVector.basis(n, scale=float(rng.uniform(0.5, 2.0)))
+        for i in range(3):
+            for k in range(3):
+                lhs = _old_seq_norm(x, i)
+                rhs = n ** (-3 * k) * _old_seq_norm(x, i + k)
+                worst = max(worst, abs(lhs - rhs) / max(lhs, 1e-300))
+    return worst
+
+
+def _old_tail_bound_gap(rng, dim, N):
+    worst_gap = -math.inf
+    for _ in range(200):
+        x = SeqVector(rng.normal(size=dim))
+        for i in range(2):
+            for k in range(1, 3):
+                tail = tail_projection(x, N)
+                lhs = _old_seq_norm(tail, i)
+                rhs = N ** (-3 * k) * _old_seq_norm(tail, i + k)
+                worst_gap = max(worst_gap, lhs - rhs)
+    return worst_gap
+
+
+def _old_diagonal_map_ratio(rng, dim):
+    worst_ratio = 0.0
+    for _ in range(1000):
+        x = SeqVector(rng.normal(size=dim))
+        t = float(rng.uniform(-0.5, 1.0))
+        i = int(rng.integers(0, 3))
+        ratio = _old_seq_norm(rho_k_eval(0, t, x), i) / _old_seq_norm(x, i)
+        worst_ratio = max(worst_ratio, ratio)
+    return worst_ratio
+
+
+class TestStackedSeqLoops:
+    @pytest.mark.parametrize(
+        "seed, dim",
+        [(seed, dim) for dim in (16, 32, 64) for seed in range(5)]
+        # an empty tail, and two blocks of single modes
+        + [(0, 7), (0, 150)],
+    )
+    def test_tail_bound_loops_equal_the_per_trial_loops(self, seed, dim):
+        new, old = np.random.default_rng(seed), np.random.default_rng(seed)
+        loops = [
+            (experiments._single_mode_gap, _old_single_mode_gap, (dim,)),
+            (experiments._tail_bound_gap, _old_tail_bound_gap, (dim, 16)),
+            (experiments._diagonal_map_ratio, _old_diagonal_map_ratio, (dim,)),
+        ]
+        for stacked, per_trial, args in loops:
+            assert repr(stacked(new, *args)) == repr(per_trial(old, *args))
+            # the same draws, in the same order
+            assert new.bit_generator.state == old.bit_generator.state
+
+    def test_running_max_keeps_the_first_of_equal_maxima(self):
+        assert repr(experiments._running_max(-math.inf, np.array([-0.0, 0.0]))) == "-0.0"
+        assert repr(experiments._running_max(0.0, np.array([-0.0, -1.0]))) == "0.0"
+        assert experiments._running_max(1.5, np.zeros(0)) == 1.5
+
+
 class TestCli:
     def test_list(self, capsys):
         assert cli.main(["list"]) == 0
@@ -277,6 +362,24 @@ class TestCli:
         assert written.exists()
         first_line = written.read_text().splitlines()[0]
         assert first_line == "experiment,check,claimed,measured,pass"
+
+    @pytest.mark.parametrize(
+        "layout",
+        ["out-is-a-file", "out-under-a-file", "report-path-is-a-directory"],
+    )
+    def test_unwritable_out_exits_two_with_one_line(self, tmp_path, capsys, layout):
+        blocker = tmp_path / "blocker"
+        if layout == "report-path-is-a-directory":
+            (blocker / "seq-discontinuity.json").mkdir(parents=True)
+            out = blocker
+        else:
+            blocker.write_text("")
+            out = blocker if layout == "out-is-a-file" else blocker / "reports"
+        assert cli.main(["run", "seq-discontinuity", "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("sclab: error: cannot write the report")
 
     def test_out_dir_env_var(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SCLAB_OUT_DIR", str(tmp_path))

@@ -3,8 +3,20 @@ import math
 import numpy as np
 import pytest
 
-from sclab.gallery import seq_diffeo_handle, seq_rho_k_handle
+from sclab.bump_profiles import K_MAX, shifted_bump
+from sclab.gallery import (
+    h_eval,
+    h_family_handle,
+    rho_k_eval,
+    s_proj,
+    s_proj_handle,
+    seq_diffeo,
+    seq_diffeo_handle,
+    seq_rho_k_handle,
+)
 from sclab.operator_probe import (
+    DEFAULT_FD_STEPS,
+    DiffReport,
     OperatorHandle,
     finite_diff_differential,
     numerical_rank,
@@ -12,7 +24,7 @@ from sclab.operator_probe import (
     truncation_opnorm,
     witness_lower_bound,
 )
-from sclab.scale_core import SeqVector
+from sclab.scale_core import SeqVector, grid_combine
 
 
 def _random_spd(rng, n):
@@ -144,6 +156,11 @@ class TestFiniteDiffDifferential:
         # the seq-tangent-check threshold
         assert worst <= 1e-6
 
+    def test_rho_k_handle_rejects_orders_outside_the_family(self):
+        for k in (-1, K_MAX + 1):
+            with pytest.raises(ValueError):
+                seq_rho_k_handle(k)
+
     def test_report_fields(self):
         handle = seq_rho_k_handle(0)
         rep = finite_diff_differential(
@@ -153,6 +170,105 @@ class TestFiniteDiffDifferential:
         assert rep.level == 1
         assert rep.best_step in dict(rep.per_step)
         assert rep.ok
+
+
+def _seq_move(p, h, tan):
+    return (p[0] + h * tan[0], p[1].add(tan[1].scaled(h)))
+
+
+def _grid_move(p, h, tan):
+    return (p[0] + h * tan[0], grid_combine([(1.0, p[1]), (h, tan[1])]))
+
+
+def _one_point_sweep(handle, one_point, move, point, tangent, level, steps, use_richardson):
+    """finite_diff_differential as it was with one map evaluation per signed
+    step, kept to pin the one-call sweep bit for bit."""
+    analytic = handle.diff(point, tangent)
+    scale = max(handle.cod_norm(analytic, level), 1.0)
+
+    def central(h):
+        plus = one_point(move(point, h, tangent))
+        minus = one_point(move(point, -h, tangent))
+        return handle.cod_combine([(0.5 / h, plus), (-0.5 / h, minus)])
+
+    def error(fd):
+        return handle.cod_norm(handle.cod_combine([(1.0, fd), (-1.0, analytic)]), level)
+
+    per_step = []
+    centrals = {}
+    for h in steps:
+        fd = centrals.setdefault(h, central(h))
+        candidates = [error(fd)]
+        if use_richardson:
+            fd_half = centrals.setdefault(h / 2.0, central(h / 2.0))
+            candidates.append(
+                error(handle.cod_combine([(4.0 / 3.0, fd_half), (-1.0 / 3.0, fd)]))
+            )
+        per_step.append((h, min(candidates) / scale))
+    best_step, mismatch = min(per_step, key=lambda p: p[1])
+    order = float("nan")
+    raw = [error(centrals[h]) / scale for h in steps[:2]]
+    if len(raw) == 2 and raw[0] > 0 and raw[1] > 0 and steps[0] != steps[1]:
+        order = math.log(raw[1] / raw[0]) / math.log(steps[1] / steps[0])
+    return DiffReport(handle.name, level, mismatch, best_step, order, tuple(per_step))
+
+
+# the default sweep; the seq-tangent-check sweep at level 1; and a sweep whose
+# half step 5e-4 is also a step, without Richardson
+SWEEPS = [
+    (0, DEFAULT_FD_STEPS, True),
+    (1, (1e-3, 3e-4, 1e-4, 3e-5, 1e-5), True),
+    (0, (1e-3, 5e-4, 1e-4), False),
+]
+
+
+class TestOneCallSweep:
+    @pytest.mark.parametrize("k", [0, 1, 2, "diffeo"])
+    def test_seq_reports_equal_the_one_point_sweep(self, k):
+        if k == "diffeo":
+            handle = seq_diffeo_handle()
+            one_point = lambda p: (p[0], seq_diffeo(p[0], p[1]))
+        else:
+            handle = seq_rho_k_handle(k)
+            one_point = lambda p: rho_k_eval(k, p[0], p[1])
+        rng = np.random.default_rng(40)
+        # t = 1e-4 and -0.2 put some or all of the sweep at t <= 0
+        for t in (-0.2, 1e-4, 0.29, 0.41, 0.7, *rng.uniform(0.05, 0.6, size=5)):
+            x = SeqVector(rng.normal(size=int(rng.integers(1, 12))))
+            tan = (float(rng.uniform(0.5, 1.5)), SeqVector(rng.normal(size=int(rng.integers(0, 12)))))
+            for point in ((float(t), x), (float(t), SeqVector.basis(3))):
+                for level, steps, rich in SWEEPS:
+                    got = finite_diff_differential(handle, point, tan, level, steps, rich)
+                    want = _one_point_sweep(
+                        handle, one_point, _seq_move, point, tan, level, steps, rich
+                    )
+                    assert repr(got) == repr(want)
+
+    @pytest.mark.parametrize("name", ["s-proj", "h-family"])
+    def test_grid_reports_equal_the_one_point_sweep(self, name):
+        # the acceptance point: the origin, along a bump and its derivative
+        F = grid_combine([(1.0, shifted_bump(0.4, 0)), (0.5, shifted_bump(0.4, 1))])
+        point, tan = (0.0, F.zeros_like()), (1.0, F)
+        if name == "s-proj":
+            handle, one_point = s_proj_handle(), lambda p: s_proj(p[0], p[1])
+        else:
+            handle, one_point = h_family_handle(), lambda p: h_eval(p[0], p[1])
+        got = finite_diff_differential(handle, point, tan, 0)
+        want = _one_point_sweep(
+            handle, one_point, _grid_move, point, tan, 0, DEFAULT_FD_STEPS, True
+        )
+        assert repr(got) == repr(want)
+
+    def test_eval_returns_one_output_per_step_in_order(self):
+        point = (0.29, SeqVector(np.arange(1.0, 6.0)))
+        tan = (1.0, SeqVector(np.ones(7)))
+        hs = [1e-2, -1e-2, 0.0, 0.5, -0.4]
+        outs = list(seq_diffeo_handle().eval(point, tan, hs))
+        assert len(outs) == len(hs)
+        for h, (t, y) in zip(hs, outs):
+            t_want, y_want = _seq_move(point, h, tan)
+            assert t == t_want
+            assert np.array_equal(y.coeffs, seq_diffeo(t_want, y_want).coeffs)
 
 
 class TestDichotomy:

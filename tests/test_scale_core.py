@@ -1,4 +1,6 @@
 import math
+import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -18,6 +20,7 @@ from sclab.scale_core import (
     grid_sobolev_norm,
     seq_inner,
     seq_norm,
+    seq_norms,
     tail_projection,
 )
 
@@ -28,6 +31,9 @@ finite_reals = st.floats(
 )
 signed_reals = st.one_of(finite_reals, finite_reals.map(lambda x: -x))
 normal_coeffs = st.floats(min_value=1e-100, max_value=10.0)
+# log magnitudes far outside what from_real reaches, with sums still finite
+logmags = st.floats(min_value=-1e300, max_value=1e300)
+log_scalars = st.builds(LogScalar, st.sampled_from([-1, 1]), logmags)
 
 
 def _exact_sq_norm(x: SeqVector, i: int) -> Fraction:
@@ -91,6 +97,48 @@ class TestLogScalar:
         assert got.logmag == pytest.approx(
             math.log(abs(x)) + math.log(abs(y)), rel=1e-12, abs=1e-9
         )
+
+    # mul then div (or div then mul) rounds the log magnitude twice, each
+    # time by at most half an ulp of the value it produces
+    @given(log_scalars, log_scalars)
+    @example(LogScalar(1, -655.3777018225568), LogScalar(-1, -192.7003241754631))
+    def test_mul_and_div_are_inverse_within_two_roundings(self, x, y):
+        for there, back in ((x.mul(y), x.mul(y).div(y)), (x.div(y), x.div(y).mul(y))):
+            assert back.sign == x.sign
+            bound = math.ulp(max(abs(there.logmag), abs(back.logmag)))
+            assert abs(back.logmag - x.logmag) <= bound
+
+    def test_div_undoes_mul_at_zero_and_rejects_a_zero_divisor(self):
+        y = LogScalar(-1, 3.0)
+        assert LogScalar.zero().mul(y).div(y).is_zero
+        with pytest.raises(ZeroDivisionError):
+            y.mul(LogScalar.zero()).div(LogScalar.zero())
+
+    # hi and lo are picked by magnitude alone, and equal magnitudes give
+    # equal results, so the operand order never reaches the arithmetic
+    @given(st.one_of(log_scalars, st.just(LogScalar.zero())), log_scalars)
+    def test_add_is_exactly_commutative(self, x, y):
+        assert repr(x.add(y)) == repr(y.add(x))
+
+    # each add is exact to u(|result| + 2.1) in the log (u = 2^-53: one
+    # rounding of hi + log1p, and about 2.1u from exp and log1p); the error of
+    # the inner sum reaches the outer one damped by its share of the total,
+    # which keeps the gap between the two groupings below 8 eps max(1, |log|)
+    @given(finite_reals, finite_reals, finite_reals, st.booleans())
+    @example(1.1829839336282655, 0.999999999, 1.0081468321299858, False)
+    def test_add_of_one_sign_is_associative_within_log_rounding(self, x, y, z, neg):
+        x, y, z = (LogScalar.from_real(-v if neg else v) for v in (x, y, z))
+        left, right = x.add(y).add(z), x.add(y.add(z))
+        assert left.sign == right.sign == x.sign
+        scale = max(1.0, abs(left.logmag), abs(right.logmag))
+        assert abs(left.logmag - right.logmag) <= 8 * sys.float_info.epsilon * scale
+
+    def test_add_is_not_associative_under_cancellation(self):
+        # x + y cancels exactly, while y + z rounds back to y's log and then
+        # cancels against x: the groupings give z and zero
+        x, y, z = (LogScalar.from_real(v) for v in (1.0000001, -1.0000001, 4.1299175674766966e-74))
+        assert x.add(y).add(z) == z
+        assert x.add(y.add(z)).is_zero
 
     def test_add_survives_extreme_magnitude_gap(self):
         big = LogScalar(1, 100.0)
@@ -195,6 +243,26 @@ class TestSeqModel:
             x = SeqVector(rng.normal(size=int(rng.integers(1, 65))))
             i = int(rng.integers(0, 4))
             assert seq_norm(x, i) == math.sqrt(seq_inner(x, x, i))
+
+    def test_row_stack_norm_is_per_row_seq_norm(self):
+        rng = np.random.default_rng(11)
+        for n_cols in (1, 2, 7, 8, 9, 64, 129):
+            scales = 10.0 ** rng.integers(-20, 21, size=(6, 1))
+            extreme = np.zeros((5, n_cols))
+            extreme[0, 0] = 2.9e-223  # the plain sum underflows to 0.0
+            extreme[1, 0] = 1e200  # and overflows to inf
+            extreme[2, -1] = -1e200
+            extreme[3, :2] = [2.9e-223, 1e-160][:n_cols]  # a subnormal sum
+            stack = np.vstack([rng.normal(size=(6, n_cols)) * scales, extreme])
+            for i in range(4):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = seq_norms(stack, i).tolist()
+                want = [seq_norm(SeqVector(row), i) for row in stack]
+                assert [repr(v) for v in got] == [repr(v) for v in want]
+        assert seq_norms(np.zeros((2, 0)), 1).tolist() == [0.0, 0.0]
+        with pytest.raises(ValueError):
+            seq_norms(np.ones(3), 0)
 
     def test_tail_bound_equality_at_single_mode(self):
         for N in (4, 16, 32):
