@@ -34,9 +34,9 @@ __all__ = [
     "make_bump",
     "make_smooth_step",
     "shift_amount",
-    "is_representable",
     "shifted_bump",
     "pair_with_bump",
+    "bump_self_pairing",
     "phi_gate",
     "phi_gate_logmag",
     "step_n",
@@ -242,21 +242,17 @@ def shift_amount(t: float) -> float:
     return _safe_exp(1.0 / t)
 
 
-def is_representable(t: float) -> bool:
-    """Whether the shifted bump at this t fits the direct grid path."""
-    return t > 0 and 1.0 / t <= math.log(MAX_SHIFT)
-
-
 def shifted_bump(
     t: float,
     order: int = 0,
     spacing: float = DEFAULT_SPACING,
     margin: float = DEFAULT_MARGIN,
 ) -> GridFunction:
-    """Grid sampling of the order-th bump derivative shifted to -exp(1/t)."""
+    """Grid sampling of the order-th bump derivative shifted to -exp(1/t);
+    the only place that builds one, so the only check of MAX_SHIFT."""
     if t <= 0:
         raise ValueError("shifted bump defined only for t > 0")
-    if not is_representable(t):
+    if 1.0 / t > math.log(MAX_SHIFT):
         raise RepresentabilityError(
             f"exp(1/t) = exp({1.0 / t:.3g}) exceeds the grid policy bound "
             f"{MAX_SHIFT:g}; use the log-domain path"
@@ -280,12 +276,46 @@ def _bump_window(order: int, spacing: float, margin: float) -> np.ndarray:
     return vals
 
 
-def _far_left_of(f: GridFunction, t: float) -> bool:
-    """True when the bump window at t lies strictly left of f's window."""
-    # support right edge is -exp(1/t) + 1; compare in log form to dodge overflow
-    if f.x0 >= 1.0:
-        return True
-    return 1.0 / t > math.log(1.0 - f.x0 + 2.0)
+@functools.lru_cache(maxsize=64)
+def _self_pairing_table(order: int, delta: float, spacing: float, margin: float) -> float:
+    """sum over j <= order of the integral of exp(-2 delta u) b^(j)(u)^2 over
+    the window nodes u, as grid_sobolev_inner takes it: np.gradient
+    derivatives of the samples, trapezoid sums added to total = 0.0."""
+    vals = _bump_window(0, spacing, margin)
+    u = -(1.0 + margin) + spacing * np.arange(vals.size)
+    w2 = np.exp(-2.0 * delta * u)  # all ones at delta = 0: the same bits as no weight
+    total = 0.0
+    for j in range(order + 1):
+        total += float(np.trapezoid(w2 * vals * vals, dx=spacing))
+        if j < order:
+            vals = np.gradient(vals, spacing, edge_order=2)
+    return total
+
+
+def bump_self_pairing(
+    t: float,
+    order: int = 0,
+    delta: float = 0.0,
+    spacing: float = DEFAULT_SPACING,
+    margin: float = DEFAULT_MARGIN,
+) -> float:
+    """grid_sobolev_inner(b, b, order, delta) of b = shifted_bump(t), without
+    sampling b: at delta = 0 a t-independent table entry, bit for bit; else,
+    on a window left of 0 where |x| = exp(1/t) - u, exp(2 delta exp(1/t))
+    times a table entry, equal to rounding.  An overflow of that weight
+    raises OverflowError naming delta, as grid_sobolev_inner does."""
+    shift = shift_amount(t)  # ValueError for t <= 0
+    table = _self_pairing_table(order, delta, spacing, margin)
+    if delta == 0.0:
+        return table
+    if shift <= 1.0 + margin:
+        raise ValueError(f"the bump window at t={t!r} reaches x = 0: |x| is not exp(1/t) - u")
+    value = _safe_exp(2.0 * delta * shift) * table
+    if not math.isfinite(value):
+        raise OverflowError(
+            f"weight exp(2*delta*|x|) with delta={delta!r} overflows on the bump window at t={t!r}"
+        )
+    return value
 
 
 def pair_with_bump(
@@ -293,25 +323,27 @@ def pair_with_bump(
     t: float,
     spacing: float = DEFAULT_SPACING,
     margin: float = DEFAULT_MARGIN,
+    order: int = 0,
 ) -> Union[float, LogScalar]:
-    """L2 pairing of f with the shifted bump.
+    """L2 pairing of f with the order-th derivative of the shifted bump.
 
-    Grid inputs pair by trapezoid quadrature on the overlap and return a
-    float; analytic tails pair by log-domain quadrature and return a
-    LogScalar, which stays meaningful when the result underflows floats.
+    Grid inputs return a float: exact 0.0, with no grid built, whenever the
+    bump window lies left of f's, else trapezoid quadrature on the overlap.
+    Analytic tails pair b_t by log-domain quadrature and return a LogScalar,
+    which stays meaningful when the result underflows floats.
     """
     if t <= 0:
         raise ValueError("pairing defined only for t > 0")
     if isinstance(f, AnalyticTailFunction):
+        if order:
+            raise ValueError("analytic tails pair with the bump itself only")
         return _pair_tail_log(f, t, spacing)
-    if not is_representable(t):
-        if _far_left_of(f, t):
-            return 0.0
-        raise RepresentabilityError(
-            "bump shift not representable and the windows may overlap; "
-            "use an analytic tail input for the log-domain path"
-        )
-    return grid_l2_inner(f, shifted_bump(t, 0, spacing, margin))
+    # the bump window ends at 1 + margin - exp(1/t): compare in log form,
+    # which holds where exp(1/t) overflows
+    reach = 1.0 + margin - f.x0
+    if reach <= 0.0 or 1.0 / t > math.log(reach):
+        return 0.0
+    return grid_l2_inner(f, shifted_bump(t, order, spacing, margin))
 
 
 def _logsumexp(a: np.ndarray) -> float:

@@ -15,7 +15,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import bump_profiles
-from .bump_profiles import log_limit_probe, phi_gate, shifted_bump, step_n
+from .bump_profiles import bump_self_pairing, log_limit_probe, phi_gate, shifted_bump, step_n
 from .gallery import (
     default_phi_family,
     h_family_handle,
@@ -547,8 +547,7 @@ def _identity_differential(cfg: ExperimentConfig) -> List[Check]:
     )
     ranks = {}
     for t in (0.5, -0.5):
-        b = shifted_bump(abs(t), 0, cfg.spacing, cfg.margin)
-        q = grid_l2_inner(b, b)
+        q = bump_self_pairing(abs(t), spacing=cfg.spacing, margin=cfg.margin)
         col = q if t > 0 else 0.0
         m = np.array([[1.0, 0.0], [0.0, col]])
         gram = np.diag([1.0, q])

@@ -19,7 +19,7 @@ from .bump_profiles import (
     DEFAULT_MARGIN,
     DEFAULT_SPACING,
     K_MAX,
-    is_representable,
+    bump_self_pairing,
     pair_with_bump,
     phi_gate,
     shift_amount,
@@ -33,7 +33,6 @@ from .scale_core import (
     SeqVector,
     WeightSchedule,
     grid_combine,
-    grid_l2_inner,
     grid_sobolev_norm,
     seq_norm,
 )
@@ -78,10 +77,8 @@ def rho_eval(
     margin: float = DEFAULT_MARGIN,
 ):
     """(t, <f, b_t> b_t) for t > 0, (t, 0) for t <= 0."""
-    if t <= 0:
-        return (t, f.zeros_like())
-    a = pair_with_bump(f, t, spacing, margin)
-    if a == 0.0 and not is_representable(t):
+    a = pair_with_bump(f, t, spacing, margin) if t > 0 else 0.0
+    if a == 0.0:
         return (t, f.zeros_like())
     return (t, shifted_bump(t, 0, spacing, margin).scaled(a))
 
@@ -113,25 +110,24 @@ def s_proj_diff(
     spacing: float = DEFAULT_SPACING,
     margin: float = DEFAULT_MARGIN,
 ):
-    """Full differential of the projection map at (t, f)."""
+    """Full differential of the projection map at (t, f).
+
+    The t-derivative terms carry the pairings of f with b_t and b_t'; where
+    both are exactly 0 (the bump window lies left of f's) they add nothing.
+    """
     if t <= 0:
         return (T, F)
-    b = None
     terms = [(1.0, F)]
     aF = pair_with_bump(F, t, spacing, margin)
     if aF != 0.0:
-        b = shifted_bump(t, 0, spacing, margin)
-        terms.append((-aF, b))
-    if T != 0.0 and is_representable(t):
-        bp = shifted_bump(t, 1, spacing, margin)
+        terms.append((-aF, shifted_bump(t, 0, spacing, margin)))
+    if T != 0.0:
         af = pair_with_bump(f, t, spacing, margin)
-        afp = grid_l2_inner(f, bp)
+        afp = pair_with_bump(f, t, spacing, margin, order=1)
         if af != 0.0 or afp != 0.0:
-            if b is None:
-                b = shifted_bump(t, 0, spacing, margin)
             scale = T * shift_amount(t) / (t * t)
-            terms.append((scale * afp, b))
-            terms.append((scale * af, bp))
+            terms.append((scale * afp, shifted_bump(t, 0, spacing, margin)))
+            terms.append((scale * af, shifted_bump(t, 1, spacing, margin)))
     if len(terms) == 1:
         return (T, F)
     return (T, grid_combine(terms))
@@ -316,7 +312,11 @@ def h_diff(
     spacing: float = DEFAULT_SPACING,
     margin: float = DEFAULT_MARGIN,
 ) -> GridFunction:
-    """Full differential of the branching family at (t, f), applied to (T, F)."""
+    """Full differential of the branching family at (t, f), applied to (T, F).
+
+    Every t-derivative term carries a pairing of f with b_t or b_t'; where
+    those are exactly 0 (the bump window lies left of f's) it adds nothing.
+    """
     if t <= 0:
         return F
     phi = phi or default_phi_family()
@@ -325,27 +325,19 @@ def h_diff(
     x_log = LogScalar.from_real(x_t)
     c1 = phi.dx(t, x_log).to_real()
     terms = [(1.0, F)]
-    need_b = aF != 0.0
-    b = bp = None
-    if need_b:
-        b = shifted_bump(t, 0, spacing, margin)
-        terms.append((-c1 * aF, b))
-    if T != 0.0 and is_representable(t):
+    if aF != 0.0:
+        terms.append((-c1 * aF, shifted_bump(t, 0, spacing, margin)))
+    if T != 0.0:
         dphit = phi.dt(t, x_log)
         c2 = phi.value(t, x_log)
         dshift = -shift_amount(t) / (t * t)  # d/dt of exp(1/t)
         if not dphit.is_zero and dphit.logmag > -745.0:
-            if b is None:
-                b = shifted_bump(t, 0, spacing, margin)
-            terms.append((-T * dphit.to_real(), b))
-        bp = shifted_bump(t, 1, spacing, margin)
-        f_dot_dbt = dshift * grid_l2_inner(f, bp)
-        if f_dot_dbt != 0.0:
-            if b is None:
-                b = shifted_bump(t, 0, spacing, margin)
-            terms.append((-T * c1 * f_dot_dbt, b))
+            terms.append((-T * dphit.to_real(), shifted_bump(t, 0, spacing, margin)))
+        afp = pair_with_bump(f, t, spacing, margin, order=1)
+        if afp != 0.0:
+            terms.append((-T * c1 * (dshift * afp), shifted_bump(t, 0, spacing, margin)))
         if not c2.is_zero and c2.logmag > -745.0:
-            terms.append((-T * c2.to_real() * dshift, bp))
+            terms.append((-T * c2.to_real() * dshift, shifted_bump(t, 1, spacing, margin)))
     if len(terms) == 1:
         return F
     return grid_combine(terms)
@@ -385,11 +377,7 @@ def h_transversality_data(
     E = math.exp(1.0 / (t * t))
     direct = LogScalar(1, math.fsum([-3.0 * math.log(t), 1.0 / (t * t), -2.0 * E]))
     # independent route: |d_t phi_t(x_t)| * <b_t, b_t> with x_t = gate / 2
-    if is_representable(t):
-        b = shifted_bump(t, 0, spacing, margin)
-        q = grid_l2_inner(b, b)
-    else:
-        q = 1.0
+    q = bump_self_pairing(t, spacing=spacing, margin=margin)
     partial = LogScalar(
         1,
         math.fsum(

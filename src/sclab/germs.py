@@ -5,8 +5,8 @@ differential — plus a pseudo-germ built from the moving-bump projection
 that fails all of it.
 
 Inputs w live in the span of a small list of smooth atoms (grid
-functions); per-parameter witness atoms are added for maps whose bad
-directions move with the parameter.
+functions); a per-parameter witness coordinate, the escaping bump, is added
+for the map whose bad direction moves with the parameter.
 """
 
 from __future__ import annotations
@@ -19,13 +19,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bump_profiles import (
-    DEFAULT_MARGIN,
-    DEFAULT_SPACING,
-    is_representable,
-    make_bump,
-    shifted_bump,
-)
+from .bump_profiles import DEFAULT_MARGIN, DEFAULT_SPACING, bump_self_pairing, make_bump
 from .operator_probe import OperatorHandle, metric_singular_values
 from .scale_core import (
     GridFunction,
@@ -99,15 +93,11 @@ def _worst(values: np.ndarray) -> float:
 
 @dataclass
 class GermContext:
-    """Atoms spanning the sampled w-subspace at one parameter value, with
-    cached level Gram matrices (read-only arrays).
-
-    A context made by `extended` keeps its base and copies the base's Gram
-    block, so only the rows of the new atoms are integrated."""
+    """Grid atoms spanning the sampled w-subspace at one parameter value,
+    with cached level Gram matrices (read-only arrays)."""
 
     atoms: Tuple[GridFunction, ...]
     schedule: WeightSchedule
-    base: Optional["GermContext"] = field(default=None, repr=False)
     _grams: Dict[int, np.ndarray] = field(default_factory=dict)
     _l2: Optional[np.ndarray] = field(default=None, repr=False)
 
@@ -115,20 +105,11 @@ class GermContext:
     def dim(self) -> int:
         return len(self.atoms)
 
-    def extended(self, *atoms: GridFunction) -> "GermContext":
-        """This context's atoms followed by the given ones."""
-        return GermContext(self.atoms + atoms, self.schedule, base=self)
-
-    def _integrate(
-        self, order: int, delta: float, base_block: Callable[["GermContext"], np.ndarray]
-    ) -> np.ndarray:
+    def _pairings(self, order: int, delta: float) -> np.ndarray:
+        """The Gram matrix of the order-th Sobolev pairing with weight delta."""
         m = self.dim
         g = np.zeros((m, m))
-        k = 0
-        if self.base is not None:
-            k = self.base.dim
-            g[:k, :k] = base_block(self.base)
-        for q in range(k, m):
+        for q in range(m):
             for p in range(q + 1):
                 g[p, q] = g[q, p] = grid_sobolev_inner(
                     self.atoms[p], self.atoms[q], order, delta
@@ -138,27 +119,46 @@ class GermContext:
 
     def gram(self, level: int) -> np.ndarray:
         if level not in self._grams:
-            self._grams[level] = self._integrate(
-                level, self.schedule.delta(level), lambda base: base.gram(level)
-            )
+            self._grams[level] = self._pairings(level, self.schedule.delta(level))
         return self._grams[level]
 
     def l2_gram(self) -> np.ndarray:
         """The order-0, delta = 0 Gram matrix: gram(0) itself when delta_0 = 0."""
         if self._l2 is None:
-            if self.schedule.delta(0) == 0.0:
-                self._l2 = self.gram(0)
-            else:
-                self._l2 = self._integrate(0, 0.0, GermContext.l2_gram)
+            self._l2 = self.gram(0) if self.schedule.delta(0) == 0.0 else self._pairings(0, 0.0)
         return self._l2
 
     def norm(self, v: np.ndarray, level: int) -> float:
         return float(_norms(v[None, :], self.gram(level))[0])
 
     def l2_pair_vector(self, j: int) -> np.ndarray:
-        """L2 pairings of atom j with every atom: row j of the L2 Gram matrix
-        (a contiguous read-only view)."""
+        """L2 pairings of coordinate j with every coordinate: row j of the L2
+        Gram matrix (a contiguous read-only view)."""
         return self.l2_gram()[j]
+
+
+@dataclass
+class _BumpContext(GermContext):
+    """A base context's atoms followed by one coordinate along the escaping
+    bump b_c, never sampled on a grid: its window lies left of every atom's,
+    so its Gram row is 0 off the diagonal and bump_self_pairing on it."""
+
+    base: Optional[GermContext] = field(default=None, repr=False)
+    c: float = 0.0
+    spacing: float = DEFAULT_SPACING
+    margin: float = DEFAULT_MARGIN
+
+    @property
+    def dim(self) -> int:
+        return len(self.atoms) + 1
+
+    def _pairings(self, order: int, delta: float) -> np.ndarray:
+        # l2_gram asks for (0, 0.0): the base's L2 block, its gram(0) if delta_0 = 0
+        block = self.base.l2_gram() if (order, delta) == (0, 0.0) else self.base.gram(order)
+        g = np.pad(block, (0, 1))
+        g[-1, -1] = bump_self_pairing(self.c, order, delta, self.spacing, self.margin)
+        g.flags.writeable = False
+        return g
 
 
 #: a and B of a germ act on row stacks: parameters c of shape (n,) and
@@ -626,11 +626,7 @@ def openness_probe(
     rows: List[Tuple[float, float, float]] = [(0.0, 0.0, cond0)]
     worst = cond0
     if germ.c_dependent_atoms:
-        c_values = [
-            frac * radius
-            for frac in (0.9, 0.5)
-            if is_representable(frac * radius)
-        ]
+        c_values = [0.9 * radius, 0.5 * radius]
     else:
         c_values = [0.9 * radius, -0.9 * radius, 0.5 * radius]
     for c in c_values:
@@ -723,19 +719,21 @@ def make_moving_bump_pseudo_germ(
     for c <= 0): the projection map's correction term.  Not a contraction —
     along the direction b_c the ratio stays near 1 at every radius.
 
-    Each context for c > 0 extends the shared base context by b_c.  For
-    c >= 1/ln 4 the window of b_c meets the base window on nodes that do not
-    line up, and its Gram matrix raises GridMismatchError; the experiments
-    draw c < 0.5."""
+    Each context for c > 0 is the shared base context plus one coordinate
+    along b_c with a closed-form Gram row (_BumpContext), so no c samples a
+    grid.  The row needs b_c's window left of the atoms', that is
+    c < 1/ln(3 + margin) (1/ln 4 by default); the experiments draw c < 0.5."""
     base_ctx = _base_context(schedule or WeightSchedule.default(), spacing)
-    contexts: Dict[float, GermContext] = {}
+    reach = 1.0 + margin - _ATOM_WINDOW[0]
 
     def context_for(c: float) -> GermContext:
-        if c <= 0.0 or not is_representable(c):
+        if c <= 0.0:
             return base_ctx
-        if c not in contexts:
-            contexts[c] = base_ctx.extended(shifted_bump(c, 0, spacing, margin))
-        return contexts[c]
+        if c >= 1.0 / math.log(reach):
+            raise ValueError(f"moving-bump contexts need c < 1/ln({reach:g}), got c={c!r}")
+        return _BumpContext(
+            base_ctx.atoms, base_ctx.schedule, base=base_ctx, c=c, spacing=spacing, margin=margin
+        )
 
     def B(c: np.ndarray, v: np.ndarray, ctxs: Sequence[GermContext]) -> np.ndarray:
         out = np.zeros(v.shape)
@@ -747,7 +745,9 @@ def make_moving_bump_pseudo_germ(
         return out
 
     def sample_c(rng: np.random.Generator, delta: float) -> Optional[float]:
-        lo = 0.074  # smallest parameter whose bump shift stays representable
+        # lo fixes the draw stream; once 0.999 delta <= lo no c is drawn,
+        # which ends certify's (failing) halving search
+        lo = 0.074
         hi = 0.999 * delta
         if hi <= lo:
             return None

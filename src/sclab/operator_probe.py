@@ -15,6 +15,7 @@ import numpy as np
 from .bump_profiles import (
     DEFAULT_MARGIN,
     DEFAULT_SPACING,
+    bump_self_pairing,
     phi_gate,
     shift_amount,
     shifted_bump,
@@ -137,57 +138,43 @@ def finite_diff_differential(
     tangent,
     level: int = 0,
     steps: Sequence[float] = DEFAULT_FD_STEPS,
-    use_richardson: bool = True,
 ) -> DiffReport:
     """Compare handle.diff at a point with central finite differences of
     handle.eval along a tangent, in the level-i codomain norm.
 
     The mismatch reported is the best over the step sweep, taking plain
-    second-order central differences and (optionally) one Richardson
-    extrapolation step at each h.  The map is evaluated at every signed
-    step of the sweep in one handle.eval call.
+    second-order central differences and one Richardson extrapolation step
+    at each h.  The map is evaluated at every signed step of the sweep in
+    one handle.eval call.
     """
     analytic = handle.diff(point, tangent)
     scale = max(handle.cod_norm(analytic, level), 1.0)
 
     # the distinct steps in first-use order, each evaluated at +h and -h
-    sweep = []
-    for h in steps:
-        sweep += [h, h / 2.0] if use_richardson else [h]
-    sweep = list(dict.fromkeys(sweep))
+    sweep = list(dict.fromkeys(s for h in steps for s in (h, h / 2.0)))
     outs = iter(handle.eval(point, tangent, [s for h in sweep for s in (h, -h)]))
     centrals = {
         h: handle.cod_combine([(0.5 / h, next(outs)), (-0.5 / h, next(outs))])
         for h in sweep
     }
 
+    def error(fd) -> float:
+        return handle.cod_norm(handle.cod_combine([(1.0, fd), (-1.0, analytic)]), level)
+
+    plain: List[float] = []  # the central-difference errors, one per step
     per_step: List[Tuple[float, float]] = []
     for h in steps:
         fd = centrals[h]
-        err = handle.cod_norm(handle.cod_combine([(1.0, fd), (-1.0, analytic)]), level)
-        candidates = [err]
-        if use_richardson:
-            fd_half = centrals[h / 2.0]
-            rich = handle.cod_combine([(4.0 / 3.0, fd_half), (-1.0 / 3.0, fd)])
-            candidates.append(
-                handle.cod_norm(
-                    handle.cod_combine([(1.0, rich), (-1.0, analytic)]), level
-                )
-            )
-        per_step.append((h, min(candidates) / scale))
+        plain.append(error(fd))
+        rich = handle.cod_combine([(4.0 / 3.0, centrals[h / 2.0]), (-1.0 / 3.0, fd)])
+        per_step.append((h, min(plain[-1], error(rich)) / scale))
 
     best_step, mismatch = min(per_step, key=lambda p: p[1])
 
     # convergence-order estimate from the raw central-difference errors at
     # the two largest steps (before roundoff takes over)
     order = float("nan")
-    raw = []
-    for h in steps[:2]:
-        fd = centrals[h]
-        raw.append(
-            handle.cod_norm(handle.cod_combine([(1.0, fd), (-1.0, analytic)]), level)
-            / scale
-        )
+    raw = [e / scale for e in plain[:2]]
     if len(raw) == 2 and raw[0] > 0 and raw[1] > 0 and steps[0] != steps[1]:
         order = math.log(raw[1] / raw[0]) / math.log(steps[1] / steps[0])
 
@@ -239,7 +226,7 @@ def opnorm_dichotomy(
             raise ValueError("dichotomy grid requires t > 0")
         slope = LogScalar.one().add(phi_gate(t).neg()).to_real()
         b = shifted_bump(t, 0, spacing, margin)
-        q = grid_l2_inner(b, b)
+        q = bump_self_pairing(t, spacing=spacing, margin=margin)
         l2_lower = abs(slope) * q  # witness F = b_t, L2 both sides
         shift = shift_amount(t)
         arg = delta * (shift - 1.0)

@@ -282,36 +282,27 @@ def grid_l2_inner(f: GridFunction, g: GridFunction) -> float:
     return float(np.trapezoid(f.values[sf] * g.values[sg], dx=f.spacing))
 
 
-def _weighted_l2(values: np.ndarray, xs: np.ndarray, delta: float, spacing: float) -> float:
-    w = np.exp(delta * np.abs(xs)) if delta != 0.0 else 1.0
-    return float(np.sqrt(np.trapezoid((w * values) ** 2, dx=spacing)))
-
-
-def grid_sobolev_norm(
-    f: GridFunction, k: int, delta: float, variant: str = "sum"
-) -> float:
-    """Weighted Sobolev norm: exp(delta|x|)-weighted L2 norms of derivatives.
-
-    variant "sum" adds the per-order L2 norms; "quadratic" takes the
-    root-sum-of-squares (the Hilbert-equivalent form used for Gram matrices,
-    within a factor sqrt(k+1) of the sum form).
-    """
+def grid_sobolev_norm(f: GridFunction, k: int, delta: float) -> float:
+    """Weighted Sobolev norm: the sum over j <= k of the exp(delta|x|)-weighted
+    L2 norms of the j-th derivatives, within a factor sqrt(k+1) of the
+    Hilbert norm sqrt(grid_sobolev_inner(f, f, k, delta)).  Raises
+    OverflowError, naming delta and the window, where it is not finite."""
     if k < 0 or delta < 0:
         raise ValueError("need k >= 0 and delta >= 0")
     if f.n_nodes < 2 * k + 1:
         raise ValueError(f"{f.n_nodes} nodes too few for Sobolev order {k}")
-    xs = f.xs()
-    vals = f.values
-    terms = []
-    for j in range(k + 1):
-        terms.append(_weighted_l2(vals, xs, delta, f.spacing))
-        if j < k:
-            vals = np.gradient(vals, f.spacing, edge_order=2)
-    if variant == "sum":
-        return float(sum(terms))
-    if variant == "quadratic":
-        return float(math.sqrt(sum(t * t for t in terms)))
-    raise ValueError(f"unknown variant {variant!r}")
+    vals, norm = f.values, 0.0
+    # an overflow shows as a non-finite norm, raised below
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = np.exp(delta * np.abs(f.xs())) if delta != 0.0 else 1.0
+        for j in range(k + 1):
+            norm += float(np.sqrt(np.trapezoid((w * vals) ** 2, dx=f.spacing)))
+            if j < k:
+                vals = np.gradient(vals, f.spacing, edge_order=2)
+    if not math.isfinite(norm):
+        window = _window(f, slice(0, f.n_nodes))
+        raise OverflowError(f"weighted Sobolev norm with delta={delta!r} is not finite on {window}")
+    return norm
 
 
 def _window(f: GridFunction, sl: slice) -> str:

@@ -14,7 +14,7 @@ from sclab.bump_profiles import (
     _logsumexp,
     _pair_tail_log,
     _refined_trapezoid,
-    is_representable,
+    bump_self_pairing,
     log_limit_probe,
     make_bump,
     make_smooth_step,
@@ -24,7 +24,15 @@ from sclab.bump_profiles import (
     shifted_bump,
     step_n,
 )
-from sclab.scale_core import AnalyticTailFunction, GridFunction, LogScalar, grid_l2_inner
+from sclab import bump_profiles
+from sclab.scale_core import (
+    AnalyticTailFunction,
+    GridFunction,
+    LogScalar,
+    grid_combine,
+    grid_l2_inner,
+    grid_sobolev_inner,
+)
 
 
 def _oracle_integral(fn, lo, hi, n=200001):
@@ -306,17 +314,30 @@ class TestShiftedBump:
             assert grid_l2_inner(b, b) == pytest.approx(1.0, abs=1e-10)
 
     def test_representability_policy(self):
-        assert is_representable(0.3)
-        assert is_representable(0.0725)
-        assert not is_representable(0.07)
-        with pytest.raises(RepresentabilityError):
-            shifted_bump(0.05, 0)
+        # exp(1/t) <= 1e6 down to t = 1/ln(1e6) = 0.07238...
+        assert shifted_bump(0.3, 0).x0 == -shift_amount(0.3) - 2.0
+        assert shifted_bump(0.0725, 1).n_nodes == 4001
+        for t in (0.07, 0.05):
+            with pytest.raises(RepresentabilityError):
+                shifted_bump(t, 0)
 
-    def test_pairing_disjoint_is_exact_zero(self):
+    def test_pairing_disjoint_is_exact_zero(self, monkeypatch):
         f = GridFunction(-2.0, 1e-3, np.ones(4001))
-        assert pair_with_bump(f, 0.4) == 0.0
-        # unrepresentable shift but provably disjoint: still exact zero
-        assert pair_with_bump(f, 0.01) == 0.0
+        overlapping = shifted_bump(0.4, 0)
+        built = []
+        sample = bump_profiles.shifted_bump
+        monkeypatch.setattr(
+            bump_profiles, "shifted_bump", lambda *a: built.append(a) or sample(*a)
+        )
+        # from representable shifts to exp(1/t) = inf: exact zero, no grid
+        for t in (0.4, 0.05, 1e-3):
+            for order in (0, 1):
+                got = pair_with_bump(f, t, order=order)
+                assert got == 0.0 and math.copysign(1.0, got) == 1.0
+        assert built == []
+        # a window reaching the bump's is paired on the grid
+        assert pair_with_bump(overlapping, 0.4) == pytest.approx(1.0, abs=1e-10)
+        assert len(built) == 1
 
     def test_pairing_unrepresentable_overlap_errors(self):
         # a window far enough left that it may reach the escaped bump
@@ -329,6 +350,13 @@ class TestShiftedBump:
         b = shifted_bump(t, 0)
         f = shifted_bump(t, 1)
         assert pair_with_bump(f, t) == pytest.approx(grid_l2_inner(f, b), rel=1e-12)
+
+    def test_order_pairs_with_the_bump_derivative(self):
+        t = 0.4
+        f = grid_combine([(0.7, shifted_bump(t, 0)), (0.3, shifted_bump(t, 2))])
+        for order in (0, 1, 2):
+            want = grid_l2_inner(f, shifted_bump(t, order))
+            assert pair_with_bump(f, t, order=order) == want
 
     def test_tail_pairing_in_log_domain(self):
         tail = AnalyticTailFunction.inverse_square_tail(0.1)
@@ -397,6 +425,44 @@ def _loop_pair_tail_log(delta: float, t: float, spacing: float) -> LogScalar:
 
 def _never_settles(xs):
     return np.ones(xs.size), np.full(xs.size, float(xs.size))
+
+
+class TestBumpSelfPairing:
+    @pytest.mark.parametrize("spacing", [1e-3, 5e-4])
+    def test_l2_self_pairing_is_the_grid_pairing_bit_for_bit(self, spacing):
+        for t in (0.7, 0.5, 0.3, 0.1, 0.0725):
+            b = shifted_bump(t, 0, spacing)
+            want = grid_l2_inner(b, b)
+            assert bump_self_pairing(t, spacing=spacing) == want
+            assert grid_sobolev_inner(b, b, 0, 0.0) == want
+        # delta = 0 needs no shift, so it holds where no grid can be built
+        for t in (0.05, 1e-3):
+            assert bump_self_pairing(t, spacing=spacing) == want
+
+    @pytest.mark.parametrize("spacing", [1e-3, 5e-4])
+    def test_weighted_self_pairing_matches_the_grid(self, spacing):
+        for t in (0.7, 0.5, 0.3, 0.2):
+            b = shifted_bump(t, 0, spacing)
+            for order in range(3):
+                for delta in (0.05, 0.1, 0.2):
+                    want = grid_sobolev_inner(b, b, order, delta)
+                    got = bump_self_pairing(t, order, delta, spacing)
+                    assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    def test_overflowing_weight_names_delta(self):
+        b = shifted_bump(0.1, 0)
+        with pytest.raises(OverflowError, match=r"delta=0\.1 "):
+            grid_sobolev_inner(b, b, 1, 0.1)
+        with pytest.raises(OverflowError, match=r"delta=0\.1 "):
+            bump_self_pairing(0.1, 1, 0.1)
+        with pytest.raises(OverflowError, match="delta="):
+            bump_self_pairing(1e-3, 0, 0.1)
+
+    def test_weight_needs_the_window_left_of_zero(self):
+        # exp(1/t) <= 1 + margin: the window reaches x = 0 and |x| has a kink
+        with pytest.raises(ValueError, match="reaches x = 0"):
+            bump_self_pairing(2.0, 1, 0.1)
+        assert bump_self_pairing(2.0) == bump_self_pairing(0.5)
 
 
 class TestTailPairing:

@@ -177,6 +177,7 @@ class TestExperimentErrors:
             ("inverse-blowup", {"blowup_t_grid": [0.03]}, "ValueError"),
             ("transversality-witness", {"branching_t_grid": [0.02]}, "OverflowError"),
             ("opnorm-dichotomy", {"dichotomy_t_grid": [0.05]}, "RepresentabilityError"),
+            ("opnorm-dichotomy", {"dichotomy_t_grid": [0.12]}, "OverflowError"),
         ],
     )
     def test_exception_becomes_one_failing_error_check(self, eid, override, exc_type):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from sclab.gallery import (
     rho_k_eval,
     rho_k_tangent,
     s_proj,
+    s_proj_diff,
     s_tilde_eval,
     s_tilde_inv,
     seq_diffeo,
@@ -100,6 +102,45 @@ class TestProjection:
         _, r = rho_eval(t, f)
         back = grid_combine([(1.0, p), (1.0, r), (-1.0, f)])
         assert grid_sobolev_norm(back, 0, 0.0) < 1e-10
+
+
+class TestEscapedBump:
+    @pytest.mark.parametrize("t", [0.05, 1e-3])
+    def test_differentials_leave_F_unchanged(self, t):
+        # b_t and b_t' lie left of [-2, 2], so every pairing is exact 0 and
+        # no t-derivative term is added, even where exp(1/t) is inf
+        xs = np.linspace(-2.0, 2.0, 4001)
+        f = GridFunction(-2.0, 1e-3, np.cos(xs))
+        F = GridFunction(-2.0, 1e-3, np.exp(-(xs**2)))
+        assert math.isfinite(shift_amount(t)) == (t == 0.05)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            T, out = s_proj_diff(t, f, 1.0, F)
+            assert T == 1.0 and out is F
+            assert h_diff(t, f, 1.0, F) is F
+
+
+class TestTimeDerivative:
+    @pytest.mark.parametrize("name", ["s-proj", "h-family"])
+    @pytest.mark.parametrize("t", [0.4, 0.3])
+    def test_t_terms_match_a_node_aligned_difference(self, name, t):
+        # a step in t moves b_t off f's nodes, so step the shift S = exp(1/t)
+        # by whole nodes instead (d/dt = dS/dt d/dS), with one Richardson step
+        f = grid_combine([(0.6, shifted_bump(t, 0)), (0.2, shifted_bump(t, 2))])
+        if name == "s-proj":
+            got = s_proj_diff(t, f, 1.0, f.zeros_like())[1]
+            at = lambda s: s_proj(s, f)[1]
+        else:
+            got = h_diff(t, f, 1.0, f.zeros_like())
+            at = lambda s: h_eval(s, f)
+        S = shift_amount(t)
+        terms = [(1.0, got)]
+        for nodes, weight in ((1, 4.0 / 3.0), (2, -1.0 / 3.0)):
+            D = nodes * 1e-3
+            c = weight * (-S / t**2) / (2.0 * D)
+            terms += [(-c, at(1.0 / math.log(S + D))), (c, at(1.0 / math.log(S - D)))]
+        err = grid_sobolev_norm(grid_combine(terms), 0, 0.0)
+        assert err <= 1e-6 * grid_sobolev_norm(got, 0, 0.0)
 
 
 class TestGatedShear:
@@ -207,7 +248,8 @@ class TestBranchingFamily:
 
 class TestTransversality:
     def test_midpoint_identity_and_route_agreement(self):
-        for t in (0.5, 0.4, 0.3):
+        # t = 0.06 and 0.045 lie below the grid bound: q is still <b_t, b_t>
+        for t in (0.5, 0.4, 0.3, 0.06, 0.045):
             data = h_transversality_data(t)
             assert data.midpoint_identity
             a, b = data.witness_value, data.witness_value_partial_route

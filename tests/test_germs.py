@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from sclab import germs
+from sclab import bump_profiles, germs, scale_core
+from sclab.bump_profiles import shifted_bump
 from sclab.germs import (
     GERM_IDS,
     DegenerateSampleError,
@@ -28,9 +29,18 @@ from sclab.germs import (
 from sclab.scale_core import WeightSchedule, grid_l2_inner
 
 
+def _grid_atoms(ctx):
+    """The coordinates of ctx as grid functions: a moving-bump context's
+    escaping bump b_c is sampled with shifted_bump."""
+    if ctx.dim == len(ctx.atoms):
+        return ctx.atoms
+    return ctx.atoms + (shifted_bump(ctx.c, 0, ctx.spacing, ctx.margin),)
+
+
 def _pairings(ctx, j):
-    """L2 pairings of every atom with atom j, one quadrature each."""
-    return np.array([grid_l2_inner(a, ctx.atoms[j]) for a in ctx.atoms])
+    """L2 pairings of every coordinate with coordinate j, one quadrature each."""
+    atoms = _grid_atoms(ctx)
+    return np.array([grid_l2_inner(a, atoms[j]) for a in atoms])
 
 
 def _one_vector_B(germ, ctx):
@@ -146,9 +156,14 @@ class TestStackedSampling:
                 )
 
     def test_trials_of_two_context_dimensions(self):
-        # c <= 0 or too small for a representable bump gives the 4-atom base
-        # context, larger c a 5-atom one: the trials stack in two groups
-        germ = dataclasses.replace(make_germ("moving-bump"), sample_c=germs._symmetric_sampler)
+        # c <= 0 gives the 4-atom base context, c > 0 a 5-coordinate one:
+        # the trials stack in two groups.  The reference samples b_c on a
+        # grid, so a draw in (0, 0.0725), where it cannot, is mirrored to -c.
+        def sample_c(rng, delta):
+            c = germs._symmetric_sampler(rng, delta)
+            return -c if 0.0 < c < 0.0725 else c
+
+        germ = dataclasses.replace(make_germ("moving-bump"), sample_c=sample_c)
         for delta in (0.5, 0.3):
             for seed in range(5):
                 res = modulus_with_count(germ, 0, delta, seed=seed)
@@ -380,35 +395,67 @@ class TestFactory:
 
 
 class TestContexts:
-    @pytest.mark.parametrize("c", [0.1, 0.3, 0.5, 0.7])
-    def test_moving_bump_gram_matches_a_fresh_context(self, c):
-        ctx = make_moving_bump_pseudo_germ().context_for(c)
-        fresh = GermContext(ctx.atoms, ctx.schedule)
-        assert ctx.base is not None and ctx.dim == 5
+    @pytest.mark.parametrize("spacing", [1e-3, 5e-4])
+    @pytest.mark.parametrize("c", [0.1, 0.2, 0.3, 0.5, 0.7])
+    def test_moving_bump_gram_matches_the_grid_reference(self, c, spacing):
+        ctx = make_moving_bump_pseudo_germ(spacing=spacing).context_for(c)
+        ref = GermContext(_grid_atoms(ctx), ctx.schedule)
+        assert ctx.dim == ref.dim == 5
+        assert np.array_equal(ctx.l2_gram(), ref.l2_gram())
         for level in range(3):
             if c == 0.1 and level > 0:
                 # the weight exp(2 delta |x|) overflows on the bump's window
-                for context in (ctx, fresh):
+                for context in (ctx, ref):
                     with pytest.raises(OverflowError, match="delta="):
                         context.gram(level)
                 continue
-            assert np.array_equal(ctx.gram(level), fresh.gram(level))
+            got, want = ctx.gram(level), ref.gram(level)
+            assert not got[4, :4].any() and not got[:4, 4].any()
+            if level == 0:
+                assert np.array_equal(got, want)
+            else:
+                np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
-    def test_extension_integrates_only_the_new_row(self, monkeypatch):
+    def test_bump_coordinate_samples_no_grid(self, monkeypatch):
+        assert not hasattr(germs, "shifted_bump")
         germ = make_moving_bump_pseudo_germ()
-        germ.context_for(0.0).gram(1)
+        for level in range(3):
+            germ.context_for(0.0).gram(level)
         calls = []
-        inner = germs.grid_sobolev_inner
 
-        def counting(*args):
-            calls.append(args)
-            return inner(*args)
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
 
-        monkeypatch.setattr(germs, "grid_sobolev_inner", counting)
+            return wrapper
+
+        for module in (bump_profiles, germs, scale_core):
+            for name in ("shifted_bump", "grid_sobolev_inner"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         ctx = germ.context_for(0.3)
-        ctx.gram(1)
+        for level in range(3):
+            ctx.gram(level)
+        ctx.l2_gram()
         assert ctx.dim == 5
-        assert len(calls) == 5
+        assert calls == []
+
+    def test_small_c_needs_no_grid(self):
+        germ = make_moving_bump_pseudo_germ()
+        # exp(1/c) overflows at c = 1e-3; the L2 self-pairing does not depend on c
+        g = germ.context_for(1e-3).gram(0)
+        assert g[4, 4] == germ.context_for(0.3).gram(0)[4, 4]
+        # openness now probes c = 0.05, below the old grid bound 0.0724
+        rep = openness_probe(germ, 0, 0.1)
+        assert [row[0] for row in rep.rows] == [0.0] + [0.9 * 0.1] * 2 + [0.5 * 0.1] * 2
+
+    @pytest.mark.parametrize("c", [1.0 / math.log(4.0), 0.75, 2.0])
+    def test_bump_window_must_lie_left_of_the_atoms(self, c):
+        germ = make_moving_bump_pseudo_germ()
+        with pytest.raises(ValueError, match=r"c < 1/ln\(4\), got c="):
+            germ.context_for(c)
+        assert germ.context_for(0.72).dim == 5
 
     def test_factories_share_the_base_context(self):
         base = make_rank_one_germ(WeightSchedule.default()).context_for(0.2)

@@ -180,7 +180,7 @@ def _grid_move(p, h, tan):
     return (p[0] + h * tan[0], grid_combine([(1.0, p[1]), (h, tan[1])]))
 
 
-def _one_point_sweep(handle, one_point, move, point, tangent, level, steps, use_richardson):
+def _one_point_sweep(handle, one_point, move, point, tangent, level, steps):
     """finite_diff_differential as it was with one map evaluation per signed
     step, kept to pin the one-call sweep bit for bit."""
     analytic = handle.diff(point, tangent)
@@ -198,13 +198,9 @@ def _one_point_sweep(handle, one_point, move, point, tangent, level, steps, use_
     centrals = {}
     for h in steps:
         fd = centrals.setdefault(h, central(h))
-        candidates = [error(fd)]
-        if use_richardson:
-            fd_half = centrals.setdefault(h / 2.0, central(h / 2.0))
-            candidates.append(
-                error(handle.cod_combine([(4.0 / 3.0, fd_half), (-1.0 / 3.0, fd)]))
-            )
-        per_step.append((h, min(candidates) / scale))
+        fd_half = centrals.setdefault(h / 2.0, central(h / 2.0))
+        rich = handle.cod_combine([(4.0 / 3.0, fd_half), (-1.0 / 3.0, fd)])
+        per_step.append((h, min([error(fd), error(rich)]) / scale))
     best_step, mismatch = min(per_step, key=lambda p: p[1])
     order = float("nan")
     raw = [error(centrals[h]) / scale for h in steps[:2]]
@@ -214,11 +210,11 @@ def _one_point_sweep(handle, one_point, move, point, tangent, level, steps, use_
 
 
 # the default sweep; the seq-tangent-check sweep at level 1; and a sweep whose
-# half step 5e-4 is also a step, without Richardson
+# half step 5e-4 is also a step
 SWEEPS = [
-    (0, DEFAULT_FD_STEPS, True),
-    (1, (1e-3, 3e-4, 1e-4, 3e-5, 1e-5), True),
-    (0, (1e-3, 5e-4, 1e-4), False),
+    (0, DEFAULT_FD_STEPS),
+    (1, (1e-3, 3e-4, 1e-4, 3e-5, 1e-5)),
+    (0, (1e-3, 5e-4, 1e-4)),
 ]
 
 
@@ -237,10 +233,10 @@ class TestOneCallSweep:
             x = SeqVector(rng.normal(size=int(rng.integers(1, 12))))
             tan = (float(rng.uniform(0.5, 1.5)), SeqVector(rng.normal(size=int(rng.integers(0, 12)))))
             for point in ((float(t), x), (float(t), SeqVector.basis(3))):
-                for level, steps, rich in SWEEPS:
-                    got = finite_diff_differential(handle, point, tan, level, steps, rich)
+                for level, steps in SWEEPS:
+                    got = finite_diff_differential(handle, point, tan, level, steps)
                     want = _one_point_sweep(
-                        handle, one_point, _seq_move, point, tan, level, steps, rich
+                        handle, one_point, _seq_move, point, tan, level, steps
                     )
                     assert repr(got) == repr(want)
 
@@ -254,9 +250,7 @@ class TestOneCallSweep:
         else:
             handle, one_point = h_family_handle(), lambda p: h_eval(p[0], p[1])
         got = finite_diff_differential(handle, point, tan, 0)
-        want = _one_point_sweep(
-            handle, one_point, _grid_move, point, tan, 0, DEFAULT_FD_STEPS, True
-        )
+        want = _one_point_sweep(handle, one_point, _grid_move, point, tan, 0, DEFAULT_FD_STEPS)
         assert repr(got) == repr(want)
 
     def test_eval_returns_one_output_per_step_in_order(self):
