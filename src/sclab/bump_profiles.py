@@ -36,6 +36,7 @@ __all__ = [
     "shift_amount",
     "shifted_bump",
     "pair_with_bump",
+    "bump_reaches",
     "bump_self_pairing",
     "phi_gate",
     "phi_gate_logmag",
@@ -338,12 +339,18 @@ def pair_with_bump(
         if order:
             raise ValueError("analytic tails pair with the bump itself only")
         return _pair_tail_log(f, t, spacing)
-    # the bump window ends at 1 + margin - exp(1/t): compare in log form,
-    # which holds where exp(1/t) overflows
-    reach = 1.0 + margin - f.x0
-    if reach <= 0.0 or 1.0 / t > math.log(reach):
+    if not bump_reaches(f.x0, t, margin):
         return 0.0
     return grid_l2_inner(f, shifted_bump(t, order, spacing, margin))
+
+
+def bump_reaches(x0: float, t: float, margin: float = DEFAULT_MARGIN) -> bool:
+    """Whether the window of b_t (t > 0) reaches x0 or beyond; where it does
+    not, it lies wholly left of a window that starts at x0."""
+    # the bump window ends at 1 + margin - exp(1/t): compare in log form,
+    # which holds where exp(1/t) overflows
+    reach = 1.0 + margin - x0
+    return reach > 0.0 and 1.0 / t <= math.log(reach)
 
 
 def _logsumexp(a: np.ndarray) -> float:

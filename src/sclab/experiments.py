@@ -188,7 +188,7 @@ class ExperimentReport:
 
 def _fmt(x) -> str:
     if isinstance(x, float):
-        return repr(x)
+        return repr(float(x))  # np.float64 is a float, but its repr names numpy
     return str(x)
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from .bump_profiles import (
     DEFAULT_MARGIN,
     DEFAULT_SPACING,
     K_MAX,
+    bump_reaches,
     bump_self_pairing,
     pair_with_bump,
     phi_gate,
@@ -33,8 +34,10 @@ from .scale_core import (
     SeqVector,
     WeightSchedule,
     grid_combine,
-    grid_sobolev_norm,
-    seq_norm,
+    grid_row,
+    grid_sobolev_norms,
+    grid_window,
+    seq_norms,
 )
 
 __all__ = [
@@ -58,6 +61,7 @@ __all__ = [
     "seq_diffeo_inv",
     "rho_k_eval",
     "rho_k_tangent",
+    "Sweep",
     "ScMapHandle",
     "seq_rho_k_handle",
     "seq_diffeo_handle",
@@ -442,52 +446,70 @@ def rho_k_tangent(k: int, t: float, x: SeqVector, T: float, X: SeqVector) -> Seq
 
 
 @dataclass(frozen=True)
-class ScMapHandle:
-    """A gallery map with evaluation along a line, analytic differential and
-    the codomain algebra needed for finite-difference validation.
+class Sweep:
+    """A map's outputs along a line as 1-D float rows on one index set.
 
-    ``eval(point, tangent, hs)`` returns the map's outputs at
-    point + h * tangent for each h in hs, in order, as an iterable that is
-    read once.
+    Pair codomains (parameter, function) put the parameter first.  Every
+    row has the bits of the one-point map's output on its own indices, and
+    zeros elsewhere.
+    """
+
+    rows: Iterable  # one row per step, in order, read once
+    row: Callable  # a codomain value, such as the analytic differential, as a row
+    norms: Callable  # (row stack, level) -> the rows' level-i codomain norms, an array
+
+
+@dataclass(frozen=True)
+class ScMapHandle:
+    """A gallery map with evaluation along a line and its analytic
+    differential, for finite-difference validation.
+
+    ``eval(point, tangent, hs)`` returns the ``Sweep`` of the map's outputs
+    at point + h * tangent for each h in hs.  ``diff(point, tangent)``
+    returns the differential applied to the tangent, a codomain value.
     """
 
     name: str
     eval: Callable
     diff: Callable
-    cod_combine: Callable
-    cod_norm: Callable
 
 
-def _seq_pair_combine(terms):
-    T = sum(c * tan[0] for c, tan in terms)
-    return (T, _seq_combine([(c, tan[1]) for c, tan in terms]))
+def _pair_norms(norms: Callable) -> Callable:
+    """Norms of (parameter, rest) rows: the hypot of the parameter and the
+    rest's norm, as math.hypot takes it."""
+
+    def pair(rows, i: int) -> np.ndarray:
+        rest = norms(rows[:, 1:], i).tolist()
+        return np.array([math.hypot(p, q) for p, q in zip(rows[:, 0].tolist(), rest)])
+
+    return pair
 
 
-def _seq_pair_norm(tan, i: int) -> float:
-    return math.hypot(tan[0], seq_norm(tan[1], i))
-
-
-def _seq_combine(terms):
-    """sum(c * v), each term added in order into one zero array."""
-    out = np.zeros(max((v.dim for _, v in terms), default=0))
-    for c, v in terms:
-        out[: v.dim] += c * v.coeffs
-    return SeqVector(out)
-
-
-def _seq_line(k: int, point, tangent, hs):
-    """Parameters t + h T and rows rho_k(t + h T, x + h X) for each h in hs,
-    from one step_n call; each row has the bits of the one-point map."""
+def _seq_sweep(k: int, with_t: bool, point, tangent, hs) -> Sweep:
+    """Rows of rho_k(t + h T, x + h X) for each h in hs, preceded by the
+    parameter if with_t, on the modes up to the larger of x and X, from one
+    step_n call."""
     (t, x), (T, X) = point, tangent
     hs = np.asarray(hs, dtype=float)
-    ts = t + hs * T
-    xs = np.zeros((hs.size, max(x.dim, X.dim)))
+    n, lead = max(x.dim, X.dim), int(with_t)
+    xs = np.zeros((hs.size, n))
     xs[:, : x.dim] += x.coeffs
     xs[:, : X.dim] += hs[:, np.newaxis] * X.coeffs
+    rows = np.empty((hs.size, lead + n))
+    ts = t + hs * T
+    rows[:, :lead] = ts[:, np.newaxis]
     # for t <= 0 every mode sits left of its transition window, so the rows
     # of k >= 1 come out zero there, as rho_k_eval makes them
-    ys = step_n(np.arange(1, xs.shape[1] + 1), ts[:, np.newaxis], k) * xs
-    return ts.tolist(), [SeqVector(y) for y in ys]
+    np.multiply(step_n(np.arange(1, n + 1), ts[:, np.newaxis], k), xs, out=rows[:, lead:])
+
+    def row(value) -> np.ndarray:
+        out = np.zeros(lead + n)
+        if with_t:
+            out[0], value = value
+        out[lead : lead + value.dim] = value.coeffs
+        return out
+
+    return Sweep(rows, row, _pair_norms(seq_norms) if with_t else seq_norms)
 
 
 def seq_rho_k_handle(k: int) -> ScMapHandle:
@@ -495,51 +517,74 @@ def seq_rho_k_handle(k: int) -> ScMapHandle:
         raise ValueError(f"k must be in 0..{K_MAX}")
     return ScMapHandle(
         name=f"rho-{k}",
-        eval=lambda p, tan, hs: _seq_line(k, p, tan, hs)[1],
+        eval=lambda p, tan, hs: _seq_sweep(k, False, p, tan, hs),
         diff=lambda p, tan: rho_k_tangent(k, p[0], p[1], tan[0], tan[1]),
-        cod_combine=_seq_combine,
-        cod_norm=lambda v, i: seq_norm(v, i),
     )
 
 
 def seq_diffeo_handle() -> ScMapHandle:
     return ScMapHandle(
         name="seq-diffeo",
-        eval=lambda p, tan, hs: list(zip(*_seq_line(0, p, tan, hs))),
+        eval=lambda p, tan, hs: _seq_sweep(0, True, p, tan, hs),
         diff=lambda p, tan: (tan[0], rho_k_tangent(0, p[0], p[1], tan[0], tan[1])),
-        cod_combine=_seq_pair_combine,
-        cod_norm=_seq_pair_norm,
     )
 
 
-def _grid_line(f: Callable) -> Callable:
-    """eval for a grid map f(t, g): one point of the line at a time, made
-    as it is read, so a sweep holds no more grids than its reader keeps."""
+def _grid_sweep(m: Callable, with_t: bool, margin: float) -> Callable:
+    """eval for a grid map m(t, g) that returns g itself wherever t <= 0 or
+    b_t's window does not reach g's.
 
-    def line(p, tan, hs):
-        return (f(p[0] + h * tan[0], grid_combine([(1.0, p[1]), (h, tan[1])])) for h in hs)
+    The rows share one window, the hull of the point's, the tangent's and
+    the outputs'.  Only at the steps where b_t reaches g = f + h F is g built
+    as a grid and the map evaluated; its output is kept until its row is
+    read.  Every other row is g, formed on the window as it is read.
+    """
+
+    def line(point, tangent, hs) -> Sweep:
+        (t, f), (T, F) = point, tangent
+        ts = [t + h * T for h in hs]
+        x0_g = min(f.x0, F.x0)
+        moved = {
+            j: m(s, grid_combine([(1.0, f), (h, F)]))
+            for j, (h, s) in enumerate(zip(hs, ts))
+            if s > 0 and bump_reaches(x0_g, s, margin)
+        }
+        dx, lead = f.spacing, int(with_t)
+        x0, n = grid_window([f, F, *moved.values()])
+        f_row, F_row = grid_row(f, x0, dx, n), grid_row(F, x0, dx, n)
+        schedule = WeightSchedule.default()
+
+        def rows():
+            for j, (h, s) in enumerate(zip(hs, ts)):
+                out = np.empty(lead + n)
+                out[:lead] = s
+                if j in moved:
+                    out[lead:] = grid_row(moved.pop(j), x0, dx, n)
+                else:
+                    np.multiply(F_row, h, out=out[lead:])
+                    out[lead:] += f_row
+                yield out
+
+        def row(value) -> np.ndarray:
+            out = np.empty(lead + n)
+            if with_t:
+                out[0], value = value
+            out[lead:] = grid_row(value, x0, dx, n)
+            return out
+
+        def norms(stack, i: int) -> np.ndarray:
+            return grid_sobolev_norms(stack, i, schedule.delta(i), x0, dx)
+
+        return Sweep(rows(), row, _pair_norms(norms) if with_t else norms)
 
     return line
-
-
-def _grid_pair_combine(terms):
-    T = sum(c * tan[0] for c, tan in terms)
-    g = grid_combine([(c, tan[1]) for c, tan in terms])
-    return (T, g)
-
-
-def _grid_norm(g: GridFunction, i: int, schedule=None) -> float:
-    schedule = schedule or WeightSchedule.default()
-    return grid_sobolev_norm(g, i, schedule.delta(i))
 
 
 def s_proj_handle(spacing: float = DEFAULT_SPACING, margin: float = DEFAULT_MARGIN) -> ScMapHandle:
     return ScMapHandle(
         name="s-proj",
-        eval=_grid_line(lambda t, f: s_proj(t, f, spacing, margin)),
+        eval=_grid_sweep(lambda t, g: s_proj(t, g, spacing, margin)[1], True, margin),
         diff=lambda p, tan: s_proj_diff(p[0], p[1], tan[0], tan[1], spacing, margin),
-        cod_combine=_grid_pair_combine,
-        cod_norm=lambda tan, i: math.hypot(tan[0], _grid_norm(tan[1], i)),
     )
 
 
@@ -550,8 +595,6 @@ def h_family_handle(
 ) -> ScMapHandle:
     return ScMapHandle(
         name="h-family",
-        eval=_grid_line(lambda t, f: h_eval(t, f, phi, spacing, margin)),
+        eval=_grid_sweep(lambda t, g: h_eval(t, g, phi, spacing, margin), False, margin),
         diff=lambda p, tan: h_diff(p[0], p[1], tan[0], tan[1], phi, spacing, margin),
-        cod_combine=lambda terms: grid_combine(terms),
-        cod_norm=lambda g, i: _grid_norm(g, i),
     )

@@ -145,29 +145,40 @@ def finite_diff_differential(
     The mismatch reported is the best over the step sweep, taking plain
     second-order central differences and one Richardson extrapolation step
     at each h.  The map is evaluated at every signed step of the sweep in
-    one handle.eval call.
+    one handle.eval call, which returns the outputs as rows on one index set.
+    Centrals, Richardson rows and errors are explicit in-order elementwise
+    sums, never a matrix product (BLAS may fuse multiply-adds and change
+    bits), and each step's two error rows are normed in one call.
     """
-    analytic = handle.diff(point, tangent)
-    scale = max(handle.cod_norm(analytic, level), 1.0)
-
     # the distinct steps in first-use order, each evaluated at +h and -h
-    sweep = list(dict.fromkeys(s for h in steps for s in (h, h / 2.0)))
-    outs = iter(handle.eval(point, tangent, [s for h in sweep for s in (h, -h)]))
-    centrals = {
-        h: handle.cod_combine([(0.5 / h, next(outs)), (-0.5 / h, next(outs))])
-        for h in sweep
-    }
+    sweep_hs = list(dict.fromkeys(s for h in steps for s in (h, h / 2.0)))
+    sweep = handle.eval(point, tangent, [s for h in sweep_hs for s in (h, -h)])
+    exact = sweep.row(handle.diff(point, tangent))
+    scale = max(float(sweep.norms(exact[np.newaxis], level)[0]), 1.0)
 
-    def error(fd) -> float:
-        return handle.cod_norm(handle.cod_combine([(1.0, fd), (-1.0, analytic)]), level)
+    # each distinct step's central row, read in sweep order and kept from
+    # its first use to its last, so a grid sweep holds a few rows at a time
+    rows, unread = iter(sweep.rows), iter(sweep_hs)
+    last_use = {s: i for i, h in enumerate(steps) for s in (h, h / 2.0)}
+    centrals = {}
 
     plain: List[float] = []  # the central-difference errors, one per step
     per_step: List[Tuple[float, float]] = []
-    for h in steps:
+    errors = np.empty((2, exact.size))
+    for i, h in enumerate(steps):
+        while h / 2.0 not in centrals or h not in centrals:
+            s = next(unread)
+            centrals[s] = (0.5 / s) * next(rows) + (-0.5 / s) * next(rows)
         fd = centrals[h]
-        plain.append(error(fd))
-        rich = handle.cod_combine([(4.0 / 3.0, centrals[h / 2.0]), (-1.0 / 3.0, fd)])
-        per_step.append((h, min(plain[-1], error(rich)) / scale))
+        rich = (4.0 / 3.0) * centrals[h / 2.0] + (-1.0 / 3.0) * fd
+        np.subtract(fd, exact, out=errors[0])
+        np.subtract(rich, exact, out=errors[1])
+        e_plain, e_rich = sweep.norms(errors, level).tolist()
+        plain.append(e_plain)
+        per_step.append((h, min(e_plain, e_rich) / scale))
+        for s in (h, h / 2.0):
+            if last_use[s] == i:
+                del centrals[s]
 
     best_step, mismatch = min(per_step, key=lambda p: p[1])
 

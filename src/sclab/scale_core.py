@@ -11,7 +11,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
@@ -24,8 +24,11 @@ __all__ = [
     "GridMismatchError",
     "grid_l2_inner",
     "grid_sobolev_norm",
+    "grid_sobolev_norms",
     "grid_sobolev_inner",
     "grid_combine",
+    "grid_window",
+    "grid_row",
     "seq_inner",
     "seq_norm",
     "seq_norms",
@@ -249,13 +252,13 @@ def _disjoint(f: GridFunction, g: GridFunction) -> bool:
     return f.x_end < g.x0 or g.x_end < f.x0
 
 
-def _check_compatible(f: GridFunction, g: GridFunction) -> int:
-    """Return the integer node offset of g relative to f, or raise."""
-    if abs(f.spacing - g.spacing) > 1e-12 * f.spacing:
+def _node_offset(g: GridFunction, x0: float, spacing: float) -> int:
+    """Return the integer node offset of g on the grid x0 + j*spacing, or raise."""
+    if abs(spacing - g.spacing) > 1e-12 * spacing:
         raise GridMismatchError(
-            f"spacings differ on overlapping windows: {f.spacing} vs {g.spacing}"
+            f"spacings differ on overlapping windows: {spacing} vs {g.spacing}"
         )
-    shift = (g.x0 - f.x0) / f.spacing
+    shift = (g.x0 - x0) / spacing
     offset = round(shift)
     if abs(shift - offset) > 1e-6:
         raise GridMismatchError("grid nodes of overlapping windows do not line up")
@@ -263,7 +266,7 @@ def _check_compatible(f: GridFunction, g: GridFunction) -> int:
 
 
 def _overlap_slices(f: GridFunction, g: GridFunction):
-    offset = _check_compatible(f, g)
+    offset = _node_offset(g, f.x0, f.spacing)
     lo = max(0, offset)
     hi = min(f.n_nodes, offset + g.n_nodes)
     if hi - lo < 2:
@@ -286,27 +289,51 @@ def grid_sobolev_norm(f: GridFunction, k: int, delta: float) -> float:
     """Weighted Sobolev norm: the sum over j <= k of the exp(delta|x|)-weighted
     L2 norms of the j-th derivatives, within a factor sqrt(k+1) of the
     Hilbert norm sqrt(grid_sobolev_inner(f, f, k, delta)).  Raises
-    OverflowError, naming delta and the window, where it is not finite."""
+    OverflowError, naming delta and the window, where it is not finite.
+    The one-row case of grid_sobolev_norms."""
+    return float(grid_sobolev_norms(f.values[np.newaxis], k, delta, f.x0, f.spacing)[0])
+
+
+def grid_sobolev_norms(
+    rows: np.ndarray, k: int, delta: float, x0: float, spacing: float
+) -> np.ndarray:
+    """grid_sobolev_norm of each row of an (n, N) stack of samples on the
+    window of N nodes x0 + j*spacing.
+
+    The weight is computed once; each row then goes through the one-row
+    arithmetic on its own, so a row's norm has the bits of grid_sobolev_norm
+    of a GridFunction with those samples, and a stack of long rows is read
+    one cache-sized row at a time.
+    """
     if k < 0 or delta < 0:
         raise ValueError("need k >= 0 and delta >= 0")
-    if f.n_nodes < 2 * k + 1:
-        raise ValueError(f"{f.n_nodes} nodes too few for Sobolev order {k}")
-    vals, norm = f.values, 0.0
+    rows = np.asarray(rows, dtype=float)
+    if rows.ndim != 2:
+        raise ValueError("sample stack must be two-dimensional")
+    n = rows.shape[1]
+    if n < 2 * k + 1:
+        raise ValueError(f"{n} nodes too few for Sobolev order {k}")
+    out = np.empty(rows.shape[0])
     # an overflow shows as a non-finite norm, raised below
     with np.errstate(over="ignore", invalid="ignore"):
-        w = np.exp(delta * np.abs(f.xs())) if delta != 0.0 else 1.0
-        for j in range(k + 1):
-            norm += float(np.sqrt(np.trapezoid((w * vals) ** 2, dx=f.spacing)))
-            if j < k:
-                vals = np.gradient(vals, f.spacing, edge_order=2)
-    if not math.isfinite(norm):
-        window = _window(f, slice(0, f.n_nodes))
+        w = np.exp(delta * np.abs(x0 + spacing * np.arange(n))) if delta != 0.0 else None
+        for r, vals in enumerate(rows):
+            norm = 0.0
+            for j in range(k + 1):
+                # a weight of 1.0 would multiply exactly; skip the pass
+                wv = vals if w is None else w * vals
+                norm += float(np.sqrt(np.trapezoid(wv**2, dx=spacing)))
+                if j < k:
+                    vals = np.gradient(vals, spacing, edge_order=2)
+            out[r] = norm
+    if not np.isfinite(out).all():
+        window = _window(x0, spacing, slice(0, n))
         raise OverflowError(f"weighted Sobolev norm with delta={delta!r} is not finite on {window}")
-    return norm
+    return out
 
 
-def _window(f: GridFunction, sl: slice) -> str:
-    return f"[{f.x0 + f.spacing * sl.start!r}, {f.x0 + f.spacing * (sl.stop - 1)!r}]"
+def _window(x0: float, spacing: float, sl: slice) -> str:
+    return f"[{x0 + spacing * sl.start!r}, {x0 + spacing * (sl.stop - 1)!r}]"
 
 
 def grid_sobolev_inner(f: GridFunction, g: GridFunction, k: int, delta: float) -> float:
@@ -325,7 +352,7 @@ def grid_sobolev_inner(f: GridFunction, g: GridFunction, k: int, delta: float) -
         if exponent.max() > _LOG_FLOAT_MAX:
             raise OverflowError(
                 f"weight exp(2*delta*|x|) with delta={delta!r} overflows on the "
-                f"overlap window {_window(f, sf)}"
+                f"overlap window {_window(f.x0, f.spacing, sf)}"
             )
         w2 = np.exp(exponent)
     fv, gv = f.values, g.values
@@ -338,9 +365,36 @@ def grid_sobolev_inner(f: GridFunction, g: GridFunction, k: int, delta: float) -
     if not math.isfinite(total):
         raise OverflowError(
             f"weighted Sobolev inner product with delta={delta!r} is not finite "
-            f"on the overlap window {_window(f, sf)}"
+            f"on the overlap window {_window(f.x0, f.spacing, sf)}"
         )
     return total
+
+
+def grid_window(fs: Sequence[GridFunction], max_nodes: int = 10_000_000) -> Tuple[float, int]:
+    """First node and node count of the union window of grid functions whose
+    nodes line up with those of the first."""
+    if not fs:
+        raise ValueError("empty union")
+    base = fs[0]
+    for f in fs[1:]:
+        _node_offset(f, base.x0, base.spacing)
+    x0 = min(f.x0 for f in fs)
+    n = round((max(f.x_end for f in fs) - x0) / base.spacing) + 1
+    if n > max_nodes:
+        raise ValueError(f"union grid would need {n} nodes")
+    return x0, n
+
+
+def grid_row(f: GridFunction, x0: float, spacing: float, n: int) -> np.ndarray:
+    """f's samples on the window of n nodes x0 + j*spacing, zero elsewhere,
+    as a new array; f's nodes must be among the window's."""
+    off = _node_offset(f, x0, spacing)
+    if off < 0 or off + f.n_nodes > n:
+        inner = _window(f.x0, f.spacing, slice(0, f.n_nodes))
+        raise ValueError(f"grid window {inner} is not inside {_window(x0, spacing, slice(0, n))}")
+    out = np.zeros(n)
+    out[off : off + f.n_nodes] = f.values
+    return out
 
 
 def grid_combine(terms: list, max_nodes: int = 10_000_000) -> GridFunction:
@@ -348,15 +402,8 @@ def grid_combine(terms: list, max_nodes: int = 10_000_000) -> GridFunction:
     terms = [(float(c), f) for c, f in terms]
     if not terms:
         raise ValueError("empty combination")
-    base = terms[0][1]
-    for _, f in terms[1:]:
-        _check_compatible(base, f)
-    h = base.spacing
-    x0 = min(f.x0 for _, f in terms)
-    x1 = max(f.x_end for _, f in terms)
-    n = round((x1 - x0) / h) + 1
-    if n > max_nodes:
-        raise ValueError(f"union grid would need {n} nodes")
+    x0, n = grid_window([f for _, f in terms], max_nodes)
+    h = terms[0][1].spacing
     out = np.zeros(n)
     for c, f in terms:
         off = round((f.x0 - x0) / h)
@@ -431,34 +478,56 @@ def seq_inner(x: SeqVector, y: SeqVector, i: int) -> float:
 
 
 def seq_norm(x: SeqVector, i: int) -> float:
-    """Level-i norm: the one-row case of seq_norms."""
-    return float(seq_norms(x.coeffs[np.newaxis], i)[0])
+    """Level-i norm: seq_norms's rule on one vector, with its bits, without
+    building a one-row stack."""
+    c = x.coeffs
+    w = _seq_weights(c.size, check_level(i))
+    with np.errstate(over="ignore"):  # an overflowing sum comes back inf and is rescaled
+        s = float((w * c * c).sum())
+        if _FLOAT_MIN <= s < math.inf or not c.size:
+            return math.sqrt(s)
+        m = float(np.abs(c).max())  # > 0: a SeqVector ends in a non-zero
+        scaled = c / m
+        return m * math.sqrt(float((w * scaled * scaled).sum()))
 
 
 @np.errstate(over="ignore")  # an overflowing sum comes back inf and is rescaled
 def seq_norms(rows: np.ndarray, i: int) -> np.ndarray:
-    """Level-i norms of the rows of a finite (n, N) coefficient stack.
+    """Level-i norms of the rows of a finite (n, N) coefficient stack, each
+    with the bits of seq_norm of its SeqVector.
 
     Where a row's plain weighted sum of squares under- or overflows the
     normal range, it is recomputed with that row scaled by its largest
-    magnitude; elsewhere the norm is the square root of that sum, bit for
-    bit.  A zero row has norm 0.  numpy sums a row pairwise in groups set by
-    its length, so a row equals seq_norm of its SeqVector bit for bit unless
-    the row has trailing zeros, which SeqVector drops.
+    magnitude; elsewhere the norm is the square root of that sum.  A zero
+    row has norm 0.
     """
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2:
         raise ValueError("coefficient stack must be two-dimensional")
     w = _seq_weights(rows.shape[1], check_level(i))
-    s = (w * rows * rows).sum(axis=1)
+    s = _square_sums(w, rows)
     out = np.sqrt(s)
     if s.size and (s.min() < _FLOAT_MIN or s.max() == math.inf):
         bad = np.flatnonzero((s < _FLOAT_MIN) | (s == math.inf))
         m = np.abs(rows[bad]).max(axis=1, initial=0.0)
         bad, m = bad[m > 0.0], m[m > 0.0]  # a zero row keeps norm 0
-        scaled = rows[bad] / m[:, np.newaxis]
-        out[bad] = m * np.sqrt((w * scaled * scaled).sum(axis=1))
+        out[bad] = m * np.sqrt(_square_sums(w, rows[bad] / m[:, np.newaxis]))
     return out
+
+
+def _square_sums(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """The rows' weighted sums of squares, each summed as seq_norm sums its
+    SeqVector, which drops trailing zeros.  numpy sums a row pairwise in
+    groups set by its length, so a row that ends in zeros is summed again
+    without them, unless it has at most two non-zeros: then every grouping
+    gives the same bits."""
+    s = (w * rows * rows).sum(axis=1)
+    if rows.shape[1] and not rows[:, -1].all():
+        ragged = (rows[:, -1] == 0.0) & (np.count_nonzero(rows, axis=1) > 2)
+        for r in np.flatnonzero(ragged):
+            n = np.flatnonzero(rows[r])[-1] + 1
+            s[r] = (w[:n] * rows[r, :n] * rows[r, :n]).sum()
+    return s
 
 
 def tail_projection(x: SeqVector, N: int) -> SeqVector:

@@ -14,6 +14,7 @@ from sclab.bump_profiles import (
     _logsumexp,
     _pair_tail_log,
     _refined_trapezoid,
+    bump_reaches,
     bump_self_pairing,
     log_limit_probe,
     make_bump,
@@ -338,6 +339,14 @@ class TestShiftedBump:
         # a window reaching the bump's is paired on the grid
         assert pair_with_bump(overlapping, 0.4) == pytest.approx(1.0, abs=1e-10)
         assert len(built) == 1
+
+    def test_bump_reaches_exactly_where_its_window_ends_at_or_after_x0(self):
+        for t in (0.2, 0.4, 0.9, 3.0):
+            b = shifted_bump(t, 0)
+            for x0 in (b.x_end - 1e-3, b.x_end + 1e-3, -2.0, 5.0):
+                assert bump_reaches(x0, t) == (b.x_end >= x0)
+        # exp(1/t) overflows: the window lies left of every float x0
+        assert not bump_reaches(-1e300, 1e-4)
 
     def test_pairing_unrepresentable_overlap_errors(self):
         # a window far enough left that it may reach the escaped bump

@@ -158,6 +158,19 @@ class TestReports:
         with pytest.raises(ValueError):
             emit(report, "yaml")
 
+    def test_numpy_floats_format_as_floats(self):
+        assert experiments._fmt(np.float64(0.1)) == "0.1"
+        assert experiments._fmt(np.float64(1e-300)) == repr(1e-300)
+
+    @pytest.mark.parametrize("spacing", [1e-3, 5e-4])
+    def test_no_report_names_numpy(self, spacing):
+        # a numpy scalar's repr (np.float64(...)) must not leak into a report
+        for eid in EXPERIMENT_IDS:
+            for seed in (0, 1, 2):
+                report = run(eid, ExperimentConfig(seed=seed, spacing=spacing))
+                for fmt in ("json", "csv"):
+                    assert "np." not in emit(report, fmt), (eid, seed, fmt)
+
 
 def _failing_report(eid: str) -> ExperimentReport:
     return ExperimentReport(

@@ -1,9 +1,12 @@
 import math
+import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from sclab.bump_profiles import K_MAX, shifted_bump
+from sclab import gallery, operator_probe, scale_core
+from sclab.bump_profiles import K_MAX, make_bump, shifted_bump
 from sclab.gallery import (
     h_eval,
     h_family_handle,
@@ -24,7 +27,14 @@ from sclab.operator_probe import (
     truncation_opnorm,
     witness_lower_bound,
 )
-from sclab.scale_core import SeqVector, grid_combine
+from sclab.scale_core import (
+    GridFunction,
+    SeqVector,
+    WeightSchedule,
+    grid_combine,
+    grid_sobolev_norm,
+    seq_norm,
+)
 
 
 def _random_spd(rng, n):
@@ -180,26 +190,50 @@ def _grid_move(p, h, tan):
     return (p[0] + h * tan[0], grid_combine([(1.0, p[1]), (h, tan[1])]))
 
 
+def _combine(terms):
+    """sum(c * v) over codomain values, as the one-value-at-a-time loop
+    formed it: parameters summed from 0, grids on their union window,
+    sequences added in order into zeros and stripped of trailing zeros."""
+    first = terms[0][1]
+    if isinstance(first, tuple):
+        return (sum(c * v[0] for c, v in terms), _combine([(c, v[1]) for c, v in terms]))
+    if isinstance(first, GridFunction):
+        return grid_combine(terms)
+    out = SeqVector(np.zeros(0))
+    for c, v in terms:
+        out = out.add(v.scaled(c))
+    return out
+
+
+def _norm(v, level):
+    if isinstance(v, tuple):
+        return math.hypot(v[0], _norm(v[1], level))
+    if isinstance(v, GridFunction):
+        return grid_sobolev_norm(v, level, WeightSchedule.default().delta(level))
+    return seq_norm(v, level)
+
+
 def _one_point_sweep(handle, one_point, move, point, tangent, level, steps):
     """finite_diff_differential as it was with one map evaluation per signed
-    step, kept to pin the one-call sweep bit for bit."""
+    step and one codomain value per combination, kept to pin the row kernel
+    bit for bit."""
     analytic = handle.diff(point, tangent)
-    scale = max(handle.cod_norm(analytic, level), 1.0)
+    scale = max(_norm(analytic, level), 1.0)
 
     def central(h):
         plus = one_point(move(point, h, tangent))
         minus = one_point(move(point, -h, tangent))
-        return handle.cod_combine([(0.5 / h, plus), (-0.5 / h, minus)])
+        return _combine([(0.5 / h, plus), (-0.5 / h, minus)])
 
     def error(fd):
-        return handle.cod_norm(handle.cod_combine([(1.0, fd), (-1.0, analytic)]), level)
+        return _norm(_combine([(1.0, fd), (-1.0, analytic)]), level)
 
     per_step = []
     centrals = {}
     for h in steps:
         fd = centrals.setdefault(h, central(h))
         fd_half = centrals.setdefault(h / 2.0, central(h / 2.0))
-        rich = handle.cod_combine([(4.0 / 3.0, fd_half), (-1.0 / 3.0, fd)])
+        rich = _combine([(4.0 / 3.0, fd_half), (-1.0 / 3.0, fd)])
         per_step.append((h, min([error(fd), error(rich)]) / scale))
     best_step, mismatch = min(per_step, key=lambda p: p[1])
     order = float("nan")
@@ -218,51 +252,204 @@ SWEEPS = [
 ]
 
 
+def _seq_map(k):
+    if k == "diffeo":
+        return seq_diffeo_handle(), lambda p: (p[0], seq_diffeo(p[0], p[1]))
+    return seq_rho_k_handle(k), lambda p: rho_k_eval(k, p[0], p[1])
+
+
+def _grid_map(name):
+    if name == "s-proj":
+        return s_proj_handle(), lambda p: s_proj(p[0], p[1])
+    return h_family_handle(), lambda p: h_eval(p[0], p[1])
+
+
+def _assert_seq_sweeps_equal(handle, one_point, point, tan):
+    for level, steps in SWEEPS:
+        got = finite_diff_differential(handle, point, tan, level, steps)
+        want = _one_point_sweep(handle, one_point, _seq_move, point, tan, level, steps)
+        assert repr(got) == repr(want)
+
+
+def _origin_direction(rng, spacing=1e-3):
+    """An identity-differential direction: bumps at 0 and +-0.5 on [-2, 2]."""
+    xs = -2.0 + spacing * np.arange(round(4.0 / spacing) + 1)
+    b = make_bump()
+    c = rng.normal(size=3)
+    return GridFunction(-2.0, spacing, c[0] * b(xs) + c[1] * b(xs - 0.5) + c[2] * b(xs + 0.5))
+
+
 class TestOneCallSweep:
     @pytest.mark.parametrize("k", [0, 1, 2, "diffeo"])
     def test_seq_reports_equal_the_one_point_sweep(self, k):
-        if k == "diffeo":
-            handle = seq_diffeo_handle()
-            one_point = lambda p: (p[0], seq_diffeo(p[0], p[1]))
-        else:
-            handle = seq_rho_k_handle(k)
-            one_point = lambda p: rho_k_eval(k, p[0], p[1])
+        handle, one_point = _seq_map(k)
         rng = np.random.default_rng(40)
         # t = 1e-4 and -0.2 put some or all of the sweep at t <= 0
         for t in (-0.2, 1e-4, 0.29, 0.41, 0.7, *rng.uniform(0.05, 0.6, size=5)):
             x = SeqVector(rng.normal(size=int(rng.integers(1, 12))))
             tan = (float(rng.uniform(0.5, 1.5)), SeqVector(rng.normal(size=int(rng.integers(0, 12)))))
             for point in ((float(t), x), (float(t), SeqVector.basis(3))):
-                for level, steps in SWEEPS:
-                    got = finite_diff_differential(handle, point, tan, level, steps)
-                    want = _one_point_sweep(
-                        handle, one_point, _seq_move, point, tan, level, steps
-                    )
-                    assert repr(got) == repr(want)
+                _assert_seq_sweeps_equal(handle, one_point, point, tan)
+
+    @pytest.mark.parametrize("k", [1, 2, 0, "diffeo"])
+    def test_seq_rows_that_end_in_zeros_equal_the_one_point_sweep(self, k):
+        # the rows span the modes up to the larger of x and X; the old loop
+        # stripped trailing zeros from every vector it formed
+        handle, one_point = _seq_map(k)
+        rng = np.random.default_rng(41)
+        interior = [1 / (n + 1) + f * (1 / (n * (n + 1))) for n in range(2, 7) for f in (0.35, 0.6)]
+        cases = []
+        for t in interior[:4]:  # k >= 1: one mode survives in every row
+            cases.append((t, 10, 10, 1.0))
+        for t in (0.29, 0.125, 0.52):  # x shorter than X, and longer
+            cases += [(t, 3, 9, 1.0), (t, 9, 3, 1.0), (t, 9, 3, 0.0)]
+        for t in (0.29, 0.09, 0.41):  # X of dim 0, moving t and not
+            cases += [(t, 8, 0, 1.0), (t, 8, 0, 0.0)]
+        for t in (-0.05, -0.3, 0.0):  # t <= 0 across the sweep, or half of it
+            cases += [(t, 6, 6, 1.3), (t, 9, 2, 0.7)]
+        for t, nx, nX, T in cases:
+            x, X = SeqVector(rng.normal(size=nx)), SeqVector(rng.normal(size=nX))
+            _assert_seq_sweeps_equal(handle, one_point, (t, x), (T, X))
+        # a direction with zeros inside and at the end
+        X = SeqVector(np.where(np.arange(12) % 3 == 1, 0.0, rng.normal(size=12)))
+        _assert_seq_sweeps_equal(handle, one_point, (0.2, SeqVector(rng.normal(size=12))), (1.0, X))
 
     @pytest.mark.parametrize("name", ["s-proj", "h-family"])
     def test_grid_reports_equal_the_one_point_sweep(self, name):
+        handle, one_point = _grid_map(name)
         # the acceptance point: the origin, along a bump and its derivative
         F = grid_combine([(1.0, shifted_bump(0.4, 0)), (0.5, shifted_bump(0.4, 1))])
         point, tan = (0.0, F.zeros_like()), (1.0, F)
-        if name == "s-proj":
-            handle, one_point = s_proj_handle(), lambda p: s_proj(p[0], p[1])
-        else:
-            handle, one_point = h_family_handle(), lambda p: h_eval(p[0], p[1])
         got = finite_diff_differential(handle, point, tan, 0)
         want = _one_point_sweep(handle, one_point, _grid_move, point, tan, 0, DEFAULT_FD_STEPS)
         assert repr(got) == repr(want)
+        # identity-differential's sweeps, at both spacings and three levels
+        rng = np.random.default_rng(42)
+        for spacing in (1e-3, 5e-4):
+            handle = s_proj_handle(spacing) if name == "s-proj" else h_family_handle(None, spacing)
+            F = _origin_direction(rng, spacing)
+            point, tan = (0.0, F.zeros_like()), (float(rng.uniform(0.5, 1.5)), F)
+            for level in (0, 2):
+                got = finite_diff_differential(handle, point, tan, level)
+                want = _one_point_sweep(
+                    handle, one_point, _grid_move, point, tan, level, DEFAULT_FD_STEPS
+                )
+                assert repr(got) == repr(want)
 
-    def test_eval_returns_one_output_per_step_in_order(self):
+    @pytest.mark.parametrize("name", ["s-proj", "h-family"])
+    def test_grid_sweep_where_the_bump_overlaps_f(self, name):
+        # at t = 0.4 with f on b_t's window, every output carries a bump
+        # term.  T = 0 keeps the bumps on f's nodes; a moving t puts them
+        # off those nodes, where pairing raises GridMismatchError.  F lies 1
+        # to the right on the same nodes, so the common window is wider than
+        # f's, F's and b_t's.
+        handle, one_point = _grid_map(name)
+        t, b = 0.4, shifted_bump(0.4, 0)
+        f = grid_combine([(1.0, b), (0.5, shifted_bump(t, 1))])
+        F = GridFunction(f.x0 + 1.0, f.spacing, -0.3 * f.values[::-1])
+        # g vanishes at h = 2^-7, where the output has no bump term and is
+        # narrower than the rows' window
+        g = GridFunction(f.x0 + 1.5, f.spacing, f.values)
+        cases = [
+            ((t, f), (0.0, F), DEFAULT_FD_STEPS),
+            ((t, g), (0.0, g.scaled(-128.0)), (2.0**-7, 2.0**-9)),
+        ]
+        for point, tan, steps in cases:
+            plus, minus = handle.eval(point, tan, [steps[0], -steps[0]]).rows
+            nodes = plus.size - (name == "s-proj")
+            assert nodes > max(point[1].n_nodes, tan[1].n_nodes, b.n_nodes)
+            for level in (0, 1):
+                got = finite_diff_differential(handle, point, tan, level, steps)
+                want = _one_point_sweep(handle, one_point, _grid_move, point, tan, level, steps)
+                assert repr(got) == repr(want)
+                assert got.mismatch < 1e-9
+
+    def test_eval_returns_one_row_per_step_in_order(self):
         point = (0.29, SeqVector(np.arange(1.0, 6.0)))
         tan = (1.0, SeqVector(np.ones(7)))
         hs = [1e-2, -1e-2, 0.0, 0.5, -0.4]
-        outs = list(seq_diffeo_handle().eval(point, tan, hs))
-        assert len(outs) == len(hs)
-        for h, (t, y) in zip(hs, outs):
+        sweep = seq_diffeo_handle().eval(point, tan, hs)
+        rows = list(sweep.rows)
+        assert len(rows) == len(hs)
+        for h, row in zip(hs, rows):
             t_want, y_want = _seq_move(point, h, tan)
-            assert t == t_want
-            assert np.array_equal(y.coeffs, seq_diffeo(t_want, y_want).coeffs)
+            want = seq_diffeo(t_want, y_want)
+            assert row[0] == t_want
+            assert np.array_equal(row[1 : 1 + want.dim], want.coeffs)
+            assert np.array_equal(sweep.row((t_want, want)), row)
+
+    @pytest.mark.parametrize("name", ["s-proj", "h-family"])
+    def test_grid_rows_are_the_one_point_outputs_on_one_window(self, name):
+        handle, one_point = _grid_map(name)
+        t = 0.4
+        f = grid_combine([(1.0, shifted_bump(t, 0)), (0.5, shifted_bump(t, 1))])
+        F = GridFunction(f.x0 + 1.0, f.spacing, -0.3 * f.values[::-1])
+        hs = [1e-2, -1e-2, 3e-4]
+        sweep = handle.eval((t, f), (0.0, F), hs)
+        for h, row in zip(hs, sweep.rows):
+            assert np.array_equal(sweep.row(one_point(_grid_move((t, f), h, (0.0, F)))), row)
+        outside = GridFunction(f.x0 - 1.0, f.spacing, f.values)
+        with pytest.raises(ValueError, match="not inside"):
+            sweep.row((0.0, outside) if name == "s-proj" else outside)
+
+
+class TestSweepStructure:
+    """A finite-difference sweep at the origin works on rows: it combines no
+    grids, and the codomain objects it builds do not grow with the sweep."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = Counter()
+        for cls, key in ((GridFunction, "GridFunction"), (SeqVector, "SeqVector")):
+            def counted(self, _post_init=cls.__post_init__, _key=key):
+                counts[_key] += 1
+                _post_init(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        combine = scale_core.grid_combine
+
+        def counted_combine(*args, **kwargs):
+            counts["grid_combine"] += 1
+            return combine(*args, **kwargs)
+
+        for module in (scale_core, gallery, operator_probe):
+            monkeypatch.setattr(module, "grid_combine", counted_combine)
+        return counts
+
+    @pytest.mark.parametrize("name", ["s-proj", "h-family", "rho-1"])
+    def test_origin_sweep_makes_no_combinations(self, name, counts):
+        rng = np.random.default_rng(43)
+        if name == "rho-1":
+            handle = seq_rho_k_handle(1)
+            point = (0.0, SeqVector(rng.normal(size=10)))
+            tan = (1.0, SeqVector(rng.normal(size=10)))
+        else:
+            handle = _grid_map(name)[0]
+            F = _origin_direction(rng)
+            point, tan = (0.0, F.zeros_like()), (1.0, F)
+        made = []
+        for steps in (DEFAULT_FD_STEPS, DEFAULT_FD_STEPS + tuple(h / 64 for h in DEFAULT_FD_STEPS)):
+            counts.clear()
+            finite_diff_differential(handle, point, tan, 0, steps)
+            made.append(dict(counts))
+        assert made[0].get("grid_combine", 0) == 0
+        assert made[0] == made[1]
+        assert sum(made[0].values()) <= 4
+
+    @pytest.mark.parametrize("name", ["s-proj", "h-family"])
+    def test_grid_sweep_holds_a_few_rows(self, name):
+        # the default sweep reads 28 rows of 8001 nodes; a sweep that kept
+        # every central, or every output, would pass 14 rows' worth
+        spacing = 5e-4
+        handle = s_proj_handle(spacing) if name == "s-proj" else h_family_handle(None, spacing)
+        F = _origin_direction(np.random.default_rng(44), spacing)
+        tracemalloc.start()
+        try:
+            finite_diff_differential(handle, (0.0, F.zeros_like()), (1.0, F), 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 14 * 8 * F.n_nodes
 
 
 class TestDichotomy:

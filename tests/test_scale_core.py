@@ -17,7 +17,10 @@ from sclab.scale_core import (
     grid_combine,
     grid_l2_inner,
     grid_sobolev_inner,
+    grid_row,
     grid_sobolev_norm,
+    grid_sobolev_norms,
+    grid_window,
     seq_inner,
     seq_norm,
     seq_norms,
@@ -264,6 +267,25 @@ class TestSeqModel:
         with pytest.raises(ValueError):
             seq_norms(np.ones(3), 0)
 
+    def test_rows_that_end_in_zeros_are_summed_as_their_seq_vectors(self):
+        # numpy groups a pairwise sum by the row's length, and a SeqVector
+        # drops trailing zeros, so a padded row is summed without them
+        rng = np.random.default_rng(12)
+        moved = 0
+        for trial in range(600):
+            n, pad = int(rng.integers(1, 16)), int(rng.integers(1, 20))
+            head = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4, size=n)
+            if trial % 2:  # three non-zeros, spread out: a derivative row's few modes
+                head[rng.permutation(n)[3:]] = 0.0
+            head[-1] = 1.0 + abs(head[-1])
+            row = np.concatenate([head, np.zeros(pad)])
+            for i in range(3):
+                want = seq_norm(SeqVector(row), i)
+                assert repr(float(seq_norms(row[np.newaxis], i)[0])) == repr(want)
+                w = np.arange(1, row.size + 1, dtype=float) ** (6 * i)
+                moved += math.sqrt(float((w * row * row).sum())) != want
+        assert moved > 0  # the padded plain sum does move
+
     def test_tail_bound_equality_at_single_mode(self):
         for N in (4, 16, 32):
             e = SeqVector.basis(N)
@@ -342,6 +364,53 @@ class TestGridModel:
                 summed = grid_sobolev_norm(f, k, delta)
                 assert quad <= summed * (1 + 1e-12)
                 assert summed <= math.sqrt(k + 1) * quad * (1 + 1e-12)
+
+    def test_sobolev_norms_are_the_one_row_arithmetic_per_row(self):
+        def one_row(vals, x0, h, k, delta):
+            w = np.exp(delta * np.abs(x0 + h * np.arange(vals.size))) if delta != 0.0 else 1.0
+            norm = 0.0
+            for j in range(k + 1):
+                norm += float(np.sqrt(np.trapezoid((w * vals) ** 2, dx=h)))
+                if j < k:
+                    vals = np.gradient(vals, h, edge_order=2)
+            return norm
+
+        rng = np.random.default_rng(13)
+        h = 1e-3
+        stack = rng.normal(size=(4, 301)) * np.sin(np.linspace(0, math.pi, 301))
+        for x0 in (-2.0, 0.5):
+            for k in range(3):
+                for delta in (0.0, 0.1, 0.3):
+                    got = grid_sobolev_norms(stack, k, delta, x0, h).tolist()
+                    want = [one_row(r, x0, h, k, delta) for r in stack]
+                    assert [repr(v) for v in got] == [repr(v) for v in want]
+                    f = GridFunction(x0, h, stack[1])
+                    assert repr(grid_sobolev_norm(f, k, delta)) == repr(want[1])
+
+    def test_sobolev_norms_validate_and_raise_on_overflow(self):
+        with pytest.raises(OverflowError, match=r"delta=0\.1 is not finite on \[-8000\.0, "):
+            grid_sobolev_norms(np.ones((2, 101)), 0, 0.1, -8000.0, 1e-3)
+        with pytest.raises(ValueError):
+            grid_sobolev_norms(np.ones(5), 0, 0.0, 0.0, 1e-3)
+        with pytest.raises(ValueError, match="too few"):
+            grid_sobolev_norms(np.ones((1, 4)), 2, 0.0, 0.0, 1e-3)
+
+    def test_window_and_row_placement(self):
+        h = 1e-3
+        f = GridFunction(0.0, h, np.arange(1.0, 101.0))
+        g = GridFunction(0.05, h, np.ones(100))  # 50 nodes right of f
+        x0, n = grid_window([f, g])
+        assert (x0, n) == (0.0, 150)
+        row = grid_row(g, x0, h, n)
+        assert not row[:50].any() and np.array_equal(row[50:], g.values)
+        both = grid_combine([(1.0, f), (1.0, g)]).values
+        assert np.array_equal(both, grid_row(f, x0, h, n) + row)
+        with pytest.raises(ValueError, match="not inside"):
+            grid_row(g, x0, h, 120)
+        with pytest.raises(GridMismatchError):
+            grid_window([f, GridFunction(0.01005, h, np.ones(10))])
+        with pytest.raises(GridMismatchError):
+            grid_row(f, 0.0005, h, 1000)
 
     def test_sobolev_inner_raises_where_the_weight_overflows(self):
         # 2 delta |x| passes log(max float) = 709.78 on this window at
