@@ -9,6 +9,7 @@ the unit profile, and materialized on a grid only when representable.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Union
@@ -35,8 +36,10 @@ from .scale_core import (
     WeightSchedule,
     grid_combine,
     grid_row,
+    grid_sobolev_norm,
     grid_sobolev_norms,
     grid_window,
+    seq_norm,
     seq_norms,
 )
 
@@ -98,12 +101,19 @@ def s_proj(
     margin: float = DEFAULT_MARGIN,
 ):
     """(t, f - <f, b_t> b_t) for t > 0, identity for t <= 0."""
-    if t <= 0:
-        return (t, f)
-    a = pair_with_bump(f, t, spacing, margin)
-    if a == 0.0:
-        return (t, f)
-    return (t, grid_combine([(1.0, f), (-a, shifted_bump(t, 0, spacing, margin))]))
+    return (t, _add_bump(f, _s_proj_coefficient(t, f, spacing, margin), t, spacing, margin))
+
+
+def _s_proj_coefficient(t: float, f: GridFunction, spacing: float, margin: float) -> float:
+    """The c with s_proj(t, f) = (t, f + c b_t): -<f, b_t> for t > 0, else 0.0."""
+    return -pair_with_bump(f, t, spacing, margin) if t > 0 else 0.0
+
+
+def _add_bump(f: GridFunction, c: float, t: float, spacing: float, margin: float) -> GridFunction:
+    """f + c b_t on the union window, or f itself where c is 0.0."""
+    if c == 0.0:
+        return f
+    return grid_combine([(1.0, f), (c, shifted_bump(t, 0, spacing, margin))])
 
 
 def s_proj_diff(
@@ -295,16 +305,21 @@ def h_eval(
     margin: float = DEFAULT_MARGIN,
 ) -> GridFunction:
     """f - phi_t(<f, b_t>) b_t for t > 0, identity for t <= 0."""
+    return _add_bump(f, _h_coefficient(t, f, phi, spacing, margin), t, spacing, margin)
+
+
+def _h_coefficient(
+    t: float, f: GridFunction, phi: Optional[PhiFamily], spacing: float, margin: float
+) -> float:
+    """The c with h_eval(t, f) = f + c b_t: -phi_t(<f, b_t>) for t > 0, and
+    0.0 for t <= 0 or where phi_t underflows a float."""
     if t <= 0:
-        return f
+        return 0.0
     phi = phi or default_phi_family()
-    a = pair_with_bump(f, t, spacing, margin)
-    val = phi.value(t, LogScalar.from_real(a))
+    val = phi.value(t, LogScalar.from_real(pair_with_bump(f, t, spacing, margin)))
     if val.is_zero or val.logmag < -745.0:
-        return f
-    return grid_combine(
-        [(1.0, f), (-val.to_real(), shifted_bump(t, 0, spacing, margin))]
-    )
+        return 0.0
+    return -val.to_real()
 
 
 def h_diff(
@@ -457,6 +472,7 @@ class Sweep:
     rows: Iterable  # one row per step, in order, read once
     row: Callable  # a codomain value, such as the analytic differential, as a row
     norms: Callable  # (row stack, level) -> the rows' level-i codomain norms, an array
+    norm: Callable  # (codomain value, level) -> its level-i norm on its own window
 
 
 @dataclass(frozen=True)
@@ -485,6 +501,11 @@ def _pair_norms(norms: Callable) -> Callable:
     return pair
 
 
+def _pair_norm(norm: Callable) -> Callable:
+    """The norm of a (parameter, rest) value, as _pair_norms takes a row's."""
+    return lambda value, i: math.hypot(value[0], norm(value[1], i))
+
+
 def _seq_sweep(k: int, with_t: bool, point, tangent, hs) -> Sweep:
     """Rows of rho_k(t + h T, x + h X) for each h in hs, preceded by the
     parameter if with_t, on the modes up to the larger of x and X, from one
@@ -509,7 +530,9 @@ def _seq_sweep(k: int, with_t: bool, point, tangent, hs) -> Sweep:
         out[lead : lead + value.dim] = value.coeffs
         return out
 
-    return Sweep(rows, row, _pair_norms(seq_norms) if with_t else seq_norms)
+    if with_t:
+        return Sweep(rows, row, _pair_norms(seq_norms), _pair_norm(seq_norm))
+    return Sweep(rows, row, seq_norms, seq_norm)
 
 
 def seq_rho_k_handle(k: int) -> ScMapHandle:
@@ -530,27 +553,33 @@ def seq_diffeo_handle() -> ScMapHandle:
     )
 
 
-def _grid_sweep(m: Callable, with_t: bool, margin: float) -> Callable:
-    """eval for a grid map m(t, g) that returns g itself wherever t <= 0 or
-    b_t's window does not reach g's.
+def _grid_sweep(coefficient: Callable, with_t: bool, spacing: float, margin: float) -> Callable:
+    """eval for a grid map that sends (t, g) to g + c b_t, c = coefficient(t, g),
+    where c is 0.0 for t <= 0 and wherever b_t's window does not reach g's.
 
     The rows share one window, the hull of the point's, the tangent's and
-    the outputs'.  Only at the steps where b_t reaches g = f + h F is g built
-    as a grid and the map evaluated; its output is kept until its row is
-    read.  Every other row is g, formed on the window as it is read.
+    the bump terms'.  A first pass finds c at the steps where b_t reaches
+    g = f + h F, the only steps that build g as a grid.  Each row is then
+    formed as it is read, g and then c b_t added in the order the one-point
+    map adds them, so the sweep holds no outputs.
     """
 
     def line(point, tangent, hs) -> Sweep:
         (t, f), (T, F) = point, tangent
         ts = [t + h * T for h in hs]
         x0_g = min(f.x0, F.x0)
-        moved = {
-            j: m(s, grid_combine([(1.0, f), (h, F)]))
-            for j, (h, s) in enumerate(zip(hs, ts))
-            if s > 0 and bump_reaches(x0_g, s, margin)
-        }
+        coefs = {}
+        for j, (h, s) in enumerate(zip(hs, ts)):
+            if s > 0 and bump_reaches(x0_g, s, margin):
+                c = coefficient(s, grid_combine([(1.0, f), (h, F)]))
+                if c != 0.0:
+                    coefs[j] = c
+
+        def bump(j: int) -> GridFunction:
+            return shifted_bump(ts[j], 0, spacing, margin)
+
         dx, lead = f.spacing, int(with_t)
-        x0, n = grid_window([f, F, *moved.values()])
+        x0, n = grid_window(itertools.chain((f, F), map(bump, coefs)))
         f_row, F_row = grid_row(f, x0, dx, n), grid_row(F, x0, dx, n)
         schedule = WeightSchedule.default()
 
@@ -558,11 +587,12 @@ def _grid_sweep(m: Callable, with_t: bool, margin: float) -> Callable:
             for j, (h, s) in enumerate(zip(hs, ts)):
                 out = np.empty(lead + n)
                 out[:lead] = s
-                if j in moved:
-                    out[lead:] = grid_row(moved.pop(j), x0, dx, n)
-                else:
-                    np.multiply(F_row, h, out=out[lead:])
-                    out[lead:] += f_row
+                np.multiply(F_row, h, out=out[lead:])
+                out[lead:] += f_row
+                if j in coefs:
+                    b = bump(j)
+                    lo = lead + round((b.x0 - x0) / dx)
+                    out[lo : lo + b.n_nodes] += coefs[j] * b.values
                 yield out
 
         def row(value) -> np.ndarray:
@@ -575,7 +605,12 @@ def _grid_sweep(m: Callable, with_t: bool, margin: float) -> Callable:
         def norms(stack, i: int) -> np.ndarray:
             return grid_sobolev_norms(stack, i, schedule.delta(i), x0, dx)
 
-        return Sweep(rows(), row, _pair_norms(norms) if with_t else norms)
+        def norm(g: GridFunction, i: int) -> float:
+            return grid_sobolev_norm(g, i, schedule.delta(i))
+
+        if with_t:
+            return Sweep(rows(), row, _pair_norms(norms), _pair_norm(norm))
+        return Sweep(rows(), row, norms, norm)
 
     return line
 
@@ -583,7 +618,9 @@ def _grid_sweep(m: Callable, with_t: bool, margin: float) -> Callable:
 def s_proj_handle(spacing: float = DEFAULT_SPACING, margin: float = DEFAULT_MARGIN) -> ScMapHandle:
     return ScMapHandle(
         name="s-proj",
-        eval=_grid_sweep(lambda t, g: s_proj(t, g, spacing, margin)[1], True, margin),
+        eval=_grid_sweep(
+            lambda t, g: _s_proj_coefficient(t, g, spacing, margin), True, spacing, margin
+        ),
         diff=lambda p, tan: s_proj_diff(p[0], p[1], tan[0], tan[1], spacing, margin),
     )
 
@@ -595,6 +632,8 @@ def h_family_handle(
 ) -> ScMapHandle:
     return ScMapHandle(
         name="h-family",
-        eval=_grid_sweep(lambda t, g: h_eval(t, g, phi, spacing, margin), False, margin),
+        eval=_grid_sweep(
+            lambda t, g: _h_coefficient(t, g, phi, spacing, margin), False, spacing, margin
+        ),
         diff=lambda p, tan: h_diff(p[0], p[1], tan[0], tan[1], phi, spacing, margin),
     )

@@ -153,8 +153,12 @@ def finite_diff_differential(
     # the distinct steps in first-use order, each evaluated at +h and -h
     sweep_hs = list(dict.fromkeys(s for h in steps for s in (h, h / 2.0)))
     sweep = handle.eval(point, tangent, [s for h in sweep_hs for s in (h, -h)])
-    exact = sweep.row(handle.diff(point, tangent))
-    scale = max(float(sweep.norms(exact[np.newaxis], level)[0]), 1.0)
+    analytic = handle.diff(point, tangent)
+    exact = sweep.row(analytic)
+    # the scale is the norm on the analytic value's own window: zeros padded
+    # past a grid's edge would change its trapezoid end weights and gradients
+    scale = max(sweep.norm(analytic, level), 1.0)
+    del analytic  # a grid as wide as a row, which exact stands for from here
 
     # each distinct step's central row, read in sweep order and kept from
     # its first use to its last, so a grid sweep holds a few rows at a time

@@ -11,7 +11,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Sequence, Tuple
+from typing import Callable, Iterable, Tuple
 
 import numpy as np
 
@@ -39,6 +39,7 @@ __all__ = [
 _NEG_INF = float("-inf")
 _FLOAT_MIN = sys.float_info.min  # smallest normal float
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)  # exp overflows above this
+_MAX_GRID_NODES = 10_000_000  # the largest union window grid_window admits
 
 
 class GridMismatchError(ValueError):
@@ -370,17 +371,19 @@ def grid_sobolev_inner(f: GridFunction, g: GridFunction, k: int, delta: float) -
     return total
 
 
-def grid_window(fs: Sequence[GridFunction], max_nodes: int = 10_000_000) -> Tuple[float, int]:
+def grid_window(fs: Iterable[GridFunction]) -> Tuple[float, int]:
     """First node and node count of the union window of grid functions whose
-    nodes line up with those of the first."""
-    if not fs:
+    nodes line up with those of the first, read in one pass."""
+    fs = iter(fs)
+    base = next(fs, None)
+    if base is None:
         raise ValueError("empty union")
-    base = fs[0]
-    for f in fs[1:]:
+    x0, x_end = base.x0, base.x_end
+    for f in fs:
         _node_offset(f, base.x0, base.spacing)
-    x0 = min(f.x0 for f in fs)
-    n = round((max(f.x_end for f in fs) - x0) / base.spacing) + 1
-    if n > max_nodes:
+        x0, x_end = min(x0, f.x0), max(x_end, f.x_end)
+    n = round((x_end - x0) / base.spacing) + 1
+    if n > _MAX_GRID_NODES:
         raise ValueError(f"union grid would need {n} nodes")
     return x0, n
 
@@ -397,12 +400,12 @@ def grid_row(f: GridFunction, x0: float, spacing: float, n: int) -> np.ndarray:
     return out
 
 
-def grid_combine(terms: list, max_nodes: int = 10_000_000) -> GridFunction:
+def grid_combine(terms: list) -> GridFunction:
     """Linear combination sum(c * f) materialized on the union window."""
     terms = [(float(c), f) for c, f in terms]
     if not terms:
         raise ValueError("empty combination")
-    x0, n = grid_window([f for _, f in terms], max_nodes)
+    x0, n = grid_window(f for _, f in terms)
     h = terms[0][1].spacing
     out = np.zeros(n)
     for c, f in terms:

@@ -335,6 +335,20 @@ class TestOneCallSweep:
                     handle, one_point, _grid_move, point, tan, level, DEFAULT_FD_STEPS
                 )
                 assert repr(got) == repr(want)
+        # f spans [-2, 2] and F only [-1, 1], where F is non-zero at both
+        # ends: the scale is F's norm on its own window, where its end nodes
+        # take half trapezoid weights and one-sided gradients
+        f = _origin_direction(rng)
+        xs = -1.0 + 1e-3 * np.arange(2001)
+        F = GridFunction(-1.0, 1e-3, 1.0 + 0.3 * xs + 0.2 * np.sin(3.0 * xs))
+        handle = _grid_map(name)[0]
+        for point, tan in (((0.0, f), (0.7, F)), ((-0.3, f), (0.0, F))):
+            for level in (0, 1):
+                got = finite_diff_differential(handle, point, tan, level)
+                want = _one_point_sweep(
+                    handle, one_point, _grid_move, point, tan, level, DEFAULT_FD_STEPS
+                )
+                assert repr(got) == repr(want)
 
     @pytest.mark.parametrize("name", ["s-proj", "h-family"])
     def test_grid_sweep_where_the_bump_overlaps_f(self, name):
@@ -436,20 +450,29 @@ class TestSweepStructure:
         assert made[0] == made[1]
         assert sum(made[0].values()) <= 4
 
+    @pytest.mark.parametrize("t", [0.0, 0.4])
     @pytest.mark.parametrize("name", ["s-proj", "h-family"])
-    def test_grid_sweep_holds_a_few_rows(self, name):
-        # the default sweep reads 28 rows of 8001 nodes; a sweep that kept
-        # every central, or every output, would pass 14 rows' worth
+    def test_grid_sweep_holds_a_few_rows(self, name, t):
+        # the default sweep reads 28 rows; a sweep that kept every central,
+        # or every output, would pass 14 rows' worth.  At t = 0.4 with f on
+        # b_t's window every output carries a bump term.
         spacing = 5e-4
         handle = s_proj_handle(spacing) if name == "s-proj" else h_family_handle(None, spacing)
-        F = _origin_direction(np.random.default_rng(44), spacing)
+        if t == 0.0:
+            F = _origin_direction(np.random.default_rng(44), spacing)
+            f, T = F.zeros_like(), 1.0
+        else:
+            b = (shifted_bump(t, k, spacing) for k in (0, 1))
+            f = grid_combine([(1.0, next(b)), (0.5, next(b))])
+            F, T = GridFunction(f.x0 + 1.0, spacing, -0.3 * f.values[::-1]), 0.0
+        nodes = round((max(f.x_end, F.x_end) - min(f.x0, F.x0)) / spacing) + 1
         tracemalloc.start()
         try:
-            finite_diff_differential(handle, (0.0, F.zeros_like()), (1.0, F), 0)
+            finite_diff_differential(handle, (t, f), (T, F), 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 14 * 8 * F.n_nodes
+        assert peak < 14 * 8 * nodes
 
 
 class TestDichotomy:
