@@ -278,45 +278,22 @@ def _bump_window(order: int, spacing: float, margin: float) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def _self_pairing_table(order: int, delta: float, spacing: float, margin: float) -> float:
-    """sum over j <= order of the integral of exp(-2 delta u) b^(j)(u)^2 over
-    the window nodes u, as grid_sobolev_inner takes it: np.gradient
-    derivatives of the samples, trapezoid sums added to total = 0.0."""
+def _self_pairing_table(spacing: float, margin: float) -> float:
+    """The trapezoid sum of b(u)^2 over the window nodes u, as
+    grid_sobolev_inner takes it at order 0 and delta = 0."""
     vals = _bump_window(0, spacing, margin)
-    u = -(1.0 + margin) + spacing * np.arange(vals.size)
-    w2 = np.exp(-2.0 * delta * u)  # all ones at delta = 0: the same bits as no weight
-    total = 0.0
-    for j in range(order + 1):
-        total += float(np.trapezoid(w2 * vals * vals, dx=spacing))
-        if j < order:
-            vals = np.gradient(vals, spacing, edge_order=2)
-    return total
+    return float(np.trapezoid(vals * vals, dx=spacing))
 
 
 def bump_self_pairing(
     t: float,
-    order: int = 0,
-    delta: float = 0.0,
     spacing: float = DEFAULT_SPACING,
     margin: float = DEFAULT_MARGIN,
 ) -> float:
-    """grid_sobolev_inner(b, b, order, delta) of b = shifted_bump(t), without
-    sampling b: at delta = 0 a t-independent table entry, bit for bit; else,
-    on a window left of 0 where |x| = exp(1/t) - u, exp(2 delta exp(1/t))
-    times a table entry, equal to rounding.  An overflow of that weight
-    raises OverflowError naming delta, as grid_sobolev_inner does."""
-    shift = shift_amount(t)  # ValueError for t <= 0
-    table = _self_pairing_table(order, delta, spacing, margin)
-    if delta == 0.0:
-        return table
-    if shift <= 1.0 + margin:
-        raise ValueError(f"the bump window at t={t!r} reaches x = 0: |x| is not exp(1/t) - u")
-    value = _safe_exp(2.0 * delta * shift) * table
-    if not math.isfinite(value):
-        raise OverflowError(
-            f"weight exp(2*delta*|x|) with delta={delta!r} overflows on the bump window at t={t!r}"
-        )
-    return value
+    """grid_l2_inner(b, b) of b = shifted_bump(t), bit for bit, without
+    sampling b: a t-independent table entry."""
+    shift_amount(t)  # ValueError for t <= 0
+    return _self_pairing_table(spacing, margin)
 
 
 def pair_with_bump(

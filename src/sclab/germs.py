@@ -5,8 +5,8 @@ differential — plus a pseudo-germ built from the moving-bump projection
 that fails all of it.
 
 Inputs w live in the span of a small list of smooth atoms (grid
-functions); a per-parameter witness coordinate, the escaping bump, is added
-for the map whose bad direction moves with the parameter.
+functions); one witness coordinate along the escaping bump, scaled per
+level, is added for the map whose bad direction moves with the parameter.
 """
 
 from __future__ import annotations
@@ -63,10 +63,10 @@ class DegenerateSampleError(RuntimeError):
 
 
 def _quad(v: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Quadratic forms v @ g @ v of the rows of v (n, m), with one Gram
-    matrix g (m, m) or one per row (n, m, m).  The stacked matmul agrees with
-    the one-row float(v @ g @ v) bit for bit; einsum, vecdot and a summed
-    elementwise product add in another order."""
+    """Quadratic forms v @ g @ v of the rows of v (n, m) with one Gram
+    matrix g (m, m).  The stacked matmul agrees with the one-row
+    float(v @ g @ v) bit for bit; einsum, vecdot and a summed elementwise
+    product add in another order."""
     return (v[:, None, :] @ g @ v[:, :, None])[:, 0, 0]
 
 
@@ -81,9 +81,9 @@ def _scale_norms(v: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def _dots(v: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Row-wise pairings of v (n, m) with one vector p (m,) or one per row
-    (n, m), as the stacked matmul (bit for bit the one-row p @ v)."""
-    return (v[:, None, :] @ p[..., :, None])[:, 0, 0]
+    """Row-wise pairings of v (n, m) with one vector p (m,), as the stacked
+    matmul (bit for bit the one-row p @ v)."""
+    return (v[:, None, :] @ p[:, None])[:, 0, 0]
 
 
 def _worst(values: np.ndarray) -> float:
@@ -93,8 +93,8 @@ def _worst(values: np.ndarray) -> float:
 
 @dataclass
 class GermContext:
-    """Grid atoms spanning the sampled w-subspace at one parameter value,
-    with cached level Gram matrices (read-only arrays)."""
+    """Grid atoms spanning a germ's sampled w-subspace, with cached level
+    Gram matrices (read-only arrays)."""
 
     atoms: Tuple[GridFunction, ...]
     schedule: WeightSchedule
@@ -140,13 +140,13 @@ class GermContext:
 @dataclass
 class _BumpContext(GermContext):
     """A base context's atoms followed by one coordinate along the escaping
-    bump b_c, never sampled on a grid: its window lies left of every atom's,
-    so its Gram row is 0 off the diagonal and bump_self_pairing on it."""
+    bump b_c, scaled per level: at level i it is e_i = s_i b_c with
+    s_i^2 ||b_c||_i^2 = q = <b_c, b_c>.  b_c's window lies left of every
+    atom's, so each Gram matrix is blockdiag(base block, q) at every c, and
+    no grid is sampled.  When delta_0 = 0, s_0 = 1."""
 
     base: Optional[GermContext] = field(default=None, repr=False)
-    c: float = 0.0
-    spacing: float = DEFAULT_SPACING
-    margin: float = DEFAULT_MARGIN
+    q: float = 0.0
 
     @property
     def dim(self) -> int:
@@ -156,48 +156,40 @@ class _BumpContext(GermContext):
         # l2_gram asks for (0, 0.0): the base's L2 block, its gram(0) if delta_0 = 0
         block = self.base.l2_gram() if (order, delta) == (0, 0.0) else self.base.gram(order)
         g = np.pad(block, (0, 1))
-        g[-1, -1] = bump_self_pairing(self.c, order, delta, self.spacing, self.margin)
+        g[-1, -1] = self.q
         g.flags.writeable = False
         return g
 
 
 #: a and B of a germ act on row stacks: parameters c of shape (n,) and
-#: coefficient rows v of shape (n, m), each row over the atoms of its own
-#: context in ctxs; a returns shape (n,) and B shape (n, m).
-RowMap = Callable[[np.ndarray, np.ndarray, Sequence[GermContext]], np.ndarray]
+#: coefficient rows v of shape (n, m) over the germ's context; a returns
+#: shape (n,) and B shape (n, m).
+RowMap = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
 class BasicGerm:
     """A germ (c, w) -> (a(c, w), w - B(c, w)) restricted to the sampled
     atom span; B and a act on row stacks of coefficient vectors over the
-    context atoms (see RowMap)."""
+    coordinates of the germ's one context (see RowMap)."""
 
     name: str
-    context_for: Callable[[float], GermContext]
+    context: GermContext
     a: RowMap
     B: RowMap
     sample_c: Callable[[np.random.Generator, float], Optional[float]]
     contraction_claimed: bool = True
     c_dependent_atoms: bool = False
 
+    def context_for(self, c: float) -> GermContext:
+        """The context at parameter c: the germ's one context, for every c."""
+        return self.context
 
-def germ_eval(
-    germ: BasicGerm, c: float, v: np.ndarray, ctx: Optional[GermContext] = None
-) -> Tuple[float, np.ndarray]:
+
+def germ_eval(germ: BasicGerm, c: float, v: np.ndarray) -> Tuple[float, np.ndarray]:
     """(a(c, w), w - B(c, w)) in coefficient coordinates, at one point."""
-    cs, vs, ctxs = np.array([c]), v[None, :], [ctx or germ.context_for(c)]
-    return float(germ.a(cs, vs, ctxs)[0]), v - germ.B(cs, vs, ctxs)[0]
-
-
-def _over_dims(trials: List[tuple], evaluate: Callable[[List[tuple]], np.ndarray]) -> np.ndarray:
-    """evaluate(group) for the sampled trials grouped by the dimension of
-    their context (a trial's second entry), so that each group stacks into
-    arrays; the results concatenated."""
-    groups: Dict[int, List[tuple]] = {}
-    for trial in trials:
-        groups.setdefault(trial[1].dim, []).append(trial)
-    return np.concatenate([np.empty(0)] + [evaluate(group) for group in groups.values()])
+    cs, vs = np.array([c]), v[None, :]
+    return float(germ.a(cs, vs)[0]), v - germ.B(cs, vs)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -224,18 +216,18 @@ def modulus_with_count(
     if delta <= 0:
         raise ValueError("delta must be positive")
     rng = np.random.default_rng(seed)
+    m = germ.context.dim
     trials = []
     for trial in range(n_samples):
         c = germ.sample_c(rng, delta)
         if c is None:
             continue
-        ctx = germ.context_for(c)
         r1 = 0.999 * delta if trial % 2 == 0 else delta * rng.uniform(0.05, 0.95)
-        n1 = rng.normal(size=ctx.dim)
+        n1 = rng.normal(size=m)
         r2 = delta * rng.uniform(0.05, 0.95)
-        n2, n3 = rng.normal(size=ctx.dim), rng.normal(size=ctx.dim)
-        trials.append((c, ctx, r1, n1, r2, n2, n3))
-    ratios = _over_dims(trials, lambda group: _pair_ratios(germ, level, delta, group))
+        n2, n3 = rng.normal(size=m), rng.normal(size=m)
+        trials.append((c, r1, n1, r2, n2, n3))
+    ratios = _pair_ratios(germ, level, delta, trials) if trials else np.empty(0)
     if ratios.size == 0:
         raise DegenerateSampleError(
             f"no admissible contraction samples for {germ.name} at delta={delta}"
@@ -244,12 +236,11 @@ def modulus_with_count(
 
 
 def _pair_ratios(germ: BasicGerm, level: int, delta: float, trials: List[tuple]) -> np.ndarray:
-    """Contraction ratios of the pairs with a non-zero difference, for
-    trials whose contexts share one dimension.  Each trial pairs w1 (radius
-    r1) with 0, with a w2 of radius r2 and with w1 plus a step of radius
-    1e-3 delta."""
-    c, ctxs, r1, n1, r2, n2, n3 = zip(*trials)
-    g = np.stack([ctx.gram(level) for ctx in ctxs])
+    """Contraction ratios of the pairs with a non-zero difference.  Each
+    trial pairs w1 (radius r1) with 0, with a w2 of radius r2 and with w1
+    plus a step of radius 1e-3 delta."""
+    c, r1, n1, r2, n2, n3 = zip(*trials)
+    g = germ.context.gram(level)
 
     def scaled(v: np.ndarray, radius) -> np.ndarray:
         return v * (radius / _scale_norms(v, g))[:, None]
@@ -267,9 +258,9 @@ def _pair_ratios(germ: BasicGerm, level: int, delta: float, trials: List[tuple])
         wa.append(scaled(witness, r1))
         wb.append(zero)
     k = len(wa)
-    wa, wb, g = np.concatenate(wa), np.concatenate(wb), np.concatenate([g] * k)
+    wa, wb = np.concatenate(wa), np.concatenate(wb)
     denom = _norms(wa - wb, g)
-    b = germ.B(np.array(c * 2 * k), np.concatenate((wa, wb)), ctxs * 2 * k)
+    b = germ.B(np.array(c * 2 * k), np.concatenate((wa, wb)))
     num = _norms(b[: len(wa)] - b[len(wa) :], g)
     admissible = denom != 0.0
     return num[admissible] / denom[admissible]
@@ -417,16 +408,16 @@ def dW_opnorm_probe(
     each atom and one random direction.  The draws are read first, in trial
     order; all differences are then taken as one row stack."""
     rng = np.random.default_rng(seed)
+    m = germ.context.dim
     trials = []
     for trial in range(n_samples):
         c = germ.sample_c(rng, radius)
         if c is None:
             continue
-        ctx = germ.context_for(c)
-        n0 = rng.normal(size=ctx.dim)
+        n0 = rng.normal(size=m)
         r = 0.999 * radius if trial % 2 == 0 else radius * rng.uniform(0.05, 0.95)
-        trials.append((c, ctx, n0, r, rng.normal(size=ctx.dim)))
-    worst = _worst(_over_dims(trials, lambda group: _dW_row_norms(germ, level, group, fd_step)))
+        trials.append((c, n0, r, rng.normal(size=m)))
+    worst = _worst(_dW_row_norms(germ, level, trials, fd_step) if trials else np.empty(0))
     if worst == 0.0 and n_samples > 0:
         # legal (B may vanish identically near 0) but flag impossible c-sampling
         probe_c = germ.sample_c(np.random.default_rng(seed), radius)
@@ -439,21 +430,19 @@ def dW_opnorm_probe(
 
 def _dW_row_norms(germ: BasicGerm, level: int, trials: List[tuple], fd_step: float) -> np.ndarray:
     """Norms of the difference quotients of B at each trial's point w along
-    its unit directions, for trials whose contexts share one dimension."""
-    c, ctxs, n0, r, nd = zip(*trials)
-    m = ctxs[0].dim
-    g = np.stack([ctx.gram(level) for ctx in ctxs])
+    its unit directions."""
+    c, n0, r, nd = zip(*trials)
+    g = germ.context.gram(level)
+    m = len(g)
     n0 = np.array(n0)
     w = (n0 / _scale_norms(n0, g)[:, None]) * np.array(r)[:, None]
     # per trial: the m atom directions, then the random one, each of unit norm
     d = np.concatenate(
         (np.broadcast_to(np.eye(m), (len(c), m, m)), np.array(nd)[:, None, :]), axis=1
     ).reshape(-1, m)
-    g = np.repeat(g, m + 1, axis=0)
     rows_c = np.repeat(c, m + 1)
-    rows_ctx = [ctx for ctx in ctxs for _ in range(m + 1)]
     rows = _central(
-        lambda y: germ.B(np.concatenate((rows_c, rows_c)), y, rows_ctx * 2),
+        lambda y: germ.B(np.concatenate((rows_c, rows_c)), y),
         np.repeat(w, m + 1, axis=0),
         d / _scale_norms(d, g)[:, None],
         fd_step,
@@ -520,25 +509,21 @@ def _da_variation(
     """Largest deviation of the finite-difference gradient of a from its
     value at the origin, over sampled points in the radius ball."""
     rng = np.random.default_rng(seed + 2)
+    m, gram = germ.context.dim, germ.context.gram(level)
 
-    def grad(c: float, v: np.ndarray, ctx: GermContext) -> np.ndarray:
+    def grad(c: float, v: np.ndarray) -> np.ndarray:
         x = np.concatenate(([c], v))
-        ctxs = [ctx] * (2 * x.size)
-        return _central(lambda y: germ.a(y[:, 0], y[:, 1:], ctxs), x, np.eye(x.size), fd_step)
+        return _central(lambda y: germ.a(y[:, 0], y[:, 1:]), x, np.eye(x.size), fd_step)
 
-    ctx0 = germ.context_for(0.0)
-    g0 = grad(0.0, np.zeros(ctx0.dim), ctx0)
+    g0 = grad(0.0, np.zeros(m))
     worst = 0.0
     for _ in range(6):
         c = germ.sample_c(rng, radius)
         if c is None:
             continue
-        ctx = germ.context_for(c)
-        v = rng.normal(size=ctx.dim)
-        v *= 0.5 * radius / _scale_norms(v[None, :], ctx.gram(level))[0]
-        g = grad(c, v, ctx)
-        n = min(g.size, g0.size)
-        worst = max(worst, float(np.linalg.norm(g[:n] - g0[:n])))
+        v = rng.normal(size=m)
+        v *= 0.5 * radius / _scale_norms(v[None, :], gram)[0]
+        worst = max(worst, float(np.linalg.norm(grad(c, v) - g0)))
     return worst
 
 
@@ -578,22 +563,21 @@ def _full_diff_cond(
     germ: BasicGerm,
     c: float,
     v: np.ndarray,
-    ctx: GermContext,
     level: int,
     fd_step: float = 1e-6,
 ) -> float:
     """Condition number of the full differential of (c, w) -> (a, w - B) in
     the metric of level i, with the parameter direction included."""
-    m = ctx.dim
+    m = v.size
     x = np.concatenate(([c], v))
     eye = np.eye(1 + m)
 
     def f_at(y: np.ndarray) -> np.ndarray:
-        cs, vs, ctxs = y[:, 0], y[:, 1:], [ctx] * len(y)
-        return np.column_stack((germ.a(cs, vs, ctxs), vs - germ.B(cs, vs, ctxs)))
+        cs, vs = y[:, 0], y[:, 1:]
+        return np.column_stack((germ.a(cs, vs), vs - germ.B(cs, vs)))
 
     def a_at(y: np.ndarray) -> np.ndarray:
-        return germ.a(y[:, 0], y[:, 1:], [ctx] * len(y))[:, None] * eye[0]
+        return germ.a(y[:, 0], y[:, 1:])[:, None] * eye[0]
 
     # where atoms move with c, probe only the a-component in the c-direction
     c_fun = a_at if germ.c_dependent_atoms else f_at
@@ -601,7 +585,7 @@ def _full_diff_cond(
     cols = np.vstack(
         [_central(c_fun, x, eye[:1], fd_step), _central(f_at, x, eye[1:], fd_step)]
     )
-    g = ctx.gram(level)
+    g = germ.context.gram(level)
     gram = np.block([[np.ones((1, 1)), np.zeros((1, m))], [np.zeros((m, 1)), g]])
     op = OperatorHandle(cols.T, gram, gram, label=f"{germ.name} full differential")
     sv = metric_singular_values(op)
@@ -621,8 +605,8 @@ def openness_probe(
     condition number at sampled points within the radius may not exceed the
     condition number at the origin by more than the given factor."""
     rng = np.random.default_rng(seed)
-    ctx0 = germ.context_for(0.0)
-    cond0 = _full_diff_cond(germ, 0.0, np.zeros(ctx0.dim), ctx0, level)
+    m, g = germ.context.dim, germ.context.gram(level)
+    cond0 = _full_diff_cond(germ, 0.0, np.zeros(m), level)
     rows: List[Tuple[float, float, float]] = [(0.0, 0.0, cond0)]
     worst = cond0
     if germ.c_dependent_atoms:
@@ -630,14 +614,12 @@ def openness_probe(
     else:
         c_values = [0.9 * radius, -0.9 * radius, 0.5 * radius]
     for c in c_values:
-        ctx = germ.context_for(c)
-        g = ctx.gram(level)
         for w_radius in (0.0, 0.5 * radius):
-            v = np.zeros(ctx.dim)
+            v = np.zeros(m)
             if w_radius > 0:
-                v = rng.normal(size=ctx.dim)
+                v = rng.normal(size=m)
                 v *= w_radius / _scale_norms(v[None, :], g)[0]
-            cond = _full_diff_cond(germ, c, v, ctx, level)
+            cond = _full_diff_cond(germ, c, v, level)
             rows.append((c, w_radius, cond))
             worst = max(worst, cond)
     passed = math.isfinite(worst) and worst <= cond_factor * cond0
@@ -665,7 +647,7 @@ def _symmetric_sampler(rng: np.random.Generator, delta: float) -> float:
     return float(rng.uniform(-0.999 * delta, 0.999 * delta))
 
 
-def _a_is_c(c: np.ndarray, v: np.ndarray, ctxs: Sequence[GermContext]) -> np.ndarray:
+def _a_is_c(c: np.ndarray, v: np.ndarray) -> np.ndarray:
     """a(c, w) = c."""
     return c
 
@@ -679,12 +661,12 @@ def make_rank_one_germ(
     pair_vec = ctx.l2_pair_vector(0)
     e_bump = np.eye(ctx.dim)[0]
 
-    def B(c: np.ndarray, v: np.ndarray, _ctxs: Sequence[GermContext]) -> np.ndarray:
+    def B(c: np.ndarray, v: np.ndarray) -> np.ndarray:
         return (c * _dots(v, pair_vec))[:, None] * e_bump
 
     return BasicGerm(
         name="rank-one",
-        context_for=lambda c: ctx,
+        context=ctx,
         a=_a_is_c,
         B=B,
         sample_c=_symmetric_sampler,
@@ -698,12 +680,12 @@ def make_quadratic_germ(
     ctx = _base_context(schedule or WeightSchedule.default(), spacing)
     pair_vec = ctx.l2_pair_vector(0)
 
-    def B(c: np.ndarray, v: np.ndarray, _ctxs: Sequence[GermContext]) -> np.ndarray:
+    def B(c: np.ndarray, v: np.ndarray) -> np.ndarray:
         return _dots(v, pair_vec)[:, None] * v
 
     return BasicGerm(
         name="quadratic",
-        context_for=lambda c: ctx,
+        context=ctx,
         a=_a_is_c,
         B=B,
         sample_c=_symmetric_sampler,
@@ -719,29 +701,24 @@ def make_moving_bump_pseudo_germ(
     for c <= 0): the projection map's correction term.  Not a contraction —
     along the direction b_c the ratio stays near 1 at every radius.
 
-    Each context for c > 0 is the shared base context plus one coordinate
-    along b_c with a closed-form Gram row (_BumpContext), so no c samples a
-    grid.  The row needs b_c's window left of the atoms', that is
-    c < 1/ln(3 + margin) (1/ln 4 by default); the experiments draw c < 0.5."""
+    The germ's one context, for every c, is the shared base context plus one
+    coordinate along b_c, scaled per level to e_i = s_i b_c with
+    s_i^2 ||b_c||_i^2 = q = <b_c, b_c> (_BumpContext).  So no c samples a
+    grid, and B(c, w) = (s_i q v_m) b_c = q v_m e_i at every level.  That
+    needs b_c's window left of the atoms', that is c < 1/ln(3 + margin)
+    (1/ln 4 by default), which B checks; the experiments draw c < 0.5."""
     base_ctx = _base_context(schedule or WeightSchedule.default(), spacing)
+    q = bump_self_pairing(0.5, spacing=spacing, margin=margin)  # the same for every c
+    ctx = _BumpContext(base_ctx.atoms, base_ctx.schedule, base=base_ctx, q=q)
     reach = 1.0 + margin - _ATOM_WINDOW[0]
+    c_max = 1.0 / math.log(reach)
 
-    def context_for(c: float) -> GermContext:
-        if c <= 0.0:
-            return base_ctx
-        if c >= 1.0 / math.log(reach):
-            raise ValueError(f"moving-bump contexts need c < 1/ln({reach:g}), got c={c!r}")
-        return _BumpContext(
-            base_ctx.atoms, base_ctx.schedule, base=base_ctx, c=c, spacing=spacing, margin=margin
-        )
-
-    def B(c: np.ndarray, v: np.ndarray, ctxs: Sequence[GermContext]) -> np.ndarray:
+    def B(c: np.ndarray, v: np.ndarray) -> np.ndarray:
+        if (c >= c_max).any():
+            raise ValueError(f"moving-bump B needs c < 1/ln({reach:g}), got c={float(c.max())!r}")
         out = np.zeros(v.shape)
-        m = v.shape[1]
-        if m > base_ctx.dim:
-            live = c > 0.0
-            pairs = np.stack([ctx.l2_gram()[m - 1] for ctx in ctxs])
-            out[live, -1] = _dots(v[live], pairs[live])
+        live = c > 0.0
+        out[live, -1] = q * v[live, -1]
         return out
 
     def sample_c(rng: np.random.Generator, delta: float) -> Optional[float]:
@@ -755,7 +732,7 @@ def make_moving_bump_pseudo_germ(
 
     return BasicGerm(
         name="moving-bump",
-        context_for=context_for,
+        context=ctx,
         a=_a_is_c,
         B=B,
         sample_c=sample_c,

@@ -1,0 +1,26 @@
+"""The benchmark's workloads (bench/workloads.py) call the germ API by name;
+running the germ-cert verifier on one case here keeps `bench/run.py` in step
+with that API."""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+from sclab.experiments import ExperimentConfig
+
+WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+
+
+def _load_workloads(monkeypatch):
+    spec = importlib.util.spec_from_file_location("sclab_bench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses resolve the module's string annotations through sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_germ_cert_verifier_runs_one_case(monkeypatch):
+    workloads = _load_workloads(monkeypatch)
+    case = workloads.Case(ExperimentConfig(seed=1, germ_level=2), "germ_level=2")
+    assert workloads.WORKLOADS["germ-cert"].verify(case) == 5

@@ -1,5 +1,5 @@
-import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -26,38 +26,42 @@ from sclab.germs import (
     radius_shrink_probes,
     replay_certificate,
 )
-from sclab.scale_core import WeightSchedule, grid_l2_inner
+from sclab.scale_core import WeightSchedule, grid_combine, grid_l2_inner, grid_sobolev_inner
 
 
-def _grid_atoms(ctx):
-    """The coordinates of ctx as grid functions: a moving-bump context's
-    escaping bump b_c is sampled with shifted_bump."""
+def _grid_atoms(ctx, c):
+    """The coordinates of ctx at parameter c > 0 as grid functions: a
+    moving-bump context's escaping bump b_c, unscaled (its L2 coordinate),
+    is sampled with shifted_bump."""
     if ctx.dim == len(ctx.atoms):
         return ctx.atoms
-    return ctx.atoms + (shifted_bump(ctx.c, 0, ctx.spacing, ctx.margin),)
+    return ctx.atoms + (shifted_bump(c, 0, ctx.atoms[0].spacing),)
 
 
-def _pairings(ctx, j):
+def _pairings(ctx, c, j):
     """L2 pairings of every coordinate with coordinate j, one quadrature each."""
-    atoms = _grid_atoms(ctx)
+    atoms = _grid_atoms(ctx, c)
     return np.array([grid_l2_inner(a, atoms[j]) for a in atoms])
 
 
-def _one_vector_B(germ, ctx):
-    """B(c, w) on one coefficient vector over the atoms of ctx, as the germs
-    computed it before they acted on row stacks."""
+def _one_vector_B(germ, c):
+    """B(c, w) on one coefficient vector, as the germs computed it before
+    they acted on row stacks.  The moving bump's B = <w, b_c> b_c is taken in
+    the L2 coordinate of b_c; it maps the bump coordinate v_m to q v_m in any
+    scaling of that coordinate."""
+    ctx = germ.context_for(c)
     m = ctx.dim
     if germ.name == "rank-one":
-        pairs = _pairings(ctx, 0)
+        pairs = _pairings(ctx, c, 0)
         return lambda c, v: c * float(pairs @ v) * np.eye(m)[0]
     if germ.name == "quadratic":
-        pairs = _pairings(ctx, 0)
+        pairs = _pairings(ctx, c, 0)
         return lambda c, v: float(pairs @ v) * v
-    pairs = _pairings(ctx, m - 1)
+    pairs = _pairings(ctx, c, m - 1)
 
     def moving(c, v):
         out = np.zeros(m)
-        if c > 0.0 and m > 4:
+        if c > 0.0:
             out[-1] = float(pairs @ v)
         return out
 
@@ -73,7 +77,7 @@ def _per_sample_modulus(germ, level, delta, n_samples=40, seed=0):
         if c is None:
             continue
         ctx = germ.context_for(c)
-        g, m, B = ctx.gram(level), ctx.dim, _one_vector_B(germ, ctx)
+        g, m, B = ctx.gram(level), ctx.dim, _one_vector_B(germ, c)
 
         def scaled(v, radius):
             return v * (radius / math.sqrt(max(float(v @ g @ v), 1e-300)))
@@ -110,7 +114,7 @@ def _per_sample_dW(germ, level, radius, n_samples=12, seed=1, h=1e-6):
         if c is None:
             continue
         ctx = germ.context_for(c)
-        g, m, B = ctx.gram(level), ctx.dim, _one_vector_B(germ, ctx)
+        g, m, B = ctx.gram(level), ctx.dim, _one_vector_B(germ, c)
 
         def unit(v):
             return v / math.sqrt(max(float(v @ g @ v), 1e-300))
@@ -125,11 +129,11 @@ def _per_sample_dW(germ, level, radius, n_samples=12, seed=1, h=1e-6):
     return worst
 
 
-# the moving bump's weight at levels 1-2 stays finite for c above 0.15
+# the moving bump's radii draw c down to the sampler's floor 0.074
 _RADII = {
     "rank-one": (0.5, 0.2, 0.05, 0.01),
     "quadratic": (0.5, 0.2, 0.05, 0.01),
-    "moving-bump": (0.5, 0.4, 0.35, 0.3),
+    "moving-bump": (0.5, 0.3, 0.2, 0.15),
 }
 
 
@@ -155,39 +159,19 @@ class TestStackedSampling:
                     germ, level, radius, seed=seed
                 )
 
-    def test_trials_of_two_context_dimensions(self):
-        # c <= 0 gives the 4-atom base context, c > 0 a 5-coordinate one:
-        # the trials stack in two groups.  The reference samples b_c on a
-        # grid, so a draw in (0, 0.0725), where it cannot, is mirrored to -c.
-        def sample_c(rng, delta):
-            c = germs._symmetric_sampler(rng, delta)
-            return -c if 0.0 < c < 0.0725 else c
-
-        germ = dataclasses.replace(make_germ("moving-bump"), sample_c=sample_c)
-        for delta in (0.5, 0.3):
-            for seed in range(5):
-                res = modulus_with_count(germ, 0, delta, seed=seed)
-                assert (res.worst_ratio, res.samples) == _per_sample_modulus(
-                    germ, 0, delta, seed=seed
-                )
-                assert dW_opnorm_probe(germ, 0, delta, seed=seed) == _per_sample_dW(
-                    germ, 0, delta, seed=seed
-                )
-
     @pytest.mark.parametrize("gid", GERM_IDS)
     def test_stacked_B_equals_per_row_B(self, gid):
         germ = make_germ(gid)
         rng = np.random.default_rng(3)
         c = rng.uniform(0.1, 0.45, size=30)
         c[:3] = (-0.2, 0.0, -0.0)
-        # rows at c <= 0 over a moving-bump context still map to zero
-        ctxs = [germ.context_for(max(ci, 0.3)) for ci in c]
-        v = rng.normal(size=(30, ctxs[0].dim)) * rng.uniform(1e-3, 10.0, size=(30, 1))
-        stacked = germ.B(c, v, ctxs)
-        per_row = np.stack(
-            [germ.B(c[i : i + 1], v[i : i + 1], ctxs[i : i + 1])[0] for i in range(30)]
+        # rows at c <= 0 map to zero; the reference samples b_c at c >= 0.3
+        v = rng.normal(size=(30, germ.context.dim)) * rng.uniform(1e-3, 10.0, size=(30, 1))
+        stacked = germ.B(c, v)
+        per_row = np.stack([germ.B(c[i : i + 1], v[i : i + 1])[0] for i in range(30)])
+        one_vector = np.stack(
+            [_one_vector_B(germ, max(c[i], 0.3))(c[i], v[i]) for i in range(30)]
         )
-        one_vector = np.stack([_one_vector_B(germ, ctxs[i])(c[i], v[i]) for i in range(30)])
         assert stacked.shape == v.shape
         assert np.array_equal(stacked, per_row)
         assert np.array_equal(stacked, one_vector)
@@ -199,13 +183,14 @@ class TestStackedSampling:
     )
     def test_pairings_are_rows_of_the_l2_gram(self, schedule):
         germ = make_moving_bump_pseudo_germ(schedule)
-        for ctx in (germ.context_for(0.0), germ.context_for(0.2), germ.context_for(0.4)):
+        ctx = germ.context
+        # one row for every c: b_c pairs only with itself, to q at every c
+        for c in (0.2, 0.4):
             for j in range(ctx.dim):
                 pairs = ctx.l2_pair_vector(j)
-                assert np.array_equal(pairs, _pairings(ctx, j))
+                assert np.array_equal(pairs, _pairings(ctx, c, j))
                 assert pairs.flags.c_contiguous and not pairs.flags.writeable
         # only a schedule with delta_0 = 0 shares the level-0 Gram matrix
-        ctx = germ.context_for(0.2)
         assert (ctx.l2_gram() is ctx.gram(0)) == (schedule.delta(0) == 0.0)
 
     def test_replay_recomputes_every_certified_pair(self, monkeypatch):
@@ -239,9 +224,9 @@ class TestGermEval:
         ctx = germ.context_for(0.2)
         rng = np.random.default_rng(0)
         v1, v2 = rng.normal(size=ctx.dim), rng.normal(size=ctx.dim)
-        _, w1 = germ_eval(germ, 0.2, v1, ctx)
-        _, w2 = germ_eval(germ, 0.2, v2, ctx)
-        _, wsum = germ_eval(germ, 0.2, v1 + v2, ctx)
+        _, w1 = germ_eval(germ, 0.2, v1)
+        _, w2 = germ_eval(germ, 0.2, v2)
+        _, wsum = germ_eval(germ, 0.2, v1 + v2)
         assert np.allclose(wsum, w1 + w2, rtol=1e-13)
 
     def test_quadratic_kills_unit_bump(self):
@@ -250,14 +235,13 @@ class TestGermEval:
         germ = make_quadratic_germ()
         ctx = germ.context_for(0.0)
         e_bump = np.eye(ctx.dim)[0]
-        _, w = germ_eval(germ, 0.0, e_bump, ctx)
+        _, w = germ_eval(germ, 0.0, e_bump)
         assert ctx.norm(w, 0) < 1e-8
 
     def test_moving_bump_vanishes_for_nonpositive_c(self):
         germ = make_moving_bump_pseudo_germ()
-        ctx = germ.context_for(-0.5)
-        v = np.ones(ctx.dim)
-        _, w = germ_eval(germ, -0.5, v, ctx)
+        v = np.ones(germ.context.dim)
+        _, w = germ_eval(germ, -0.5, v)
         assert np.allclose(w, v)
 
 
@@ -398,29 +382,69 @@ class TestContexts:
     @pytest.mark.parametrize("spacing", [1e-3, 5e-4])
     @pytest.mark.parametrize("c", [0.1, 0.2, 0.3, 0.5, 0.7])
     def test_moving_bump_gram_matches_the_grid_reference(self, c, spacing):
+        # one context serves every c: its L2 Gram matrix is that of the atoms
+        # and b_c sampled on the grid, and at every level its base block is
+        # the grid's, b_c pairs with no atom and its entry stays q
         ctx = make_moving_bump_pseudo_germ(spacing=spacing).context_for(c)
-        ref = GermContext(_grid_atoms(ctx), ctx.schedule)
+        ref = GermContext(_grid_atoms(ctx, c), ctx.schedule)
         assert ctx.dim == ref.dim == 5
         assert np.array_equal(ctx.l2_gram(), ref.l2_gram())
+        q = ref.l2_gram()[4, 4]
         for level in range(3):
-            if c == 0.1 and level > 0:
-                # the weight exp(2 delta |x|) overflows on the bump's window
-                for context in (ctx, ref):
-                    with pytest.raises(OverflowError, match="delta="):
-                        context.gram(level)
-                continue
-            got, want = ctx.gram(level), ref.gram(level)
+            got = ctx.gram(level)
             assert not got[4, :4].any() and not got[:4, 4].any()
+            assert got[4, 4] == q
+            if c == 0.1 and level > 0:
+                # the unscaled b_c's weight exp(2 delta |x|) overflows on its
+                # window; the scaled coordinate never meets it
+                with pytest.raises(OverflowError, match="delta="):
+                    ref.gram(level)
+                continue
+            want = ref.gram(level)
             if level == 0:
                 assert np.array_equal(got, want)
             else:
-                np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+                np.testing.assert_allclose(got[:4, :4], want[:4, :4], rtol=1e-14, atol=0.0)
+                assert not want[4, :4].any() and not want[:4, 4].any()
+
+    @pytest.mark.parametrize("spacing", [1e-3, 5e-4])
+    @pytest.mark.parametrize("c", [0.3, 0.5])
+    def test_scaled_bump_coordinate_matches_the_grid(self, c, spacing):
+        # w = sum_j v_j a_j + v_m s_i b_c sampled on the grid, in two pieces:
+        # b_c's nodes do not line up with the atoms'.  Its level-i norm is
+        # the root of the Sobolev inner products of the pieces.
+        germ = make_moving_bump_pseudo_germ(spacing=spacing)
+        ctx = germ.context_for(c)
+        b = shifted_bump(c, 0, spacing)
+        q = grid_l2_inner(b, b)
+        rng = np.random.default_rng(11)
+        for level in range(3):
+            delta = ctx.schedule.delta(level)
+            s_i = math.sqrt(q) / math.sqrt(grid_sobolev_inner(b, b, level, delta))
+            if level == 0:
+                assert s_i == 1.0
+            assert ctx.gram(level)[4, 4] == q
+            for _ in range(5):
+                v = rng.normal(size=ctx.dim)
+                pieces = (
+                    grid_combine(list(zip(v[:4], ctx.atoms))),
+                    b.scaled(v[4] * s_i),
+                )
+                want = math.sqrt(
+                    sum(grid_sobolev_inner(f, g, level, delta) for f in pieces for g in pieces)
+                )
+                assert ctx.norm(v, level) == pytest.approx(want, rel=1e-12, abs=0.0)
+                # B(c, w) = <w, b_c> b_c: its bump coordinate times s_i b_c
+                out = germ.B(np.array([c]), v[None, :])[0]
+                pair = sum(grid_l2_inner(f, b) for f in pieces)
+                assert not out[:4].any()
+                assert out[4] * s_i == pytest.approx(pair, rel=1e-12, abs=0.0)
 
     def test_bump_coordinate_samples_no_grid(self, monkeypatch):
         assert not hasattr(germs, "shifted_bump")
-        germ = make_moving_bump_pseudo_germ()
+        base = make_rank_one_germ().context
         for level in range(3):
-            germ.context_for(0.0).gram(level)
+            base.gram(level)
         calls = []
 
         def counted(name, fn):
@@ -434,7 +458,7 @@ class TestContexts:
             for name in ("shifted_bump", "grid_sobolev_inner"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
-        ctx = germ.context_for(0.3)
+        ctx = make_moving_bump_pseudo_germ().context_for(0.3)
         for level in range(3):
             ctx.gram(level)
         ctx.l2_gram()
@@ -443,9 +467,13 @@ class TestContexts:
 
     def test_small_c_needs_no_grid(self):
         germ = make_moving_bump_pseudo_germ()
-        # exp(1/c) overflows at c = 1e-3; the L2 self-pairing does not depend on c
-        g = germ.context_for(1e-3).gram(0)
-        assert g[4, 4] == germ.context_for(0.3).gram(0)[4, 4]
+        # exp(1/c) overflows at c = 1e-3; B maps the bump coordinate to q
+        # times itself there as at c = 0.3
+        e_m = np.eye(germ.context.dim)[-1]
+        _, w_small = germ_eval(germ, 1e-3, e_m)
+        _, w = germ_eval(germ, 0.3, e_m)
+        assert np.array_equal(w_small, w)
+        assert w[-1] == 1.0 - germ.context.gram(0)[4, 4]
         # openness now probes c = 0.05, below the old grid bound 0.0724
         rep = openness_probe(germ, 0, 0.1)
         assert [row[0] for row in rep.rows] == [0.0] + [0.9 * 0.1] * 2 + [0.5 * 0.1] * 2
@@ -453,18 +481,56 @@ class TestContexts:
     @pytest.mark.parametrize("c", [1.0 / math.log(4.0), 0.75, 2.0])
     def test_bump_window_must_lie_left_of_the_atoms(self, c):
         germ = make_moving_bump_pseudo_germ()
+        v = np.ones((2, germ.context.dim))
         with pytest.raises(ValueError, match=r"c < 1/ln\(4\), got c="):
-            germ.context_for(c)
-        assert germ.context_for(0.72).dim == 5
+            germ.B(np.array([0.3, c]), v)
+        with pytest.raises(ValueError, match=r"c < 1/ln\(4\), got c="):
+            germ_eval(germ, c, v[0])
+        assert germ.B(np.array([0.3, 0.72]), v)[:, -1].all()
 
     def test_factories_share_the_base_context(self):
         base = make_rank_one_germ(WeightSchedule.default()).context_for(0.2)
         assert make_quadratic_germ(WeightSchedule.default()).context_for(0.0) is base
         moving = make_moving_bump_pseudo_germ(WeightSchedule.default())
-        assert moving.context_for(-0.1) is base
+        assert moving.context_for(-0.1) is moving.context_for(0.3)
         assert moving.context_for(0.3).base is base
 
     def test_cached_arrays_are_read_only(self):
         ctx = make_moving_bump_pseudo_germ().context_for(0.3)
         for arr in (ctx.gram(0), ctx.base.gram(0), ctx.l2_pair_vector(4), ctx.base.l2_pair_vector(0)):
             assert not arr.flags.writeable
+
+
+class TestMovingBumpLevels:
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    def test_moving_bump_is_flagged_at_every_level(self, level):
+        germ = make_germ("moving-bump")
+        for seed in range(40):
+            cert = certify(germ, level, seed=seed)
+            assert not cert.all_certified
+            assert all(p.delta is None for p in cert.pairs)
+            assert all(p.worst_ratio >= 0.9 for p in cert.pairs)
+
+    def test_certify_builds_no_context(self, monkeypatch):
+        # a fresh schedule, so that no cached Gram matrix serves the run
+        germ = make_moving_bump_pseudo_germ(WeightSchedule((0.0, 0.07, 0.14)))
+        made, built = [], Counter()
+        for cls in (GermContext,) + tuple(GermContext.__subclasses__()):
+            def counted_init(self, *args, _init=cls.__init__, **kwargs):
+                made.append(type(self))
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counted_init)
+        gram = GermContext.gram
+
+        def counted_gram(self, level):
+            if level not in self._grams:
+                built[id(self), level] += 1
+            return gram(self, level)
+
+        monkeypatch.setattr(GermContext, "gram", counted_gram)
+        certify(germ, 2, seed=3)
+        assert made == []
+        # the germ's context and its base block, each once, at level 2 only
+        ctx = germ.context
+        assert built == Counter({(id(ctx), 2): 1, (id(ctx.base), 2): 1})
