@@ -35,6 +35,7 @@ __all__ = [
     "make_smooth_step",
     "shift_amount",
     "shifted_bump",
+    "bump_window",
     "pair_with_bump",
     "bump_reaches",
     "bump_self_pairing",
@@ -258,16 +259,17 @@ def shifted_bump(
             f"exp(1/t) = exp({1.0 / t:.3g}) exceeds the grid policy bound "
             f"{MAX_SHIFT:g}; use the log-domain path"
         )
-    vals = _bump_window(order, spacing, margin)
+    vals = bump_window(order, spacing, margin)
     return GridFunction(x0=-shift_amount(t) - (1.0 + margin), spacing=spacing, values=vals)
 
 
 @functools.lru_cache(maxsize=32)
-def _bump_window(order: int, spacing: float, margin: float) -> np.ndarray:
+def bump_window(order: int, spacing: float, margin: float) -> np.ndarray:
     """Read-only samples of the order-th bump derivative on [-1-margin, 1+margin].
 
-    They do not depend on t, so each (order, spacing, margin) is sampled once;
-    GridFunction copies them, so no caller can write to the cached array.
+    They do not depend on t, so each (order, spacing, margin) is sampled once:
+    shifted_bump places them at -exp(1/t), and the cross-level dichotomy
+    reads them unshifted.  The cached array is read-only.
     """
     bump = make_bump()
     n = round(2 * (1.0 + margin) / spacing) + 1
@@ -281,7 +283,7 @@ def _bump_window(order: int, spacing: float, margin: float) -> np.ndarray:
 def _self_pairing_table(spacing: float, margin: float) -> float:
     """The trapezoid sum of b(u)^2 over the window nodes u, as
     grid_sobolev_inner takes it at order 0 and delta = 0."""
-    vals = _bump_window(0, spacing, margin)
+    vals = bump_window(0, spacing, margin)
     return float(np.trapezoid(vals * vals, dx=spacing))
 
 

@@ -128,6 +128,10 @@ class ExperimentConfig:
             raise ValueError("spacing and margin must be positive")
         if self.weight_step <= 0:
             raise ValueError("weight_step must be positive")
+        if self.dichotomy_delta <= 0:
+            raise ValueError("dichotomy_delta must be positive")
+        if self.tail_delta < 0:
+            raise ValueError("tail_delta must be non-negative")
         if self.truncation_n < 1 or self.levels < 1:
             raise ValueError("truncation and level count must be at least 1")
         if self.seed < 0:
@@ -752,8 +756,9 @@ def _opnorm_dichotomy(cfg: ExperimentConfig) -> List[Check]:
         seed=cfg.seed,
     )
     lower_ok = all(r.l2_lower_bound >= 0.999 for r in rows)
-    sandwich_ok = all(r.weighted_sampled <= r.weighted_upper_bound * (1 + 1e-9) for r in rows)
-    uppers = [r.weighted_upper_bound for r in rows]
+    # sampled <= bound * (1 + 1e-9), in logs
+    sandwich_ok = all(r.log_sampled_over_bound <= math.log1p(1e-9) for r in rows)
+    uppers = [r.log_upper_bound for r in rows]
     # rows follow the configured grid, which runs downward in t
     monotone_ok = all(b < a for a, b in zip(uppers, uppers[1:]))
     return [
@@ -769,7 +774,7 @@ def _opnorm_dichotomy(cfg: ExperimentConfig) -> List[Check]:
             "cross-level sandwich",
             "every sampled weighted ratio sits below the closed-form upper bound",
             "sampled <= closed form",
-            max(r.weighted_sampled - r.weighted_upper_bound for r in rows),
+            max(r.log_sampled_over_bound for r in rows),
             sandwich_ok,
         ),
         _check(

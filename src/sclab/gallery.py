@@ -184,10 +184,7 @@ class BumpSplit:
             raise ValueError("orthogonal part is symbolic; cannot materialize")
         if self.along.is_zero or self.along.logmag < -745.0:
             return self.orth
-        coeff = self.along.to_real()
-        return grid_combine(
-            [(1.0, self.orth), (coeff, shifted_bump(self.t, 0, spacing, margin))]
-        )
+        return _add_bump(self.orth, self.along.to_real(), self.t, spacing, margin)
 
 
 @dataclass(frozen=True)
@@ -216,10 +213,7 @@ def s_tilde_eval(
         return ShearImage(t, TrackedScalar(y, LogScalar.zero()), BumpSplit(t, f, LogScalar.zero()))
     phi = phi_gate(t)
     a = pair_with_bump(f, t, spacing, margin)
-    if a == 0.0:
-        orth = f
-    else:
-        orth = grid_combine([(1.0, f), (-a, shifted_bump(t, 0, spacing, margin))])
+    orth = _add_bump(f, -a, t, spacing, margin)
     return ShearImage(
         t,
         TrackedScalar(y, phi.mul(LogScalar.from_real(a))),
@@ -250,10 +244,7 @@ def s_tilde_inv(
     else:
         a = pair_with_bump(f, t, spacing, margin)
         along = LogScalar.from_real(a)
-        if a == 0.0:
-            orth = f
-        else:
-            orth = grid_combine([(1.0, f), (-a, shifted_bump(t, 0, spacing, margin))])
+        orth = _add_bump(f, -a, t, spacing, margin)
     y_out = along.div(phi)
     # (y phi - <f, b_t>) / phi^2; pair the large terms first so that the
     # exact round-trip cancellation happens before the tiny dust term lands

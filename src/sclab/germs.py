@@ -178,7 +178,6 @@ class BasicGerm:
     a: RowMap
     B: RowMap
     sample_c: Callable[[np.random.Generator, float], Optional[float]]
-    contraction_claimed: bool = True
     c_dependent_atoms: bool = False
 
     def context_for(self, c: float) -> GermContext:
@@ -587,7 +586,7 @@ def _full_diff_cond(
     )
     g = germ.context.gram(level)
     gram = np.block([[np.ones((1, 1)), np.zeros((1, m))], [np.zeros((m, 1)), g]])
-    op = OperatorHandle(cols.T, gram, gram, label=f"{germ.name} full differential")
+    op = OperatorHandle(cols.T, gram, gram)
     sv = metric_singular_values(op)
     if sv[-1] <= 1e-300:
         return float("inf")
@@ -736,7 +735,6 @@ def make_moving_bump_pseudo_germ(
         a=_a_is_c,
         B=B,
         sample_c=sample_c,
-        contraction_claimed=False,
         c_dependent_atoms=True,
     )
 

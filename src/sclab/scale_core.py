@@ -287,11 +287,11 @@ def grid_l2_inner(f: GridFunction, g: GridFunction) -> float:
 
 
 def grid_sobolev_norm(f: GridFunction, k: int, delta: float) -> float:
-    """Weighted Sobolev norm: the sum over j <= k of the exp(delta|x|)-weighted
-    L2 norms of the j-th derivatives, within a factor sqrt(k+1) of the
-    Hilbert norm sqrt(grid_sobolev_inner(f, f, k, delta)).  Raises
-    OverflowError, naming delta and the window, where it is not finite.
-    The one-row case of grid_sobolev_norms."""
+    """Weighted Sobolev norm: the square root of the sum over j <= k of the
+    squared exp(delta|x|)-weighted L2 norms of the j-th derivatives, the
+    Hilbert norm sqrt(grid_sobolev_inner(f, f, k, delta)) up to rounding.
+    Raises OverflowError, naming delta and the window, where it is not
+    finite.  The one-row case of grid_sobolev_norms."""
     return float(grid_sobolev_norms(f.values[np.newaxis], k, delta, f.x0, f.spacing)[0])
 
 
@@ -319,14 +319,14 @@ def grid_sobolev_norms(
     with np.errstate(over="ignore", invalid="ignore"):
         w = np.exp(delta * np.abs(x0 + spacing * np.arange(n))) if delta != 0.0 else None
         for r, vals in enumerate(rows):
-            norm = 0.0
+            square = 0.0
             for j in range(k + 1):
                 # a weight of 1.0 would multiply exactly; skip the pass
                 wv = vals if w is None else w * vals
-                norm += float(np.sqrt(np.trapezoid(wv**2, dx=spacing)))
+                square += float(np.trapezoid(wv**2, dx=spacing))
                 if j < k:
                     vals = np.gradient(vals, spacing, edge_order=2)
-            out[r] = norm
+            out[r] = math.sqrt(square)
     if not np.isfinite(out).all():
         window = _window(x0, spacing, slice(0, n))
         raise OverflowError(f"weighted Sobolev norm with delta={delta!r} is not finite on {window}")

@@ -334,9 +334,9 @@ def test_criterion_09_opnorm_dichotomy():
         if by_t[t].l2_lower_bound < 0.999:
             failures.append(f"same-level witness below 0.999 at t={t}")
         row = by_t[t]
-        if row.weighted_sampled > row.weighted_upper_bound * (1 + 1e-9):
+        if row.log_sampled_over_bound > math.log1p(1e-9):
             failures.append(f"sampled cross-level value above the bound at t={t}")
-    uppers = [r.weighted_upper_bound for r in rows]
+    uppers = [r.log_upper_bound for r in rows]
     if not all(b < a for a, b in zip(uppers, uppers[1:])):
         failures.append("cross-level upper bound is not strictly decreasing")
     _verdict(
@@ -344,7 +344,7 @@ def test_criterion_09_opnorm_dichotomy():
         "operator-norm dichotomy",
         failures,
         f"lower {min(by_t[t].l2_lower_bound for t in (0.3, 0.35, 0.4)):.6f}, "
-        f"uppers {['%.2e' % u for u in uppers]}",
+        f"log uppers {['%.2f' % u for u in uppers]}",
     )
 
 

@@ -10,12 +10,12 @@ from sclab.bump_profiles import (
     K_MAX,
     ConvergenceError,
     RepresentabilityError,
-    _bump_window,
     _logsumexp,
     _pair_tail_log,
     _refined_trapezoid,
     bump_reaches,
     bump_self_pairing,
+    bump_window,
     log_limit_probe,
     make_bump,
     make_smooth_step,
@@ -396,7 +396,7 @@ class TestShiftedBump:
         assert not np.shares_memory(a.values, b.values)
 
     def test_cached_window_is_read_only(self):
-        w = _bump_window(2, DEFAULT_SPACING, DEFAULT_MARGIN)
+        w = bump_window(2, DEFAULT_SPACING, DEFAULT_MARGIN)
         assert not w.flags.writeable
         with pytest.raises(ValueError):
             w[0] = 1.0

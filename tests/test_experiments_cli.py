@@ -67,6 +67,9 @@ class TestConfig:
             {"seed": -1},
             {"spacing": "x"},
             {"germ_level": 9},
+            {"dichotomy_delta": -0.1},
+            {"dichotomy_delta": 0.0},
+            {"tail_delta": -0.1},
         ],
     )
     def test_rejects_input_that_used_to_crash_an_experiment(self, bad):
@@ -77,6 +80,7 @@ class TestConfig:
         # t < 1/ln(1e6) stays a valid input; the experiment reports it
         assert ExperimentConfig(seed=2**31).seed == 2**31
         assert ExperimentConfig(dichotomy_t_grid=[0.05]).dichotomy_t_grid == [0.05]
+        assert ExperimentConfig(tail_delta=0.0).tail_delta == 0.0
 
     def test_from_file_with_override(self, tmp_path):
         p = tmp_path / "cfg.json"
@@ -189,8 +193,6 @@ class TestExperimentErrors:
         [
             ("inverse-blowup", {"blowup_t_grid": [0.03]}, "ValueError"),
             ("transversality-witness", {"branching_t_grid": [0.02]}, "OverflowError"),
-            ("opnorm-dichotomy", {"dichotomy_t_grid": [0.05]}, "RepresentabilityError"),
-            ("opnorm-dichotomy", {"dichotomy_t_grid": [0.12]}, "OverflowError"),
         ],
     )
     def test_exception_becomes_one_failing_error_check(self, eid, override, exc_type):
@@ -199,6 +201,24 @@ class TestExperimentErrors:
         assert [c.name for c in report.checks] == ["error"]
         assert report.checks[0].measured.startswith(exc_type + ": ")
         assert not report.checks[0].passed
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "grid", [[0.12], [0.05], [0.01, 0.002], [0.12, 0.1, 0.05, 0.01, 0.002]]
+    )
+    def test_dichotomy_passes_below_the_grid_range(self, grid, seed):
+        # the shifted grids of t <= 0.12 overflowed or were not representable
+        report = run("opnorm-dichotomy", ExperimentConfig(seed=seed, dichotomy_t_grid=grid))
+        assert report.passed, [(c.name, c.measured) for c in report.checks]
+        sandwich = next(c for c in report.checks if c.name == "cross-level sandwich")
+        assert -math.inf < float(sandwich.measured) < 0.0
+
+    def test_dichotomy_bound_past_float_range_fails_its_check(self):
+        # exp(1/t) overflows below t ~ 0.00141: the log bound is -inf twice,
+        # which is not a strict decrease, and no exception is raised
+        report = run("opnorm-dichotomy", ExperimentConfig(dichotomy_t_grid=[0.0013, 0.001]))
+        failed = [c.name for c in report.checks if not c.passed]
+        assert failed == ["upper bound decreasing"]
 
     def test_unsettled_quadrature_becomes_failing_error_check(self, monkeypatch):
         def never_settles(xs):
@@ -349,14 +369,23 @@ class TestCli:
             cli.main(["run", "bogus"])
         assert exc.value.code == 2
 
-    def test_config_error_exits_two_with_one_line(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "eid, bad",
+        [
+            ("germ-openness", {"germ_level": 9}),
+            ("opnorm-dichotomy", {"dichotomy_delta": -0.1}),
+            ("opnorm-dichotomy", {"dichotomy_delta": 0}),
+            ("inverse-blowup", {"tail_delta": -0.1}),
+        ],
+    )
+    def test_config_error_exits_two_with_one_line(self, tmp_path, capsys, eid, bad):
         p = tmp_path / "cfg.json"
-        p.write_text(json.dumps({"germ_level": 9}))
-        assert cli.main(["run", "germ-openness", "--config", str(p)]) == 2
+        p.write_text(json.dumps(bad))
+        assert cli.main(["run", eid, "--config", str(p)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
-        assert "germ_level" in captured.err
+        assert next(iter(bad)) in captured.err
 
     def test_seed_flag_is_validated(self, capsys):
         assert cli.main(["run", "seq-discontinuity", "--seed", "-1"]) == 2

@@ -180,6 +180,21 @@ class TestGatedShear:
             assert pre.y.logmag > prev
             prev = pre.y.logmag
 
+    def test_bump_terms_are_one_combination(self):
+        # f - <f, b_t> b_t and orth + c b_t, each one grid_combine of f and b_t
+        t = 0.4
+        f, b = _test_input(t), shifted_bump(t, 0)
+        orth = grid_combine([(1.0, f), (-pair_with_bump(f, t), b)])
+        for got in (s_tilde_eval(t, 0.8, f).f, s_tilde_inv(t, 0.8, f).f):
+            assert (got.orth.x0, got.orth.values.tolist()) == (orth.x0, orth.values.tolist())
+        split = s_tilde_eval(t, 0.8, f).f
+        want = grid_combine([(1.0, orth), (split.along.to_real(), b)])
+        got = split.materialize()
+        assert (got.x0, got.values.tolist()) == (want.x0, want.values.tolist())
+        far = GridFunction(5.0, 1e-3, np.ones(11))
+        assert s_tilde_eval(t, 0.8, far).f.orth is far
+        assert s_tilde_inv(t, 0.8, far).f.orth is far
+
     def test_identity_below_zero(self):
         f = _test_input(0.4)
         img = s_tilde_eval(-0.2, 0.7, f)

@@ -5,8 +5,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from sclab import gallery, operator_probe, scale_core
-from sclab.bump_profiles import K_MAX, make_bump, shifted_bump
+from sclab import bump_profiles, gallery, operator_probe, scale_core
+from sclab.bump_profiles import K_MAX, make_bump, phi_gate, shifted_bump
 from sclab.gallery import (
     h_eval,
     h_family_handle,
@@ -29,9 +29,11 @@ from sclab.operator_probe import (
 )
 from sclab.scale_core import (
     GridFunction,
+    LogScalar,
     SeqVector,
     WeightSchedule,
     grid_combine,
+    grid_l2_inner,
     grid_sobolev_norm,
     seq_norm,
 )
@@ -426,7 +428,8 @@ class TestSweepStructure:
             counts["grid_combine"] += 1
             return combine(*args, **kwargs)
 
-        for module in (scale_core, gallery, operator_probe):
+        # operator_probe binds no grid builder (TestDichotomy checks it)
+        for module in (scale_core, gallery):
             monkeypatch.setattr(module, "grid_combine", counted_combine)
         return counts
 
@@ -475,24 +478,104 @@ class TestSweepStructure:
         assert peak < 14 * 8 * nodes
 
 
+def _grid_route(ts, delta, spacing, seed, margin=1.0):
+    """The cross-level sandwich on grids at -exp(1/t), from the same draws as
+    opnorm_dichotomy: per t, the logs of the bound and of the worst sampled
+    ratio over it, and each sample's log norm on the shifted grid next to
+    the translation identity's value from the same samples at the unshifted
+    window ending at 0."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for t in ts:
+        slope = LogScalar.one().add(phi_gate(t).neg()).to_real()
+        b = shifted_bump(t, 0, spacing, margin)
+        upper = abs(slope) * math.exp(-delta * (math.exp(1.0 / t) - 1.0))
+        worst, norms = 0.0, []
+        for _ in range(8):
+            coeffs = rng.normal(size=3)
+            f = grid_combine([(coeffs[k], shifted_bump(t, k, spacing, margin)) for k in range(3)])
+            nf = grid_sobolev_norm(f, 1, delta)
+            img = b.scaled(slope * grid_l2_inner(f, b))
+            worst = max(worst, grid_sobolev_norm(img, 0, 0.0) / nf)
+            unshifted = GridFunction(-2.0 * (1.0 + margin), spacing, f.values)
+            closed = delta * (math.exp(1.0 / t) - 1.0 - margin)
+            norms.append((math.log(nf), closed + math.log(grid_sobolev_norm(unshifted, 1, delta))))
+        out.append((math.log(upper), math.log(worst / upper), norms))
+    return out
+
+
 class TestDichotomy:
     def test_known_bound_at_t_04(self):
         rows = opnorm_dichotomy([0.4], delta=0.1)
         row = rows[0]
         shift = math.exp(1.0 / 0.4)
-        assert row.weighted_upper_bound == pytest.approx(
+        assert math.exp(row.log_upper_bound) == pytest.approx(
             math.exp(-0.1 * (shift - 1.0)), rel=1e-6
         )
         assert row.l2_lower_bound > 0.999
 
     def test_same_level_stays_unit_while_cross_level_decays(self):
         rows = opnorm_dichotomy([0.4, 0.35, 0.3, 0.25], delta=0.1)
-        uppers = [r.weighted_upper_bound for r in rows]
+        uppers = [r.log_upper_bound for r in rows]
         assert all(b < a for a, b in zip(uppers, uppers[1:]))
         for r in rows:
             assert r.l2_lower_bound > 0.999
-            assert r.weighted_sampled <= r.weighted_upper_bound * (1 + 1e-9)
+            assert r.log_sampled_over_bound <= math.log1p(1e-9)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("spacing", [1e-3, 5e-4])
+    def test_closed_route_matches_the_shifted_grids(self, spacing, seed):
+        # at t = 5 and 2 the shifted window reaches past 0, where f vanishes
+        ts = [5.0, 2.0, 1.0, 0.4, 0.3, 0.2, 0.13]
+        rows = opnorm_dichotomy(ts, 0.1, spacing, seed=seed)
+        for row, (log_upper, log_ratio, norms) in zip(rows, _grid_route(ts, 0.1, spacing, seed)):
+            assert row.log_upper_bound == pytest.approx(log_upper, rel=1e-12, abs=0.0)
+            assert row.log_sampled_over_bound == pytest.approx(log_ratio, rel=1e-12, abs=0.0)
+            for on_grid, closed in norms:
+                assert closed == pytest.approx(on_grid, rel=1e-12, abs=0.0)
+
+    def test_keeps_the_l2_witness_bits(self):
+        # the same-level field is |c_t| <b_t, b_t> on the shifted grid
+        for t in (0.4, 0.13):
+            slope = LogScalar.one().add(phi_gate(t).neg()).to_real()
+            b = shifted_bump(t)
+            (row,) = opnorm_dichotomy([t], 0.1)
+            assert row.l2_lower_bound == abs(slope) * grid_l2_inner(b, b)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_small_t_rows_are_finite_and_ordered(self, seed):
+        rows = opnorm_dichotomy([0.12, 0.1, 0.05, 0.01, 0.002], 0.1, seed=seed)
+        uppers = [r.log_upper_bound for r in rows]
+        assert all(math.isfinite(u) for u in uppers)
+        assert all(b < a for a, b in zip(uppers, uppers[1:]))
+        for r in rows:
+            assert math.isfinite(r.log_sampled_over_bound)
+            assert r.log_sampled_over_bound < 0.0
+            assert r.l2_lower_bound > 0.999
+
+    def test_bound_is_minus_inf_past_the_float_range_of_the_shift(self):
+        # exp(1/t) overflows below t ~ 0.00141; the sampled ratio needs no shift
+        rows = opnorm_dichotomy([0.002, 0.001], 0.1)
+        assert math.isfinite(rows[0].log_upper_bound)
+        assert rows[1].log_upper_bound == -math.inf
+        assert math.isfinite(rows[1].log_sampled_over_bound)
+
+    def test_builds_no_shifted_grid(self, monkeypatch):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("the dichotomy built a grid")
+
+        for name in ("shifted_bump", "grid_combine", "grid_l2_inner", "grid_sobolev_norm"):
+            assert not hasattr(operator_probe, name)
+        monkeypatch.setattr(bump_profiles, "shifted_bump", no_grid)
+        monkeypatch.setattr(scale_core, "grid_combine", no_grid)
+        rows = opnorm_dichotomy([0.4, 0.002], 0.1)
+        assert [r.t for r in rows] == [0.4, 0.002]
 
     def test_rejects_nonpositive_t(self):
         with pytest.raises(ValueError):
             opnorm_dichotomy([0.4, 0.0], delta=0.1)
+
+    @pytest.mark.parametrize("delta", [0.0, -0.1])
+    def test_rejects_nonpositive_delta(self, delta):
+        with pytest.raises(ValueError, match="delta > 0"):
+            opnorm_dichotomy([0.4], delta=delta)
