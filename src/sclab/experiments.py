@@ -834,11 +834,11 @@ def _germ_continuity(cfg: ExperimentConfig) -> List[Check]:
         )
     pseudo = make_germ("moving-bump", schedule)
     moduli = [
-        contraction_modulus(pseudo, 0, r, seed=cfg.seed)
+        contraction_modulus(pseudo, cfg.germ_level, r, seed=cfg.seed)
         for r in (0.5, 0.4, 0.3, 0.2, 0.15)
     ]
     flagged = all(m >= 0.9 for m in moduli)
-    cert = certify(pseudo, 0, seed=cfg.seed)
+    cert = certify(pseudo, cfg.germ_level, seed=cfg.seed)
     checks.append(
         _check(
             "moving-bump: non-contraction flag",
@@ -877,7 +877,7 @@ def _germ_openness(cfg: ExperimentConfig) -> List[Check]:
     pseudo = make_germ("moving-bump", schedule)
     fails = []
     for radius in (0.3, 0.2, 0.15):
-        rep = openness_probe(pseudo, 0, radius, seed=cfg.seed)
+        rep = openness_probe(pseudo, cfg.germ_level, radius, seed=cfg.seed)
         fails.append(not rep.passed)
     checks.append(
         _check(

@@ -57,6 +57,16 @@ __all__ = [
 
 _ATOM_WINDOW = (-2.0, 2.0)
 
+#: central-difference step of the differential probes
+_FD_STEP = 1e-6
+
+#: absolute slack of the factor-two law ||D_w B|| <= 2 epsilon
+_LAW_SLACK = 1e-8
+
+#: how far the openness probe lets the condition number grow over its value
+#: at the origin
+_COND_FACTOR = 2.0
+
 
 class DegenerateSampleError(RuntimeError):
     """All sampled pairs were degenerate (zero difference or no valid c)."""
@@ -75,9 +85,10 @@ def _norms(v: np.ndarray, g: np.ndarray) -> np.ndarray:
     return np.sqrt(np.fmax(0.0, _quad(v, g)))
 
 
-def _scale_norms(v: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Row norms floored at sqrt(1e-300), the divisors that rescale samples."""
-    return np.sqrt(np.maximum(_quad(v, g), 1e-300))
+def _scaled(v: np.ndarray, radius, g: np.ndarray) -> np.ndarray:
+    """The rows of v rescaled to the given norms (one radius, or one per
+    row), each norm floored at sqrt(1e-300)."""
+    return v * (radius / np.sqrt(np.maximum(_quad(v, g), 1e-300)))[:, None]
 
 
 def _dots(v: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -177,7 +188,9 @@ class BasicGerm:
     context: GermContext
     a: RowMap
     B: RowMap
-    sample_c: Callable[[np.random.Generator, float], Optional[float]]
+    #: sample_c(rng, delta, n): n parameters as one (n,) array, or None
+    #: when delta admits no c
+    sample_c: Callable[[np.random.Generator, float, int], Optional[np.ndarray]]
     c_dependent_atoms: bool = False
 
     def context_for(self, c: float) -> GermContext:
@@ -209,60 +222,53 @@ def modulus_with_count(
     seed: int = 0,
 ) -> ModulusResult:
     """Worst sampled ratio ||B(c,w1) - B(c,w2)||_i / ||w1 - w2||_i over
-    |c|, ||w1||_i, ||w2||_i < delta, with the sample count.  Deterministic
-    given the seed: every trial's draws are read first, in trial order, and
-    then all pairs are evaluated as row stacks."""
+    |c|, ||w1||_i, ||w2||_i < delta, with the sample count.  Each trial
+    pairs w1 (radius r1) with 0, with a w2 of radius r2 and with w1 plus a
+    step of radius 1e-3 delta; where the atoms move with c, also the witness
+    coordinate (radius r1) with 0.
+
+    Deterministic given the seed.  The draws are one generator call per
+    kind, in this order: the n parameters c, n uniforms for r1 (r1 is
+    0.999 delta at even trials), the (3, n, m) normals of w1, w2 and the
+    step, and n uniforms for r2.  All pairs are then evaluated as one row
+    stack."""
     if delta <= 0:
         raise ValueError("delta must be positive")
     rng = np.random.default_rng(seed)
-    m = germ.context.dim
-    trials = []
-    for trial in range(n_samples):
-        c = germ.sample_c(rng, delta)
-        if c is None:
-            continue
-        r1 = 0.999 * delta if trial % 2 == 0 else delta * rng.uniform(0.05, 0.95)
-        n1 = rng.normal(size=m)
-        r2 = delta * rng.uniform(0.05, 0.95)
-        n2, n3 = rng.normal(size=m), rng.normal(size=m)
-        trials.append((c, r1, n1, r2, n2, n3))
-    ratios = _pair_ratios(germ, level, delta, trials) if trials else np.empty(0)
-    if ratios.size == 0:
+    c = germ.sample_c(rng, delta, n_samples)
+    if c is None:
         raise DegenerateSampleError(
-            f"no admissible contraction samples for {germ.name} at delta={delta}"
+            f"no admissible parameter values for {germ.name} at delta={delta}"
         )
-    return ModulusResult(_worst(ratios), ratios.size)
-
-
-def _pair_ratios(germ: BasicGerm, level: int, delta: float, trials: List[tuple]) -> np.ndarray:
-    """Contraction ratios of the pairs with a non-zero difference.  Each
-    trial pairs w1 (radius r1) with 0, with a w2 of radius r2 and with w1
-    plus a step of radius 1e-3 delta."""
-    c, r1, n1, r2, n2, n3 = zip(*trials)
     g = germ.context.gram(level)
+    r1 = delta * rng.uniform(0.05, 0.95, n_samples)
+    r1[::2] = 0.999 * delta
+    n1, n2, n3 = rng.normal(size=(3, n_samples, len(g)))
+    r2 = delta * rng.uniform(0.05, 0.95, n_samples)
 
-    def scaled(v: np.ndarray, radius) -> np.ndarray:
-        return v * (radius / _scale_norms(v, g))[:, None]
-
-    r1 = np.array(r1)
-    w1 = scaled(np.array(n1), r1)
+    w1 = _scaled(n1, r1, g)
     zero = np.zeros_like(w1)
     wa = [w1, w1, w1]
-    wb = [zero, scaled(np.array(n2), np.array(r2)), w1 + scaled(np.array(n3), 1e-3 * delta)]
+    wb = [zero, _scaled(n2, r2, g), w1 + _scaled(n3, 1e-3 * delta, g)]
     if germ.c_dependent_atoms:
         # the bad direction moves with c and random draws can miss it:
         # also sample the witness atom itself
         witness = zero.copy()
         witness[:, -1] = 1.0
-        wa.append(scaled(witness, r1))
+        wa.append(_scaled(witness, r1, g))
         wb.append(zero)
     k = len(wa)
     wa, wb = np.concatenate(wa), np.concatenate(wb)
     denom = _norms(wa - wb, g)
-    b = germ.B(np.array(c * 2 * k), np.concatenate((wa, wb)))
+    b = germ.B(np.tile(c, 2 * k), np.concatenate((wa, wb)))
     num = _norms(b[: len(wa)] - b[len(wa) :], g)
     admissible = denom != 0.0
-    return num[admissible] / denom[admissible]
+    ratios = num[admissible] / denom[admissible]
+    if ratios.size == 0:
+        raise DegenerateSampleError(
+            f"no admissible contraction samples for {germ.name} at delta={delta}"
+        )
+    return ModulusResult(_worst(ratios), ratios.size)
 
 
 def contraction_modulus(
@@ -400,53 +406,36 @@ def dW_opnorm_probe(
     radius: float,
     n_samples: int = 12,
     seed: int = 1,
-    fd_step: float = 1e-6,
 ) -> float:
     """Sampled operator norm of the w-partial differential of B over base
     points with |c|, ||w||_i < radius, by central finite differences along
-    each atom and one random direction.  The draws are read first, in trial
-    order; all differences are then taken as one row stack."""
+    each atom and one random direction, all taken as one row stack.  The
+    draws are one generator call per kind, in this order: the n parameters
+    c, n uniforms for the radius r of w (0.999 radius at even trials) and
+    the (2, n, m) normals of w and of the random direction."""
     rng = np.random.default_rng(seed)
-    m = germ.context.dim
-    trials = []
-    for trial in range(n_samples):
-        c = germ.sample_c(rng, radius)
-        if c is None:
-            continue
-        n0 = rng.normal(size=m)
-        r = 0.999 * radius if trial % 2 == 0 else radius * rng.uniform(0.05, 0.95)
-        trials.append((c, n0, r, rng.normal(size=m)))
-    worst = _worst(_dW_row_norms(germ, level, trials, fd_step) if trials else np.empty(0))
-    if worst == 0.0 and n_samples > 0:
-        # legal (B may vanish identically near 0) but flag impossible c-sampling
-        probe_c = germ.sample_c(np.random.default_rng(seed), radius)
-        if probe_c is None:
-            raise DegenerateSampleError(
-                f"no admissible parameter values for {germ.name} at radius={radius}"
-            )
-    return worst
-
-
-def _dW_row_norms(germ: BasicGerm, level: int, trials: List[tuple], fd_step: float) -> np.ndarray:
-    """Norms of the difference quotients of B at each trial's point w along
-    its unit directions."""
-    c, n0, r, nd = zip(*trials)
+    c = germ.sample_c(rng, radius, n_samples)
+    if c is None:
+        raise DegenerateSampleError(
+            f"no admissible parameter values for {germ.name} at radius={radius}"
+        )
     g = germ.context.gram(level)
     m = len(g)
-    n0 = np.array(n0)
-    w = (n0 / _scale_norms(n0, g)[:, None]) * np.array(r)[:, None]
+    r = radius * rng.uniform(0.05, 0.95, n_samples)
+    r[::2] = 0.999 * radius
+    n0, nd = rng.normal(size=(2, n_samples, m))
     # per trial: the m atom directions, then the random one, each of unit norm
     d = np.concatenate(
-        (np.broadcast_to(np.eye(m), (len(c), m, m)), np.array(nd)[:, None, :]), axis=1
+        (np.broadcast_to(np.eye(m), (n_samples, m, m)), nd[:, None, :]), axis=1
     ).reshape(-1, m)
     rows_c = np.repeat(c, m + 1)
     rows = _central(
         lambda y: germ.B(np.concatenate((rows_c, rows_c)), y),
-        np.repeat(w, m + 1, axis=0),
-        d / _scale_norms(d, g)[:, None],
-        fd_step,
+        np.repeat(_scaled(n0, r, g), m + 1, axis=0),
+        _scaled(d, 1.0, g),
+        _FD_STEP,
     )
-    return _norms(rows, g)
+    return _worst(_norms(rows, g))
 
 
 @dataclass(frozen=True)
@@ -463,7 +452,6 @@ class ContinuityReport:
     level: int
     certificate: ContractionCertificate
     rows: Tuple[ContinuityRow, ...]
-    da_variation: float
     contracting: bool
     two_epsilon_law_ok: bool
 
@@ -474,12 +462,10 @@ def germ_continuity_report(
     epsilons: Sequence[float] = (0.5, 0.25, 0.1),
     n_samples: int = 40,
     seed: int = 0,
-    slack: float = 1e-8,
 ) -> ContinuityReport:
-    """Certify contraction radii, check the factor-two law (inside each
+    """Certify contraction radii and check the factor-two law: inside each
     certified radius the w-partial differential norm stays below
-    2 epsilon), and probe continuity of the parameter-part differential.
-    Maps that fail certification are flagged, not rejected."""
+    2 epsilon.  Maps that fail certification are flagged, not rejected."""
     cert = certify(germ, level, epsilons, n_samples, seed)
     rows: List[ContinuityRow] = []
     for p in cert.pairs:
@@ -488,42 +474,16 @@ def germ_continuity_report(
             rows.append(ContinuityRow(p.epsilon, None, p.worst_ratio, False))
             continue
         op = dW_opnorm_probe(germ, level, p.delta, seed=seed + 1)
-        rows.append(ContinuityRow(p.epsilon, p.delta, op, op <= 2.0 * p.epsilon + slack))
-    da_variation = _da_variation(germ, level, min((e for e in epsilons), default=0.1), seed)
+        rows.append(ContinuityRow(p.epsilon, p.delta, op, op <= 2.0 * p.epsilon + _LAW_SLACK))
     contracting = cert.all_certified
     return ContinuityReport(
         germ_id=germ.name,
         level=level,
         certificate=cert,
         rows=tuple(rows),
-        da_variation=da_variation,
         contracting=contracting,
         two_epsilon_law_ok=contracting and all(r.within_factor_two for r in rows),
     )
-
-
-def _da_variation(
-    germ: BasicGerm, level: int, radius: float, seed: int, fd_step: float = 1e-6
-) -> float:
-    """Largest deviation of the finite-difference gradient of a from its
-    value at the origin, over sampled points in the radius ball."""
-    rng = np.random.default_rng(seed + 2)
-    m, gram = germ.context.dim, germ.context.gram(level)
-
-    def grad(c: float, v: np.ndarray) -> np.ndarray:
-        x = np.concatenate(([c], v))
-        return _central(lambda y: germ.a(y[:, 0], y[:, 1:]), x, np.eye(x.size), fd_step)
-
-    g0 = grad(0.0, np.zeros(m))
-    worst = 0.0
-    for _ in range(6):
-        c = germ.sample_c(rng, radius)
-        if c is None:
-            continue
-        v = rng.normal(size=m)
-        v *= 0.5 * radius / _scale_norms(v[None, :], gram)[0]
-        worst = max(worst, float(np.linalg.norm(grad(c, v) - g0)))
-    return worst
 
 
 def radius_shrink_probes(
@@ -558,71 +518,54 @@ class OpennessReport:
         return self.passed
 
 
-def _full_diff_cond(
-    germ: BasicGerm,
-    c: float,
-    v: np.ndarray,
-    level: int,
-    fd_step: float = 1e-6,
-) -> float:
-    """Condition number of the full differential of (c, w) -> (a, w - B) in
-    the metric of level i, with the parameter direction included."""
-    m = v.size
-    x = np.concatenate(([c], v))
-    eye = np.eye(1 + m)
-
-    def f_at(y: np.ndarray) -> np.ndarray:
-        cs, vs = y[:, 0], y[:, 1:]
-        return np.column_stack((germ.a(cs, vs), vs - germ.B(cs, vs)))
-
-    def a_at(y: np.ndarray) -> np.ndarray:
-        return germ.a(y[:, 0], y[:, 1:])[:, None] * eye[0]
-
-    # where atoms move with c, probe only the a-component in the c-direction
-    c_fun = a_at if germ.c_dependent_atoms else f_at
-    # row k of the stacked differences is column k of the differential
-    cols = np.vstack(
-        [_central(c_fun, x, eye[:1], fd_step), _central(f_at, x, eye[1:], fd_step)]
-    )
-    g = germ.context.gram(level)
-    gram = np.block([[np.ones((1, 1)), np.zeros((1, m))], [np.zeros((m, 1)), g]])
-    op = OperatorHandle(cols.T, gram, gram)
-    sv = metric_singular_values(op)
-    if sv[-1] <= 1e-300:
-        return float("inf")
-    return float(sv[0] / sv[-1])
-
-
 def openness_probe(
     germ: BasicGerm,
     level: int,
     radius: float,
     seed: int = 2,
-    cond_factor: float = 2.0,
 ) -> OpennessReport:
     """Invertibility of the full differential must persist on a ball: the
     condition number at sampled points within the radius may not exceed the
-    condition number at the origin by more than the given factor."""
+    condition number at the origin by more than _COND_FACTOR.
+
+    The points are the origin, then for each probed c the point (c, 0) and
+    (c, w) with one normal draw of w per c, of norm radius / 2.  The full
+    differentials of (c, w) -> (a, w - B) at every point, in the metric of
+    level i with the parameter direction included, are taken by central
+    differences in one row stack and go to one metric_singular_values
+    call."""
     rng = np.random.default_rng(seed)
     m, g = germ.context.dim, germ.context.gram(level)
-    cond0 = _full_diff_cond(germ, 0.0, np.zeros(m), level)
-    rows: List[Tuple[float, float, float]] = [(0.0, 0.0, cond0)]
-    worst = cond0
     if germ.c_dependent_atoms:
         c_values = [0.9 * radius, 0.5 * radius]
     else:
         c_values = [0.9 * radius, -0.9 * radius, 0.5 * radius]
-    for c in c_values:
-        for w_radius in (0.0, 0.5 * radius):
-            v = np.zeros(m)
-            if w_radius > 0:
-                v = rng.normal(size=m)
-                v *= w_radius / _scale_norms(v[None, :], g)[0]
-            cond = _full_diff_cond(germ, c, v, level)
-            rows.append((c, w_radius, cond))
-            worst = max(worst, cond)
-    passed = math.isfinite(worst) and worst <= cond_factor * cond0
-    return OpennessReport(germ.name, level, radius, cond0, worst, passed, tuple(rows))
+    cs = [0.0] + [c for c in c_values for _ in range(2)]
+    w_radii = [0.0] + [0.0, 0.5 * radius] * len(c_values)
+    x = np.zeros((len(cs), 1 + m))
+    x[:, 0] = cs
+    x[2::2, 1:] = _scaled(rng.normal(size=(len(c_values), m)), 0.5 * radius, g)
+
+    def f_at(y: np.ndarray) -> np.ndarray:
+        c, v = y[:, 0], y[:, 1:]
+        return np.column_stack((germ.a(c, v), v - germ.B(c, v)))
+
+    eye = np.eye(1 + m)
+    # cols[p, k] is column k of the differential at point p
+    cols = _central(
+        f_at, np.repeat(x, 1 + m, axis=0), np.tile(eye, (len(x), 1)), _FD_STEP
+    ).reshape(len(x), 1 + m, 1 + m)
+    if germ.c_dependent_atoms:
+        # where atoms move with c, probe only the a-component in the c-direction
+        cols[:, 0, 1:] = 0.0
+    gram = np.block([[np.ones((1, 1)), np.zeros((1, m))], [np.zeros((m, 1)), g]])
+    sv = metric_singular_values(OperatorHandle(cols.swapaxes(1, 2), gram, gram))
+    cond = np.full(len(x), math.inf)
+    np.divide(sv[:, 0], sv[:, -1], out=cond, where=sv[:, -1] > 1e-300)
+    cond0, worst = float(cond[0]), float(cond.max())
+    passed = math.isfinite(worst) and worst <= _COND_FACTOR * cond0
+    rows = tuple(zip(cs, w_radii, cond.tolist()))
+    return OpennessReport(germ.name, level, radius, cond0, worst, passed, rows)
 
 
 # ---------------------------------------------------------------------------
@@ -642,8 +585,8 @@ def _base_context(schedule: WeightSchedule, spacing: float) -> GermContext:
     return GermContext(tuple(GridFunction(x0, spacing, v) for v in samples), schedule)
 
 
-def _symmetric_sampler(rng: np.random.Generator, delta: float) -> float:
-    return float(rng.uniform(-0.999 * delta, 0.999 * delta))
+def _symmetric_sampler(rng: np.random.Generator, delta: float, n: int) -> np.ndarray:
+    return rng.uniform(-0.999 * delta, 0.999 * delta, n)
 
 
 def _a_is_c(c: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -720,14 +663,14 @@ def make_moving_bump_pseudo_germ(
         out[live, -1] = q * v[live, -1]
         return out
 
-    def sample_c(rng: np.random.Generator, delta: float) -> Optional[float]:
-        # lo fixes the draw stream; once 0.999 delta <= lo no c is drawn,
-        # which ends certify's (failing) halving search
+    def sample_c(rng: np.random.Generator, delta: float, n: int) -> Optional[np.ndarray]:
+        # once 0.999 delta <= lo no c is drawn, which ends certify's
+        # (failing) halving search
         lo = 0.074
         hi = 0.999 * delta
         if hi <= lo:
             return None
-        return float(rng.uniform(max(lo, 0.5 * delta), hi))
+        return rng.uniform(max(lo, 0.5 * delta), hi, n)
 
     return BasicGerm(
         name="moving-bump",

@@ -47,7 +47,8 @@ DEFAULT_FD_STEPS = (1e-2, 3e-3, 1e-3, 3e-4, 1e-4, 3e-5, 1e-5)
 class OperatorHandle:
     """A finite truncation of a linear operator: its matrix in chosen bases
     together with the Gram matrices of the domain and codomain inner
-    products in those bases."""
+    products in those bases.  The matrix may be a stack (..., r, c) of
+    truncations that share the two Gram matrices."""
 
     matrix: np.ndarray
     gram_dom: np.ndarray
@@ -57,9 +58,9 @@ class OperatorHandle:
         m = np.asarray(self.matrix, dtype=float)
         gd = np.asarray(self.gram_dom, dtype=float)
         gc = np.asarray(self.gram_cod, dtype=float)
-        if gd.shape != (m.shape[1], m.shape[1]):
+        if gd.shape != (m.shape[-1], m.shape[-1]):
             raise ValueError("domain Gram matrix does not match matrix columns")
-        if gc.shape != (m.shape[0], m.shape[0]):
+        if gc.shape != (m.shape[-2], m.shape[-2]):
             raise ValueError("codomain Gram matrix does not match matrix rows")
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "gram_dom", gd)
@@ -87,13 +88,14 @@ def witness_lower_bound(op: OperatorHandle, v: np.ndarray) -> float:
 
 def metric_singular_values(op: OperatorHandle) -> np.ndarray:
     """Singular values of the operator under the Gram inner products,
-    largest first."""
+    largest first: shape (..., min(r, c)) for a matrix stack (..., r, c),
+    each row equal bit for bit to that of its matrix alone."""
     ld = np.linalg.cholesky(op.gram_dom)
     lc = np.linalg.cholesky(op.gram_cod)
     # B = L_c^T A L_d^{-T} has plain-euclidean singular values equal to the
     # metric singular values of A
-    right = np.linalg.solve(ld, op.matrix.T)
-    return np.linalg.svd(lc.T @ right.T, compute_uv=False)
+    right = np.linalg.solve(ld, op.matrix.swapaxes(-1, -2))
+    return np.linalg.svd(lc.T @ right.swapaxes(-1, -2), compute_uv=False)
 
 
 def truncation_opnorm(op: OperatorHandle) -> float:

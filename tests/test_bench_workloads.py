@@ -1,11 +1,13 @@
 """The benchmark's workloads (bench/workloads.py) call the germ API by name;
 running the germ-cert verifier on one case here keeps `bench/run.py` in step
-with that API."""
+with that API, and running the germ-cert experiments at every seed and level
+of its rounds keeps its share of failed operations at 0."""
 
 import importlib.util
 import sys
 from pathlib import Path
 
+from sclab import experiments
 from sclab.experiments import ExperimentConfig
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
@@ -24,3 +26,16 @@ def test_germ_cert_verifier_runs_one_case(monkeypatch):
     workloads = _load_workloads(monkeypatch)
     case = workloads.Case(ExperimentConfig(seed=1, germ_level=2), "germ_level=2")
     assert workloads.WORKLOADS["germ-cert"].verify(case) == 5
+
+
+
+def test_germ_cert_reports_pass_at_every_seed_and_level(monkeypatch):
+    workloads = _load_workloads(monkeypatch)
+    failed = [
+        (experiment_id, seed, level)
+        for experiment_id in workloads.WORKLOADS["germ-cert"].experiments
+        for seed in workloads.GERM_SEEDS
+        for level in workloads.GERM_LEVELS
+        if not experiments.run(experiment_id, ExperimentConfig(seed=seed, germ_level=level)).passed
+    ]
+    assert failed == []

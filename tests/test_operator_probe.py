@@ -22,6 +22,7 @@ from sclab.operator_probe import (
     DiffReport,
     OperatorHandle,
     finite_diff_differential,
+    metric_singular_values,
     numerical_rank,
     opnorm_dichotomy,
     truncation_opnorm,
@@ -119,6 +120,23 @@ class TestOperatorNorm:
             OperatorHandle(np.eye(3), np.eye(2), np.eye(3))
         with pytest.raises(ValueError):
             OperatorHandle(np.eye(3), np.eye(3), np.eye(4))
+        # a stack (k, r, c) is checked on its last two axes
+        with pytest.raises(ValueError):
+            OperatorHandle(np.zeros((4, 2, 3)), np.eye(2), np.eye(2))
+        with pytest.raises(ValueError):
+            OperatorHandle(np.zeros((4, 2, 3)), np.eye(3), np.eye(3))
+        assert OperatorHandle(np.zeros((4, 2, 3)), np.eye(3), np.eye(2)).matrix.shape == (4, 2, 3)
+
+    @pytest.mark.parametrize("shape", [(7, 5, 5), (3, 4, 6), (2, 3, 6, 3)])
+    def test_singular_values_of_a_stack_are_the_per_matrix_ones(self, shape):
+        rng = np.random.default_rng(14)
+        r, c = shape[-2:]
+        a, gd, gc = rng.normal(size=shape), _random_spd(rng, c), _random_spd(rng, r)
+        stacked = metric_singular_values(OperatorHandle(a, gd, gc))
+        flat = a.reshape(-1, r, c)
+        per_matrix = [metric_singular_values(OperatorHandle(m, gd, gc)) for m in flat]
+        assert stacked.shape == shape[:-2] + (min(r, c),)
+        assert np.array_equal(stacked.reshape(len(flat), -1), np.stack(per_matrix))
 
     def test_zero_witness_rejected(self):
         op = OperatorHandle(np.eye(2), np.eye(2), np.eye(2))
