@@ -323,17 +323,15 @@ def _tail_bound_gap(rng: np.random.Generator, dim: int, N: int) -> float:
 
 
 def _diagonal_map_ratio(rng: np.random.Generator, dim: int) -> float:
-    """Largest ||rho_0(t, x)||_i / ||x||_i over 1000 random trials (x, t, i)."""
+    """Largest ||rho_0(t, x)||_i / ||x||_i over 1000 random trials (x, t, i).
+
+    Each block draws its trials' x, then their t, then their levels."""
     worst = 0.0
     modes = np.arange(1, dim + 1)
     for _, size in _blocks(1000):
-        x = np.empty((size, dim))
-        ts = np.empty(size)
-        levels = np.empty(size, dtype=int)
-        for r in range(size):  # draw first, in the per-trial order
-            x[r] = rng.normal(size=dim)
-            ts[r] = rng.uniform(-0.5, 1.0)
-            levels[r] = rng.integers(0, 3)
+        x = rng.normal(size=(size, dim))
+        ts = rng.uniform(-0.5, 1.0, size)
+        levels = rng.integers(0, 3, size)
         image = step_n(modes, ts[:, np.newaxis], 0) * x
         ratios = np.empty(size)
         for i in range(3):
@@ -792,7 +790,7 @@ def _germ_continuity(cfg: ExperimentConfig) -> List[Check]:
     checks = []
     schedule = cfg.schedule()
     for germ_id in ("rank-one", "quadratic"):
-        germ = make_germ(germ_id, schedule)
+        germ = make_germ(germ_id, schedule, cfg.spacing)
         report = germ_continuity_report(germ, cfg.germ_level, seed=cfg.seed)
         replay_ok = replay_certificate(germ, report.certificate)
         checks.append(
@@ -832,7 +830,7 @@ def _germ_continuity(cfg: ExperimentConfig) -> List[Check]:
                 shrink_ok,
             )
         )
-    pseudo = make_germ("moving-bump", schedule)
+    pseudo = make_germ("moving-bump", schedule, cfg.spacing)
     moduli = [
         contraction_modulus(pseudo, cfg.germ_level, r, seed=cfg.seed)
         for r in (0.5, 0.4, 0.3, 0.2, 0.15)
@@ -856,7 +854,7 @@ def _germ_openness(cfg: ExperimentConfig) -> List[Check]:
     checks = []
     schedule = cfg.schedule()
     for germ_id in ("rank-one", "quadratic"):
-        germ = make_germ(germ_id, schedule)
+        germ = make_germ(germ_id, schedule, cfg.spacing)
         cert = certify(germ, cfg.germ_level, epsilons=(0.1,), seed=cfg.seed)
         radius = cert.pairs[0].delta
         ok = radius is not None
@@ -874,7 +872,7 @@ def _germ_openness(cfg: ExperimentConfig) -> List[Check]:
                 bool(ok),
             )
         )
-    pseudo = make_germ("moving-bump", schedule)
+    pseudo = make_germ("moving-bump", schedule, cfg.spacing)
     fails = []
     for radius in (0.3, 0.2, 0.15):
         rep = openness_probe(pseudo, cfg.germ_level, radius, seed=cfg.seed)

@@ -411,15 +411,11 @@ def h_transversality_data(
 
 def seq_diffeo(t: float, x: SeqVector) -> SeqVector:
     """Coefficient-wise multiplication by the plateau values f_n(t)."""
-    if x.dim == 0:
-        return x
-    return SeqVector(step_n(np.arange(1, x.dim + 1), t, 0) * x.coeffs)
+    return _rho(0, t, x)
 
 
 def seq_diffeo_inv(t: float, y: SeqVector) -> SeqVector:
     """Coefficient-wise division by f_n(t); exact since f_n never vanishes."""
-    if y.dim == 0:
-        return y
     return SeqVector(y.coeffs / step_n(np.arange(1, y.dim + 1), t, 0))
 
 
@@ -435,10 +431,8 @@ def rho_k_eval(k: int, t: float, x: SeqVector) -> SeqVector:
 
 
 def _rho(k: int, t: float, x: SeqVector) -> SeqVector:
-    if k == 0:
-        return seq_diffeo(t, x)
-    if t <= 0 or x.dim == 0:
-        return SeqVector(np.zeros(0))
+    # for t <= 0 every mode sits left of its transition window, where the
+    # derivatives of order k >= 1 are exactly 0
     return SeqVector(step_n(np.arange(1, x.dim + 1), t, k) * x.coeffs)
 
 
@@ -510,8 +504,6 @@ def _seq_sweep(k: int, with_t: bool, point, tangent, hs) -> Sweep:
     rows = np.empty((hs.size, lead + n))
     ts = t + hs * T
     rows[:, :lead] = ts[:, np.newaxis]
-    # for t <= 0 every mode sits left of its transition window, so the rows
-    # of k >= 1 come out zero there, as rho_k_eval makes them
     np.multiply(step_n(np.arange(1, n + 1), ts[:, np.newaxis], k), xs, out=rows[:, lead:])
 
     def row(value) -> np.ndarray:

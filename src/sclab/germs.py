@@ -685,7 +685,9 @@ def make_moving_bump_pseudo_germ(
 GERM_IDS = ("rank-one", "quadratic", "moving-bump")
 
 
-def make_germ(germ_id: str, schedule: Optional[WeightSchedule] = None) -> BasicGerm:
+def make_germ(
+    germ_id: str, schedule: Optional[WeightSchedule] = None, spacing: float = DEFAULT_SPACING
+) -> BasicGerm:
     factory = {
         "rank-one": make_rank_one_germ,
         "quadratic": make_quadratic_germ,
@@ -693,4 +695,4 @@ def make_germ(germ_id: str, schedule: Optional[WeightSchedule] = None) -> BasicG
     }.get(germ_id)
     if factory is None:
         raise KeyError(f"unknown germ id {germ_id!r}; known: {GERM_IDS}")
-    return factory(schedule)
+    return factory(schedule, spacing)

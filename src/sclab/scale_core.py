@@ -423,7 +423,6 @@ class SeqVector:
     """Finite vector of coefficients in the abstract orthogonal basis e_1, e_2, ...
 
     The level-i inner product weights the n-th coefficient by n^(6i).
-    Trailing zeros are normalized away.
     """
 
     coeffs: np.ndarray
@@ -434,9 +433,6 @@ class SeqVector:
             raise ValueError("coefficients must be one-dimensional")
         if not np.isfinite(c).all():
             raise ValueError("coefficients must be finite")
-        if c.size and c[-1] == 0.0:  # most vectors end in a non-zero: skip the scan
-            nz = np.flatnonzero(c)
-            c = c[: nz[-1] + 1] if nz.size else c[:0]
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
 
@@ -475,29 +471,17 @@ def seq_inner(x: SeqVector, y: SeqVector, i: int) -> float:
     """Level-i inner product: sum over n of n^(6i) x_n y_n."""
     i = check_level(i)
     n = min(x.dim, y.dim)
-    if n == 0:
-        return 0.0
     return float((_seq_weights(n, i) * x.coeffs[:n] * y.coeffs[:n]).sum())
 
 
 def seq_norm(x: SeqVector, i: int) -> float:
-    """Level-i norm: seq_norms's rule on one vector, with its bits, without
-    building a one-row stack."""
-    c = x.coeffs
-    w = _seq_weights(c.size, check_level(i))
-    with np.errstate(over="ignore"):  # an overflowing sum comes back inf and is rescaled
-        s = float((w * c * c).sum())
-        if _FLOAT_MIN <= s < math.inf or not c.size:
-            return math.sqrt(s)
-        m = float(np.abs(c).max())  # > 0: a SeqVector ends in a non-zero
-        scaled = c / m
-        return m * math.sqrt(float((w * scaled * scaled).sum()))
+    """Level-i norm: seq_norms of the one-row stack."""
+    return float(seq_norms(x.coeffs[np.newaxis], i)[0])
 
 
 @np.errstate(over="ignore")  # an overflowing sum comes back inf and is rescaled
 def seq_norms(rows: np.ndarray, i: int) -> np.ndarray:
-    """Level-i norms of the rows of a finite (n, N) coefficient stack, each
-    with the bits of seq_norm of its SeqVector.
+    """Level-i norms of the rows of a finite (n, N) coefficient stack.
 
     Where a row's plain weighted sum of squares under- or overflows the
     normal range, it is recomputed with that row scaled by its largest
@@ -508,37 +492,21 @@ def seq_norms(rows: np.ndarray, i: int) -> np.ndarray:
     if rows.ndim != 2:
         raise ValueError("coefficient stack must be two-dimensional")
     w = _seq_weights(rows.shape[1], check_level(i))
-    s = _square_sums(w, rows)
+    s = (w * rows * rows).sum(axis=1)
     out = np.sqrt(s)
     if s.size and (s.min() < _FLOAT_MIN or s.max() == math.inf):
         bad = np.flatnonzero((s < _FLOAT_MIN) | (s == math.inf))
         m = np.abs(rows[bad]).max(axis=1, initial=0.0)
         bad, m = bad[m > 0.0], m[m > 0.0]  # a zero row keeps norm 0
-        out[bad] = m * np.sqrt(_square_sums(w, rows[bad] / m[:, np.newaxis]))
+        scaled = rows[bad] / m[:, np.newaxis]
+        out[bad] = m * np.sqrt((w * scaled * scaled).sum(axis=1))
     return out
-
-
-def _square_sums(w: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """The rows' weighted sums of squares, each summed as seq_norm sums its
-    SeqVector, which drops trailing zeros.  numpy sums a row pairwise in
-    groups set by its length, so a row that ends in zeros is summed again
-    without them, unless it has at most two non-zeros: then every grouping
-    gives the same bits."""
-    s = (w * rows * rows).sum(axis=1)
-    if rows.shape[1] and not rows[:, -1].all():
-        ragged = (rows[:, -1] == 0.0) & (np.count_nonzero(rows, axis=1) > 2)
-        for r in np.flatnonzero(ragged):
-            n = np.flatnonzero(rows[r])[-1] + 1
-            s[r] = (w[:n] * rows[r, :n] * rows[r, :n]).sum()
-    return s
 
 
 def tail_projection(x: SeqVector, N: int) -> SeqVector:
     """Zero out all coefficients with basis index below N."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    if x.dim < N:
-        return SeqVector(np.zeros(0))
     c = x.coeffs.copy()
     c[: N - 1] = 0.0
     return SeqVector(c)

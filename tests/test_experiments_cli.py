@@ -273,7 +273,7 @@ def test_runs_without_scipy():
 def _old_seq_norm(x: SeqVector, i: int) -> float:
     """seq_norm as it was before the row-stack form, on the 1-D coefficients."""
     c = x.coeffs
-    if not c.size:
+    if not c.any():
         return 0.0
     w = _seq_weights(c.size, i)
     with np.errstate(over="ignore"):
@@ -284,7 +284,8 @@ def _old_seq_norm(x: SeqVector, i: int) -> float:
         return m * math.sqrt(float((w * (c / m) * (c / m)).sum()))
 
 
-# the three loops of seq-tail-bounds as they were, one SeqVector per trial
+# the three loops of seq-tail-bounds one SeqVector per trial, on the draws
+# of the stacked loops
 
 
 def _old_single_mode_gap(rng, n_modes):
@@ -314,13 +315,28 @@ def _old_tail_bound_gap(rng, dim, N):
 
 def _old_diagonal_map_ratio(rng, dim):
     worst_ratio = 0.0
-    for _ in range(1000):
-        x = SeqVector(rng.normal(size=dim))
-        t = float(rng.uniform(-0.5, 1.0))
-        i = int(rng.integers(0, 3))
-        ratio = _old_seq_norm(rho_k_eval(0, t, x), i) / _old_seq_norm(x, i)
-        worst_ratio = max(worst_ratio, ratio)
+    for _, size in experiments._blocks(1000):
+        # per block: every trial's x, then every t, then every level
+        xs = rng.normal(size=(size, dim))
+        ts = rng.uniform(-0.5, 1.0, size)
+        levels = rng.integers(0, 3, size)
+        for row, t, i in zip(xs, ts.tolist(), levels.tolist()):
+            x = SeqVector(row)
+            ratio = _old_seq_norm(rho_k_eval(0, t, x), i) / _old_seq_norm(x, i)
+            worst_ratio = max(worst_ratio, ratio)
     return worst_ratio
+
+
+class _CountingGenerator:
+    """A numpy Generator that records the name of every method looked up,
+    once per call."""
+
+    def __init__(self, rng, calls):
+        self._rng, self._calls = rng, calls
+
+    def __getattr__(self, name):
+        self._calls.append(name)
+        return getattr(self._rng, name)
 
 
 class TestStackedSeqLoops:
@@ -341,6 +357,13 @@ class TestStackedSeqLoops:
             assert repr(stacked(new, *args)) == repr(per_trial(old, *args))
             # the same draws, in the same order
             assert new.bit_generator.state == old.bit_generator.state
+
+    @pytest.mark.parametrize("dim", [16, 150])
+    def test_diagonal_map_ratio_draws_three_arrays_per_block(self, dim):
+        calls = []
+        experiments._diagonal_map_ratio(_CountingGenerator(np.random.default_rng(0), calls), dim)
+        blocks = len(experiments._blocks(1000))
+        assert calls == ["normal", "uniform", "integers"] * blocks
 
     def test_running_max_keeps_the_first_of_equal_maxima(self):
         assert repr(experiments._running_max(-math.inf, np.array([-0.0, 0.0]))) == "-0.0"

@@ -213,7 +213,7 @@ def _grid_move(p, h, tan):
 def _combine(terms):
     """sum(c * v) over codomain values, as the one-value-at-a-time loop
     formed it: parameters summed from 0, grids on their union window,
-    sequences added in order into zeros and stripped of trailing zeros."""
+    sequences added in order into zeros."""
     first = terms[0][1]
     if isinstance(first, tuple):
         return (sum(c * v[0] for c, v in terms), _combine([(c, v[1]) for c, v in terms]))
@@ -313,8 +313,8 @@ class TestOneCallSweep:
 
     @pytest.mark.parametrize("k", [1, 2, 0, "diffeo"])
     def test_seq_rows_that_end_in_zeros_equal_the_one_point_sweep(self, k):
-        # the rows span the modes up to the larger of x and X; the old loop
-        # stripped trailing zeros from every vector it formed
+        # the rows span the modes up to the larger of x and X, as every
+        # vector the one-point loop forms does
         handle, one_point = _seq_map(k)
         rng = np.random.default_rng(41)
         interior = [1 / (n + 1) + f * (1 / (n * (n + 1))) for n in range(2, 7) for f in (0.35, 0.6)]

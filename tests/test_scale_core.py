@@ -267,24 +267,27 @@ class TestSeqModel:
         with pytest.raises(ValueError):
             seq_norms(np.ones(3), 0)
 
-    def test_rows_that_end_in_zeros_are_summed_as_their_seq_vectors(self):
-        # numpy groups a pairwise sum by the row's length, and a SeqVector
-        # drops trailing zeros, so a padded row is summed without them
+    def test_seq_vectors_keep_trailing_zeros(self):
+        # numpy groups a pairwise sum by the row's length, so seq_norm must
+        # sum a vector on the length it was given, as seq_norms sums its row
         rng = np.random.default_rng(12)
-        moved = 0
-        for trial in range(600):
-            n, pad = int(rng.integers(1, 16)), int(rng.integers(1, 20))
-            head = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4, size=n)
-            if trial % 2:  # three non-zeros, spread out: a derivative row's few modes
-                head[rng.permutation(n)[3:]] = 0.0
-            head[-1] = 1.0 + abs(head[-1])
-            row = np.concatenate([head, np.zeros(pad)])
+        extremes = ([2.9e-223], [2.9e-223, 1e-160], [1e200], [-1e200, 3.0])
+        heads = [np.array(e) for e in extremes] + [
+            rng.normal(size=n) * 10.0 ** rng.integers(-3, 4, size=n)
+            for n in rng.integers(1, 16, size=200).tolist()
+        ]
+        for head in heads:
+            row = np.concatenate([head, np.zeros(int(rng.integers(1, 20)))])
+            x = SeqVector(row)
+            assert x.dim == row.size and np.array_equal(x.coeffs, row)
             for i in range(3):
-                want = seq_norm(SeqVector(row), i)
-                assert repr(float(seq_norms(row[np.newaxis], i)[0])) == repr(want)
-                w = np.arange(1, row.size + 1, dtype=float) ** (6 * i)
-                moved += math.sqrt(float((w * row * row).sum())) != want
-        assert moved > 0  # the padded plain sum does move
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    want = float(seq_norms(row[np.newaxis], i)[0])
+                assert 0.0 < want < math.inf
+                assert repr(seq_norm(x, i)) == repr(want)
+        assert SeqVector(np.zeros(3)).dim == 3 and seq_norm(SeqVector(np.zeros(3)), 2) == 0.0
+        assert tail_projection(SeqVector.basis(3), 5).coeffs.tolist() == [0.0, 0.0, 0.0]
 
     def test_tail_bound_equality_at_single_mode(self):
         for N in (4, 16, 32):
