@@ -35,6 +35,7 @@ from .germs import (
     contraction_modulus,
     germ_continuity_report,
     make_germ,
+    make_moving_bump_pseudo_germ,
     openness_probe,
     radius_shrink_probes,
     replay_certificate,
@@ -816,9 +817,12 @@ def _germ_continuity(cfg: ExperimentConfig) -> List[Check]:
                 report.two_epsilon_law_ok,
             )
         )
-        base = next(p.delta for p in report.certificate.pairs if p.epsilon == 0.1)
-        probes = radius_shrink_probes(germ, cfg.germ_level, base, seed=cfg.seed + 1)
-        vals = [p for _, p in probes]
+        # the epsilon = 0.1 row probed its certified radius with this seed
+        base = next(r for r in report.rows if r.epsilon == 0.1)
+        probes = radius_shrink_probes(
+            germ, cfg.germ_level, base.delta, (0.5, 0.25, 0.125), seed=cfg.seed + 1
+        )
+        vals = [base.dw_opnorm] + [p for _, p in probes]
         shrink_ok = all(b <= a + 1e-12 for a, b in zip(vals, vals[1:])) and vals[-1] < 0.05
         checks.append(
             _check(
@@ -830,7 +834,7 @@ def _germ_continuity(cfg: ExperimentConfig) -> List[Check]:
                 shrink_ok,
             )
         )
-    pseudo = make_germ("moving-bump", schedule, cfg.spacing)
+    pseudo = make_moving_bump_pseudo_germ(schedule, cfg.spacing, cfg.margin)
     moduli = [
         contraction_modulus(pseudo, cfg.germ_level, r, seed=cfg.seed)
         for r in (0.5, 0.4, 0.3, 0.2, 0.15)
@@ -872,7 +876,7 @@ def _germ_openness(cfg: ExperimentConfig) -> List[Check]:
                 bool(ok),
             )
         )
-    pseudo = make_germ("moving-bump", schedule, cfg.spacing)
+    pseudo = make_moving_bump_pseudo_germ(schedule, cfg.spacing, cfg.margin)
     fails = []
     for radius in (0.3, 0.2, 0.15):
         rep = openness_probe(pseudo, cfg.germ_level, radius, seed=cfg.seed)

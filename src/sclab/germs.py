@@ -1,4 +1,4 @@
-"""Basic germs (c, w) -> (a(c, w), w - B(c, w)) with the level-wise
+"""Basic germs (c, w) -> (c, w - B(c, w)) with the level-wise
 contraction property, sampled contraction certificates, the factor-two law
 for the partial differential norm, and openness probes for the
 differential — plus a pseudo-germ built from the moving-bump projection
@@ -7,6 +7,9 @@ that fails all of it.
 Inputs w live in the span of a small list of smooth atoms (grid
 functions); one witness coordinate along the escaping bump, scaled per
 level, is added for the map whose bad direction moves with the parameter.
+Every germ carries the closed-form differential dB of B, so the
+differential probes take exact metric operator norms and no finite
+difference is formed here.
 """
 
 from __future__ import annotations
@@ -56,9 +59,6 @@ __all__ = [
 ]
 
 _ATOM_WINDOW = (-2.0, 2.0)
-
-#: central-difference step of the differential probes
-_FD_STEP = 1e-6
 
 #: absolute slack of the factor-two law ||D_w B|| <= 2 epsilon
 _LAW_SLACK = 1e-8
@@ -172,22 +172,24 @@ class _BumpContext(GermContext):
         return g
 
 
-#: a and B of a germ act on row stacks: parameters c of shape (n,) and
-#: coefficient rows v of shape (n, m) over the germ's context; a returns
-#: shape (n,) and B shape (n, m).
+#: B and dB of a germ act on row stacks: parameters c of shape (n,) and
+#: coefficient rows v of shape (n, m) over the germ's context; B returns
+#: shape (n, m) and dB shape (n, m, 1 + m).
 RowMap = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
 class BasicGerm:
-    """A germ (c, w) -> (a(c, w), w - B(c, w)) restricted to the sampled
-    atom span; B and a act on row stacks of coefficient vectors over the
-    coordinates of the germ's one context (see RowMap)."""
+    """A germ (c, w) -> (c, w - B(c, w)) restricted to the sampled atom
+    span; B and its differential dB act on row stacks of coefficient vectors
+    over the coordinates of the germ's one context (see RowMap).  Row k of
+    dB is the differential of B at (c_k, w_k) in (c, w): column 0 the
+    c-partial, columns 1..m the w-partial D_wB."""
 
     name: str
     context: GermContext
-    a: RowMap
     B: RowMap
+    dB: RowMap
     #: sample_c(rng, delta, n): n parameters as one (n,) array, or None
     #: when delta admits no c
     sample_c: Callable[[np.random.Generator, float, int], Optional[np.ndarray]]
@@ -199,9 +201,8 @@ class BasicGerm:
 
 
 def germ_eval(germ: BasicGerm, c: float, v: np.ndarray) -> Tuple[float, np.ndarray]:
-    """(a(c, w), w - B(c, w)) in coefficient coordinates, at one point."""
-    cs, vs = np.array([c]), v[None, :]
-    return float(germ.a(cs, vs)[0]), v - germ.B(cs, vs)[0]
+    """(c, w - B(c, w)) in coefficient coordinates, at one point."""
+    return c, v - germ.B(np.array([c]), v[None, :])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -385,21 +386,6 @@ def replay_certificate(germ: BasicGerm, cert: ContractionCertificate) -> bool:
 # differential probes
 
 
-def _central(
-    fun: Callable[[np.ndarray], np.ndarray],
-    x: np.ndarray,
-    directions: np.ndarray,
-    h: float,
-) -> np.ndarray:
-    """Central differences (fun(x + h d) - fun(x - h d)) / 2h, one row per
-    row d of the direction stack; x is one point or one per direction.  fun
-    maps a row stack to a row stack and is called once, on the rows x + h d
-    followed by the rows x - h d."""
-    k = len(directions)
-    f = fun(np.concatenate((x + h * directions, x - h * directions)))
-    return (f[:k] - f[k:]) / (2.0 * h)
-
-
 def dW_opnorm_probe(
     germ: BasicGerm,
     level: int,
@@ -408,11 +394,11 @@ def dW_opnorm_probe(
     seed: int = 1,
 ) -> float:
     """Sampled operator norm of the w-partial differential of B over base
-    points with |c|, ||w||_i < radius, by central finite differences along
-    each atom and one random direction, all taken as one row stack.  The
-    draws are one generator call per kind, in this order: the n parameters
-    c, n uniforms for the radius r of w (0.999 radius at even trials) and
-    the (2, n, m) normals of w and of the random direction."""
+    points with |c|, ||w||_i < radius: the largest exact level-i operator
+    norm of D_wB at the points, from one metric_singular_values call on the
+    stack of germ.dB.  The draws are one generator call per kind, in this
+    order: the n parameters c, n uniforms for the radius r of w (0.999
+    radius at even trials) and the (n, m) normals of w."""
     rng = np.random.default_rng(seed)
     c = germ.sample_c(rng, radius, n_samples)
     if c is None:
@@ -420,22 +406,11 @@ def dW_opnorm_probe(
             f"no admissible parameter values for {germ.name} at radius={radius}"
         )
     g = germ.context.gram(level)
-    m = len(g)
     r = radius * rng.uniform(0.05, 0.95, n_samples)
     r[::2] = 0.999 * radius
-    n0, nd = rng.normal(size=(2, n_samples, m))
-    # per trial: the m atom directions, then the random one, each of unit norm
-    d = np.concatenate(
-        (np.broadcast_to(np.eye(m), (n_samples, m, m)), nd[:, None, :]), axis=1
-    ).reshape(-1, m)
-    rows_c = np.repeat(c, m + 1)
-    rows = _central(
-        lambda y: germ.B(np.concatenate((rows_c, rows_c)), y),
-        np.repeat(_scaled(n0, r, g), m + 1, axis=0),
-        _scaled(d, 1.0, g),
-        _FD_STEP,
-    )
-    return _worst(_norms(rows, g))
+    w = _scaled(rng.normal(size=(n_samples, len(g))), r, g)
+    sv = metric_singular_values(OperatorHandle(germ.dB(c, w)[:, :, 1:], g, g))
+    return _worst(sv[:, 0])
 
 
 @dataclass(frozen=True)
@@ -530,10 +505,9 @@ def openness_probe(
 
     The points are the origin, then for each probed c the point (c, 0) and
     (c, w) with one normal draw of w per c, of norm radius / 2.  The full
-    differentials of (c, w) -> (a, w - B) at every point, in the metric of
-    level i with the parameter direction included, are taken by central
-    differences in one row stack and go to one metric_singular_values
-    call."""
+    differentials I - (0; dB) of (c, w) -> (c, w - B) at every point, in
+    the metric of level i with the parameter direction included, go to one
+    metric_singular_values call."""
     rng = np.random.default_rng(seed)
     m, g = germ.context.dim, germ.context.gram(level)
     if germ.c_dependent_atoms:
@@ -542,25 +516,12 @@ def openness_probe(
         c_values = [0.9 * radius, -0.9 * radius, 0.5 * radius]
     cs = [0.0] + [c for c in c_values for _ in range(2)]
     w_radii = [0.0] + [0.0, 0.5 * radius] * len(c_values)
-    x = np.zeros((len(cs), 1 + m))
-    x[:, 0] = cs
-    x[2::2, 1:] = _scaled(rng.normal(size=(len(c_values), m)), 0.5 * radius, g)
-
-    def f_at(y: np.ndarray) -> np.ndarray:
-        c, v = y[:, 0], y[:, 1:]
-        return np.column_stack((germ.a(c, v), v - germ.B(c, v)))
-
-    eye = np.eye(1 + m)
-    # cols[p, k] is column k of the differential at point p
-    cols = _central(
-        f_at, np.repeat(x, 1 + m, axis=0), np.tile(eye, (len(x), 1)), _FD_STEP
-    ).reshape(len(x), 1 + m, 1 + m)
-    if germ.c_dependent_atoms:
-        # where atoms move with c, probe only the a-component in the c-direction
-        cols[:, 0, 1:] = 0.0
+    v = np.zeros((len(cs), m))
+    v[2::2] = _scaled(rng.normal(size=(len(c_values), m)), 0.5 * radius, g)
+    jac = np.eye(1 + m) - np.pad(germ.dB(np.array(cs), v), ((0, 0), (1, 0), (0, 0)))
     gram = np.block([[np.ones((1, 1)), np.zeros((1, m))], [np.zeros((m, 1)), g]])
-    sv = metric_singular_values(OperatorHandle(cols.swapaxes(1, 2), gram, gram))
-    cond = np.full(len(x), math.inf)
+    sv = metric_singular_values(OperatorHandle(jac, gram, gram))
+    cond = np.full(len(cs), math.inf)
     np.divide(sv[:, 0], sv[:, -1], out=cond, where=sv[:, -1] > 1e-300)
     cond0, worst = float(cond[0]), float(cond.max())
     passed = math.isfinite(worst) and worst <= _COND_FACTOR * cond0
@@ -589,11 +550,6 @@ def _symmetric_sampler(rng: np.random.Generator, delta: float, n: int) -> np.nda
     return rng.uniform(-0.999 * delta, 0.999 * delta, n)
 
 
-def _a_is_c(c: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """a(c, w) = c."""
-    return c
-
-
 def make_rank_one_germ(
     schedule: Optional[WeightSchedule] = None, spacing: float = DEFAULT_SPACING
 ) -> BasicGerm:
@@ -606,13 +562,14 @@ def make_rank_one_germ(
     def B(c: np.ndarray, v: np.ndarray) -> np.ndarray:
         return (c * _dots(v, pair_vec))[:, None] * e_bump
 
-    return BasicGerm(
-        name="rank-one",
-        context=ctx,
-        a=_a_is_c,
-        B=B,
-        sample_c=_symmetric_sampler,
-    )
+    def dB(c: np.ndarray, v: np.ndarray) -> np.ndarray:
+        # dB/dc = <w, b> e and D_wB = c e (x) p: both live in row 0
+        out = np.zeros((len(c), ctx.dim, 1 + ctx.dim))
+        out[:, 0, 0] = _dots(v, pair_vec)
+        out[:, 0, 1:] = c[:, None] * pair_vec
+        return out
+
+    return BasicGerm(name="rank-one", context=ctx, B=B, dB=dB, sample_c=_symmetric_sampler)
 
 
 def make_quadratic_germ(
@@ -625,13 +582,14 @@ def make_quadratic_germ(
     def B(c: np.ndarray, v: np.ndarray) -> np.ndarray:
         return _dots(v, pair_vec)[:, None] * v
 
-    return BasicGerm(
-        name="quadratic",
-        context=ctx,
-        a=_a_is_c,
-        B=B,
-        sample_c=_symmetric_sampler,
-    )
+    def dB(c: np.ndarray, v: np.ndarray) -> np.ndarray:
+        # dB/dc = 0 and D_wB = v (x) p + <w, b> I
+        out = np.zeros((len(c), ctx.dim, 1 + ctx.dim))
+        out[:, :, 1:] = v[:, :, None] * pair_vec
+        out[:, :, 1:] += _dots(v, pair_vec)[:, None, None] * np.eye(ctx.dim)
+        return out
+
+    return BasicGerm(name="quadratic", context=ctx, B=B, dB=dB, sample_c=_symmetric_sampler)
 
 
 def make_moving_bump_pseudo_germ(
@@ -646,21 +604,31 @@ def make_moving_bump_pseudo_germ(
     The germ's one context, for every c, is the shared base context plus one
     coordinate along b_c, scaled per level to e_i = s_i b_c with
     s_i^2 ||b_c||_i^2 = q = <b_c, b_c> (_BumpContext).  So no c samples a
-    grid, and B(c, w) = (s_i q v_m) b_c = q v_m e_i at every level.  That
-    needs b_c's window left of the atoms', that is c < 1/ln(3 + margin)
-    (1/ln 4 by default), which B checks; the experiments draw c < 0.5."""
+    grid, and B(c, w) = (s_i q v_m) b_c = q v_m e_i at every level, with
+    D_wB = q e_m (x) e_m.  Its c-partial is 0: B is written in the shared
+    coordinate, whatever c it stands for.  That needs b_c's window left of
+    the atoms', that is c < 1/ln(3 + margin) (1/ln 4 by default), which B
+    and dB check; the experiments draw c < 0.5."""
     base_ctx = _base_context(schedule or WeightSchedule.default(), spacing)
     q = bump_self_pairing(0.5, spacing=spacing, margin=margin)  # the same for every c
     ctx = _BumpContext(base_ctx.atoms, base_ctx.schedule, base=base_ctx, q=q)
     reach = 1.0 + margin - _ATOM_WINDOW[0]
     c_max = 1.0 / math.log(reach)
 
-    def B(c: np.ndarray, v: np.ndarray) -> np.ndarray:
+    def live(c: np.ndarray) -> np.ndarray:
         if (c >= c_max).any():
             raise ValueError(f"moving-bump B needs c < 1/ln({reach:g}), got c={float(c.max())!r}")
+        return c > 0.0
+
+    def B(c: np.ndarray, v: np.ndarray) -> np.ndarray:
         out = np.zeros(v.shape)
-        live = c > 0.0
-        out[live, -1] = q * v[live, -1]
+        on = live(c)
+        out[on, -1] = q * v[on, -1]
+        return out
+
+    def dB(c: np.ndarray, v: np.ndarray) -> np.ndarray:
+        out = np.zeros((len(c), ctx.dim, 1 + ctx.dim))
+        out[live(c), -1, -1] = q
         return out
 
     def sample_c(rng: np.random.Generator, delta: float, n: int) -> Optional[np.ndarray]:
@@ -673,12 +641,7 @@ def make_moving_bump_pseudo_germ(
         return rng.uniform(max(lo, 0.5 * delta), hi, n)
 
     return BasicGerm(
-        name="moving-bump",
-        context=ctx,
-        a=_a_is_c,
-        B=B,
-        sample_c=sample_c,
-        c_dependent_atoms=True,
+        name="moving-bump", context=ctx, B=B, dB=dB, sample_c=sample_c, c_dependent_atoms=True
     )
 
 

@@ -89,9 +89,10 @@ def witness_lower_bound(op: OperatorHandle, v: np.ndarray) -> float:
 def metric_singular_values(op: OperatorHandle) -> np.ndarray:
     """Singular values of the operator under the Gram inner products,
     largest first: shape (..., min(r, c)) for a matrix stack (..., r, c),
-    each row equal bit for bit to that of its matrix alone."""
+    each row equal bit for bit to that of its matrix alone.  One Gram
+    matrix serving both sides is factored once."""
     ld = np.linalg.cholesky(op.gram_dom)
-    lc = np.linalg.cholesky(op.gram_cod)
+    lc = ld if op.gram_cod is op.gram_dom else np.linalg.cholesky(op.gram_cod)
     # B = L_c^T A L_d^{-T} has plain-euclidean singular values equal to the
     # metric singular values of A
     right = np.linalg.solve(ld, op.matrix.swapaxes(-1, -2))

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from sclab import cli, experiments
+from sclab.bump_profiles import bump_self_pairing
 from sclab.experiments import (
     EXPERIMENT_IDS,
     Check,
@@ -125,6 +126,25 @@ class TestReports:
     def test_germ_continuity_passes_where_random_draws_missed_the_witness(self, seed):
         report = run("germ-continuity", ExperimentConfig(seed=seed))
         assert report.passed, emit(report, "text")
+
+    @pytest.mark.parametrize("eid", ["germ-continuity", "germ-openness"])
+    def test_germ_experiments_read_the_configured_margin(self, eid, monkeypatch):
+        made = []
+        factory = experiments.make_moving_bump_pseudo_germ
+
+        def recorded(*args, **kwargs):
+            made.append(factory(*args, **kwargs))
+            return made[-1]
+
+        monkeypatch.setattr(experiments, "make_moving_bump_pseudo_germ", recorded)
+        report = run(eid, ExperimentConfig(margin=2.0, seed=1))
+        assert report.passed, emit(report, "text")
+        # the pseudo-germ's self-pairing q (another float than at the default
+        # margin) and its bound c < 1/ln(3 + margin)
+        (germ,) = made
+        assert germ.context.q == bump_self_pairing(0.5, margin=2.0) != bump_self_pairing(0.5)
+        with pytest.raises(ValueError, match=r"c < 1/ln\(5\)"):
+            germ.B(np.array([0.65]), np.ones((1, germ.context.dim)))
 
     def test_reproducible_modulo_stamp(self):
         a, b = run("seq-discontinuity"), run("seq-discontinuity")

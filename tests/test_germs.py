@@ -26,7 +26,7 @@ from sclab.germs import (
     radius_shrink_probes,
     replay_certificate,
 )
-from sclab.operator_probe import OperatorHandle, metric_singular_values
+from sclab.operator_probe import OperatorHandle, metric_singular_values, truncation_opnorm
 from sclab.scale_core import WeightSchedule, grid_combine, grid_l2_inner, grid_sobolev_inner
 
 
@@ -110,8 +110,11 @@ def _per_sample_modulus(germ, level, delta, n_samples=40, seed=0):
 
 
 def _per_sample_dW(germ, level, radius, n_samples=12, seed=1, h=1e-6):
-    """dW_opnorm_probe one trial and one direction at a time, on the draws
-    it reads (c, r uniforms, (2, n, m) normals)."""
+    """A finite-difference lower bound for dW_opnorm_probe, one trial and one
+    direction at a time: the largest central difference of B along each atom
+    and one random direction, at the probe's base points (its c and r draws,
+    and w from the first of (2, n, m) normals, whose first n m values are
+    the probe's (n, m) draw)."""
     rng = np.random.default_rng(seed)
     cs = germ.sample_c(rng, radius, n_samples)
     u = rng.uniform(0.05, 0.95, n_samples)
@@ -130,9 +133,28 @@ def _per_sample_dW(germ, level, radius, n_samples=12, seed=1, h=1e-6):
     return worst
 
 
+def _per_trial_dW(germ, level, radius, n_samples=12, seed=1):
+    """dW_opnorm_probe one trial at a time: the operator norm of D_wB from
+    dB at each base point, one truncation_opnorm call per trial."""
+    rng = np.random.default_rng(seed)
+    cs = germ.sample_c(rng, radius, n_samples)
+    u = rng.uniform(0.05, 0.95, n_samples)
+    normals = rng.normal(size=(n_samples, germ.context.dim))
+    g = germ.context.gram(level)
+    scaled = _rescaler(g)
+    worst = 0.0
+    for trial, c in enumerate(cs.tolist()):
+        r = 0.999 * radius if trial % 2 == 0 else radius * float(u[trial])
+        dw = germ.dB(np.array([c]), scaled(normals[trial], r)[None, :])[0, :, 1:]
+        worst = max(worst, truncation_opnorm(OperatorHandle(dw, g, g)))
+    return worst
+
+
 def _per_point_openness(germ, level, radius, seed=2, h=1e-6):
-    """openness_probe's rows one point at a time: one normal(size=m) draw
-    per c and one metric_singular_values call per point."""
+    """openness_probe's rows one point at a time, with the differential
+    taken by central differences of (c, w) -> (c, w - B): one
+    normal(size=m) draw per c and one metric_singular_values call per
+    point."""
     rng = np.random.default_rng(seed)
     g, m = germ.context.gram(level), germ.context.dim
     gram = np.block([[np.ones((1, 1)), np.zeros((1, m))], [np.zeros((m, 1)), g]])
@@ -145,9 +167,6 @@ def _per_point_openness(germ, level, radius, seed=2, h=1e-6):
     def cond(c, v):
         x = np.concatenate(([c], v))
         cols = np.array([(full(x + h * e) - full(x - h * e)) / (2.0 * h) for e in eye])
-        if germ.c_dependent_atoms:
-            # the c-direction column keeps only its a-component
-            cols[0, 1:] = 0.0
         sv = metric_singular_values(OperatorHandle(cols.T, gram, gram))
         return math.inf if sv[-1] <= 1e-300 else float(sv[0] / sv[-1])
 
@@ -200,26 +219,81 @@ class TestStackedSampling:
 
     @pytest.mark.parametrize("gid", GERM_IDS)
     @pytest.mark.parametrize("level", [0, 1, 2])
-    def test_dW_probe_equals_the_per_sample_loop(self, gid, level):
+    def test_dW_probe_equals_the_per_trial_loop(self, gid, level):
         germ = make_germ(gid)
         for radius in _RADII[gid]:
             for seed in range(5):
-                assert dW_opnorm_probe(germ, level, radius, seed=seed) == _per_sample_dW(
-                    germ, level, radius, seed=seed
-                )
+                probe = dW_opnorm_probe(germ, level, radius, seed=seed)
+                assert probe == _per_trial_dW(germ, level, radius, seed=seed)
+                # the exact norm bounds every directional difference
+                fd = _per_sample_dW(germ, level, radius, seed=seed)
+                assert probe >= fd * (1.0 - 1e-8)
+
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    def test_rank_one_dW_probe_is_the_closed_form(self, level):
+        # D_wB = c e (x) p has level-i norm |c| ||e||_i ||p||_{i,*}, with the
+        # dual norm ||p||_{i,*} = sqrt(p G_i^-1 p)
+        germ = make_germ("rank-one")
+        g = germ.context.gram(level)
+        p = germ.context.l2_pair_vector(0)
+        e_norm = math.sqrt(g[0, 0])
+        p_dual = math.sqrt(float(p @ np.linalg.solve(g, p)))
+        for radius in _RADII["rank-one"]:
+            for seed in range(5):
+                c = germ.sample_c(np.random.default_rng(seed), radius, 12)
+                want = float(np.abs(c).max()) * e_norm * p_dual
+                got = dW_opnorm_probe(germ, level, radius, seed=seed)
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("gid", GERM_IDS)
     @pytest.mark.parametrize("level", [0, 1, 2])
-    def test_openness_equals_the_per_point_loop(self, gid, level):
+    def test_openness_matches_the_finite_difference_loop(self, gid, level):
         germ = make_germ(gid)
         radii = (0.3, 0.2, 0.15) if gid == "moving-bump" else (0.1, 0.05, 0.01)
         for radius in radii:
             for seed in range(3):
                 rep = openness_probe(germ, level, radius, seed=seed)
                 rows = _per_point_openness(germ, level, radius, seed=seed)
-                assert list(rep.rows) == rows
-                assert rep.cond_at_zero == rows[0][2]
-                assert rep.worst_cond == max(cond for _, _, cond in rows)
+                assert [row[:2] for row in rep.rows] == [row[:2] for row in rows]
+                assert rep.rows[0][2] == pytest.approx(rows[0][2], rel=1e-8, abs=0.0)
+                if gid == "moving-bump":
+                    # I - q e_m (x) e_m with q = <b_c, b_c> ~ 1 (exactly 1 at
+                    # some spacings) is singular to working precision at c > 0
+                    for (c, _, got), (_, _, want) in zip(rep.rows[1:], rows[1:]):
+                        assert c > 0.0 and got >= 1e12 and want >= 1e12
+                    continue
+                for (_, _, got), (_, _, want) in zip(rep.rows, rows):
+                    assert got == pytest.approx(want, rel=1e-8, abs=0.0)
+                assert rep.cond_at_zero == rep.rows[0][2]
+                assert rep.worst_cond == max(cond for _, _, cond in rep.rows)
+
+    @pytest.mark.parametrize("gid", GERM_IDS)
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    def test_dB_matches_central_differences_of_B(self, gid, level):
+        # the independent route: central differences of B along the c
+        # direction and every coordinate, at sampled (c, w) in the level ball
+        germ = make_germ(gid)
+        g, m = germ.context.gram(level), germ.context.dim
+        rng = np.random.default_rng(level)
+        c = germ.sample_c(rng, 0.3, 8)
+        if gid == "moving-bump":
+            c = np.concatenate((c, [-0.2, -0.05]))
+        radii = rng.uniform(0.05, 0.3, len(c))
+        v = np.array([_rescaler(g)(n, r) for n, r in zip(rng.normal(size=(len(c), m)), radii)])
+        exact = germ.dB(c, v)
+        assert exact.shape == (len(c), m, 1 + m)
+        h = 1e-6
+        cols = [
+            (germ.B(c + h * d[0], v + h * d[1:]) - germ.B(c - h * d[0], v - h * d[1:])) / (2 * h)
+            for d in np.eye(1 + m)
+        ]
+        fd = np.stack(cols, axis=2)
+        for got, want in zip(fd, exact):
+            # relative to the differential's largest entry; a zero one
+            # (the moving bump at c <= 0) must difference to zero
+            assert np.abs(got - want).max() <= 1e-8 * np.abs(want).max()
+        if gid == "moving-bump":
+            assert not exact[:, :, 0].any() and not exact[-2:].any()
 
     @pytest.mark.parametrize("gid", GERM_IDS)
     def test_generator_calls_do_not_grow_with_the_trials(self, gid, monkeypatch):

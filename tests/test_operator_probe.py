@@ -138,6 +138,23 @@ class TestOperatorNorm:
         assert stacked.shape == shape[:-2] + (min(r, c),)
         assert np.array_equal(stacked.reshape(len(flat), -1), np.stack(per_matrix))
 
+    def test_one_gram_for_both_sides_is_factored_once(self, monkeypatch):
+        rng = np.random.default_rng(15)
+        a, g = rng.normal(size=(6, 5, 5)), _random_spd(rng, 5)
+        calls = []
+        cholesky = np.linalg.cholesky
+
+        def counted(m):
+            calls.append(m.shape)
+            return cholesky(m)
+
+        monkeypatch.setattr(np.linalg, "cholesky", counted)
+        shared = metric_singular_values(OperatorHandle(a, g, g))
+        assert calls == [(5, 5)]
+        # the same bits as two equal Gram matrices, each factored
+        assert np.array_equal(shared, metric_singular_values(OperatorHandle(a, g, g.copy())))
+        assert len(calls) == 3
+
     def test_zero_witness_rejected(self):
         op = OperatorHandle(np.eye(2), np.eye(2), np.eye(2))
         with pytest.raises(ValueError):
