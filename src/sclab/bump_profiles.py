@@ -280,22 +280,12 @@ def bump_window(order: int, spacing: float, margin: float) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=64)
-def _self_pairing_table(spacing: float, margin: float) -> float:
-    """The trapezoid sum of b(u)^2 over the window nodes u, as
+def bump_self_pairing(spacing: float = DEFAULT_SPACING, margin: float = DEFAULT_MARGIN) -> float:
+    """grid_l2_inner(b, b) of b = shifted_bump(t), bit for bit, for every
+    t > 0: the trapezoid sum of b(u)^2 over the window nodes u, as
     grid_sobolev_inner takes it at order 0 and delta = 0."""
     vals = bump_window(0, spacing, margin)
     return float(np.trapezoid(vals * vals, dx=spacing))
-
-
-def bump_self_pairing(
-    t: float,
-    spacing: float = DEFAULT_SPACING,
-    margin: float = DEFAULT_MARGIN,
-) -> float:
-    """grid_l2_inner(b, b) of b = shifted_bump(t), bit for bit, without
-    sampling b: a t-independent table entry."""
-    shift_amount(t)  # ValueError for t <= 0
-    return _self_pairing_table(spacing, margin)
 
 
 def pair_with_bump(

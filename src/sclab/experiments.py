@@ -17,10 +17,10 @@ import numpy as np
 from . import bump_profiles
 from .bump_profiles import bump_self_pairing, log_limit_probe, phi_gate, shifted_bump, step_n
 from .gallery import (
-    default_phi_family,
     h_family_handle,
     h_transversality_data,
     h_zero_branch,
+    phi_value,
     rho_k_tangent,
     s_proj,
     s_proj_diff,
@@ -48,6 +48,7 @@ from .operator_probe import (
     truncation_opnorm,
 )
 from .scale_core import (
+    _MAX_GRID_NODES,
     AnalyticTailFunction,
     GridFunction,
     LogScalar,
@@ -75,6 +76,9 @@ __all__ = [
 #: numpy's per-call cost, small enough to leave peak memory flat (one stack
 #: of 1000 trials at N = 64 raised peak RSS by about 2 MB)
 _SEQ_BLOCK = 100
+
+#: the largest truncation_n: seq-discontinuity builds N x N matrices
+_MAX_TRUNCATION = 1024
 
 _T_GRIDS = ("blowup_t_grid", "dichotomy_t_grid", "branching_t_grid", "smoothness_t_grid")
 
@@ -127,6 +131,11 @@ class ExperimentConfig:
             raise ValueError("out_dir must be a path string")
         if self.spacing <= 0 or self.margin <= 0:
             raise ValueError("spacing and margin must be positive")
+        # the widest sampled window: the bump's, 2 (1 + margin) long, or the
+        # germ atoms' and identity-differential's, 4 long
+        span = max(2.0 * (1.0 + self.margin), 4.0) / self.spacing
+        if not (math.isfinite(span) and round(span) + 1 <= _MAX_GRID_NODES):
+            raise ValueError(f"spacing and margin must keep windows to {_MAX_GRID_NODES} nodes")
         if self.weight_step <= 0:
             raise ValueError("weight_step must be positive")
         if self.dichotomy_delta <= 0:
@@ -135,6 +144,8 @@ class ExperimentConfig:
             raise ValueError("tail_delta must be non-negative")
         if self.truncation_n < 1 or self.levels < 1:
             raise ValueError("truncation and level count must be at least 1")
+        if self.truncation_n > _MAX_TRUNCATION:
+            raise ValueError(f"truncation_n must be at most {_MAX_TRUNCATION}")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if not 0 <= self.germ_level <= self.levels + 1:
@@ -513,7 +524,7 @@ def _identity_differential(cfg: ExperimentConfig) -> List[Check]:
     worst_proj = 0.0
     worst_branch = 0.0
     proj = s_proj_handle(cfg.spacing, cfg.margin)
-    fam = h_family_handle(None, cfg.spacing, cfg.margin)
+    fam = h_family_handle(cfg.spacing, cfg.margin)
     for _ in range(10):
         tan = (float(rng.uniform(0.5, 1.5)), direction())
         rp = finite_diff_differential(proj, (0.0, zero), tan, level=0)
@@ -540,12 +551,11 @@ def _identity_differential(cfg: ExperimentConfig) -> List[Check]:
             worst_branch <= 1e-6,
         )
     )
+    q = bump_self_pairing(cfg.spacing, cfg.margin)
+    gram = np.diag([1.0, q])
     ranks = {}
     for t in (0.5, -0.5):
-        q = bump_self_pairing(abs(t), spacing=cfg.spacing, margin=cfg.margin)
-        col = q if t > 0 else 0.0
-        m = np.array([[1.0, 0.0], [0.0, col]])
-        gram = np.diag([1.0, q])
+        m = np.array([[1.0, 0.0], [0.0, q if t > 0 else 0.0]])
         ranks[t] = numerical_rank(OperatorHandle(m, gram, gram))
     checks.append(
         _check(
@@ -670,12 +680,11 @@ def _noncompact_zeroset(cfg: ExperimentConfig) -> List[Check]:
 
 def _branching_zeroset(cfg: ExperimentConfig) -> List[Check]:
     checks = []
-    fam = default_phi_family()
     worst_rel = -math.inf
     ok = True
     for t in cfg.branching_t_grid:
         for x in (LogScalar.zero(), phi_gate(t)):
-            val = fam.value(t, x)
+            val = phi_value(t, x)
             resid = x.sub(val)
             if resid.is_zero:
                 continue

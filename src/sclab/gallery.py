@@ -53,8 +53,9 @@ __all__ = [
     "ShearPreimage",
     "s_tilde_eval",
     "s_tilde_inv",
-    "PhiFamily",
-    "default_phi_family",
+    "phi_value",
+    "phi_dx",
+    "phi_dt",
     "h_eval",
     "h_diff",
     "h_zero_branch",
@@ -67,7 +68,6 @@ __all__ = [
     "Sweep",
     "ScMapHandle",
     "seq_rho_k_handle",
-    "seq_diffeo_handle",
     "h_family_handle",
     "s_proj_handle",
 ]
@@ -101,7 +101,7 @@ def s_proj(
     margin: float = DEFAULT_MARGIN,
 ):
     """(t, f - <f, b_t> b_t) for t > 0, identity for t <= 0."""
-    return (t, _add_bump(f, _s_proj_coefficient(t, f, spacing, margin), t, spacing, margin))
+    return (t, _add_bump(f, t, spacing, margin, _s_proj_coefficient(t, f, spacing, margin)))
 
 
 def _s_proj_coefficient(t: float, f: GridFunction, spacing: float, margin: float) -> float:
@@ -109,11 +109,13 @@ def _s_proj_coefficient(t: float, f: GridFunction, spacing: float, margin: float
     return -pair_with_bump(f, t, spacing, margin) if t > 0 else 0.0
 
 
-def _add_bump(f: GridFunction, c: float, t: float, spacing: float, margin: float) -> GridFunction:
-    """f + c b_t on the union window, or f itself where c is 0.0."""
-    if c == 0.0:
-        return f
-    return grid_combine([(1.0, f), (c, shifted_bump(t, 0, spacing, margin))])
+def _add_bump(
+    f: GridFunction, t: float, spacing: float, margin: float, c0: float, c1: float = 0.0
+) -> GridFunction:
+    """f + c0 b_t + c1 b_t' on the union window, each term added only where
+    its coefficient is not 0.0, so f itself where both are."""
+    terms = [(c, shifted_bump(t, k, spacing, margin)) for k, c in enumerate((c0, c1)) if c != 0.0]
+    return grid_combine([(1.0, f), *terms]) if terms else f
 
 
 def s_proj_diff(
@@ -127,24 +129,19 @@ def s_proj_diff(
     """Full differential of the projection map at (t, f).
 
     The t-derivative terms carry the pairings of f with b_t and b_t'; where
-    both are exactly 0 (the bump window lies left of f's) they add nothing.
+    both are exactly 0 (the bump window lies left of f's) they add nothing,
+    and exp(1/t), which may be inf there, is not read.
     """
     if t <= 0:
         return (T, F)
-    terms = [(1.0, F)]
-    aF = pair_with_bump(F, t, spacing, margin)
-    if aF != 0.0:
-        terms.append((-aF, shifted_bump(t, 0, spacing, margin)))
+    c0, c1 = -pair_with_bump(F, t, spacing, margin), 0.0
     if T != 0.0:
         af = pair_with_bump(f, t, spacing, margin)
         afp = pair_with_bump(f, t, spacing, margin, order=1)
         if af != 0.0 or afp != 0.0:
             scale = T * shift_amount(t) / (t * t)
-            terms.append((scale * afp, shifted_bump(t, 0, spacing, margin)))
-            terms.append((scale * af, shifted_bump(t, 1, spacing, margin)))
-    if len(terms) == 1:
-        return (T, F)
-    return (T, grid_combine(terms))
+            c0, c1 = c0 + scale * afp, scale * af
+    return (T, _add_bump(F, t, spacing, margin, c0, c1))
 
 
 # ---------------------------------------------------------------------------
@@ -184,7 +181,7 @@ class BumpSplit:
             raise ValueError("orthogonal part is symbolic; cannot materialize")
         if self.along.is_zero or self.along.logmag < -745.0:
             return self.orth
-        return _add_bump(self.orth, self.along.to_real(), self.t, spacing, margin)
+        return _add_bump(self.orth, self.t, spacing, margin, self.along.to_real())
 
 
 @dataclass(frozen=True)
@@ -213,7 +210,7 @@ def s_tilde_eval(
         return ShearImage(t, TrackedScalar(y, LogScalar.zero()), BumpSplit(t, f, LogScalar.zero()))
     phi = phi_gate(t)
     a = pair_with_bump(f, t, spacing, margin)
-    orth = _add_bump(f, -a, t, spacing, margin)
+    orth = _add_bump(f, t, spacing, margin, -a)
     return ShearImage(
         t,
         TrackedScalar(y, phi.mul(LogScalar.from_real(a))),
@@ -244,7 +241,7 @@ def s_tilde_inv(
     else:
         a = pair_with_bump(f, t, spacing, margin)
         along = LogScalar.from_real(a)
-        orth = _add_bump(f, -a, t, spacing, margin)
+        orth = _add_bump(f, t, spacing, margin, -a)
     y_out = along.div(phi)
     # (y phi - <f, b_t>) / phi^2; pair the large terms first so that the
     # exact round-trip cancellation happens before the tiny dust term lands
@@ -257,60 +254,46 @@ def s_tilde_inv(
 # branching family
 
 
-@dataclass(frozen=True)
-class PhiFamily:
-    """Scalar family (t, x) -> phi_t(x) with partials, in log-domain arithmetic."""
-
-    value: Callable[[float, LogScalar], LogScalar]
-    dx: Callable[[float, LogScalar], LogScalar]
-    dt: Callable[[float, LogScalar], LogScalar]
+def phi_value(t: float, x: LogScalar) -> LogScalar:
+    """The scalar family phi_t(x) = x (1 - g(t) + x), with the
+    double-exponential gate g, in log-domain arithmetic."""
+    return x.mul(LogScalar.one().add(phi_gate(t).neg()).add(x))
 
 
-def default_phi_family() -> PhiFamily:
-    """phi_t(x) = x (1 - g(t) + x) with the double-exponential gate g."""
+def phi_dx(t: float, x: LogScalar) -> LogScalar:
+    """d/dx phi_t(x) = 1 - g(t) + 2x."""
+    return LogScalar.one().add(phi_gate(t).neg()).add(x.mul(LogScalar.from_real(2.0)))
 
-    def value(t: float, x: LogScalar) -> LogScalar:
-        g = phi_gate(t)
-        return x.mul(LogScalar.one().add(g.neg()).add(x))
 
-    def dx(t: float, x: LogScalar) -> LogScalar:
-        g = phi_gate(t)
-        two_x = x.mul(LogScalar.from_real(2.0))
-        return LogScalar.one().add(g.neg()).add(two_x)
-
-    def dt(t: float, x: LogScalar) -> LogScalar:
-        if t <= 0 or x.is_zero:
-            return LogScalar.zero()
-        g = phi_gate(t)
-        lead = LogScalar(-1, math.log(2.0) - 3.0 * math.log(t) + 1.0 / (t * t))
-        return lead.mul(g).mul(x)
-
-    return PhiFamily(value, dx, dt)
+def phi_dt(t: float, x: LogScalar) -> LogScalar:
+    """d/dt phi_t(x) = -g'(t) x = -(2/t^3) exp(1/t^2) g(t) x, 0 for t <= 0."""
+    if t <= 0 or x.is_zero:
+        return LogScalar.zero()
+    lead = LogScalar(-1, math.log(2.0) - 3.0 * math.log(t) + 1.0 / (t * t))
+    return lead.mul(phi_gate(t)).mul(x)
 
 
 def h_eval(
     t: float,
     f: GridFunction,
-    phi: Optional[PhiFamily] = None,
     spacing: float = DEFAULT_SPACING,
     margin: float = DEFAULT_MARGIN,
 ) -> GridFunction:
     """f - phi_t(<f, b_t>) b_t for t > 0, identity for t <= 0."""
-    return _add_bump(f, _h_coefficient(t, f, phi, spacing, margin), t, spacing, margin)
+    return _add_bump(f, t, spacing, margin, _h_coefficient(t, f, spacing, margin))
 
 
-def _h_coefficient(
-    t: float, f: GridFunction, phi: Optional[PhiFamily], spacing: float, margin: float
-) -> float:
+def _real(x: LogScalar) -> float:
+    """x as a float, 0.0 where it is zero or underflows one."""
+    return 0.0 if x.is_zero or x.logmag < -745.0 else x.to_real()
+
+
+def _h_coefficient(t: float, f: GridFunction, spacing: float, margin: float) -> float:
     """The c with h_eval(t, f) = f + c b_t: -phi_t(<f, b_t>) for t > 0, and
     0.0 for t <= 0 or where phi_t underflows a float."""
     if t <= 0:
         return 0.0
-    phi = phi or default_phi_family()
-    val = phi.value(t, LogScalar.from_real(pair_with_bump(f, t, spacing, margin)))
-    if val.is_zero or val.logmag < -745.0:
-        return 0.0
-    return -val.to_real()
+    return -_real(phi_value(t, LogScalar.from_real(pair_with_bump(f, t, spacing, margin))))
 
 
 def h_diff(
@@ -318,39 +301,30 @@ def h_diff(
     f: GridFunction,
     T: float,
     F: GridFunction,
-    phi: Optional[PhiFamily] = None,
     spacing: float = DEFAULT_SPACING,
     margin: float = DEFAULT_MARGIN,
 ) -> GridFunction:
     """Full differential of the branching family at (t, f), applied to (T, F).
 
     Every t-derivative term carries a pairing of f with b_t or b_t'; where
-    those are exactly 0 (the bump window lies left of f's) it adds nothing.
+    those are exactly 0 (the bump window lies left of f's) it adds nothing,
+    and exp(1/t), which may be inf there, is not multiplied in.
     """
     if t <= 0:
         return F
-    phi = phi or default_phi_family()
-    x_t = pair_with_bump(f, t, spacing, margin)
-    aF = pair_with_bump(F, t, spacing, margin)
-    x_log = LogScalar.from_real(x_t)
-    c1 = phi.dx(t, x_log).to_real()
-    terms = [(1.0, F)]
-    if aF != 0.0:
-        terms.append((-c1 * aF, shifted_bump(t, 0, spacing, margin)))
+    x_log = LogScalar.from_real(pair_with_bump(f, t, spacing, margin))
+    slope = phi_dx(t, x_log).to_real()
+    c0, c1 = -slope * pair_with_bump(F, t, spacing, margin), 0.0
     if T != 0.0:
-        dphit = phi.dt(t, x_log)
-        c2 = phi.value(t, x_log)
         dshift = -shift_amount(t) / (t * t)  # d/dt of exp(1/t)
-        if not dphit.is_zero and dphit.logmag > -745.0:
-            terms.append((-T * dphit.to_real(), shifted_bump(t, 0, spacing, margin)))
+        c0 -= T * _real(phi_dt(t, x_log))
         afp = pair_with_bump(f, t, spacing, margin, order=1)
         if afp != 0.0:
-            terms.append((-T * c1 * (dshift * afp), shifted_bump(t, 0, spacing, margin)))
-        if not c2.is_zero and c2.logmag > -745.0:
-            terms.append((-T * c2.to_real() * dshift, shifted_bump(t, 1, spacing, margin)))
-    if len(terms) == 1:
-        return F
-    return grid_combine(terms)
+            c0 -= T * slope * (dshift * afp)
+        value = _real(phi_value(t, x_log))
+        if value != 0.0:
+            c1 = -T * value * dshift
+    return _add_bump(F, t, spacing, margin, c0, c1)
 
 
 def h_zero_branch(t: float):
@@ -387,7 +361,7 @@ def h_transversality_data(
     E = math.exp(1.0 / (t * t))
     direct = LogScalar(1, math.fsum([-3.0 * math.log(t), 1.0 / (t * t), -2.0 * E]))
     # independent route: |d_t phi_t(x_t)| * <b_t, b_t> with x_t = gate / 2
-    q = bump_self_pairing(t, spacing=spacing, margin=margin)
+    q = bump_self_pairing(spacing, margin)
     partial = LogScalar(
         1,
         math.fsum(
@@ -491,30 +465,22 @@ def _pair_norm(norm: Callable) -> Callable:
     return lambda value, i: math.hypot(value[0], norm(value[1], i))
 
 
-def _seq_sweep(k: int, with_t: bool, point, tangent, hs) -> Sweep:
-    """Rows of rho_k(t + h T, x + h X) for each h in hs, preceded by the
-    parameter if with_t, on the modes up to the larger of x and X, from one
-    step_n call."""
+def _seq_sweep(k: int, point, tangent, hs) -> Sweep:
+    """Rows of rho_k(t + h T, x + h X) for each h in hs, on the modes up to
+    the larger of x and X, from one step_n call."""
     (t, x), (T, X) = point, tangent
     hs = np.asarray(hs, dtype=float)
-    n, lead = max(x.dim, X.dim), int(with_t)
+    n = max(x.dim, X.dim)
     xs = np.zeros((hs.size, n))
     xs[:, : x.dim] += x.coeffs
     xs[:, : X.dim] += hs[:, np.newaxis] * X.coeffs
-    rows = np.empty((hs.size, lead + n))
-    ts = t + hs * T
-    rows[:, :lead] = ts[:, np.newaxis]
-    np.multiply(step_n(np.arange(1, n + 1), ts[:, np.newaxis], k), xs, out=rows[:, lead:])
+    rows = step_n(np.arange(1, n + 1), (t + hs * T)[:, np.newaxis], k) * xs
 
-    def row(value) -> np.ndarray:
-        out = np.zeros(lead + n)
-        if with_t:
-            out[0], value = value
-        out[lead : lead + value.dim] = value.coeffs
+    def row(value: SeqVector) -> np.ndarray:
+        out = np.zeros(n)
+        out[: value.dim] = value.coeffs
         return out
 
-    if with_t:
-        return Sweep(rows, row, _pair_norms(seq_norms), _pair_norm(seq_norm))
     return Sweep(rows, row, seq_norms, seq_norm)
 
 
@@ -523,16 +489,8 @@ def seq_rho_k_handle(k: int) -> ScMapHandle:
         raise ValueError(f"k must be in 0..{K_MAX}")
     return ScMapHandle(
         name=f"rho-{k}",
-        eval=lambda p, tan, hs: _seq_sweep(k, False, p, tan, hs),
+        eval=lambda p, tan, hs: _seq_sweep(k, p, tan, hs),
         diff=lambda p, tan: rho_k_tangent(k, p[0], p[1], tan[0], tan[1]),
-    )
-
-
-def seq_diffeo_handle() -> ScMapHandle:
-    return ScMapHandle(
-        name="seq-diffeo",
-        eval=lambda p, tan, hs: _seq_sweep(0, True, p, tan, hs),
-        diff=lambda p, tan: (tan[0], rho_k_tangent(0, p[0], p[1], tan[0], tan[1])),
     )
 
 
@@ -608,15 +566,11 @@ def s_proj_handle(spacing: float = DEFAULT_SPACING, margin: float = DEFAULT_MARG
     )
 
 
-def h_family_handle(
-    phi: Optional[PhiFamily] = None,
-    spacing: float = DEFAULT_SPACING,
-    margin: float = DEFAULT_MARGIN,
-) -> ScMapHandle:
+def h_family_handle(spacing: float = DEFAULT_SPACING, margin: float = DEFAULT_MARGIN) -> ScMapHandle:
     return ScMapHandle(
         name="h-family",
         eval=_grid_sweep(
-            lambda t, g: _h_coefficient(t, g, phi, spacing, margin), False, spacing, margin
+            lambda t, g: _h_coefficient(t, g, spacing, margin), False, spacing, margin
         ),
-        diff=lambda p, tan: h_diff(p[0], p[1], tan[0], tan[1], phi, spacing, margin),
+        diff=lambda p, tan: h_diff(p[0], p[1], tan[0], tan[1], spacing, margin),
     )

@@ -610,7 +610,7 @@ def make_moving_bump_pseudo_germ(
     the atoms', that is c < 1/ln(3 + margin) (1/ln 4 by default), which B
     and dB check; the experiments draw c < 0.5."""
     base_ctx = _base_context(schedule or WeightSchedule.default(), spacing)
-    q = bump_self_pairing(0.5, spacing=spacing, margin=margin)  # the same for every c
+    q = bump_self_pairing(spacing, margin)  # the same for every c
     ctx = _BumpContext(base_ctx.atoms, base_ctx.schedule, base=base_ctx, q=q)
     reach = 1.0 + margin - _ATOM_WINDOW[0]
     c_max = 1.0 / math.log(reach)

@@ -146,15 +146,15 @@ def finite_diff_differential(
 
     The mismatch reported is the best over the step sweep, taking plain
     second-order central differences and one Richardson extrapolation step
-    at each h.  The map is evaluated at every signed step of the sweep in
-    one handle.eval call, which returns the outputs as rows on one index set.
-    Centrals, Richardson rows and errors are explicit in-order elementwise
-    sums, never a matrix product (BLAS may fuse multiply-adds and change
-    bits), and each step's two error rows are normed in one call.
+    at each h.  The map is evaluated in one handle.eval call at +h, -h,
+    +h/2 and -h/2 for each h in turn, and returns the outputs as rows on one
+    index set; each step's two centrals are formed as its rows are read, so
+    a grid sweep holds a few rows at a time.  Centrals, Richardson rows and
+    errors are explicit in-order elementwise sums, never a matrix product
+    (BLAS may fuse multiply-adds and change bits), and each step's two error
+    rows are normed in one call.
     """
-    # the distinct steps in first-use order, each evaluated at +h and -h
-    sweep_hs = list(dict.fromkeys(s for h in steps for s in (h, h / 2.0)))
-    sweep = handle.eval(point, tangent, [s for h in sweep_hs for s in (h, -h)])
+    sweep = handle.eval(point, tangent, [s for h in steps for s in (h, -h, h / 2.0, -h / 2.0)])
     analytic = handle.diff(point, tangent)
     exact = sweep.row(analytic)
     # the scale is the norm on the analytic value's own window: zeros padded
@@ -162,29 +162,22 @@ def finite_diff_differential(
     scale = max(sweep.norm(analytic, level), 1.0)
     del analytic  # a grid as wide as a row, which exact stands for from here
 
-    # each distinct step's central row, read in sweep order and kept from
-    # its first use to its last, so a grid sweep holds a few rows at a time
-    rows, unread = iter(sweep.rows), iter(sweep_hs)
-    last_use = {s: i for i, h in enumerate(steps) for s in (h, h / 2.0)}
-    centrals = {}
+    rows = iter(sweep.rows)
+
+    def central(s: float) -> np.ndarray:
+        return (0.5 / s) * next(rows) + (-0.5 / s) * next(rows)
 
     plain: List[float] = []  # the central-difference errors, one per step
     per_step: List[Tuple[float, float]] = []
     errors = np.empty((2, exact.size))
-    for i, h in enumerate(steps):
-        while h / 2.0 not in centrals or h not in centrals:
-            s = next(unread)
-            centrals[s] = (0.5 / s) * next(rows) + (-0.5 / s) * next(rows)
-        fd = centrals[h]
-        rich = (4.0 / 3.0) * centrals[h / 2.0] + (-1.0 / 3.0) * fd
+    for h in steps:
+        fd = central(h)
+        rich = (4.0 / 3.0) * central(h / 2.0) + (-1.0 / 3.0) * fd
         np.subtract(fd, exact, out=errors[0])
         np.subtract(rich, exact, out=errors[1])
         e_plain, e_rich = sweep.norms(errors, level).tolist()
         plain.append(e_plain)
         per_step.append((h, min(e_plain, e_rich) / scale))
-        for s in (h, h / 2.0):
-            if last_use[s] == i:
-                del centrals[s]
 
     best_step, mismatch = min(per_step, key=lambda p: p[1])
 
@@ -250,12 +243,13 @@ def opnorm_dichotomy(
     # one (n_samples, N) stack serves every t; it is filled and paired a row
     # at a time, so no other array as large as the stack is formed
     samples = np.empty((n_samples, windows[0].size))
+    q = bump_self_pairing(spacing, margin)
     rows = []
     for t in t_grid:
-        q = bump_self_pairing(t, spacing=spacing, margin=margin)  # ValueError for t <= 0
+        shift = shift_amount(t)  # ValueError for t <= 0
         slope = LogScalar.one().add(phi_gate(t).neg())
         l2_lower = abs(slope.to_real()) * q  # witness F = b_t, L2 both sides
-        log_upper = slope.logmag - delta * (shift_amount(t) - 1.0)
+        log_upper = slope.logmag - delta * (shift - 1.0)
         for row, coeffs in zip(samples, rng.normal(size=(n_samples, 3))):
             row[:] = sum(a * w for a, w in zip(coeffs, windows))
         pairings = np.array([np.trapezoid(row * windows[0], dx=spacing) for row in samples])

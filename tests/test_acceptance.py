@@ -9,9 +9,9 @@ import numpy as np
 from sclab import experiments
 from sclab.bump_profiles import log_limit_probe, phi_gate, shifted_bump
 from sclab.gallery import (
-    default_phi_family,
     h_transversality_data,
     h_zero_branch,
+    phi_value,
     rho_k_eval,
     rho_k_tangent,
     s_proj,
@@ -299,11 +299,10 @@ def test_criterion_07_noncompact_zeroset():
 
 def test_criterion_08_branching_zeroset():
     failures = []
-    fam = default_phi_family()
     worst_route = 0.0
     for t in (0.3, 0.4, 0.5, 0.6):
         for x in (LogScalar.zero(), phi_gate(t)):
-            resid = fam.value(t, x).add(x.neg())
+            resid = phi_value(t, x).add(x.neg())
             scale = x.logmag if not x.is_zero else 0.0
             ok = resid.is_zero or resid.logmag - scale < -27.0  # log(1e-12)
             if not ok:

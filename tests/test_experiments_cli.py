@@ -71,6 +71,14 @@ class TestConfig:
             {"dichotomy_delta": -0.1},
             {"dichotomy_delta": 0.0},
             {"tail_delta": -0.1},
+            # windows past the grid-node cap: the atoms' 4 / spacing, the
+            # bump's 2 (1 + margin) / spacing, and an inf node count
+            {"spacing": 1e-7},
+            {"margin": 1e5},
+            {"spacing": 5e-324},
+            # seq-discontinuity's N x N matrices: 80 GB at N = 10^5
+            {"truncation_n": 1025},
+            {"truncation_n": 10**5},
         ],
     )
     def test_rejects_input_that_used_to_crash_an_experiment(self, bad):
@@ -142,7 +150,7 @@ class TestReports:
         # the pseudo-germ's self-pairing q (another float than at the default
         # margin) and its bound c < 1/ln(3 + margin)
         (germ,) = made
-        assert germ.context.q == bump_self_pairing(0.5, margin=2.0) != bump_self_pairing(0.5)
+        assert germ.context.q == bump_self_pairing(margin=2.0) != bump_self_pairing()
         with pytest.raises(ValueError, match=r"c < 1/ln\(5\)"):
             germ.B(np.array([0.65]), np.ones((1, germ.context.dim)))
 
@@ -419,6 +427,9 @@ class TestCli:
             ("opnorm-dichotomy", {"dichotomy_delta": -0.1}),
             ("opnorm-dichotomy", {"dichotomy_delta": 0}),
             ("inverse-blowup", {"tail_delta": -0.1}),
+            ("germ-continuity", {"spacing": 1e-7}),
+            ("retract-image-gap", {"margin": 1e5}),
+            ("seq-discontinuity", {"truncation_n": 10**5}),
         ],
     )
     def test_config_error_exits_two_with_one_line(self, tmp_path, capsys, eid, bad):

@@ -13,11 +13,13 @@ from sclab.bump_profiles import (
     step_n,
 )
 from sclab.gallery import (
-    default_phi_family,
     h_diff,
     h_eval,
     h_transversality_data,
     h_zero_branch,
+    phi_dt,
+    phi_dx,
+    phi_value,
     rho_eval,
     rho_k_eval,
     rho_k_tangent,
@@ -236,26 +238,24 @@ class TestBranchingFamily:
         assert grid_sobolev_norm(diff, 0, 0.0) < 1e-12
 
     def test_phi_family_partials(self):
-        fam = default_phi_family()
         t = 0.5
         g = phi_gate(t).to_real()
         for x in (0.25, -0.5, 1.0):
             xl = LogScalar.from_real(x)
-            assert fam.value(t, xl).to_real() == pytest.approx(
+            assert phi_value(t, xl).to_real() == pytest.approx(
                 x * (1 - g + x), rel=1e-12
             )
-            assert fam.dx(t, xl).to_real() == pytest.approx(1 - g + 2 * x, rel=1e-12)
+            assert phi_dx(t, xl).to_real() == pytest.approx(1 - g + 2 * x, rel=1e-12)
             # dt check against a closed form in log space
-            dt = fam.dt(t, xl)
+            dt = phi_dt(t, xl)
             expected = math.log(2.0) - 3 * math.log(t) + 1 / t**2 + phi_gate(t).logmag
             assert dt.sign == -int(math.copysign(1, x))
             assert dt.logmag == pytest.approx(expected + math.log(abs(x)), rel=1e-12)
 
     def test_fixed_point_residuals(self):
-        fam = default_phi_family()
         for t in (0.5, 0.4, 0.3):
             g = phi_gate(t)
-            val = fam.value(t, g)  # phi_t(g(t)) should equal g(t)^2... check root
+            val = phi_value(t, g)  # phi_t(g(t)) should equal g(t)^2... check root
             # x = g(t) solves x(1 - g + x) = x, i.e. value - x = x(x - g) = 0
             residual = val.add(g.neg())
             assert residual.is_zero or residual.logmag < g.logmag - 30.0

@@ -8,13 +8,13 @@ import pytest
 from sclab import bump_profiles, gallery, operator_probe, scale_core
 from sclab.bump_profiles import K_MAX, make_bump, phi_gate, shifted_bump
 from sclab.gallery import (
+    ScMapHandle,
     h_eval,
     h_family_handle,
     rho_k_eval,
     s_proj,
     s_proj_handle,
     seq_diffeo,
-    seq_diffeo_handle,
     seq_rho_k_handle,
 )
 from sclab.operator_probe import (
@@ -163,9 +163,9 @@ class TestOperatorNorm:
 
 class TestFiniteDiffDifferential:
     def test_linear_map_is_matched_near_exactly(self):
-        # the diagonal diffeomorphism is linear in x at fixed t, so the
-        # f-direction finite difference is exact to roundoff
-        handle = seq_diffeo_handle()
+        # the diagonal diffeomorphism rho_0 is linear in x at fixed t, so
+        # the f-direction finite difference is exact to roundoff
+        handle = seq_rho_k_handle(0)
         x = SeqVector(np.ones(8))
         point = (0.29, x)
         tangent = (0.0, SeqVector(np.arange(1.0, 9.0)))
@@ -217,6 +217,25 @@ class TestFiniteDiffDifferential:
         assert rep.level == 1
         assert rep.best_step in dict(rep.per_step)
         assert rep.ok
+
+    def test_each_step_reads_four_rows_from_one_eval(self):
+        # +h, -h, +h/2 and -h/2 per step, in one call, even where a half
+        # step is also a step of the sweep (5e-4 below)
+        inner = seq_rho_k_handle(0)
+        calls = []
+
+        def recorded(point, tangent, hs):
+            calls.append(list(hs))
+            return inner.eval(point, tangent, hs)
+
+        handle = ScMapHandle(inner.name, recorded, inner.diff)
+        for level, steps in SWEEPS:
+            calls.clear()
+            point, tan = (0.29, SeqVector.basis(3)), (1.0, SeqVector.basis(2))
+            got = finite_diff_differential(handle, point, tan, level, steps)
+            assert calls == [[s for h in steps for s in (h, -h, h / 2.0, -h / 2.0)]]
+            assert len(calls[0]) == 4 * len(steps)
+            assert repr(got) == repr(finite_diff_differential(inner, point, tan, level, steps))
 
 
 def _seq_move(p, h, tan):
@@ -290,8 +309,6 @@ SWEEPS = [
 
 
 def _seq_map(k):
-    if k == "diffeo":
-        return seq_diffeo_handle(), lambda p: (p[0], seq_diffeo(p[0], p[1]))
     return seq_rho_k_handle(k), lambda p: rho_k_eval(k, p[0], p[1])
 
 
@@ -317,7 +334,7 @@ def _origin_direction(rng, spacing=1e-3):
 
 
 class TestOneCallSweep:
-    @pytest.mark.parametrize("k", [0, 1, 2, "diffeo"])
+    @pytest.mark.parametrize("k", [0, 1, 2])
     def test_seq_reports_equal_the_one_point_sweep(self, k):
         handle, one_point = _seq_map(k)
         rng = np.random.default_rng(40)
@@ -328,7 +345,7 @@ class TestOneCallSweep:
             for point in ((float(t), x), (float(t), SeqVector.basis(3))):
                 _assert_seq_sweeps_equal(handle, one_point, point, tan)
 
-    @pytest.mark.parametrize("k", [1, 2, 0, "diffeo"])
+    @pytest.mark.parametrize("k", [1, 2, 0])
     def test_seq_rows_that_end_in_zeros_equal_the_one_point_sweep(self, k):
         # the rows span the modes up to the larger of x and X, as every
         # vector the one-point loop forms does
@@ -363,7 +380,7 @@ class TestOneCallSweep:
         # identity-differential's sweeps, at both spacings and three levels
         rng = np.random.default_rng(42)
         for spacing in (1e-3, 5e-4):
-            handle = s_proj_handle(spacing) if name == "s-proj" else h_family_handle(None, spacing)
+            handle = s_proj_handle(spacing) if name == "s-proj" else h_family_handle(spacing)
             F = _origin_direction(rng, spacing)
             point, tan = (0.0, F.zeros_like()), (float(rng.uniform(0.5, 1.5)), F)
             for level in (0, 2):
@@ -419,15 +436,13 @@ class TestOneCallSweep:
         point = (0.29, SeqVector(np.arange(1.0, 6.0)))
         tan = (1.0, SeqVector(np.ones(7)))
         hs = [1e-2, -1e-2, 0.0, 0.5, -0.4]
-        sweep = seq_diffeo_handle().eval(point, tan, hs)
+        sweep = seq_rho_k_handle(0).eval(point, tan, hs)
         rows = list(sweep.rows)
         assert len(rows) == len(hs)
         for h, row in zip(hs, rows):
-            t_want, y_want = _seq_move(point, h, tan)
-            want = seq_diffeo(t_want, y_want)
-            assert row[0] == t_want
-            assert np.array_equal(row[1 : 1 + want.dim], want.coeffs)
-            assert np.array_equal(sweep.row((t_want, want)), row)
+            want = seq_diffeo(*_seq_move(point, h, tan))
+            assert np.array_equal(row[: want.dim], want.coeffs)
+            assert np.array_equal(sweep.row(want), row)
 
     @pytest.mark.parametrize("name", ["s-proj", "h-family"])
     def test_grid_rows_are_the_one_point_outputs_on_one_window(self, name):
@@ -495,7 +510,7 @@ class TestSweepStructure:
         # or every output, would pass 14 rows' worth.  At t = 0.4 with f on
         # b_t's window every output carries a bump term.
         spacing = 5e-4
-        handle = s_proj_handle(spacing) if name == "s-proj" else h_family_handle(None, spacing)
+        handle = s_proj_handle(spacing) if name == "s-proj" else h_family_handle(spacing)
         if t == 0.0:
             F = _origin_direction(np.random.default_rng(44), spacing)
             f, T = F.zeros_like(), 1.0
