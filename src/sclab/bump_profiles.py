@@ -24,6 +24,7 @@ from .scale_core import (
     GridFunction,
     LogScalar,
     grid_l2_inner,
+    uniform_trapezoid,
 )
 
 __all__ = [
@@ -282,10 +283,10 @@ def bump_window(order: int, spacing: float, margin: float) -> np.ndarray:
 @functools.lru_cache(maxsize=64)
 def bump_self_pairing(spacing: float = DEFAULT_SPACING, margin: float = DEFAULT_MARGIN) -> float:
     """grid_l2_inner(b, b) of b = shifted_bump(t), bit for bit, for every
-    t > 0: the trapezoid sum of b(u)^2 over the window nodes u, as
+    t > 0: the uniform_trapezoid of b(u)^2 over the window nodes u, as
     grid_sobolev_inner takes it at order 0 and delta = 0."""
     vals = bump_window(0, spacing, margin)
-    return float(np.trapezoid(vals * vals, dx=spacing))
+    return uniform_trapezoid(vals * vals, spacing)
 
 
 def pair_with_bump(

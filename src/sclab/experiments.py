@@ -22,9 +22,9 @@ from .gallery import (
     h_zero_branch,
     phi_value,
     rho_k_tangent,
-    s_proj,
     s_proj_diff,
     s_proj_handle,
+    s_proj_row,
     s_tilde_inv,
     seq_diffeo,
     seq_diffeo_inv,
@@ -54,11 +54,12 @@ from .scale_core import (
     LogScalar,
     SeqVector,
     WeightSchedule,
-    grid_combine,
     grid_l2_inner,
     grid_sobolev_norm,
+    grid_sobolev_norms,
     seq_norm,
     seq_norms,
+    uniform_trapezoid,
 )
 
 __all__ = [
@@ -79,6 +80,9 @@ _SEQ_BLOCK = 100
 
 #: the largest truncation_n: seq-discontinuity builds N x N matrices
 _MAX_TRUNCATION = 1024
+
+#: the largest level count: schedule() holds levels + 2 weights
+_MAX_LEVELS = 1024
 
 _T_GRIDS = ("blowup_t_grid", "dichotomy_t_grid", "branching_t_grid", "smoothness_t_grid")
 
@@ -146,6 +150,8 @@ class ExperimentConfig:
             raise ValueError("truncation and level count must be at least 1")
         if self.truncation_n > _MAX_TRUNCATION:
             raise ValueError(f"truncation_n must be at most {_MAX_TRUNCATION}")
+        if self.levels > _MAX_LEVELS:
+            raise ValueError(f"levels must be at most {_MAX_LEVELS}")
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
         if not 0 <= self.germ_level <= self.levels + 1:
@@ -453,16 +459,22 @@ def _seq_tangent_check(cfg: ExperimentConfig) -> List[Check]:
 def _retract_image_gap(cfg: ExperimentConfig) -> List[Check]:
     checks = []
     rng = np.random.default_rng(cfg.seed)
+    h = cfg.spacing
+    windows = [bump_profiles.bump_window(k, h, cfg.margin) for k in range(4)]
+    row = np.empty(windows[0].size)
     worst_orth = 0.0
     for t in (0.3, 0.4, 0.5):
-        # random combinations of the bump and its first three derivatives
-        bumps = [shifted_bump(t, k, cfg.spacing, cfg.margin) for k in range(4)]
-        b = bumps[0]
-        for _ in range(34):
-            f = grid_combine(list(zip(rng.normal(size=4), bumps)))
-            _, g = s_proj(t, f, cfg.spacing, cfg.margin)
-            resid = abs(grid_l2_inner(g, b))
-            worst_orth = max(worst_orth, resid / max(grid_sobolev_norm(f, 0, 0.0), 1e-300))
+        # random combinations f of the bump and its first three derivatives on
+        # b_t's window, each formed in one row as grid_combine adds them,
+        # normed, projected in place and paired with b_t before the next
+        x0 = shifted_bump(t, 0, h, cfg.margin).x0
+        for coeffs in rng.normal(size=(34, 4)):
+            row.fill(0.0)
+            for c, w in zip(coeffs, windows):
+                row += c * w
+            norm = grid_sobolev_norms(row[np.newaxis], 0, 0.0, x0, h)[0]
+            resid = abs(uniform_trapezoid(s_proj_row(t, row, x0, h, cfg.margin) * windows[0], h))
+            worst_orth = max(worst_orth, resid / max(norm, 1e-300))
     checks.append(
         _check(
             "projection orthogonality",
@@ -523,8 +535,8 @@ def _identity_differential(cfg: ExperimentConfig) -> List[Check]:
 
     worst_proj = 0.0
     worst_branch = 0.0
-    proj = s_proj_handle(cfg.spacing, cfg.margin)
-    fam = h_family_handle(cfg.spacing, cfg.margin)
+    proj = s_proj_handle(cfg.spacing, cfg.margin, cfg.schedule())
+    fam = h_family_handle(cfg.spacing, cfg.margin, cfg.schedule())
     for _ in range(10):
         tan = (float(rng.uniform(0.5, 1.5)), direction())
         rp = finite_diff_differential(proj, (0.0, zero), tan, level=0)

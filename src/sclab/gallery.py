@@ -36,16 +36,19 @@ from .scale_core import (
     WeightSchedule,
     grid_combine,
     grid_row,
+    grid_slice,
     grid_sobolev_norm,
     grid_sobolev_norms,
     grid_window,
     seq_norm,
     seq_norms,
+    uniform_trapezoid,
 )
 
 __all__ = [
     "rho_eval",
     "s_proj",
+    "s_proj_row",
     "s_proj_diff",
     "TrackedScalar",
     "BumpSplit",
@@ -101,12 +104,36 @@ def s_proj(
     margin: float = DEFAULT_MARGIN,
 ):
     """(t, f - <f, b_t> b_t) for t > 0, identity for t <= 0."""
-    return (t, _add_bump(f, t, spacing, margin, _s_proj_coefficient(t, f, spacing, margin)))
+    c = _s_proj_coefficient(t, pair_with_bump(f, t, spacing, margin)) if t > 0 else 0.0
+    return (t, _add_bump(f, t, spacing, margin, c))
 
 
-def _s_proj_coefficient(t: float, f: GridFunction, spacing: float, margin: float) -> float:
-    """The c with s_proj(t, f) = (t, f + c b_t): -<f, b_t> for t > 0, else 0.0."""
-    return -pair_with_bump(f, t, spacing, margin) if t > 0 else 0.0
+def s_proj_row(
+    t: float,
+    row: np.ndarray,
+    x0: float,
+    spacing: float = DEFAULT_SPACING,
+    margin: float = DEFAULT_MARGIN,
+) -> np.ndarray:
+    """s_proj on a row of samples on the window x0 + j*spacing, in place.
+
+    The row, returned, becomes grid_row(s_proj(t, f)[1], x0, spacing,
+    row.size) of f = GridFunction(x0, spacing, row), bit for bit where the
+    row holds no -0.0: the pairing with b_t is the uniform_trapezoid over
+    b_t's window, which must lie inside the row's where b_t reaches it.
+    """
+    if t > 0 and bump_reaches(x0, t, margin):
+        b = shifted_bump(t, 0, spacing, margin)
+        seg = row[grid_slice(b, x0, spacing, row.size)]
+        c = _s_proj_coefficient(t, uniform_trapezoid(seg * b.values, spacing))
+        if c != 0.0:
+            seg += c * b.values
+    return row
+
+
+def _s_proj_coefficient(t: float, a: float) -> float:
+    """The c with s_proj(t, f) = (t, f + c b_t) at t > 0, from a = <f, b_t>."""
+    return -a
 
 
 def _add_bump(
@@ -280,7 +307,8 @@ def h_eval(
     margin: float = DEFAULT_MARGIN,
 ) -> GridFunction:
     """f - phi_t(<f, b_t>) b_t for t > 0, identity for t <= 0."""
-    return _add_bump(f, t, spacing, margin, _h_coefficient(t, f, spacing, margin))
+    c = _h_coefficient(t, pair_with_bump(f, t, spacing, margin)) if t > 0 else 0.0
+    return _add_bump(f, t, spacing, margin, c)
 
 
 def _real(x: LogScalar) -> float:
@@ -288,12 +316,10 @@ def _real(x: LogScalar) -> float:
     return 0.0 if x.is_zero or x.logmag < -745.0 else x.to_real()
 
 
-def _h_coefficient(t: float, f: GridFunction, spacing: float, margin: float) -> float:
-    """The c with h_eval(t, f) = f + c b_t: -phi_t(<f, b_t>) for t > 0, and
-    0.0 for t <= 0 or where phi_t underflows a float."""
-    if t <= 0:
-        return 0.0
-    return -_real(phi_value(t, LogScalar.from_real(pair_with_bump(f, t, spacing, margin))))
+def _h_coefficient(t: float, a: float) -> float:
+    """The c with h_eval(t, f) = f + c b_t at t > 0, from a = <f, b_t>:
+    -phi_t(a), and 0.0 where phi_t underflows a float."""
+    return -_real(phi_value(t, LogScalar.from_real(a)))
 
 
 def h_diff(
@@ -494,16 +520,25 @@ def seq_rho_k_handle(k: int) -> ScMapHandle:
     )
 
 
-def _grid_sweep(coefficient: Callable, with_t: bool, spacing: float, margin: float) -> Callable:
-    """eval for a grid map that sends (t, g) to g + c b_t, c = coefficient(t, g),
-    where c is 0.0 for t <= 0 and wherever b_t's window does not reach g's.
+def _grid_sweep(
+    coefficient: Callable,
+    with_t: bool,
+    spacing: float,
+    margin: float,
+    schedule: Optional[WeightSchedule],
+) -> Callable:
+    """eval for a grid map that sends (t, g) to g + c b_t, c = coefficient(t,
+    <g, b_t>), where c is 0.0 for t <= 0 and wherever b_t's window does not
+    reach g's.
 
     The rows share one window, the hull of the point's, the tangent's and
-    the bump terms'.  A first pass finds c at the steps where b_t reaches
-    g = f + h F, the only steps that build g as a grid.  Each row is then
-    formed as it is read, g and then c b_t added in the order the one-point
-    map adds them, so the sweep holds no outputs.
+    the bump terms', and are normed with schedule's weights
+    (WeightSchedule.default() if None).  A first pass finds c at the steps
+    where b_t reaches g = f + h F, the only steps that build g as a grid.
+    Each row is then formed as it is read, g and then c b_t added in the
+    order the one-point map adds them, so the sweep holds no outputs.
     """
+    schedule = schedule or WeightSchedule.default()
 
     def line(point, tangent, hs) -> Sweep:
         (t, f), (T, F) = point, tangent
@@ -512,7 +547,8 @@ def _grid_sweep(coefficient: Callable, with_t: bool, spacing: float, margin: flo
         coefs = {}
         for j, (h, s) in enumerate(zip(hs, ts)):
             if s > 0 and bump_reaches(x0_g, s, margin):
-                c = coefficient(s, grid_combine([(1.0, f), (h, F)]))
+                g = grid_combine([(1.0, f), (h, F)])
+                c = coefficient(s, pair_with_bump(g, s, spacing, margin))
                 if c != 0.0:
                     coefs[j] = c
 
@@ -522,7 +558,6 @@ def _grid_sweep(coefficient: Callable, with_t: bool, spacing: float, margin: flo
         dx, lead = f.spacing, int(with_t)
         x0, n = grid_window(itertools.chain((f, F), map(bump, coefs)))
         f_row, F_row = grid_row(f, x0, dx, n), grid_row(F, x0, dx, n)
-        schedule = WeightSchedule.default()
 
         def rows():
             for j, (h, s) in enumerate(zip(hs, ts)):
@@ -532,8 +567,7 @@ def _grid_sweep(coefficient: Callable, with_t: bool, spacing: float, margin: flo
                 out[lead:] += f_row
                 if j in coefs:
                     b = bump(j)
-                    lo = lead + round((b.x0 - x0) / dx)
-                    out[lo : lo + b.n_nodes] += coefs[j] * b.values
+                    out[lead:][grid_slice(b, x0, dx, n)] += coefs[j] * b.values
                 yield out
 
         def row(value) -> np.ndarray:
@@ -556,21 +590,25 @@ def _grid_sweep(coefficient: Callable, with_t: bool, spacing: float, margin: flo
     return line
 
 
-def s_proj_handle(spacing: float = DEFAULT_SPACING, margin: float = DEFAULT_MARGIN) -> ScMapHandle:
+def s_proj_handle(
+    spacing: float = DEFAULT_SPACING,
+    margin: float = DEFAULT_MARGIN,
+    schedule: Optional[WeightSchedule] = None,
+) -> ScMapHandle:
     return ScMapHandle(
         name="s-proj",
-        eval=_grid_sweep(
-            lambda t, g: _s_proj_coefficient(t, g, spacing, margin), True, spacing, margin
-        ),
+        eval=_grid_sweep(_s_proj_coefficient, True, spacing, margin, schedule),
         diff=lambda p, tan: s_proj_diff(p[0], p[1], tan[0], tan[1], spacing, margin),
     )
 
 
-def h_family_handle(spacing: float = DEFAULT_SPACING, margin: float = DEFAULT_MARGIN) -> ScMapHandle:
+def h_family_handle(
+    spacing: float = DEFAULT_SPACING,
+    margin: float = DEFAULT_MARGIN,
+    schedule: Optional[WeightSchedule] = None,
+) -> ScMapHandle:
     return ScMapHandle(
         name="h-family",
-        eval=_grid_sweep(
-            lambda t, g: _h_coefficient(t, g, spacing, margin), False, spacing, margin
-        ),
+        eval=_grid_sweep(_h_coefficient, False, spacing, margin, schedule),
         diff=lambda p, tan: h_diff(p[0], p[1], tan[0], tan[1], spacing, margin),
     )

@@ -21,7 +21,7 @@ from .bump_profiles import (
     shift_amount,
 )
 from .gallery import ScMapHandle
-from .scale_core import LogScalar, grid_sobolev_norms
+from .scale_core import LogScalar, grid_sobolev_norms, uniform_trapezoid
 
 __all__ = [
     "OperatorHandle",
@@ -252,7 +252,7 @@ def opnorm_dichotomy(
         log_upper = slope.logmag - delta * (shift - 1.0)
         for row, coeffs in zip(samples, rng.normal(size=(n_samples, 3))):
             row[:] = sum(a * w for a, w in zip(coeffs, windows))
-        pairings = np.array([np.trapezoid(row * windows[0], dx=spacing) for row in samples])
+        pairings = np.array([uniform_trapezoid(row * windows[0], spacing) for row in samples])
         norms = grid_sobolev_norms(samples, 1, delta, -2.0 * (1.0 + margin), spacing)
         # |c_t <f, b_t>| sqrt(q) / ||f||_{1,delta} over the bound; c_t cancels
         worst = float(np.max(np.log(np.abs(pairings)) - np.log(norms)))

@@ -22,12 +22,14 @@ __all__ = [
     "SeqVector",
     "AnalyticTailFunction",
     "GridMismatchError",
+    "uniform_trapezoid",
     "grid_l2_inner",
     "grid_sobolev_norm",
     "grid_sobolev_norms",
     "grid_sobolev_inner",
     "grid_combine",
     "grid_window",
+    "grid_slice",
     "grid_row",
     "seq_inner",
     "seq_norm",
@@ -275,15 +277,25 @@ def _overlap_slices(f: GridFunction, g: GridFunction):
     return slice(lo, hi), slice(lo - offset, hi - offset)
 
 
+def uniform_trapezoid(y: np.ndarray, h: float) -> float:
+    """The trapezoid rule for samples y (at least 2) on nodes h apart:
+    h (sum(y) - (y[0] + y[-1]) / 2), one pass of numpy's pairwise sum.
+
+    It is np.trapezoid(y, dx=h) up to rounding, not bit for bit, and the
+    quadrature of every uniform grid in sclab."""
+    return h * (float(y.sum()) - (float(y[0]) + float(y[-1])) / 2)
+
+
 def grid_l2_inner(f: GridFunction, g: GridFunction) -> float:
-    """Trapezoid quadrature of f*g over the window overlap."""
+    """uniform_trapezoid of f*g over the window overlap, so 0.0 where the
+    windows share fewer than 2 nodes."""
     if _disjoint(f, g):
         return 0.0
     sl = _overlap_slices(f, g)
     if sl is None:
         return 0.0
     sf, sg = sl
-    return float(np.trapezoid(f.values[sf] * g.values[sg], dx=f.spacing))
+    return uniform_trapezoid(f.values[sf] * g.values[sg], f.spacing)
 
 
 def grid_sobolev_norm(f: GridFunction, k: int, delta: float) -> float:
@@ -323,7 +335,7 @@ def grid_sobolev_norms(
             for j in range(k + 1):
                 # a weight of 1.0 would multiply exactly; skip the pass
                 wv = vals if w is None else w * vals
-                square += float(np.trapezoid(wv**2, dx=spacing))
+                square += uniform_trapezoid(wv**2, spacing)
                 if j < k:
                     vals = np.gradient(vals, spacing, edge_order=2)
             out[r] = math.sqrt(square)
@@ -359,7 +371,7 @@ def grid_sobolev_inner(f: GridFunction, g: GridFunction, k: int, delta: float) -
     fv, gv = f.values, g.values
     total = 0.0
     for j in range(k + 1):
-        total += float(np.trapezoid(w2 * fv[sf] * gv[sg], dx=f.spacing))
+        total += uniform_trapezoid(w2 * fv[sf] * gv[sg], f.spacing)
         if j < k:
             fv = np.gradient(fv, f.spacing, edge_order=2)
             gv = np.gradient(gv, g.spacing, edge_order=2)
@@ -388,15 +400,21 @@ def grid_window(fs: Iterable[GridFunction]) -> Tuple[float, int]:
     return x0, n
 
 
-def grid_row(f: GridFunction, x0: float, spacing: float, n: int) -> np.ndarray:
-    """f's samples on the window of n nodes x0 + j*spacing, zero elsewhere,
-    as a new array; f's nodes must be among the window's."""
+def grid_slice(f: GridFunction, x0: float, spacing: float, n: int) -> slice:
+    """The slice of f's nodes in the window of n nodes x0 + j*spacing; f's
+    nodes must be among the window's."""
     off = _node_offset(f, x0, spacing)
     if off < 0 or off + f.n_nodes > n:
         inner = _window(f.x0, f.spacing, slice(0, f.n_nodes))
         raise ValueError(f"grid window {inner} is not inside {_window(x0, spacing, slice(0, n))}")
+    return slice(off, off + f.n_nodes)
+
+
+def grid_row(f: GridFunction, x0: float, spacing: float, n: int) -> np.ndarray:
+    """f's samples on the window of n nodes x0 + j*spacing, zero elsewhere,
+    as a new array; f's nodes must be among the window's."""
     out = np.zeros(n)
-    out[off : off + f.n_nodes] = f.values
+    out[grid_slice(f, x0, spacing, n)] = f.values
     return out
 
 

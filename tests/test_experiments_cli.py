@@ -1,4 +1,5 @@
 import csv
+import inspect
 import io
 import json
 import math
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 from sclab import cli, experiments
-from sclab.bump_profiles import bump_self_pairing
+from sclab.bump_profiles import bump_self_pairing, shifted_bump
 from sclab.experiments import (
     EXPERIMENT_IDS,
     Check,
@@ -22,11 +23,14 @@ from sclab.experiments import (
     list_experiments,
     run,
 )
-from sclab.gallery import rho_k_eval
+from sclab.gallery import rho_k_eval, s_proj
 from sclab.scale_core import (
     AnalyticTailFunction,
     SeqVector,
     _seq_weights,
+    grid_combine,
+    grid_l2_inner,
+    grid_sobolev_norm,
     tail_projection,
 )
 
@@ -79,6 +83,9 @@ class TestConfig:
             # seq-discontinuity's N x N matrices: 80 GB at N = 10^5
             {"truncation_n": 1025},
             {"truncation_n": 10**5},
+            # schedule() holds levels + 2 weights: about 48 GB at 10^9
+            {"levels": 1025},
+            {"levels": 10**9},
         ],
     )
     def test_rejects_input_that_used_to_crash_an_experiment(self, bad):
@@ -90,6 +97,7 @@ class TestConfig:
         assert ExperimentConfig(seed=2**31).seed == 2**31
         assert ExperimentConfig(dichotomy_t_grid=[0.05]).dichotomy_t_grid == [0.05]
         assert ExperimentConfig(tail_delta=0.0).tail_delta == 0.0
+        assert len(ExperimentConfig(levels=1024).schedule()) == 1026
 
     def test_from_file_with_override(self, tmp_path):
         p = tmp_path / "cfg.json"
@@ -147,10 +155,10 @@ class TestReports:
         monkeypatch.setattr(experiments, "make_moving_bump_pseudo_germ", recorded)
         report = run(eid, ExperimentConfig(margin=2.0, seed=1))
         assert report.passed, emit(report, "text")
-        # the pseudo-germ's self-pairing q (another float than at the default
-        # margin) and its bound c < 1/ln(3 + margin)
+        # the pseudo-germ's self-pairing q at this margin (1.0, as at the
+        # default margin) and its bound c < 1/ln(3 + margin), which pins the margin
         (germ,) = made
-        assert germ.context.q == bump_self_pairing(margin=2.0) != bump_self_pairing()
+        assert germ.context.q == bump_self_pairing(margin=2.0)
         with pytest.raises(ValueError, match=r"c < 1/ln\(5\)"):
             germ.B(np.array([0.65]), np.ones((1, germ.context.dim)))
 
@@ -399,6 +407,46 @@ class TestStackedSeqLoops:
         assert experiments._running_max(1.5, np.zeros(0)) == 1.5
 
 
+def _old_projection_orthogonality(cfg: ExperimentConfig) -> float:
+    """retract-image-gap's "projection orthogonality" as it was measured, one
+    GridFunction per draw and the one-point projection map."""
+    rng = np.random.default_rng(cfg.seed)
+    worst = 0.0
+    for t in (0.3, 0.4, 0.5):
+        bumps = [shifted_bump(t, k, cfg.spacing, cfg.margin) for k in range(4)]
+        for _ in range(34):
+            f = grid_combine(list(zip(rng.normal(size=4), bumps)))
+            _, g = s_proj(t, f, cfg.spacing, cfg.margin)
+            resid = abs(grid_l2_inner(g, bumps[0]))
+            worst = max(worst, resid / max(grid_sobolev_norm(f, 0, 0.0), 1e-300))
+    return worst
+
+
+class TestGridRowLoops:
+    @pytest.mark.parametrize("spacing", [1e-3, 5e-4])
+    def test_orthogonality_equals_the_per_draw_loop(self, spacing):
+        for seed in range(10):
+            cfg = ExperimentConfig(seed=seed, spacing=spacing)
+            checks = {c.name: c for c in run("retract-image-gap", cfg).checks}
+            want = _old_projection_orthogonality(cfg)
+            assert checks["projection orthogonality"].measured == repr(want)
+
+    def test_identity_differential_norms_with_the_config_schedule(self, monkeypatch):
+        seen = []
+        for name in ("s_proj_handle", "h_family_handle"):
+            factory = getattr(experiments, name)
+
+            def recorded(*args, _factory=factory, **kwargs):
+                bound = inspect.signature(_factory).bind(*args, **kwargs)
+                seen.append(bound.arguments.get("schedule"))
+                return _factory(*args, **kwargs)
+
+            monkeypatch.setattr(experiments, name, recorded)
+        cfg = ExperimentConfig(levels=2, weight_step=0.3)
+        assert run("identity-differential", cfg).passed
+        assert seen == [cfg.schedule()] * 2
+
+
 class TestCli:
     def test_list(self, capsys):
         assert cli.main(["list"]) == 0
@@ -430,6 +478,7 @@ class TestCli:
             ("germ-continuity", {"spacing": 1e-7}),
             ("retract-image-gap", {"margin": 1e5}),
             ("seq-discontinuity", {"truncation_n": 10**5}),
+            ("identity-differential", {"levels": 10**9}),
         ],
     )
     def test_config_error_exits_two_with_one_line(self, tmp_path, capsys, eid, bad):

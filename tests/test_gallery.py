@@ -25,6 +25,7 @@ from sclab.gallery import (
     rho_k_tangent,
     s_proj,
     s_proj_diff,
+    s_proj_row,
     s_tilde_eval,
     s_tilde_inv,
     seq_diffeo,
@@ -37,6 +38,7 @@ from sclab.scale_core import (
     SeqVector,
     grid_combine,
     grid_l2_inner,
+    grid_row,
     grid_sobolev_norm,
     seq_norm,
 )
@@ -96,6 +98,33 @@ class TestProjection:
         f = _test_input(0.4)
         _, out = s_proj(-0.1, f)
         assert out is f
+
+    @pytest.mark.parametrize("spacing", [1e-3, 5e-4])
+    def test_row_form_is_the_one_point_map_bit_for_bit(self, spacing):
+        rng = np.random.default_rng(3)
+        cases = []
+        for t in (0.3, 0.4, 0.5):
+            bumps = [shifted_bump(t, k, spacing) for k in range(4)]
+            b = bumps[0]
+            # on b_t's own window, as retract-image-gap forms its rows
+            cases.append((t, grid_combine(list(zip(rng.normal(size=4), bumps)))))
+            # on a wider window that holds b_t's, with non-zero end nodes
+            n = b.n_nodes + 1500
+            cases.append((t, GridFunction(b.x0 - 300 * spacing, spacing, rng.normal(size=n))))
+        # b_t's window left of f's, and t <= 0: the identity
+        cases.append((0.4, GridFunction(5.0, spacing, rng.normal(size=300))))
+        cases.append((-0.2, cases[0][1]))
+        for t, f in cases:
+            row = f.values.copy()
+            want = grid_row(s_proj(t, f, spacing)[1], f.x0, spacing, f.n_nodes)
+            got = s_proj_row(t, row, f.x0, spacing)
+            assert got is row
+            assert got.tobytes() == want.tobytes()
+
+    def test_row_form_needs_the_bump_window_inside(self):
+        b = shifted_bump(0.4, 0)
+        with pytest.raises(ValueError, match="not inside"):
+            s_proj_row(0.4, np.ones(b.n_nodes), b.x0 + 0.5, 1e-3)
 
     def test_complements_retraction(self):
         t = 0.45

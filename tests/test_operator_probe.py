@@ -261,20 +261,22 @@ def _combine(terms):
     return out
 
 
-def _norm(v, level):
+def _norm(v, level, schedule=WeightSchedule.default()):
     if isinstance(v, tuple):
-        return math.hypot(v[0], _norm(v[1], level))
+        return math.hypot(v[0], _norm(v[1], level, schedule))
     if isinstance(v, GridFunction):
-        return grid_sobolev_norm(v, level, WeightSchedule.default().delta(level))
+        return grid_sobolev_norm(v, level, schedule.delta(level))
     return seq_norm(v, level)
 
 
-def _one_point_sweep(handle, one_point, move, point, tangent, level, steps):
+def _one_point_sweep(
+    handle, one_point, move, point, tangent, level, steps, schedule=WeightSchedule.default()
+):
     """finite_diff_differential as it was with one map evaluation per signed
     step and one codomain value per combination, kept to pin the row kernel
-    bit for bit."""
+    bit for bit; grid values are normed with schedule's weights."""
     analytic = handle.diff(point, tangent)
-    scale = max(_norm(analytic, level), 1.0)
+    scale = max(_norm(analytic, level, schedule), 1.0)
 
     def central(h):
         plus = one_point(move(point, h, tangent))
@@ -282,7 +284,7 @@ def _one_point_sweep(handle, one_point, move, point, tangent, level, steps):
         return _combine([(0.5 / h, plus), (-0.5 / h, minus)])
 
     def error(fd):
-        return _norm(_combine([(1.0, fd), (-1.0, analytic)]), level)
+        return _norm(_combine([(1.0, fd), (-1.0, analytic)]), level, schedule)
 
     per_step = []
     centrals = {}
@@ -367,6 +369,21 @@ class TestOneCallSweep:
         # a direction with zeros inside and at the end
         X = SeqVector(np.where(np.arange(12) % 3 == 1, 0.0, rng.normal(size=12)))
         _assert_seq_sweeps_equal(handle, one_point, (0.2, SeqVector(rng.normal(size=12))), (1.0, X))
+
+    @pytest.mark.parametrize("name", ["s-proj", "h-family"])
+    def test_grid_sweeps_norm_with_the_given_schedule(self, name):
+        # level 1 at weight step 0.3, where delta_1 is 0.3, not the default 0.1
+        schedule = WeightSchedule.default(4, 0.3)
+        handle = (s_proj_handle if name == "s-proj" else h_family_handle)(schedule=schedule)
+        default, one_point = _grid_map(name)
+        F = _origin_direction(np.random.default_rng(46))
+        point, tan = (0.0, F.zeros_like()), (0.8, F)
+        got = finite_diff_differential(handle, point, tan, 1)
+        want = _one_point_sweep(
+            handle, one_point, _grid_move, point, tan, 1, DEFAULT_FD_STEPS, schedule
+        )
+        assert repr(got) == repr(want)
+        assert repr(got) != repr(finite_diff_differential(default, point, tan, 1))
 
     @pytest.mark.parametrize("name", ["s-proj", "h-family"])
     def test_grid_reports_equal_the_one_point_sweep(self, name):

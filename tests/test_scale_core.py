@@ -25,6 +25,7 @@ from sclab.scale_core import (
     seq_norm,
     seq_norms,
     tail_projection,
+    uniform_trapezoid,
 )
 
 REL_TOL = 1e-12
@@ -357,6 +358,22 @@ class TestGridModel:
             rel=1e-10,
         )
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(2, 10_000),
+        st.integers(0, 2**32 - 1),
+        st.floats(0.0, 200.0),
+        st.floats(1e-4, 10.0),
+    )
+    @example(2, 0, 0.0, 1e-3)
+    @example(10_000, 1, 200.0, 1e-4)
+    def test_uniform_trapezoid_is_numpys_rule(self, n, seed, spread, h):
+        # non-negative rows over up to 200 decades, with about a tenth zeros
+        rng = np.random.default_rng(seed)
+        y = 10.0 ** rng.uniform(-spread / 2, spread / 2, n) * (rng.random(n) > 0.1)
+        want = float(np.trapezoid(y, dx=h))
+        assert uniform_trapezoid(y, h) == pytest.approx(want, rel=1e-13, abs=0.0)
+
     def test_sobolev_norm_is_the_hilbert_norm(self):
         h = 1e-3
         xs = np.arange(-1.0, 1.0 + h / 2, h)
@@ -371,7 +388,8 @@ class TestGridModel:
             w = np.exp(delta * np.abs(x0 + h * np.arange(vals.size))) if delta != 0.0 else 1.0
             square = 0.0
             for j in range(k + 1):
-                square += float(np.trapezoid((w * vals) ** 2, dx=h))
+                y = (w * vals) ** 2  # the trapezoid rule as uniform_trapezoid sums it
+                square += h * (float(y.sum()) - (float(y[0]) + float(y[-1])) / 2)
                 if j < k:
                     vals = np.gradient(vals, h, edge_order=2)
             return math.sqrt(square)
