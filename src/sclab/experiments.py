@@ -26,8 +26,6 @@ from .gallery import (
     s_proj_handle,
     s_proj_row,
     s_tilde_inv,
-    seq_diffeo,
-    seq_diffeo_inv,
     seq_rho_k_handle,
 )
 from .germs import (
@@ -232,14 +230,14 @@ def _stamp() -> dict:
 
 def _seq_discontinuity(cfg: ExperimentConfig) -> List[Check]:
     checks = []
-    worst = 0.0
-    for n in range(2, 11):
-        t = 1.0 / n
-        for i in range(3):
-            e_n = SeqVector.basis(n)
-            moved = seq_diffeo(t, e_n).add(seq_diffeo(0.0, e_n).scaled(-1.0))
-            ratio = seq_norm(moved, i) / seq_norm(e_n, i)
-            worst = max(worst, abs(ratio - 0.5))
+    # the diagonal map multiplies mode m by f_m(t): row n - 2 holds e_n and
+    # the factors at t = 1/n for n = 2..10, and one more row those at t = 0
+    units = np.eye(10)[1:]
+    ts = np.append(1.0 / np.arange(2, 11), 0.0)
+    factors = step_n(np.arange(1, 11), ts[:, np.newaxis], 0)
+    moved = factors[:-1] * units - factors[-1] * units
+    gaps = [seq_norms(moved, i) / seq_norms(units, i) - 0.5 for i in range(3)]
+    worst = float(np.max(np.abs(gaps)))
     checks.append(
         _check(
             "unit-vector gap",
@@ -273,13 +271,11 @@ def _seq_discontinuity(cfg: ExperimentConfig) -> List[Check]:
         )
     )
     rng = np.random.default_rng(cfg.seed)
-    worst_rt = 0.0
-    for _ in range(20):
-        x = SeqVector(rng.normal(size=N))
-        t = float(rng.uniform(-0.2, 0.6))
-        back = seq_diffeo_inv(t, seq_diffeo(t, x))
-        num = seq_norm(back.add(x.scaled(-1.0)), 0)
-        worst_rt = max(worst_rt, num / seq_norm(x, 0))
+    draws = [(rng.normal(size=N), rng.uniform(-0.2, 0.6)) for _ in range(20)]
+    xs = np.array([x for x, _ in draws])
+    factors = step_n(np.arange(1, N + 1), np.array([[t] for _, t in draws]), 0)
+    back = (factors * xs) / factors
+    worst_rt = float(np.max(seq_norms(back - xs, 0) / seq_norms(xs, 0)))
     checks.append(
         _check(
             "round trip",
@@ -417,11 +413,12 @@ def _seq_tangent_check(cfg: ExperimentConfig) -> List[Check]:
     steps = (1e-3, 3e-4, 1e-4, 3e-5, 1e-5)
     worst = 0.0
     for k in (0, 1):
-        handle = seq_rho_k_handle(k)
+        points, tangents = [], []
         for t in base_ts:
-            x = SeqVector(rng.normal(size=10))
-            tan = (float(rng.uniform(0.5, 1.5)), SeqVector(rng.normal(size=10)))
-            rep = finite_diff_differential(handle, (t, x), tan, level=0, steps=steps)
+            points.append((t, SeqVector(rng.normal(size=10))))
+            tangents.append((float(rng.uniform(0.5, 1.5)), SeqVector(rng.normal(size=10))))
+        handle = seq_rho_k_handle(k)
+        for rep in finite_diff_differential(handle, points, tangents, level=0, steps=steps):
             worst = max(worst, rep.mismatch)
     checks.append(
         _check(
@@ -539,9 +536,10 @@ def _identity_differential(cfg: ExperimentConfig) -> List[Check]:
     fam = h_family_handle(cfg.spacing, cfg.margin, cfg.schedule())
     for _ in range(10):
         tan = (float(rng.uniform(0.5, 1.5)), direction())
-        rp = finite_diff_differential(proj, (0.0, zero), tan, level=0)
+        # one point per call: a (10, N) batch would hold 10 rows per stack
+        (rp,) = finite_diff_differential(proj, [(0.0, zero)], [tan], level=0)
         worst_proj = max(worst_proj, rp.mismatch)
-        rb = finite_diff_differential(fam, (0.0, zero), tan, level=0)
+        (rb,) = finite_diff_differential(fam, [(0.0, zero)], [tan], level=0)
         worst_branch = max(worst_branch, rb.mismatch)
     checks.append(
         _check(
@@ -633,32 +631,41 @@ def _g0_smoothness(cfg: ExperimentConfig) -> List[Check]:
     strictly_dec = True
     final_ok = True
     worst_final = -math.inf
+    floor = bump_profiles._LOG_MIN  # where the gate's log is clamped
+    clamped = set()  # grid indices where a log reads the floor, not a value
     for ell in range(4):
         for m in range(4):
             for n in range(4):
                 for delta in (0.0, 0.2):
                     vals = log_limit_probe(ell, m, n, delta, t_grid)
                     lms = [v.logmag for v in vals]
+                    if not min(lms) > floor:
+                        clamped.update(j for j, lm in enumerate(lms) if not lm > floor)
                     strictly_dec = strictly_dec and all(
                         b < a for a, b in zip(lms, lms[1:])
                     )
                     worst_final = max(worst_final, lms[-1])
                     final_ok = final_ok and lms[-1] < -1e3
+    # a check that reads the floor fails, and names the first t it read there
+    decreasing = ("ok" if strictly_dec else "violated", strictly_dec)
+    if clamped:
+        decreasing = (t_grid[min(clamped)], False)
+    collapse = (worst_final, final_ok)
+    if len(t_grid) - 1 in clamped:
+        collapse = (t_grid[-1], False)
     return [
         _check(
             "envelope strictly decreasing",
             "the log of the derivative envelope strictly decreases along the "
             "parameter grid for every exponent combination",
             "strict decrease",
-            "ok" if strictly_dec else "violated",
-            strictly_dec,
+            *decreasing,
         ),
         _check(
             "envelope collapse",
             "the envelope falls below exp(-1000) by the end of the grid",
             -1e3,
-            worst_final,
-            final_ok,
+            *collapse,
         ),
     ]
 
@@ -781,6 +788,12 @@ def _opnorm_dichotomy(cfg: ExperimentConfig) -> List[Check]:
     uppers = [r.log_upper_bound for r in rows]
     # rows follow the configured grid, which runs downward in t
     monotone_ok = all(b < a for a, b in zip(uppers, uppers[1:]))
+    monotone = ("ok" if monotone_ok else "violated", monotone_ok)
+    # past t ~ 0.00141 the bound is -inf, which bounds nothing: the check
+    # fails and names the first such t
+    unbounded = [r.t for r in rows if not math.isfinite(r.log_upper_bound)]
+    if unbounded:
+        monotone = (unbounded[0], False)
     return [
         _check(
             "same-level lower bound",
@@ -802,8 +815,7 @@ def _opnorm_dichotomy(cfg: ExperimentConfig) -> List[Check]:
             "the closed-form cross-level bound strictly decreases as the "
             "parameter decreases",
             "strict decrease",
-            "ok" if monotone_ok else "violated",
-            monotone_ok,
+            *monotone,
         ),
     ]
 

@@ -40,7 +40,6 @@ from .scale_core import (
     grid_sobolev_norm,
     grid_sobolev_norms,
     grid_window,
-    seq_norm,
     seq_norms,
     uniform_trapezoid,
 )
@@ -425,9 +424,13 @@ def rho_k_eval(k: int, t: float, x: SeqVector) -> SeqVector:
     For k >= 1 only the coefficient n = floor(1/t) can survive (the
     derivative supports are disjoint), and the map vanishes for t <= 0.
     """
+    _check_k(k)
+    return _rho(k, t, x)
+
+
+def _check_k(k: int) -> None:
     if k < 0 or k > K_MAX:
         raise ValueError(f"k must be in 0..{K_MAX}")
-    return _rho(k, t, x)
 
 
 def _rho(k: int, t: float, x: SeqVector) -> SeqVector:
@@ -438,7 +441,29 @@ def _rho(k: int, t: float, x: SeqVector) -> SeqVector:
 
 def rho_k_tangent(k: int, t: float, x: SeqVector, T: float, X: SeqVector) -> SeqVector:
     """Tangent map: rho_k(t, X) + T rho_{k+1}(t, x), for every k of the family."""
-    return rho_k_eval(k, t, X).add(_rho(k + 1, t, x).scaled(T))
+    _check_k(k)
+    n = max(x.dim, X.dim)
+    ts, Ts = np.array([t], dtype=float), np.array([T], dtype=float)
+    return SeqVector(_tangent_rows(k, ts, _seq_rows([x], n), Ts, _seq_rows([X], n))[0])
+
+
+def _seq_rows(vectors, n: int) -> np.ndarray:
+    """The vectors' coefficients as rows on n modes, added into zeros as
+    SeqVector.add adds them."""
+    out = np.zeros((len(vectors), n))
+    for row, v in zip(out, vectors):
+        row[: v.dim] += v.coeffs
+    return out
+
+
+def _tangent_rows(k: int, ts, xs, Ts, Xs) -> np.ndarray:
+    """Rows of rho_k(t, X) + T rho_{k+1}(t, x), one per entry of ts, from two
+    step_n calls; each row has the bits of the SeqVector sum on its modes."""
+    modes, ts = np.arange(1, xs.shape[1] + 1), ts[:, np.newaxis]
+    out = np.zeros(xs.shape)
+    out += step_n(modes, ts, k) * Xs
+    out += step_n(modes, ts, k + 1) * xs * Ts[:, np.newaxis]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -447,32 +472,33 @@ def rho_k_tangent(k: int, t: float, x: SeqVector, T: float, X: SeqVector) -> Seq
 
 @dataclass(frozen=True)
 class Sweep:
-    """A map's outputs along a line as 1-D float rows on one index set.
+    """A map's outputs along P lines, one through each base point, and its
+    analytic differentials at those points, as float rows on one index set.
 
     Pair codomains (parameter, function) put the parameter first.  Every
-    row has the bits of the one-point map's output on its own indices, and
-    zeros elsewhere.
+    row, output or differential, has the bits of the one-point value on its
+    own indices, and zeros elsewhere.
     """
 
-    rows: Iterable  # one row per step, in order, read once
-    row: Callable  # a codomain value, such as the analytic differential, as a row
+    rows: Iterable  # one (P, width) stack per step, in order, read once
+    # level -> the P analytic differentials as a (P, width) stack, and their
+    # level-i norms, an array, each taken on the value's own window
+    exact: Callable
     norms: Callable  # (row stack, level) -> the rows' level-i codomain norms, an array
-    norm: Callable  # (codomain value, level) -> its level-i norm on its own window
 
 
 @dataclass(frozen=True)
 class ScMapHandle:
-    """A gallery map with evaluation along a line and its analytic
-    differential, for finite-difference validation.
+    """A gallery map with evaluation along lines, for finite-difference
+    validation of its analytic differential.
 
-    ``eval(point, tangent, hs)`` returns the ``Sweep`` of the map's outputs
-    at point + h * tangent for each h in hs.  ``diff(point, tangent)``
-    returns the differential applied to the tangent, a codomain value.
+    ``eval(points, tangents, hs)`` returns the ``Sweep`` of the map's
+    outputs at points[p] + h * tangents[p] for each h in hs, with the
+    differential at each point applied to its tangent.
     """
 
     name: str
     eval: Callable
-    diff: Callable
 
 
 def _pair_norms(norms: Callable) -> Callable:
@@ -486,42 +512,36 @@ def _pair_norms(norms: Callable) -> Callable:
     return pair
 
 
-def _pair_norm(norm: Callable) -> Callable:
-    """The norm of a (parameter, rest) value, as _pair_norms takes a row's."""
-    return lambda value, i: math.hypot(value[0], norm(value[1], i))
+def _seq_sweep(k: int, points, tangents, hs) -> Sweep:
+    """Rows of rho_k(t + h T, x + h X), one (P, n) stack per h in hs for the
+    P points (t, x) and tangents (T, X), and the rows of rho_k_tangent.
 
-
-def _seq_sweep(k: int, point, tangent, hs) -> Sweep:
-    """Rows of rho_k(t + h T, x + h X) for each h in hs, on the modes up to
-    the larger of x and X, from one step_n call."""
-    (t, x), (T, X) = point, tangent
-    hs = np.asarray(hs, dtype=float)
-    n = max(x.dim, X.dim)
-    xs = np.zeros((hs.size, n))
-    xs[:, : x.dim] += x.coeffs
-    xs[:, : X.dim] += hs[:, np.newaxis] * X.coeffs
-    rows = step_n(np.arange(1, n + 1), (t + hs * T)[:, np.newaxis], k) * xs
-
-    def row(value: SeqVector) -> np.ndarray:
-        out = np.zeros(n)
-        out[: value.dim] = value.coeffs
-        return out
-
-    return Sweep(rows, row, seq_norms, seq_norm)
+    Every point must span the same n modes, the larger of x and X: zeros
+    padded past a shorter point would regroup its norms' sums.  All rows
+    come from one step_n call and the tangents from two, whatever P is.
+    """
+    widths = {max(x.dim, X.dim) for (_, x), (_, X) in zip(points, tangents)}
+    if len(widths) != 1:
+        raise ValueError(f"the points of a sequence batch span {sorted(widths)} modes, not one")
+    n = widths.pop()
+    ts = np.array([t for t, _ in points], dtype=float)
+    Ts = np.array([T for T, _ in tangents], dtype=float)
+    xs, Xs = _seq_rows([x for _, x in points], n), _seq_rows([X for _, X in tangents], n)
+    hs = np.asarray(hs, dtype=float)[:, np.newaxis]
+    lines = xs + hs[..., np.newaxis] * Xs
+    rows = step_n(np.arange(1, n + 1), (ts + hs * Ts)[..., np.newaxis], k) * lines
+    exact = _tangent_rows(k, ts, xs, Ts, Xs)
+    return Sweep(rows, lambda i: (exact, seq_norms(exact, i)), seq_norms)
 
 
 def seq_rho_k_handle(k: int) -> ScMapHandle:
-    if k < 0 or k > K_MAX:
-        raise ValueError(f"k must be in 0..{K_MAX}")
-    return ScMapHandle(
-        name=f"rho-{k}",
-        eval=lambda p, tan, hs: _seq_sweep(k, p, tan, hs),
-        diff=lambda p, tan: rho_k_tangent(k, p[0], p[1], tan[0], tan[1]),
-    )
+    _check_k(k)
+    return ScMapHandle(f"rho-{k}", lambda ps, tans, hs: _seq_sweep(k, ps, tans, hs))
 
 
 def _grid_sweep(
     coefficient: Callable,
+    diff: Callable,
     with_t: bool,
     spacing: float,
     margin: float,
@@ -529,20 +549,25 @@ def _grid_sweep(
 ) -> Callable:
     """eval for a grid map that sends (t, g) to g + c b_t, c = coefficient(t,
     <g, b_t>), where c is 0.0 for t <= 0 and wherever b_t's window does not
-    reach g's.
+    reach g's; diff(t, f, T, F, spacing, margin) is its differential.
 
-    The rows share one window, the hull of the point's, the tangent's and
-    the bump terms', and are normed with schedule's weights
-    (WeightSchedule.default() if None).  A first pass finds c at the steps
-    where b_t reaches g = f + h F, the only steps that build g as a grid.
-    Each row is then formed as it is read, g and then c b_t added in the
-    order the one-point map adds them, so the sweep holds no outputs.
+    A point's rows lie on the hull of its own window, its tangent's and its
+    bump terms', which every point of a batch must share: zeros padded past
+    a grid's edge would change its trapezoid end weights and gradients.
+    Rows are normed with schedule's weights (WeightSchedule.default() if
+    None).  A first pass finds c at the steps where b_t reaches g = f + h F,
+    the only steps that build g as a grid.  Each stack is then formed as it
+    is read, g and then c b_t added in the order the one-point map adds
+    them, so the sweep holds no outputs.
     """
     schedule = schedule or WeightSchedule.default()
+    lead = int(with_t)
 
-    def line(point, tangent, hs) -> Sweep:
-        (t, f), (T, F) = point, tangent
-        ts = [t + h * T for h in hs]
+    def bump(s: float) -> GridFunction:
+        return shifted_bump(s, 0, spacing, margin)
+
+    def bump_terms(f: GridFunction, F: GridFunction, hs, ts) -> dict:
+        """c by step index, at the steps where it is not 0.0."""
         x0_g = min(f.x0, F.x0)
         coefs = {}
         for j, (h, s) in enumerate(zip(hs, ts)):
@@ -551,41 +576,51 @@ def _grid_sweep(
                 c = coefficient(s, pair_with_bump(g, s, spacing, margin))
                 if c != 0.0:
                     coefs[j] = c
+        return coefs
 
-        def bump(j: int) -> GridFunction:
-            return shifted_bump(ts[j], 0, spacing, margin)
-
-        dx, lead = f.spacing, int(with_t)
-        x0, n = grid_window(itertools.chain((f, F), map(bump, coefs)))
-        f_row, F_row = grid_row(f, x0, dx, n), grid_row(F, x0, dx, n)
+    def line(points, tangents, hs) -> Sweep:
+        fs, Fs = [f for _, f in points], [F for _, F in tangents]
+        ts = [[t + h * T for h in hs] for (t, _), (T, _) in zip(points, tangents)]
+        coefs = [bump_terms(f, F, hs, s) for f, F, s in zip(fs, Fs, ts)]
+        windows = {
+            grid_window(itertools.chain((f, F), (bump(s[j]) for j in c)))
+            for f, F, s, c in zip(fs, Fs, ts, coefs)
+        }
+        if len(windows) != 1:
+            raise ValueError(f"the points of a grid batch lie on {len(windows)} windows, not one")
+        (x0, n), dx = windows.pop(), fs[0].spacing
+        f_rows = np.array([grid_row(f, x0, dx, n) for f in fs])
+        F_rows = np.array([grid_row(F, x0, dx, n) for F in Fs])
+        t_rows = np.array(ts)
 
         def rows():
-            for j, (h, s) in enumerate(zip(hs, ts)):
-                out = np.empty(lead + n)
-                out[:lead] = s
-                np.multiply(F_row, h, out=out[lead:])
-                out[lead:] += f_row
-                if j in coefs:
-                    b = bump(j)
-                    out[lead:][grid_slice(b, x0, dx, n)] += coefs[j] * b.values
+            for j, h in enumerate(hs):
+                out = np.empty((len(points), lead + n))
+                out[:, :lead] = t_rows[:, j : j + 1]
+                body = out[:, lead:]
+                np.multiply(F_rows, h, out=body)
+                body += f_rows
+                for p, c in enumerate(coefs):
+                    if j in c:
+                        b = bump(ts[p][j])
+                        body[p, grid_slice(b, x0, dx, n)] += c[j] * b.values
                 yield out
 
-        def row(value) -> np.ndarray:
-            out = np.empty(lead + n)
-            if with_t:
-                out[0], value = value
-            out[lead:] = grid_row(value, x0, dx, n)
-            return out
+        def exact(i: int):
+            out, scales = np.empty((len(points), lead + n)), np.empty(len(points))
+            for p, ((t, f), (T, F)) in enumerate(zip(points, tangents)):
+                value = diff(t, f, T, F, spacing, margin)
+                if with_t:
+                    out[p, 0], value = value
+                out[p, lead:] = grid_row(value, x0, dx, n)
+                norm = grid_sobolev_norm(value, i, schedule.delta(i))
+                scales[p] = math.hypot(out[p, 0], norm) if with_t else norm
+            return out, scales
 
         def norms(stack, i: int) -> np.ndarray:
             return grid_sobolev_norms(stack, i, schedule.delta(i), x0, dx)
 
-        def norm(g: GridFunction, i: int) -> float:
-            return grid_sobolev_norm(g, i, schedule.delta(i))
-
-        if with_t:
-            return Sweep(rows(), row, _pair_norms(norms), _pair_norm(norm))
-        return Sweep(rows(), row, norms, norm)
+        return Sweep(rows(), exact, _pair_norms(norms) if with_t else norms)
 
     return line
 
@@ -595,11 +630,8 @@ def s_proj_handle(
     margin: float = DEFAULT_MARGIN,
     schedule: Optional[WeightSchedule] = None,
 ) -> ScMapHandle:
-    return ScMapHandle(
-        name="s-proj",
-        eval=_grid_sweep(_s_proj_coefficient, True, spacing, margin, schedule),
-        diff=lambda p, tan: s_proj_diff(p[0], p[1], tan[0], tan[1], spacing, margin),
-    )
+    sweep = _grid_sweep(_s_proj_coefficient, s_proj_diff, True, spacing, margin, schedule)
+    return ScMapHandle("s-proj", sweep)
 
 
 def h_family_handle(
@@ -607,8 +639,5 @@ def h_family_handle(
     margin: float = DEFAULT_MARGIN,
     schedule: Optional[WeightSchedule] = None,
 ) -> ScMapHandle:
-    return ScMapHandle(
-        name="h-family",
-        eval=_grid_sweep(_h_coefficient, False, spacing, margin, schedule),
-        diff=lambda p, tan: h_diff(p[0], p[1], tan[0], tan[1], spacing, margin),
-    )
+    sweep = _grid_sweep(_h_coefficient, h_diff, False, spacing, margin, schedule)
+    return ScMapHandle("h-family", sweep)

@@ -136,66 +136,62 @@ class DiffReport:
 
 def finite_diff_differential(
     handle: ScMapHandle,
-    point,
-    tangent,
+    points: Sequence,
+    tangents: Sequence,
     level: int = 0,
     steps: Sequence[float] = DEFAULT_FD_STEPS,
-) -> DiffReport:
-    """Compare handle.diff at a point with central finite differences of
-    handle.eval along a tangent, in the level-i codomain norm.
+) -> List[DiffReport]:
+    """Compare the analytic differential at each base point, applied to its
+    tangent, with central finite differences of the map along that tangent,
+    in the level-i codomain norm: one report per point.
 
-    The mismatch reported is the best over the step sweep, taking plain
+    Each mismatch reported is the best over the step sweep, taking plain
     second-order central differences and one Richardson extrapolation step
     at each h.  The map is evaluated in one handle.eval call at +h, -h,
-    +h/2 and -h/2 for each h in turn, and returns the outputs as rows on one
-    index set; each step's two centrals are formed as its rows are read, so
-    a grid sweep holds a few rows at a time.  Centrals, Richardson rows and
-    errors are explicit in-order elementwise sums, never a matrix product
-    (BLAS may fuse multiply-adds and change bits), and each step's two error
-    rows are normed in one call.
+    +h/2 and -h/2 for each h in turn, at all P points, and returns one
+    (P, width) stack of rows per signed step; each step's two centrals are
+    formed as its stacks are read, so a grid sweep holds a few rows at a
+    time.  Centrals, Richardson rows and errors are explicit in-order
+    elementwise sums, never a matrix product (BLAS may fuse multiply-adds
+    and change bits), and each step's 2P error rows are normed in one call.
+    Each report has the bits of a call with its point alone.
     """
-    sweep = handle.eval(point, tangent, [s for h in steps for s in (h, -h, h / 2.0, -h / 2.0)])
-    analytic = handle.diff(point, tangent)
-    exact = sweep.row(analytic)
-    # the scale is the norm on the analytic value's own window: zeros padded
-    # past a grid's edge would change its trapezoid end weights and gradients
-    scale = max(sweep.norm(analytic, level), 1.0)
-    del analytic  # a grid as wide as a row, which exact stands for from here
+    if len(points) != len(tangents):
+        raise ValueError(f"{len(points)} base points but {len(tangents)} tangents")
+    sweep = handle.eval(points, tangents, [s for h in steps for s in (h, -h, h / 2.0, -h / 2.0)])
+    # the scales are the norms on the analytic values' own windows: zeros
+    # padded past a grid's edge would change its trapezoid end weights and
+    # gradients
+    exact, exact_norms = sweep.exact(level)
+    scales = [max(s, 1.0) for s in exact_norms.tolist()]
+    n_points = len(scales)
 
     rows = iter(sweep.rows)
 
     def central(s: float) -> np.ndarray:
         return (0.5 / s) * next(rows) + (-0.5 / s) * next(rows)
 
-    plain: List[float] = []  # the central-difference errors, one per step
-    per_step: List[Tuple[float, float]] = []
-    errors = np.empty((2, exact.size))
+    norms_by_step = []  # per step, the P plain then the P Richardson error norms
+    errors = np.empty((2 * n_points, exact.shape[1]))
     for h in steps:
         fd = central(h)
         rich = (4.0 / 3.0) * central(h / 2.0) + (-1.0 / 3.0) * fd
-        np.subtract(fd, exact, out=errors[0])
-        np.subtract(rich, exact, out=errors[1])
-        e_plain, e_rich = sweep.norms(errors, level).tolist()
-        plain.append(e_plain)
-        per_step.append((h, min(e_plain, e_rich) / scale))
+        np.subtract(fd, exact, out=errors[:n_points])
+        np.subtract(rich, exact, out=errors[n_points:])
+        norms_by_step.append(sweep.norms(errors, level).tolist())
 
-    best_step, mismatch = min(per_step, key=lambda p: p[1])
-
-    # convergence-order estimate from the raw central-difference errors at
-    # the two largest steps (before roundoff takes over)
-    order = float("nan")
-    raw = [e / scale for e in plain[:2]]
-    if len(raw) == 2 and raw[0] > 0 and raw[1] > 0 and steps[0] != steps[1]:
-        order = math.log(raw[1] / raw[0]) / math.log(steps[1] / steps[0])
-
-    return DiffReport(
-        map_name=handle.name,
-        level=level,
-        mismatch=mismatch,
-        best_step=best_step,
-        order_estimate=order,
-        per_step=tuple(per_step),
-    )
+    reports = []
+    for p, scale in enumerate(scales):
+        pairs = tuple((h, min(e[p], e[n_points + p]) / scale) for h, e in zip(steps, norms_by_step))
+        best_step, mismatch = min(pairs, key=lambda q: q[1])
+        # convergence-order estimate from the raw central-difference errors
+        # at the two largest steps (before roundoff takes over)
+        order = float("nan")
+        raw = [e[p] / scale for e in norms_by_step[:2]]
+        if len(raw) == 2 and raw[0] > 0 and raw[1] > 0 and steps[0] != steps[1]:
+            order = math.log(raw[1] / raw[0]) / math.log(steps[1] / steps[0])
+        reports.append(DiffReport(handle.name, level, mismatch, best_step, order, pairs))
+    return reports
 
 
 # ---------------------------------------------------------------------------

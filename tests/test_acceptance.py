@@ -162,7 +162,7 @@ def test_criterion_03_tangent_formula():
             t = 1.0 / (n + 1) + frac * (1.0 / n - 1.0 / (n + 1))
             x = SeqVector(rng.normal(size=8))
             tangent = (1.0, SeqVector(rng.normal(size=8)))
-            rep = finite_diff_differential(handle, (t, x), tangent, level=0)
+            (rep,) = finite_diff_differential(handle, [(t, x)], [tangent], level=0)
             worst = max(worst, rep.mismatch)
             if rep.mismatch > 1e-6:
                 failures.append(f"k={k} mismatch {rep.mismatch} at t={t:.4f}")
@@ -202,7 +202,7 @@ def test_criterion_04_retract_image_gap():
     handle = s_proj_handle()
     F = grid_combine([(1.0, shifted_bump(0.4, 0)), (0.5, shifted_bump(0.4, 1))])
     zero = F.zeros_like()
-    rep = finite_diff_differential(handle, (0.0, zero), (1.0, F), level=0)
+    (rep,) = finite_diff_differential(handle, [(0.0, zero)], [(1.0, F)], level=0)
     if rep.mismatch > 1e-6:
         failures.append(f"origin differential mismatch {rep.mismatch}")
     # kernel witness: the t-frozen differential annihilates the bump direction

@@ -23,7 +23,14 @@ from sclab.experiments import (
     list_experiments,
     run,
 )
-from sclab.gallery import rho_k_eval, s_proj
+from sclab.gallery import (
+    rho_k_eval,
+    s_proj,
+    seq_diffeo,
+    seq_diffeo_inv,
+    seq_rho_k_handle,
+)
+from sclab.operator_probe import finite_diff_differential
 from sclab.scale_core import (
     AnalyticTailFunction,
     SeqVector,
@@ -31,6 +38,7 @@ from sclab.scale_core import (
     grid_combine,
     grid_l2_inner,
     grid_sobolev_norm,
+    seq_norm,
     tail_projection,
 )
 
@@ -256,6 +264,24 @@ class TestExperimentErrors:
         failed = [c.name for c in report.checks if not c.passed]
         assert failed == ["upper bound decreasing"]
 
+    def test_dichotomy_bound_of_minus_inf_fails_and_names_its_t(self):
+        # a finite bound, then -inf: read as a strict decrease, it passed
+        # on a bound that bounds nothing
+        report = run("opnorm-dichotomy", ExperimentConfig(dichotomy_t_grid=[0.3, 0.001]))
+        checks = {c.name: c for c in report.checks}
+        assert [name for name, c in checks.items() if not c.passed] == ["upper bound decreasing"]
+        assert checks["upper bound decreasing"].measured == "0.001"
+
+    def test_smoothness_envelope_at_the_log_floor_fails_and_names_its_t(self):
+        # exp(1/t^2) overflows at t = 0.01, where the envelope's log is
+        # clamped to the most negative float: both checks passed on the clamp
+        report = run("g0-smoothness", ExperimentConfig(smoothness_t_grid=[0.05, 0.01]))
+        assert [(c.passed, c.measured) for c in report.checks] == [(False, "0.01")] * 2
+        # the clamp first, then a value: only the decrease reads the clamp
+        report = run("g0-smoothness", ExperimentConfig(smoothness_t_grid=[0.01, 0.3, 0.15]))
+        assert [(c.passed, c.measured) for c in report.checks][0] == (False, "0.01")
+        assert report.checks[1].measured != "0.01"
+
     def test_unsettled_quadrature_becomes_failing_error_check(self, monkeypatch):
         def never_settles(xs):
             return np.ones(xs.size), np.full(xs.size, float(xs.size))
@@ -363,6 +389,41 @@ def _old_diagonal_map_ratio(rng, dim):
     return worst_ratio
 
 
+def _old_seq_discontinuity(cfg: ExperimentConfig):
+    """seq-discontinuity's unit-vector gap and round trip, one SeqVector per
+    vector through the gallery's diagonal map."""
+    worst = 0.0
+    for n in range(2, 11):
+        for i in range(3):
+            e_n = SeqVector.basis(n)
+            moved = seq_diffeo(1.0 / n, e_n).add(seq_diffeo(0.0, e_n).scaled(-1.0))
+            worst = max(worst, abs(seq_norm(moved, i) / seq_norm(e_n, i) - 0.5))
+    rng = np.random.default_rng(cfg.seed)
+    worst_rt = 0.0
+    for _ in range(20):
+        x = SeqVector(rng.normal(size=cfg.truncation_n))
+        t = float(rng.uniform(-0.2, 0.6))
+        back = seq_diffeo_inv(t, seq_diffeo(t, x))
+        worst_rt = max(worst_rt, seq_norm(back.add(x.scaled(-1.0)), 0) / seq_norm(x, 0))
+    return worst, worst_rt
+
+
+def _old_seq_tangent_worst(cfg: ExperimentConfig) -> float:
+    """seq-tangent-check's interior mismatch, one base point per call."""
+    rng = np.random.default_rng(cfg.seed)
+    fracs = (0.35, 0.6)
+    base_ts = [1 / (n + 1) + f * (1 / n - 1 / (n + 1)) for n in range(2, 7) for f in fracs] * 2
+    worst = 0.0
+    for k in (0, 1):
+        for t in base_ts:
+            x = SeqVector(rng.normal(size=10))
+            tan = (float(rng.uniform(0.5, 1.5)), SeqVector(rng.normal(size=10)))
+            steps = (1e-3, 3e-4, 1e-4, 3e-5, 1e-5)
+            (rep,) = finite_diff_differential(seq_rho_k_handle(k), [(t, x)], [tan], 0, steps)
+            worst = max(worst, rep.mismatch)
+    return worst
+
+
 class _CountingGenerator:
     """A numpy Generator that records the name of every method looked up,
     once per call."""
@@ -400,6 +461,20 @@ class TestStackedSeqLoops:
         experiments._diagonal_map_ratio(_CountingGenerator(np.random.default_rng(0), calls), dim)
         blocks = len(experiments._blocks(1000))
         assert calls == ["normal", "uniform", "integers"] * blocks
+
+    @pytest.mark.parametrize("dim", [16, 32, 64])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seq_discontinuity_rows_equal_the_per_vector_loops(self, seed, dim):
+        cfg = ExperimentConfig(seed=seed, truncation_n=dim)
+        checks = {c.name: c.measured for c in run("seq-discontinuity", cfg).checks}
+        gap, round_trip = _old_seq_discontinuity(cfg)
+        assert (checks["unit-vector gap"], checks["round trip"]) == (repr(gap), repr(round_trip))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seq_tangent_batches_equal_the_one_point_calls(self, seed):
+        cfg = ExperimentConfig(seed=seed)
+        (check, _) = run("seq-tangent-check", cfg).checks
+        assert check.measured == repr(_old_seq_tangent_worst(cfg))
 
     def test_running_max_keeps_the_first_of_equal_maxima(self):
         assert repr(experiments._running_max(-math.inf, np.array([-0.0, 0.0]))) == "-0.0"

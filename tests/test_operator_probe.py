@@ -5,14 +5,17 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from sclab import bump_profiles, gallery, operator_probe, scale_core
+from sclab import bump_profiles, experiments, gallery, operator_probe, scale_core
 from sclab.bump_profiles import K_MAX, make_bump, phi_gate, shifted_bump
 from sclab.gallery import (
     ScMapHandle,
+    h_diff,
     h_eval,
     h_family_handle,
     rho_k_eval,
+    rho_k_tangent,
     s_proj,
+    s_proj_diff,
     s_proj_handle,
     seq_diffeo,
     seq_rho_k_handle,
@@ -35,7 +38,9 @@ from sclab.scale_core import (
     WeightSchedule,
     grid_combine,
     grid_l2_inner,
+    grid_row,
     grid_sobolev_norm,
+    grid_window,
     seq_norm,
 )
 
@@ -169,7 +174,7 @@ class TestFiniteDiffDifferential:
         x = SeqVector(np.ones(8))
         point = (0.29, x)
         tangent = (0.0, SeqVector(np.arange(1.0, 9.0)))
-        rep = finite_diff_differential(handle, point, tangent, level=0)
+        (rep,) = finite_diff_differential(handle, [point], [tangent], level=0)
         assert rep.mismatch < 1e-10
 
     def test_t_direction_with_curvature(self):
@@ -178,7 +183,7 @@ class TestFiniteDiffDifferential:
         t = 0.5 * (1.0 / (n + 1) + 1.0 / n)
         point = (t, SeqVector.basis(n))
         tangent = (1.0, SeqVector(np.zeros(0)))
-        rep = finite_diff_differential(handle, point, tangent, level=0)
+        (rep,) = finite_diff_differential(handle, [point], [tangent], level=0)
         assert rep.mismatch < 1e-7
         # central differences of a smooth map converge at second order
         # (the estimate from two coarse steps lands a bit under the limit)
@@ -196,8 +201,8 @@ class TestFiniteDiffDifferential:
             for frac in (0.35, 0.6):
                 x = SeqVector(rng.normal(size=10))
                 tan = (float(rng.uniform(0.5, 1.5)), SeqVector(rng.normal(size=10)))
-                rep = finite_diff_differential(
-                    handle, (lo + frac * (hi - lo), x), tan, level=0, steps=steps
+                (rep,) = finite_diff_differential(
+                    handle, [(lo + frac * (hi - lo), x)], [tan], level=0, steps=steps
                 )
                 worst = max(worst, rep.mismatch)
         # the seq-tangent-check threshold
@@ -210,8 +215,8 @@ class TestFiniteDiffDifferential:
 
     def test_report_fields(self):
         handle = seq_rho_k_handle(0)
-        rep = finite_diff_differential(
-            handle, (0.29, SeqVector.basis(3)), (1.0, SeqVector.basis(2)), level=1
+        (rep,) = finite_diff_differential(
+            handle, [(0.29, SeqVector.basis(3))], [(1.0, SeqVector.basis(2))], level=1
         )
         assert rep.map_name == "rho-0"
         assert rep.level == 1
@@ -224,18 +229,25 @@ class TestFiniteDiffDifferential:
         inner = seq_rho_k_handle(0)
         calls = []
 
-        def recorded(point, tangent, hs):
+        def recorded(points, tangents, hs):
             calls.append(list(hs))
-            return inner.eval(point, tangent, hs)
+            return inner.eval(points, tangents, hs)
 
-        handle = ScMapHandle(inner.name, recorded, inner.diff)
+        handle = ScMapHandle(inner.name, recorded)
         for level, steps in SWEEPS:
             calls.clear()
-            point, tan = (0.29, SeqVector.basis(3)), (1.0, SeqVector.basis(2))
-            got = finite_diff_differential(handle, point, tan, level, steps)
+            points, tans = [(0.29, SeqVector.basis(3))], [(1.0, SeqVector.basis(2))]
+            got = finite_diff_differential(handle, points, tans, level, steps)
             assert calls == [[s for h in steps for s in (h, -h, h / 2.0, -h / 2.0)]]
             assert len(calls[0]) == 4 * len(steps)
-            assert repr(got) == repr(finite_diff_differential(inner, point, tan, level, steps))
+            assert repr(got) == repr(finite_diff_differential(inner, points, tans, level, steps))
+
+    def test_reports_one_per_point_and_checks_the_batch(self):
+        handle = seq_rho_k_handle(0)
+        point, tan = (0.29, SeqVector.basis(3)), (1.0, SeqVector.basis(2))
+        assert len(finite_diff_differential(handle, [point] * 3, [tan] * 3)) == 3
+        with pytest.raises(ValueError, match="2 base points but 1 tangents"):
+            finite_diff_differential(handle, [point, point], [tan])
 
 
 def _seq_move(p, h, tan):
@@ -270,12 +282,13 @@ def _norm(v, level, schedule=WeightSchedule.default()):
 
 
 def _one_point_sweep(
-    handle, one_point, move, point, tangent, level, steps, schedule=WeightSchedule.default()
+    handle, one_point, diff, move, point, tangent, level, steps, schedule=WeightSchedule.default()
 ):
-    """finite_diff_differential as it was with one map evaluation per signed
-    step and one codomain value per combination, kept to pin the row kernel
-    bit for bit; grid values are normed with schedule's weights."""
-    analytic = handle.diff(point, tangent)
+    """finite_diff_differential as it was with one base point, one map
+    evaluation per signed step and one codomain value per combination, kept
+    to pin the row kernel bit for bit; diff is the analytic differential,
+    and grid values are normed with schedule's weights."""
+    analytic = diff(point, tangent)
     scale = max(_norm(analytic, level, schedule), 1.0)
 
     def central(h):
@@ -311,19 +324,43 @@ SWEEPS = [
 
 
 def _seq_map(k):
-    return seq_rho_k_handle(k), lambda p: rho_k_eval(k, p[0], p[1])
+    """The handle, the one-point map and its differential of rho_k."""
+    return (
+        seq_rho_k_handle(k),
+        lambda p: rho_k_eval(k, p[0], p[1]),
+        lambda p, tan: rho_k_tangent(k, p[0], p[1], tan[0], tan[1]),
+    )
 
 
-def _grid_map(name):
+def _grid_map(name, spacing=1e-3):
+    """The handle, the one-point map and its differential of a grid map."""
     if name == "s-proj":
-        return s_proj_handle(), lambda p: s_proj(p[0], p[1])
-    return h_family_handle(), lambda p: h_eval(p[0], p[1])
+        return (
+            s_proj_handle(spacing),
+            lambda p: s_proj(p[0], p[1], spacing),
+            lambda p, tan: s_proj_diff(p[0], p[1], tan[0], tan[1], spacing),
+        )
+    return (
+        h_family_handle(spacing),
+        lambda p: h_eval(p[0], p[1], spacing),
+        lambda p, tan: h_diff(p[0], p[1], tan[0], tan[1], spacing),
+    )
 
 
-def _assert_seq_sweeps_equal(handle, one_point, point, tan):
+def _assert_grid_sweep_equal(maps, point, tan, level, steps=DEFAULT_FD_STEPS):
+    """A one-point batch's report equals the one-point sweep's; returns it."""
+    handle, one_point, diff = maps
+    (got,) = finite_diff_differential(handle, [point], [tan], level, steps)
+    want = _one_point_sweep(handle, one_point, diff, _grid_move, point, tan, level, steps)
+    assert repr(got) == repr(want)
+    return got
+
+
+def _assert_seq_sweeps_equal(k, point, tan):
+    handle, one_point, diff = _seq_map(k)
     for level, steps in SWEEPS:
-        got = finite_diff_differential(handle, point, tan, level, steps)
-        want = _one_point_sweep(handle, one_point, _seq_move, point, tan, level, steps)
+        (got,) = finite_diff_differential(handle, [point], [tan], level, steps)
+        want = _one_point_sweep(handle, one_point, diff, _seq_move, point, tan, level, steps)
         assert repr(got) == repr(want)
 
 
@@ -338,20 +375,18 @@ def _origin_direction(rng, spacing=1e-3):
 class TestOneCallSweep:
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_seq_reports_equal_the_one_point_sweep(self, k):
-        handle, one_point = _seq_map(k)
         rng = np.random.default_rng(40)
         # t = 1e-4 and -0.2 put some or all of the sweep at t <= 0
         for t in (-0.2, 1e-4, 0.29, 0.41, 0.7, *rng.uniform(0.05, 0.6, size=5)):
             x = SeqVector(rng.normal(size=int(rng.integers(1, 12))))
             tan = (float(rng.uniform(0.5, 1.5)), SeqVector(rng.normal(size=int(rng.integers(0, 12)))))
             for point in ((float(t), x), (float(t), SeqVector.basis(3))):
-                _assert_seq_sweeps_equal(handle, one_point, point, tan)
+                _assert_seq_sweeps_equal(k, point, tan)
 
     @pytest.mark.parametrize("k", [1, 2, 0])
     def test_seq_rows_that_end_in_zeros_equal_the_one_point_sweep(self, k):
         # the rows span the modes up to the larger of x and X, as every
         # vector the one-point loop forms does
-        handle, one_point = _seq_map(k)
         rng = np.random.default_rng(41)
         interior = [1 / (n + 1) + f * (1 / (n * (n + 1))) for n in range(2, 7) for f in (0.35, 0.6)]
         cases = []
@@ -365,61 +400,48 @@ class TestOneCallSweep:
             cases += [(t, 6, 6, 1.3), (t, 9, 2, 0.7)]
         for t, nx, nX, T in cases:
             x, X = SeqVector(rng.normal(size=nx)), SeqVector(rng.normal(size=nX))
-            _assert_seq_sweeps_equal(handle, one_point, (t, x), (T, X))
+            _assert_seq_sweeps_equal(k, (t, x), (T, X))
         # a direction with zeros inside and at the end
         X = SeqVector(np.where(np.arange(12) % 3 == 1, 0.0, rng.normal(size=12)))
-        _assert_seq_sweeps_equal(handle, one_point, (0.2, SeqVector(rng.normal(size=12))), (1.0, X))
+        _assert_seq_sweeps_equal(k, (0.2, SeqVector(rng.normal(size=12))), (1.0, X))
 
     @pytest.mark.parametrize("name", ["s-proj", "h-family"])
     def test_grid_sweeps_norm_with_the_given_schedule(self, name):
         # level 1 at weight step 0.3, where delta_1 is 0.3, not the default 0.1
         schedule = WeightSchedule.default(4, 0.3)
         handle = (s_proj_handle if name == "s-proj" else h_family_handle)(schedule=schedule)
-        default, one_point = _grid_map(name)
+        default, one_point, diff = _grid_map(name)
         F = _origin_direction(np.random.default_rng(46))
         point, tan = (0.0, F.zeros_like()), (0.8, F)
-        got = finite_diff_differential(handle, point, tan, 1)
+        (got,) = finite_diff_differential(handle, [point], [tan], 1)
         want = _one_point_sweep(
-            handle, one_point, _grid_move, point, tan, 1, DEFAULT_FD_STEPS, schedule
+            handle, one_point, diff, _grid_move, point, tan, 1, DEFAULT_FD_STEPS, schedule
         )
         assert repr(got) == repr(want)
-        assert repr(got) != repr(finite_diff_differential(default, point, tan, 1))
+        assert repr(got) != repr(finite_diff_differential(default, [point], [tan], 1)[0])
 
     @pytest.mark.parametrize("name", ["s-proj", "h-family"])
     def test_grid_reports_equal_the_one_point_sweep(self, name):
-        handle, one_point = _grid_map(name)
+        maps = _grid_map(name)
         # the acceptance point: the origin, along a bump and its derivative
         F = grid_combine([(1.0, shifted_bump(0.4, 0)), (0.5, shifted_bump(0.4, 1))])
-        point, tan = (0.0, F.zeros_like()), (1.0, F)
-        got = finite_diff_differential(handle, point, tan, 0)
-        want = _one_point_sweep(handle, one_point, _grid_move, point, tan, 0, DEFAULT_FD_STEPS)
-        assert repr(got) == repr(want)
+        _assert_grid_sweep_equal(maps, (0.0, F.zeros_like()), (1.0, F), 0)
         # identity-differential's sweeps, at both spacings and three levels
         rng = np.random.default_rng(42)
         for spacing in (1e-3, 5e-4):
-            handle = s_proj_handle(spacing) if name == "s-proj" else h_family_handle(spacing)
             F = _origin_direction(rng, spacing)
             point, tan = (0.0, F.zeros_like()), (float(rng.uniform(0.5, 1.5)), F)
             for level in (0, 2):
-                got = finite_diff_differential(handle, point, tan, level)
-                want = _one_point_sweep(
-                    handle, one_point, _grid_move, point, tan, level, DEFAULT_FD_STEPS
-                )
-                assert repr(got) == repr(want)
+                _assert_grid_sweep_equal(_grid_map(name, spacing), point, tan, level)
         # f spans [-2, 2] and F only [-1, 1], where F is non-zero at both
         # ends: the scale is F's norm on its own window, where its end nodes
         # take half trapezoid weights and one-sided gradients
         f = _origin_direction(rng)
         xs = -1.0 + 1e-3 * np.arange(2001)
         F = GridFunction(-1.0, 1e-3, 1.0 + 0.3 * xs + 0.2 * np.sin(3.0 * xs))
-        handle = _grid_map(name)[0]
         for point, tan in (((0.0, f), (0.7, F)), ((-0.3, f), (0.0, F))):
             for level in (0, 1):
-                got = finite_diff_differential(handle, point, tan, level)
-                want = _one_point_sweep(
-                    handle, one_point, _grid_move, point, tan, level, DEFAULT_FD_STEPS
-                )
-                assert repr(got) == repr(want)
+                _assert_grid_sweep_equal(maps, point, tan, level)
 
     @pytest.mark.parametrize("name", ["s-proj", "h-family"])
     def test_grid_sweep_where_the_bump_overlaps_f(self, name):
@@ -428,7 +450,7 @@ class TestOneCallSweep:
         # off those nodes, where pairing raises GridMismatchError.  F lies 1
         # to the right on the same nodes, so the common window is wider than
         # f's, F's and b_t's.
-        handle, one_point = _grid_map(name)
+        maps = _grid_map(name)
         t, b = 0.4, shifted_bump(0.4, 0)
         f = grid_combine([(1.0, b), (0.5, shifted_bump(t, 1))])
         F = GridFunction(f.x0 + 1.0, f.spacing, -0.3 * f.values[::-1])
@@ -440,40 +462,101 @@ class TestOneCallSweep:
             ((t, g), (0.0, g.scaled(-128.0)), (2.0**-7, 2.0**-9)),
         ]
         for point, tan, steps in cases:
-            plus, minus = handle.eval(point, tan, [steps[0], -steps[0]]).rows
-            nodes = plus.size - (name == "s-proj")
+            plus, minus = maps[0].eval([point], [tan], [steps[0], -steps[0]]).rows
+            nodes = plus.shape[1] - (name == "s-proj")
             assert nodes > max(point[1].n_nodes, tan[1].n_nodes, b.n_nodes)
             for level in (0, 1):
-                got = finite_diff_differential(handle, point, tan, level, steps)
-                want = _one_point_sweep(handle, one_point, _grid_move, point, tan, level, steps)
-                assert repr(got) == repr(want)
-                assert got.mismatch < 1e-9
+                assert _assert_grid_sweep_equal(maps, point, tan, level, steps).mismatch < 1e-9
 
-    def test_eval_returns_one_row_per_step_in_order(self):
-        point = (0.29, SeqVector(np.arange(1.0, 6.0)))
-        tan = (1.0, SeqVector(np.ones(7)))
+    def test_eval_returns_one_stack_per_step_in_order(self):
+        points = [(0.29, SeqVector(np.arange(1.0, 6.0))), (0.13, SeqVector(np.ones(7)))]
+        tans = [(1.0, SeqVector(np.ones(7))), (-0.4, SeqVector(np.arange(2.0, 5.0)))]
         hs = [1e-2, -1e-2, 0.0, 0.5, -0.4]
-        sweep = seq_rho_k_handle(0).eval(point, tan, hs)
-        rows = list(sweep.rows)
-        assert len(rows) == len(hs)
-        for h, row in zip(hs, rows):
-            want = seq_diffeo(*_seq_move(point, h, tan))
-            assert np.array_equal(row[: want.dim], want.coeffs)
-            assert np.array_equal(sweep.row(want), row)
+        stacks = list(seq_rho_k_handle(0).eval(points, tans, hs).rows)
+        assert len(stacks) == len(hs)
+        for h, stack in zip(hs, stacks):
+            assert stack.shape == (2, 7)
+            for row, point, tan in zip(stack, points, tans):
+                want = seq_diffeo(*_seq_move(point, h, tan))
+                assert np.array_equal(row[: want.dim], want.coeffs)
+                assert not row[want.dim :].any()
 
     @pytest.mark.parametrize("name", ["s-proj", "h-family"])
     def test_grid_rows_are_the_one_point_outputs_on_one_window(self, name):
-        handle, one_point = _grid_map(name)
+        handle, one_point, _ = _grid_map(name)
         t = 0.4
-        f = grid_combine([(1.0, shifted_bump(t, 0)), (0.5, shifted_bump(t, 1))])
+        b = shifted_bump(t, 0)
+        f = grid_combine([(1.0, b), (0.5, shifted_bump(t, 1))])
         F = GridFunction(f.x0 + 1.0, f.spacing, -0.3 * f.values[::-1])
+        x0, n = grid_window([f, F, b])
         hs = [1e-2, -1e-2, 3e-4]
-        sweep = handle.eval((t, f), (0.0, F), hs)
-        for h, row in zip(hs, sweep.rows):
-            assert np.array_equal(sweep.row(one_point(_grid_move((t, f), h, (0.0, F)))), row)
-        outside = GridFunction(f.x0 - 1.0, f.spacing, f.values)
-        with pytest.raises(ValueError, match="not inside"):
-            sweep.row((0.0, outside) if name == "s-proj" else outside)
+        for h, (row,) in zip(hs, handle.eval([(t, f)], [(0.0, F)], hs).rows):
+            out = one_point(_grid_move((t, f), h, (0.0, F)))
+            if name == "s-proj":
+                assert row[0] == out[0]
+                row, out = row[1:], out[1]
+            assert np.array_equal(row, grid_row(out, x0, f.spacing, n))
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_seq_batch_reports_equal_the_one_point_route(self, k):
+        # t on both sides of the knots 1/n and at them, t <= 0, and T, x and
+        # X differing from point to point; x and X may differ in length,
+        # but every point spans 9 modes
+        handle, one_point, diff = _seq_map(k)
+        rng = np.random.default_rng(47)
+        ts = [-0.1, 0.0, 1e-4, 0.5, 1 / 3, 0.25 - 1e-6, 0.25 + 1e-6, 0.2 - 1e-3, 0.2 + 1e-3]
+        ts += rng.uniform(0.05, 0.6, size=5).tolist()
+        points, tans = [], []
+        for j, t in enumerate(ts):
+            nx, nX = (9, int(rng.integers(0, 10))) if j % 2 else (int(rng.integers(1, 10)), 9)
+            points.append((t, SeqVector(rng.normal(size=nx))))
+            tans.append((float(rng.uniform(-1.5, 1.5)), SeqVector(rng.normal(size=nX))))
+        for level in (0, 1, 2):
+            for steps in (DEFAULT_FD_STEPS, (1e-3, 3e-4, 1e-4, 3e-5, 1e-5)):
+                batch = finite_diff_differential(handle, points, tans, level, steps)
+                assert len(batch) == len(points)
+                for got, point, tan in zip(batch, points, tans):
+                    alone = finite_diff_differential(handle, [point], [tan], level, steps)
+                    want = _one_point_sweep(
+                        handle, one_point, diff, _seq_move, point, tan, level, steps
+                    )
+                    assert repr(got) == repr(alone[0]) == repr(want)
+
+    @pytest.mark.parametrize("name", ["s-proj", "h-family"])
+    def test_grid_batch_reports_equal_the_one_point_route(self, name):
+        # a batch of two and each alone: two origin sweeps on one window,
+        # and two sweeps at t = 0.4 whose every output carries a bump term
+        spacing = 1e-2
+        maps = _grid_map(name, spacing)
+        rng = np.random.default_rng(48)
+        F, G = _origin_direction(rng, spacing), _origin_direction(rng, spacing)
+        b0, b1 = (shifted_bump(0.4, k, spacing) for k in (0, 1))
+        f = grid_combine([(1.0, b0), (0.5, b1)])
+        H = GridFunction(f.x0 + 1.0, spacing, -0.3 * f.values[::-1])
+        batches = [
+            ([(0.0, F.zeros_like()), (0.0, G.scaled(0.1))], [(0.8, F), (1.3, G)]),
+            ([(0.4, f), (0.4, f.scaled(-2.0))], [(0.0, H), (0.0, H.scaled(0.7))]),
+        ]
+        for points, tans in batches:
+            for level in (0, 1, 2):
+                batch = finite_diff_differential(maps[0], points, tans, level)
+                for got, point, tan in zip(batch, points, tans):
+                    assert repr(got) == repr(_assert_grid_sweep_equal(maps, point, tan, level))
+
+    def test_a_batch_must_share_its_width(self):
+        handle = seq_rho_k_handle(0)
+        points = [(0.3, SeqVector(np.ones(4))), (0.3, SeqVector(np.ones(5)))]
+        tans = [(1.0, SeqVector(np.ones(3))), (1.0, SeqVector(np.ones(2)))]
+        with pytest.raises(ValueError, match="span \\[4, 5\\] modes"):
+            finite_diff_differential(handle, points, tans)
+        # zero padding would regroup the sums; x and X of one point may differ
+        tans[0] = (1.0, SeqVector(np.ones(5)))
+        assert len(finite_diff_differential(handle, points, tans)) == 2
+        F = _origin_direction(np.random.default_rng(49), 1e-2)
+        grid = s_proj_handle(1e-2)
+        wide = GridFunction(F.x0 - 1.0, F.spacing, np.zeros(F.n_nodes + 100))
+        with pytest.raises(ValueError, match="2 windows"):
+            finite_diff_differential(grid, [(0.0, F), (0.0, wide)], [(1.0, F), (1.0, F)])
 
 
 class TestSweepStructure:
@@ -514,11 +597,42 @@ class TestSweepStructure:
         made = []
         for steps in (DEFAULT_FD_STEPS, DEFAULT_FD_STEPS + tuple(h / 64 for h in DEFAULT_FD_STEPS)):
             counts.clear()
-            finite_diff_differential(handle, point, tan, 0, steps)
+            finite_diff_differential(handle, [point], [tan], 0, steps)
             made.append(dict(counts))
         assert made[0].get("grid_combine", 0) == 0
         assert made[0] == made[1]
         assert sum(made[0].values()) <= 4
+
+    def test_seq_batch_takes_the_same_step_n_calls_at_any_size(self, monkeypatch):
+        calls = []
+        step_n = gallery.step_n
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return step_n(*args, **kwargs)
+
+        monkeypatch.setattr(gallery, "step_n", counted)
+        rng = np.random.default_rng(50)
+        made = []
+        for size in (1, 20):
+            ts = rng.uniform(0.1, 0.5, size).tolist()
+            points = [(t, SeqVector(rng.normal(size=10))) for t in ts]
+            tans = [(1.0, SeqVector(rng.normal(size=10))) for _ in range(size)]
+            calls.clear()
+            finite_diff_differential(seq_rho_k_handle(1), points, tans, 0)
+            made.append(len(calls))
+        assert made[0] == made[1] <= 3
+
+    def test_seq_tangent_check_makes_two_kernel_calls(self, monkeypatch):
+        calls = []
+
+        def counted(handle, points, tangents, *args, **kwargs):
+            calls.append(len(points))
+            return finite_diff_differential(handle, points, tangents, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "finite_diff_differential", counted)
+        assert experiments.run("seq-tangent-check").passed
+        assert calls == [20, 20]
 
     @pytest.mark.parametrize("t", [0.0, 0.4])
     @pytest.mark.parametrize("name", ["s-proj", "h-family"])
@@ -538,7 +652,7 @@ class TestSweepStructure:
         nodes = round((max(f.x_end, F.x_end) - min(f.x0, F.x0)) / spacing) + 1
         tracemalloc.start()
         try:
-            finite_diff_differential(handle, (t, f), (T, F), 0)
+            finite_diff_differential(handle, [(t, f)], [(T, F)], 0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
