@@ -34,10 +34,8 @@ __all__ = [
     "GermContext",
     "BasicGerm",
     "germ_eval",
-    "DegenerateSampleError",
     "ModulusResult",
     "modulus_with_count",
-    "contraction_modulus",
     "CertifiedPair",
     "ContractionCertificate",
     "certify",
@@ -68,10 +66,6 @@ _LAW_SLACK = 1e-8
 _COND_FACTOR = 2.0
 
 
-class DegenerateSampleError(RuntimeError):
-    """All sampled pairs were degenerate (zero difference or no valid c)."""
-
-
 def _quad(v: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Quadratic forms v @ g @ v of the rows of v (n, m) with one Gram
     matrix g (m, m).  The stacked matmul agrees with the one-row
@@ -86,9 +80,11 @@ def _norms(v: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def _scaled(v: np.ndarray, radius, g: np.ndarray) -> np.ndarray:
-    """The rows of v rescaled to the given norms (one radius, or one per
-    row), each norm floored at sqrt(1e-300)."""
-    return v * (radius / np.sqrt(np.maximum(_quad(v, g), 1e-300)))[:, None]
+    """The rows of v (..., m) rescaled to the given norms, which broadcast
+    against v's rows (so a stack of norms gives a stack of copies), each
+    norm of v formed once and floored at sqrt(1e-300)."""
+    quad = _quad(v.reshape(-1, v.shape[-1]), g).reshape(v.shape[:-1])
+    return v * (radius / np.sqrt(np.maximum(quad, 1e-300)))[..., None]
 
 
 def _dots(v: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -190,9 +186,9 @@ class BasicGerm:
     context: GermContext
     B: RowMap
     dB: RowMap
-    #: sample_c(rng, delta, n): n parameters as one (n,) array, or None
-    #: when delta admits no c
-    sample_c: Callable[[np.random.Generator, float, int], Optional[np.ndarray]]
+    #: c_range(delta): the interval (lo, hi) of the parameters sampled at
+    #: radius delta, or None when delta admits no c
+    c_range: Callable[[float], Optional[Tuple[float, float]]]
     c_dependent_atoms: bool = False
 
     def context_for(self, c: float) -> GermContext:
@@ -203,6 +199,28 @@ class BasicGerm:
 def germ_eval(germ: BasicGerm, c: float, v: np.ndarray) -> Tuple[float, np.ndarray]:
     """(c, w - B(c, w)) in coefficient coordinates, at one point."""
     return c, v - germ.B(np.array([c]), v[None, :])[0]
+
+
+def _parameters(
+    germ: BasicGerm, radii: Sequence[float], u: np.ndarray
+) -> Tuple[List[int], np.ndarray, np.ndarray]:
+    """The indices of the radii that admit parameters, those radii as a
+    (k, 1) column and their parameters lo + (hi - lo) u over c_range, one
+    (n,) row per radius: bit for bit Generator.uniform(lo, hi, n) on the
+    draws u = Generator.uniform(size=n)."""
+    spans = [germ.c_range(r) for r in radii]
+    live = [k for k, span in enumerate(spans) if span is not None]
+    bounds = np.array([spans[k] for k in live]).reshape(-1, 2)
+    lo, hi = bounds[:, :1], bounds[:, 1:]
+    return live, np.array([radii[k] for k in live], dtype=float)[:, None], lo + (hi - lo) * u
+
+
+def _per_radius(radii: Sequence[float], live: List[int], values) -> list:
+    """One entry per radius: the values of the live radii, None elsewhere."""
+    out = [None] * len(radii)
+    for k, value in zip(live, values):
+        out[k] = value
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -218,69 +236,65 @@ class ModulusResult:
 def modulus_with_count(
     germ: BasicGerm,
     level: int,
-    delta: float,
+    deltas: Sequence[float],
     n_samples: int = 40,
     seed: int = 0,
-) -> ModulusResult:
-    """Worst sampled ratio ||B(c,w1) - B(c,w2)||_i / ||w1 - w2||_i over
-    |c|, ||w1||_i, ||w2||_i < delta, with the sample count.  Each trial
-    pairs w1 (radius r1) with 0, with a w2 of radius r2 and with w1 plus a
-    step of radius 1e-3 delta; where the atoms move with c, also the witness
-    coordinate (radius r1) with 0.
+) -> List[Optional[ModulusResult]]:
+    """For each radius delta, the worst sampled ratio
+    ||B(c,w1) - B(c,w2)||_i / ||w1 - w2||_i over |c|, ||w1||_i, ||w2||_i <
+    delta, with the sample count; None where delta admits no parameter c
+    or no pair with w1 != w2.  Each trial pairs w1 (radius r1) with 0, with
+    a w2 of radius r2 and with w1 plus a step of radius 1e-3 delta; where
+    the atoms move with c, also the witness coordinate (radius r1) with 0.
 
-    Deterministic given the seed.  The draws are one generator call per
-    kind, in this order: the n parameters c, n uniforms for r1 (r1 is
+    Deterministic given the seed, and each radius's result is that of a
+    call with it alone.  The draws are made once for every radius, one
+    generator call per kind, in this order: n uniforms u for c (c = lo +
+    (hi - lo) u over c_range(delta)), n uniforms for r1 / delta (r1 is
     0.999 delta at even trials), the (3, n, m) normals of w1, w2 and the
-    step, and n uniforms for r2.  All pairs are then evaluated as one row
-    stack."""
-    if delta <= 0:
+    step, and n uniforms for r2 / delta.  All radii's pairs are then
+    evaluated as one row stack: one B call and two norm calls."""
+    if any(delta <= 0 for delta in deltas):
         raise ValueError("delta must be positive")
     rng = np.random.default_rng(seed)
-    c = germ.sample_c(rng, delta, n_samples)
-    if c is None:
-        raise DegenerateSampleError(
-            f"no admissible parameter values for {germ.name} at delta={delta}"
-        )
+    u = rng.uniform(size=n_samples)
     g = germ.context.gram(level)
-    r1 = delta * rng.uniform(0.05, 0.95, n_samples)
-    r1[::2] = 0.999 * delta
-    n1, n2, n3 = rng.normal(size=(3, n_samples, len(g)))
-    r2 = delta * rng.uniform(0.05, 0.95, n_samples)
+    m = len(g)
+    u1 = rng.uniform(0.05, 0.95, n_samples)
+    normals = rng.normal(size=(3, n_samples, m))
+    u2 = rng.uniform(0.05, 0.95, n_samples)
+    live, delta, c = _parameters(germ, deltas, u)
 
-    w1 = _scaled(n1, r1, g)
-    zero = np.zeros_like(w1)
-    wa = [w1, w1, w1]
-    wb = [zero, _scaled(n2, r2, g), w1 + _scaled(n3, 1e-3 * delta, g)]
+    r1 = delta * u1
+    r1[:, ::2] = 0.999 * delta
+    # the norms of w1, w2 and the step at every radius
+    norms = [r1, delta * u2, np.broadcast_to(1e-3 * delta, r1.shape)]
     if germ.c_dependent_atoms:
         # the bad direction moves with c and random draws can miss it:
-        # also sample the witness atom itself
-        witness = zero.copy()
-        witness[:, -1] = 1.0
-        wa.append(_scaled(witness, r1, g))
+        # also sample the witness atom itself, at norm r1
+        witness = np.zeros((1, n_samples, m))
+        witness[..., -1] = 1.0
+        normals = np.concatenate((normals, witness))
+        norms.append(r1)
+    w = _scaled(normals, np.stack(norms, axis=1), g)
+    w1 = w[:, 0]
+    zero = np.zeros_like(w1)
+    wa, wb = [w1, w1, w1], [zero, w[:, 1], w1 + w[:, 2]]
+    if germ.c_dependent_atoms:
+        wa.append(w[:, 3])
         wb.append(zero)
-    k = len(wa)
-    wa, wb = np.concatenate(wa), np.concatenate(wb)
-    denom = _norms(wa - wb, g)
-    b = germ.B(np.tile(c, 2 * k), np.concatenate((wa, wb)))
-    num = _norms(b[: len(wa)] - b[len(wa) :], g)
-    admissible = denom != 0.0
-    ratios = num[admissible] / denom[admissible]
-    if ratios.size == 0:
-        raise DegenerateSampleError(
-            f"no admissible contraction samples for {germ.name} at delta={delta}"
-        )
-    return ModulusResult(_worst(ratios), ratios.size)
-
-
-def contraction_modulus(
-    germ: BasicGerm,
-    level: int,
-    delta: float,
-    n_samples: int = 40,
-    seed: int = 0,
-) -> float:
-    """Worst sampled contraction ratio; see modulus_with_count."""
-    return modulus_with_count(germ, level, delta, n_samples, seed).worst_ratio
+    # (2, radii, kinds of pair, n, m), and the parameter of every row
+    pairs = np.stack((np.stack(wa, axis=1), np.stack(wb, axis=1)))
+    rows = pairs.shape[1:-1]
+    b = germ.B(np.broadcast_to(c[:, None], pairs.shape[:-1]).ravel(), pairs.reshape(-1, m))
+    b = b.reshape(pairs.shape)
+    denom = _norms((pairs[0] - pairs[1]).reshape(-1, m), g).reshape(rows)
+    num = _norms((b[0] - b[1]).reshape(-1, m), g).reshape(rows)
+    results = []
+    for nk, dk in zip(num, denom):
+        ratios = nk[dk != 0.0] / dk[dk != 0.0]
+        results.append(ModulusResult(_worst(ratios), ratios.size) if ratios.size else None)
+    return _per_radius(deltas, live, results)
 
 
 @dataclass(frozen=True)
@@ -312,26 +326,35 @@ def certify(
     max_halvings: int = 40,
 ) -> ContractionCertificate:
     """For each target modulus epsilon, search for a radius delta whose
-    sampled modulus stays below it (halving from delta = epsilon).  A pair
-    with delta None records a failed search."""
-    pairs: List[CertifiedPair] = []
-    for eps in epsilons:
-        delta = min(float(eps), 0.5)
-        found = None
-        last = float("nan")
-        for _ in range(max_halvings):
-            try:
-                res = modulus_with_count(germ, level, delta, n_samples, seed)
-            except DegenerateSampleError:
-                break
-            last = res.worst_ratio
-            if res.worst_ratio <= eps:
-                found = CertifiedPair(eps, delta, res.worst_ratio, res.samples, seed)
-                break
-            delta /= 2.0
-        if found is None:
-            found = CertifiedPair(eps, None, last, 0, seed)
-        pairs.append(found)
+    sampled modulus stays below it (halving from delta = min(epsilon, 0.5),
+    at most max_halvings radii).  A pair with delta None records a failed
+    search.  The searches advance together, one rung at a time: each rung
+    samples its radii in one modulus_with_count call, and a radius that
+    two searches reach is sampled once in this call."""
+    deltas = [min(float(eps), 0.5) for eps in epsilons]
+    last = [math.nan] * len(deltas)
+    pairs: List[Optional[CertifiedPair]] = [None] * len(deltas)
+    sampled: Dict[float, Optional[ModulusResult]] = {}
+    for _ in range(max_halvings):
+        rung = [k for k, p in enumerate(pairs) if p is None]
+        if not rung:
+            break
+        new = [d for d in dict.fromkeys(deltas[k] for k in rung) if d not in sampled]
+        if new:
+            sampled.update(zip(new, modulus_with_count(germ, level, new, n_samples, seed)))
+        for k in rung:
+            eps, res = epsilons[k], sampled[deltas[k]]
+            if res is None:
+                # no admissible sample: the search ends without a radius
+                pairs[k] = CertifiedPair(eps, None, last[k], 0, seed)
+            elif res.worst_ratio <= eps:
+                pairs[k] = CertifiedPair(eps, deltas[k], res.worst_ratio, res.samples, seed)
+            else:
+                last[k], deltas[k] = res.worst_ratio, deltas[k] / 2.0
+    pairs = [
+        p or CertifiedPair(eps, None, worst, 0, seed)
+        for p, eps, worst in zip(pairs, epsilons, last)
+    ]
     return ContractionCertificate(germ.name, level, tuple(pairs))
 
 
@@ -371,14 +394,17 @@ def certificate_from_json(text: str) -> ContractionCertificate:
 
 
 def replay_certificate(germ: BasicGerm, cert: ContractionCertificate) -> bool:
-    """Re-run every certified pair with its recorded seed; the sampled
+    """Re-run every certified pair with its recorded seed, in one fresh
+    modulus_with_count call per seed over that seed's radii; every sampled
     modulus must reproduce bit-for-bit."""
-    for p in cert.pairs:
-        if p.delta is None:
-            return False
-        res = modulus_with_count(germ, cert.level, p.delta, seed=p.seed)
-        if res.worst_ratio != p.worst_ratio or res.samples != p.samples:
-            return False
+    if any(p.delta is None for p in cert.pairs):
+        return False
+    for seed in dict.fromkeys(p.seed for p in cert.pairs):
+        pairs = [p for p in cert.pairs if p.seed == seed]
+        results = modulus_with_count(germ, cert.level, [p.delta for p in pairs], seed=seed)
+        for p, res in zip(pairs, results):
+            if res is None or (res.worst_ratio, res.samples) != (p.worst_ratio, p.samples):
+                return False
     return True
 
 
@@ -389,28 +415,32 @@ def replay_certificate(germ: BasicGerm, cert: ContractionCertificate) -> bool:
 def dW_opnorm_probe(
     germ: BasicGerm,
     level: int,
-    radius: float,
+    radii: Sequence[float],
     n_samples: int = 12,
     seed: int = 1,
-) -> float:
-    """Sampled operator norm of the w-partial differential of B over base
-    points with |c|, ||w||_i < radius: the largest exact level-i operator
-    norm of D_wB at the points, from one metric_singular_values call on the
-    stack of germ.dB.  The draws are one generator call per kind, in this
-    order: the n parameters c, n uniforms for the radius r of w (0.999
-    radius at even trials) and the (n, m) normals of w."""
+) -> List[Optional[float]]:
+    """For each radius, the sampled operator norm of the w-partial
+    differential of B over base points with |c|, ||w||_i < radius: the
+    largest exact level-i operator norm of D_wB at the points; None where
+    the radius admits no parameter c.  Each radius's value is that of a
+    call with it alone.  The draws are made once for every radius, one
+    generator call per kind, in this order: n uniforms u for c (c = lo +
+    (hi - lo) u over c_range(radius)), n uniforms for r / radius (r, the
+    radius of w, is 0.999 radius at even trials) and the (n, m) normals of
+    w.  All radii's points go to one metric_singular_values call on the
+    stack of germ.dB."""
     rng = np.random.default_rng(seed)
-    c = germ.sample_c(rng, radius, n_samples)
-    if c is None:
-        raise DegenerateSampleError(
-            f"no admissible parameter values for {germ.name} at radius={radius}"
-        )
+    u = rng.uniform(size=n_samples)
     g = germ.context.gram(level)
-    r = radius * rng.uniform(0.05, 0.95, n_samples)
-    r[::2] = 0.999 * radius
-    w = _scaled(rng.normal(size=(n_samples, len(g))), r, g)
-    sv = metric_singular_values(OperatorHandle(germ.dB(c, w)[:, :, 1:], g, g))
-    return _worst(sv[:, 0])
+    u_r = rng.uniform(0.05, 0.95, n_samples)
+    normals = rng.normal(size=(n_samples, len(g)))
+    live, radius, c = _parameters(germ, radii, u)
+    r = radius * u_r
+    r[:, ::2] = 0.999 * radius
+    w = _scaled(normals, r, g).reshape(-1, len(g))
+    sv = metric_singular_values(OperatorHandle(germ.dB(c.ravel(), w)[:, :, 1:], g, g))
+    tops = sv[:, 0].reshape(len(live), n_samples)
+    return _per_radius(radii, live, [_worst(top) for top in tops])
 
 
 @dataclass(frozen=True)
@@ -440,15 +470,18 @@ def germ_continuity_report(
 ) -> ContinuityReport:
     """Certify contraction radii and check the factor-two law: inside each
     certified radius the w-partial differential norm stays below
-    2 epsilon.  Maps that fail certification are flagged, not rejected."""
+    2 epsilon, probed at every certified radius in one call.  Maps that
+    fail certification are flagged, not rejected."""
     cert = certify(germ, level, epsilons, n_samples, seed)
+    certified = [p.delta for p in cert.pairs if p.delta is not None]
+    ops = iter(dW_opnorm_probe(germ, level, certified, seed=seed + 1))
     rows: List[ContinuityRow] = []
     for p in cert.pairs:
         if p.delta is None:
             # record the modulus observed at the smallest radius searched
             rows.append(ContinuityRow(p.epsilon, None, p.worst_ratio, False))
             continue
-        op = dW_opnorm_probe(germ, level, p.delta, seed=seed + 1)
+        op = next(ops)
         rows.append(ContinuityRow(p.epsilon, p.delta, op, op <= 2.0 * p.epsilon + _LAW_SLACK))
     contracting = cert.all_certified
     return ContinuityReport(
@@ -468,11 +501,10 @@ def radius_shrink_probes(
     fractions: Sequence[float] = (1.0, 0.5, 0.25, 0.125),
     seed: int = 1,
 ) -> List[Tuple[float, float]]:
-    """Differential-norm probes at shrinking fractions of a base radius."""
-    return [
-        (frac, dW_opnorm_probe(germ, level, frac * base_radius, seed=seed))
-        for frac in fractions
-    ]
+    """Differential-norm probes at shrinking fractions of a base radius,
+    in one call."""
+    probes = dW_opnorm_probe(germ, level, [frac * base_radius for frac in fractions], seed=seed)
+    return list(zip(fractions, probes))
 
 
 # ---------------------------------------------------------------------------
@@ -496,37 +528,41 @@ class OpennessReport:
 def openness_probe(
     germ: BasicGerm,
     level: int,
-    radius: float,
+    radii: Sequence[float],
     seed: int = 2,
-) -> OpennessReport:
-    """Invertibility of the full differential must persist on a ball: the
-    condition number at sampled points within the radius may not exceed the
-    condition number at the origin by more than _COND_FACTOR.
+) -> List[OpennessReport]:
+    """For each radius, invertibility of the full differential must
+    persist on its ball: the condition number at sampled points within the
+    radius may not exceed the condition number at the origin by more than
+    _COND_FACTOR.  Each radius's report is that of a call with it alone.
 
     The points are the origin, then for each probed c the point (c, 0) and
-    (c, w) with one normal draw of w per c, of norm radius / 2.  The full
-    differentials I - (0; dB) of (c, w) -> (c, w - B) at every point, in
-    the metric of level i with the parameter direction included, go to one
+    (c, w) with one normal draw of w per c, of norm radius / 2; the normals
+    are drawn once, for every radius.  The full differentials I - (0; dB)
+    of (c, w) -> (c, w - B) at every radius's points, in the metric of
+    level i with the parameter direction included, go to one
     metric_singular_values call."""
     rng = np.random.default_rng(seed)
     m, g = germ.context.dim, germ.context.gram(level)
-    if germ.c_dependent_atoms:
-        c_values = [0.9 * radius, 0.5 * radius]
-    else:
-        c_values = [0.9 * radius, -0.9 * radius, 0.5 * radius]
-    cs = [0.0] + [c for c in c_values for _ in range(2)]
-    w_radii = [0.0] + [0.0, 0.5 * radius] * len(c_values)
-    v = np.zeros((len(cs), m))
-    v[2::2] = _scaled(rng.normal(size=(len(c_values), m)), 0.5 * radius, g)
-    jac = np.eye(1 + m) - np.pad(germ.dB(np.array(cs), v), ((0, 0), (1, 0), (0, 0)))
+    fractions = (0.9, 0.5) if germ.c_dependent_atoms else (0.9, -0.9, 0.5)
+    normals = rng.normal(size=(len(fractions), m))
+    cs = [[0.0] + [f * radius for f in fractions for _ in range(2)] for radius in radii]
+    v = np.zeros((len(radii), 1 + 2 * len(fractions), m))
+    v[:, 2::2] = _scaled(normals, 0.5 * np.array(radii, dtype=float)[:, None], g)
+    d = germ.dB(np.array(cs).ravel(), v.reshape(-1, m))
+    jac = np.eye(1 + m) - np.pad(d, ((0, 0), (1, 0), (0, 0)))
     gram = np.block([[np.ones((1, 1)), np.zeros((1, m))], [np.zeros((m, 1)), g]])
     sv = metric_singular_values(OperatorHandle(jac, gram, gram))
-    cond = np.full(len(cs), math.inf)
+    cond = np.full(len(sv), math.inf)
     np.divide(sv[:, 0], sv[:, -1], out=cond, where=sv[:, -1] > 1e-300)
-    cond0, worst = float(cond[0]), float(cond.max())
-    passed = math.isfinite(worst) and worst <= _COND_FACTOR * cond0
-    rows = tuple(zip(cs, w_radii, cond.tolist()))
-    return OpennessReport(germ.name, level, radius, cond0, worst, passed, rows)
+    reports = []
+    for radius, c_rows, conds in zip(radii, cs, cond.reshape(v.shape[:2])):
+        w_radii = [0.0] + [0.0, 0.5 * radius] * len(fractions)
+        cond0, worst = float(conds[0]), float(conds.max())
+        passed = math.isfinite(worst) and worst <= _COND_FACTOR * cond0
+        rows = tuple(zip(c_rows, w_radii, conds.tolist()))
+        reports.append(OpennessReport(germ.name, level, radius, cond0, worst, passed, rows))
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -546,8 +582,8 @@ def _base_context(schedule: WeightSchedule, spacing: float) -> GermContext:
     return GermContext(tuple(GridFunction(x0, spacing, v) for v in samples), schedule)
 
 
-def _symmetric_sampler(rng: np.random.Generator, delta: float, n: int) -> np.ndarray:
-    return rng.uniform(-0.999 * delta, 0.999 * delta, n)
+def _symmetric_range(delta: float) -> Tuple[float, float]:
+    return -0.999 * delta, 0.999 * delta
 
 
 def make_rank_one_germ(
@@ -569,7 +605,7 @@ def make_rank_one_germ(
         out[:, 0, 1:] = c[:, None] * pair_vec
         return out
 
-    return BasicGerm(name="rank-one", context=ctx, B=B, dB=dB, sample_c=_symmetric_sampler)
+    return BasicGerm(name="rank-one", context=ctx, B=B, dB=dB, c_range=_symmetric_range)
 
 
 def make_quadratic_germ(
@@ -589,7 +625,7 @@ def make_quadratic_germ(
         out[:, :, 1:] += _dots(v, pair_vec)[:, None, None] * np.eye(ctx.dim)
         return out
 
-    return BasicGerm(name="quadratic", context=ctx, B=B, dB=dB, sample_c=_symmetric_sampler)
+    return BasicGerm(name="quadratic", context=ctx, B=B, dB=dB, c_range=_symmetric_range)
 
 
 def make_moving_bump_pseudo_germ(
@@ -631,17 +667,14 @@ def make_moving_bump_pseudo_germ(
         out[live(c), -1, -1] = q
         return out
 
-    def sample_c(rng: np.random.Generator, delta: float, n: int) -> Optional[np.ndarray]:
-        # once 0.999 delta <= lo no c is drawn, which ends certify's
+    def c_range(delta: float) -> Optional[Tuple[float, float]]:
+        # once 0.999 delta <= lo no c is admitted, which ends certify's
         # (failing) halving search
-        lo = 0.074
-        hi = 0.999 * delta
-        if hi <= lo:
-            return None
-        return rng.uniform(max(lo, 0.5 * delta), hi, n)
+        lo, hi = 0.074, 0.999 * delta
+        return None if hi <= lo else (max(lo, 0.5 * delta), hi)
 
     return BasicGerm(
-        name="moving-bump", context=ctx, B=B, dB=dB, sample_c=sample_c, c_dependent_atoms=True
+        name="moving-bump", context=ctx, B=B, dB=dB, c_range=c_range, c_dependent_atoms=True
     )
 
 
@@ -649,13 +682,15 @@ GERM_IDS = ("rank-one", "quadratic", "moving-bump")
 
 
 def make_germ(
-    germ_id: str, schedule: Optional[WeightSchedule] = None, spacing: float = DEFAULT_SPACING
+    germ_id: str,
+    schedule: Optional[WeightSchedule] = None,
+    spacing: float = DEFAULT_SPACING,
+    margin: float = DEFAULT_MARGIN,
 ) -> BasicGerm:
-    factory = {
-        "rank-one": make_rank_one_germ,
-        "quadratic": make_quadratic_germ,
-        "moving-bump": make_moving_bump_pseudo_germ,
-    }.get(germ_id)
+    """The germ named germ_id; margin reaches only the moving bump."""
+    if germ_id == "moving-bump":
+        return make_moving_bump_pseudo_germ(schedule, spacing, margin)
+    factory = {"rank-one": make_rank_one_germ, "quadratic": make_quadratic_germ}.get(germ_id)
     if factory is None:
         raise KeyError(f"unknown germ id {germ_id!r}; known: {GERM_IDS}")
     return factory(schedule, spacing)

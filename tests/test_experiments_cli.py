@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import inspect
 import io
 import json
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 
 from sclab import cli, experiments
-from sclab.bump_profiles import bump_self_pairing, shifted_bump
+from sclab.bump_profiles import bump_self_pairing, shifted_bump, step_n
 from sclab.experiments import (
     EXPERIMENT_IDS,
     Check,
@@ -30,7 +31,7 @@ from sclab.gallery import (
     seq_diffeo_inv,
     seq_rho_k_handle,
 )
-from sclab.operator_probe import finite_diff_differential
+from sclab.operator_probe import OperatorHandle, finite_diff_differential, truncation_opnorm
 from sclab.scale_core import (
     AnalyticTailFunction,
     SeqVector,
@@ -154,18 +155,18 @@ class TestReports:
     @pytest.mark.parametrize("eid", ["germ-continuity", "germ-openness"])
     def test_germ_experiments_read_the_configured_margin(self, eid, monkeypatch):
         made = []
-        factory = experiments.make_moving_bump_pseudo_germ
+        factory = experiments.make_germ
 
         def recorded(*args, **kwargs):
             made.append(factory(*args, **kwargs))
             return made[-1]
 
-        monkeypatch.setattr(experiments, "make_moving_bump_pseudo_germ", recorded)
+        monkeypatch.setattr(experiments, "make_germ", recorded)
         report = run(eid, ExperimentConfig(margin=2.0, seed=1))
         assert report.passed, emit(report, "text")
         # the pseudo-germ's self-pairing q at this margin (1.0, as at the
         # default margin) and its bound c < 1/ln(3 + margin), which pins the margin
-        (germ,) = made
+        (germ,) = [g for g in made if g.name == "moving-bump"]
         assert germ.context.q == bump_self_pairing(margin=2.0)
         with pytest.raises(ValueError, match=r"c < 1/ln\(5\)"):
             germ.B(np.array([0.65]), np.ones((1, germ.context.dim)))
@@ -209,6 +210,34 @@ class TestReports:
     def test_numpy_floats_format_as_floats(self):
         assert experiments._fmt(np.float64(0.1)) == "0.1"
         assert experiments._fmt(np.float64(1e-300)) == repr(1e-300)
+
+    def test_reports_render_as_the_deep_copied_fields(self):
+        configs = [
+            ExperimentConfig(),
+            ExperimentConfig(seed=3, spacing=5e-4, germ_level=2, truncation_n=16),
+            ExperimentConfig(seed=1, margin=2.0, smoothness_t_grid=(0.5, 0.3), out_dir="out"),
+        ]
+        for cfg in configs:
+            assert cfg.to_dict() == dataclasses.asdict(cfg)
+            for eid in EXPERIMENT_IDS:
+                report = run(eid, cfg)
+                want = json.dumps(dataclasses.asdict(report), sort_keys=True, indent=2) + "\n"
+                assert emit(report, "json") == want, eid
+        # no echoed value is one of the config's own mutable objects, and
+        # every check field is immutable, so no report shares state
+        for cfg in configs:
+            echoed = cfg.to_dict()
+            for f in dataclasses.fields(cfg):
+                value = getattr(cfg, f.name)
+                if not isinstance(value, (str, int, float, bool, type(None), tuple)):
+                    assert echoed[f.name] is not value, f.name
+                    assert echoed[f.name] == value, f.name
+        for f in dataclasses.fields(Check):
+            assert f.type in ("str", "bool", str, bool), f.name
+        cfg = ExperimentConfig()
+        echoed = cfg.to_dict()
+        cfg.blowup_t_grid.append(0.2)
+        assert echoed["blowup_t_grid"] == [0.5, 0.45, 0.4, 0.35, 0.3]
 
     @pytest.mark.parametrize("spacing", [1e-3, 5e-4])
     def test_no_report_names_numpy(self, spacing):
@@ -469,6 +498,22 @@ class TestStackedSeqLoops:
         checks = {c.name: c.measured for c in run("seq-discontinuity", cfg).checks}
         gap, round_trip = _old_seq_discontinuity(cfg)
         assert (checks["unit-vector gap"], checks["round trip"]) == (repr(gap), repr(round_trip))
+
+    @pytest.mark.parametrize("dim", [2, 5, 16, 64])
+    def test_difference_operator_norm_is_the_metric_opnorm(self, dim):
+        # the independent route: the metric operator norm of each diagonal
+        # difference under the level Gram matrices diag(m^(6i)), i < 3
+        norms = []
+        for n in (2, 4, 7):
+            diag = step_n(np.arange(1, dim + 1), 1.0 / n, 0) - 1.0
+            for i in range(3):
+                gram = np.diag(np.arange(1, dim + 1, dtype=float) ** (6 * i))
+                norms.append(truncation_opnorm(OperatorHandle(np.diag(diag), gram, gram)))
+                assert norms[-1] == float(np.abs(diag).max())
+        report = run("seq-discontinuity", ExperimentConfig(truncation_n=dim))
+        (check,) = [c for c in report.checks if c.name == "difference operator norm"]
+        assert check.measured == repr(max(norms))
+        assert check.passed == all(0.5 - 1e-12 <= x <= 1.0 + 1e-12 for x in norms)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_seq_tangent_batches_equal_the_one_point_calls(self, seed):

@@ -4,16 +4,18 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from sclab import bump_profiles, germs, scale_core
+from sclab import bump_profiles, experiments, germs, scale_core
 from sclab.bump_profiles import shifted_bump
+from sclab.experiments import ExperimentConfig, run
 from sclab.germs import (
     GERM_IDS,
-    DegenerateSampleError,
+    CertifiedPair,
+    ContractionCertificate,
     GermContext,
+    ModulusResult,
     certificate_from_json,
     certificate_to_json,
     certify,
-    contraction_modulus,
     dW_opnorm_probe,
     germ_continuity_report,
     germ_eval,
@@ -69,6 +71,14 @@ def _one_vector_B(germ, c):
     return moving
 
 
+def _sample_c(germ, rng, delta, n):
+    """The n parameters at radius delta as the probes drew them when they
+    took one radius: Generator.uniform(lo, hi, n) over c_range(delta), or
+    None (no draw) where delta admits no c."""
+    span = germ.c_range(delta)
+    return None if span is None else rng.uniform(*span, n)
+
+
 def _rescaler(g):
     """v rescaled to a given level norm, floored like the probes, in Python
     floats for one vector."""
@@ -79,7 +89,7 @@ def _per_sample_modulus(germ, level, delta, n_samples=40, seed=0):
     """modulus_with_count one trial and one vector at a time, on the draws
     it reads (c, r1 uniforms, (3, n, m) normals, r2 uniforms)."""
     rng = np.random.default_rng(seed)
-    cs = germ.sample_c(rng, delta, n_samples)
+    cs = _sample_c(germ, rng, delta, n_samples)
     u1 = rng.uniform(0.05, 0.95, n_samples)
     normals = rng.normal(size=(3, n_samples, germ.context.dim))
     u2 = rng.uniform(0.05, 0.95, n_samples)
@@ -116,7 +126,7 @@ def _per_sample_dW(germ, level, radius, n_samples=12, seed=1, h=1e-6):
     and w from the first of (2, n, m) normals, whose first n m values are
     the probe's (n, m) draw)."""
     rng = np.random.default_rng(seed)
-    cs = germ.sample_c(rng, radius, n_samples)
+    cs = _sample_c(germ, rng, radius, n_samples)
     u = rng.uniform(0.05, 0.95, n_samples)
     n0, nd = rng.normal(size=(2, n_samples, germ.context.dim))
     g, m = germ.context.gram(level), germ.context.dim
@@ -137,7 +147,7 @@ def _per_trial_dW(germ, level, radius, n_samples=12, seed=1):
     """dW_opnorm_probe one trial at a time: the operator norm of D_wB from
     dB at each base point, one truncation_opnorm call per trial."""
     rng = np.random.default_rng(seed)
-    cs = germ.sample_c(rng, radius, n_samples)
+    cs = _sample_c(germ, rng, radius, n_samples)
     u = rng.uniform(0.05, 0.95, n_samples)
     normals = rng.normal(size=(n_samples, germ.context.dim))
     g = germ.context.gram(level)
@@ -210,9 +220,9 @@ class TestStackedSampling:
     @pytest.mark.parametrize("level", [0, 1, 2])
     def test_modulus_equals_the_per_sample_loop(self, gid, level):
         germ = make_germ(gid)
-        for delta in _RADII[gid]:
-            for seed in range(5):
-                res = modulus_with_count(germ, level, delta, seed=seed)
+        for seed in range(5):
+            results = modulus_with_count(germ, level, _RADII[gid], seed=seed)
+            for delta, res in zip(_RADII[gid], results):
                 assert (res.worst_ratio, res.samples) == _per_sample_modulus(
                     germ, level, delta, seed=seed
                 )
@@ -221,9 +231,9 @@ class TestStackedSampling:
     @pytest.mark.parametrize("level", [0, 1, 2])
     def test_dW_probe_equals_the_per_trial_loop(self, gid, level):
         germ = make_germ(gid)
-        for radius in _RADII[gid]:
-            for seed in range(5):
-                probe = dW_opnorm_probe(germ, level, radius, seed=seed)
+        for seed in range(5):
+            probes = dW_opnorm_probe(germ, level, _RADII[gid], seed=seed)
+            for radius, probe in zip(_RADII[gid], probes):
                 assert probe == _per_trial_dW(germ, level, radius, seed=seed)
                 # the exact norm bounds every directional difference
                 fd = _per_sample_dW(germ, level, radius, seed=seed)
@@ -240,9 +250,9 @@ class TestStackedSampling:
         p_dual = math.sqrt(float(p @ np.linalg.solve(g, p)))
         for radius in _RADII["rank-one"]:
             for seed in range(5):
-                c = germ.sample_c(np.random.default_rng(seed), radius, 12)
+                c = _sample_c(germ, np.random.default_rng(seed), radius, 12)
                 want = float(np.abs(c).max()) * e_norm * p_dual
-                got = dW_opnorm_probe(germ, level, radius, seed=seed)
+                (got,) = dW_opnorm_probe(germ, level, [radius], seed=seed)
                 assert got == pytest.approx(want, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize("gid", GERM_IDS)
@@ -250,9 +260,9 @@ class TestStackedSampling:
     def test_openness_matches_the_finite_difference_loop(self, gid, level):
         germ = make_germ(gid)
         radii = (0.3, 0.2, 0.15) if gid == "moving-bump" else (0.1, 0.05, 0.01)
-        for radius in radii:
-            for seed in range(3):
-                rep = openness_probe(germ, level, radius, seed=seed)
+        for seed in range(3):
+            for radius, rep in zip(radii, openness_probe(germ, level, radii, seed=seed)):
+                assert rep.radius == radius
                 rows = _per_point_openness(germ, level, radius, seed=seed)
                 assert [row[:2] for row in rep.rows] == [row[:2] for row in rows]
                 assert rep.rows[0][2] == pytest.approx(rows[0][2], rel=1e-8, abs=0.0)
@@ -275,7 +285,7 @@ class TestStackedSampling:
         germ = make_germ(gid)
         g, m = germ.context.gram(level), germ.context.dim
         rng = np.random.default_rng(level)
-        c = germ.sample_c(rng, 0.3, 8)
+        c = _sample_c(germ, rng, 0.3, 8)
         if gid == "moving-bump":
             c = np.concatenate((c, [-0.2, -0.05]))
         radii = rng.uniform(0.05, 0.3, len(c))
@@ -306,10 +316,11 @@ class TestStackedSampling:
         counts = {}
         for n in (40, 400):
             calls.clear()
-            modulus_with_count(germ, 1, 0.3, n_samples=n)
-            dW_opnorm_probe(germ, 1, 0.3, n_samples=n)
+            modulus_with_count(germ, 1, [0.3, 0.2], n_samples=n)
+            dW_opnorm_probe(germ, 1, [0.3, 0.2], n_samples=n)
             counts[n] = list(calls)
-        # the modulus: c, r1, the normals, r2; the probe: c, r, the normals
+        # once for all radii, the modulus: c (as uniform(size=n)), r1, the
+        # normals, r2; the probe: c, r, the normals
         modulus = ["uniform", "uniform", "normal", "uniform"]
         probe = ["uniform", "uniform", "normal"]
         assert counts[40] == counts[400] == modulus + probe
@@ -323,9 +334,10 @@ class TestStackedSampling:
             return svd(op)
 
         monkeypatch.setattr(germs, "metric_singular_values", counting)
-        openness_probe(make_germ("rank-one"), 1, 0.1)
-        openness_probe(make_germ("moving-bump"), 1, 0.3)
-        assert calls == [(7, 5, 5), (5, 6, 6)]
+        openness_probe(make_germ("rank-one"), 1, [0.1])
+        openness_probe(make_germ("moving-bump"), 1, [0.3])
+        openness_probe(make_germ("moving-bump"), 1, [0.3, 0.2, 0.15])
+        assert calls == [(7, 5, 5), (5, 6, 6), (15, 6, 6)]
 
     @pytest.mark.parametrize("gid", GERM_IDS)
     def test_stacked_B_equals_per_row_B(self, gid):
@@ -368,14 +380,176 @@ class TestStackedSampling:
         modulus = germs.modulus_with_count
 
         def counting(*args, **kwargs):
-            calls.append(args)
+            calls.append(list(args[2]))
             return modulus(*args, **kwargs)
 
+        # one fresh call with exactly the certified radii, again on a replay
         monkeypatch.setattr(germs, "modulus_with_count", counting)
         assert replay_certificate(germ, cert)
-        assert [args[2] for args in calls] == [p.delta for p in cert.pairs]
+        assert calls == [[p.delta for p in cert.pairs]]
         assert replay_certificate(germ, cert)
-        assert len(calls) == 2 * len(cert.pairs)
+        assert calls == 2 * [[p.delta for p in cert.pairs]]
+
+
+def _one_radius_modulus(germ, level, delta, n_samples=40, seed=0):
+    """modulus_with_count as it was when it took one radius: a fresh
+    generator, c drawn by Generator.uniform(lo, hi, n), and None where that
+    call raised DegenerateSampleError (delta admits no c, and nothing more
+    is drawn, or no pair is admissible)."""
+    rng = np.random.default_rng(seed)
+    c = _sample_c(germ, rng, delta, n_samples)
+    if c is None:
+        return None
+    g = germ.context.gram(level)
+
+    def scaled(v, radius):
+        return v * (radius / np.sqrt(np.maximum(germs._quad(v, g), 1e-300)))[:, None]
+
+    r1 = delta * rng.uniform(0.05, 0.95, n_samples)
+    r1[::2] = 0.999 * delta
+    n1, n2, n3 = rng.normal(size=(3, n_samples, len(g)))
+    r2 = delta * rng.uniform(0.05, 0.95, n_samples)
+    w1 = scaled(n1, r1)
+    zero = np.zeros_like(w1)
+    wa, wb = [w1, w1, w1], [zero, scaled(n2, r2), w1 + scaled(n3, 1e-3 * delta)]
+    if germ.c_dependent_atoms:
+        witness = zero.copy()
+        witness[:, -1] = 1.0
+        wa.append(scaled(witness, r1))
+        wb.append(zero)
+    k = len(wa)
+    wa, wb = np.concatenate(wa), np.concatenate(wb)
+    denom = germs._norms(wa - wb, g)
+    b = germ.B(np.tile(c, 2 * k), np.concatenate((wa, wb)))
+    num = germs._norms(b[: len(wa)] - b[len(wa) :], g)
+    ratios = num[denom != 0.0] / denom[denom != 0.0]
+    return ModulusResult(germs._worst(ratios), ratios.size) if ratios.size else None
+
+
+def _sequential_certify(germ, level, epsilons, seed, max_halvings):
+    """certify as one halving search per epsilon after another, with one
+    radius per modulus call."""
+    pairs = []
+    for eps in epsilons:
+        delta, found, last = min(float(eps), 0.5), None, math.nan
+        for _ in range(max_halvings):
+            (res,) = modulus_with_count(germ, level, [delta], seed=seed)
+            if res is None:
+                break
+            last = res.worst_ratio
+            if res.worst_ratio <= eps:
+                found = CertifiedPair(eps, delta, res.worst_ratio, res.samples, seed)
+                break
+            delta /= 2.0
+        pairs.append(found or CertifiedPair(eps, None, last, 0, seed))
+    return ContractionCertificate(germ.name, level, tuple(pairs))
+
+
+# the certify ladders' radii, one twice; the moving bump admits no c at the
+# last three
+_LADDER = (0.5, 0.25, 0.125, 0.1, 0.25, 0.0625, 0.05, 0.025)
+
+
+class TestRadiusLists:
+    @pytest.mark.parametrize("gid", GERM_IDS)
+    def test_c_range_draws_equal_generator_uniform(self, gid):
+        germ = make_germ(gid)
+        for seed in range(40):
+            u = np.random.default_rng(seed).uniform(size=40)
+            live, radii, c = germs._parameters(germ, _LADDER, u)
+            assert [_LADDER[k] for k in live] == radii[:, 0].tolist()
+            for delta in _LADDER:
+                want = _sample_c(germ, np.random.default_rng(seed), delta, 40)
+                if want is None:
+                    assert _LADDER.index(delta) not in live
+                    continue
+                lo, hi = germ.c_range(delta)
+                assert np.array_equal(lo + (hi - lo) * u, want)
+                assert np.array_equal(c[live.index(_LADDER.index(delta))], want)
+        assert (germ.c_range(0.0625) is None) == (gid == "moving-bump")
+
+    @pytest.mark.parametrize("gid", GERM_IDS)
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    def test_ladder_entries_equal_the_one_radius_calls(self, gid, level):
+        germ = make_germ(gid)
+        for seed in range(40):
+            moduli = modulus_with_count(germ, level, _LADDER, seed=seed)
+            probes = dW_opnorm_probe(germ, level, _LADDER, seed=seed)
+            reports = openness_probe(germ, level, _LADDER, seed=seed)
+            for delta, res, probe, rep in zip(_LADDER, moduli, probes, reports):
+                assert res == modulus_with_count(germ, level, [delta], seed=seed)[0]
+                assert res == _one_radius_modulus(germ, level, delta, seed=seed)
+                assert probe == dW_opnorm_probe(germ, level, [delta], seed=seed)[0]
+                assert rep == openness_probe(germ, level, [delta], seed=seed)[0]
+                # None exactly where the one-radius call raised
+                assert (res is None) == (probe is None) == (germ.c_range(delta) is None)
+
+    @pytest.mark.parametrize("gid", GERM_IDS)
+    def test_certify_equals_the_sequential_search(self, gid):
+        germ = make_germ(gid)
+        for level in range(3):
+            for seed in range(40):
+                for epsilons, halvings in (((0.5, 0.25, 0.1), 40), ((0.1, 0.3, 0.05), 3)):
+                    got = certify(germ, level, epsilons, seed=seed, max_halvings=halvings)
+                    want = _sequential_certify(germ, level, epsilons, seed, halvings)
+                    assert certificate_to_json(got) == certificate_to_json(want)
+
+    def test_certify_samples_each_new_radius_of_a_rung_in_one_call(self, monkeypatch):
+        calls = []
+        modulus = germs.modulus_with_count
+
+        def recording(germ, level, deltas, *args, **kwargs):
+            calls.append(list(deltas))
+            return modulus(germ, level, deltas, *args, **kwargs)
+
+        monkeypatch.setattr(germs, "modulus_with_count", recording)
+        germ = make_germ("moving-bump")
+        # the 0.5 and 0.25 searches share their later rungs; 0.05 and 0.0625
+        # admit no c and end the searches that reach them
+        rungs = [[0.5, 0.25, 0.1], [0.125, 0.05], [0.0625]]
+        certify(germ, 0)
+        assert calls == rungs
+        # nothing is kept from one certify call to the next
+        certify(germ, 0)
+        assert calls == 2 * rungs
+
+    def test_germ_experiments_make_pinned_probe_calls(self, monkeypatch):
+        moduli, svds = [], []
+        modulus, svd = germs.modulus_with_count, germs.metric_singular_values
+
+        def recording(germ, level, deltas, *args, **kwargs):
+            moduli.append((germ.name, list(deltas)))
+            return modulus(germ, level, deltas, *args, **kwargs)
+
+        def counting(op):
+            svds.append(op.matrix.shape)
+            return svd(op)
+
+        for module in (germs, experiments):
+            monkeypatch.setattr(module, "modulus_with_count", recording)
+        monkeypatch.setattr(germs, "metric_singular_values", counting)
+        cfg = ExperimentConfig(seed=0, germ_level=1)
+        assert run("germ-continuity", cfg).passed and run("germ-openness", cfg).passed
+        assert moduli == [
+            # germ-continuity: each germ's certify rungs and its replay
+            ("rank-one", [0.5, 0.25, 0.1]),
+            ("rank-one", [0.125, 0.05]),
+            ("rank-one", [0.25, 0.125, 0.05]),
+            ("quadratic", [0.5, 0.25, 0.1]),
+            ("quadratic", [0.5, 0.25, 0.1]),
+            # the pseudo-germ's five moduli, then its certify rungs
+            ("moving-bump", [0.5, 0.4, 0.3, 0.2, 0.15]),
+            ("moving-bump", [0.5, 0.25, 0.1]),
+            ("moving-bump", [0.125, 0.05]),
+            ("moving-bump", [0.0625]),
+            # germ-openness: the epsilon = 0.1 certificates
+            ("rank-one", [0.1]),
+            ("rank-one", [0.05]),
+            ("quadratic", [0.1]),
+        ]
+        # two dW calls per contracting germ (certified radii, then the
+        # shrink fractions), and three openness calls
+        assert svds == [(36, 4, 4)] * 4 + [(7, 5, 5), (7, 5, 5), (15, 6, 6)]
 
 
 class TestGermEval:
@@ -413,42 +587,48 @@ class TestGermEval:
         assert np.allclose(w, v)
 
 
+def _modulus(germ, level, delta, seed=0):
+    """The worst sampled ratio at one radius."""
+    return modulus_with_count(germ, level, [delta], seed=seed)[0].worst_ratio
+
+
 class TestContractionModulus:
     def test_rank_one_bounded_by_radius(self):
         germ = make_rank_one_germ()
         for delta in (0.5, 0.25, 0.1):
-            mod = contraction_modulus(germ, 1, delta, seed=0)
+            mod = _modulus(germ, 1, delta, seed=0)
             # |c| < delta and the projection has norm <= 1 at level 0; at
             # level 1 the metric distortion is bounded by a fixed constant
             assert mod <= 3.0 * delta
 
     def test_modulus_shrinks_with_radius(self):
         for germ in (make_rank_one_germ(), make_quadratic_germ()):
-            m_big = contraction_modulus(germ, 1, 0.5, seed=0)
-            m_small = contraction_modulus(germ, 1, 0.01, seed=0)
+            m_big = _modulus(germ, 1, 0.5, seed=0)
+            m_small = _modulus(germ, 1, 0.01, seed=0)
             assert m_small < m_big
             assert m_small < 0.1
 
     def test_moving_bump_stays_near_one(self):
         germ = make_moving_bump_pseudo_germ()
-        mod = contraction_modulus(germ, 0, 0.3, seed=0)
+        mod = _modulus(germ, 0, 0.3, seed=0)
         assert mod >= 0.9
 
     def test_deterministic_given_seed(self):
         germ = make_quadratic_germ()
-        r1 = modulus_with_count(germ, 1, 0.2, seed=5)
-        r2 = modulus_with_count(germ, 1, 0.2, seed=5)
+        r1 = modulus_with_count(germ, 1, [0.2], seed=5)
+        r2 = modulus_with_count(germ, 1, [0.2], seed=5)
         assert r1 == r2
 
     def test_rejects_nonpositive_radius(self):
         with pytest.raises(ValueError):
-            contraction_modulus(make_rank_one_germ(), 0, 0.0)
+            modulus_with_count(make_rank_one_germ(), 0, [0.3, 0.0])
 
-    def test_degenerate_sampling_raises(self):
+    def test_degenerate_sampling_reads_none(self):
         germ = make_moving_bump_pseudo_germ()
         # below the representability floor no parameter can be drawn
-        with pytest.raises(DegenerateSampleError):
-            modulus_with_count(germ, 0, 0.05)
+        assert germ.c_range(0.05) is None
+        got = modulus_with_count(germ, 0, [0.05, 0.3, 0.07])
+        assert got[0] is None and got[2] is None and got[1].worst_ratio >= 0.9
 
 
 class TestCertificates:
@@ -513,21 +693,21 @@ class TestDifferentialLaw:
     def test_dw_probe_zero_map(self):
         germ = make_germ("moving-bump")
         # below the sampler floor the probe cannot draw any parameter
-        with pytest.raises(DegenerateSampleError):
-            dW_opnorm_probe(germ, 0, 0.05)
+        assert dW_opnorm_probe(germ, 0, [0.05]) == [None]
+        assert dW_opnorm_probe(germ, 0, [0.05, 0.3])[0] is None
 
 
 class TestOpenness:
     def test_contracting_germs_keep_invertible_differential(self):
         for gid in ("rank-one", "quadratic"):
-            rep = openness_probe(make_germ(gid), 1, 0.1)
+            (rep,) = openness_probe(make_germ(gid), 1, [0.1])
             assert rep.passed
             assert bool(rep)
             assert rep.worst_cond <= 2.0 * rep.cond_at_zero
             assert rep.cond_at_zero < 1.5
 
     def test_report_rows_cover_origin(self):
-        rep = openness_probe(make_germ("rank-one"), 1, 0.1)
+        (rep,) = openness_probe(make_germ("rank-one"), 1, [0.1])
         assert rep.rows[0] == (0.0, 0.0, rep.cond_at_zero)
         assert len(rep.rows) >= 3
 
@@ -540,6 +720,16 @@ class TestFactory:
     def test_unknown_id(self):
         with pytest.raises(KeyError):
             make_germ("nope")
+
+    def test_margin_reaches_the_moving_bump(self):
+        schedule, spacing = WeightSchedule.default(), 5e-4
+        germ = make_germ("moving-bump", schedule, spacing, 0.5)
+        assert germ.context.q == make_moving_bump_pseudo_germ(schedule, spacing, 0.5).context.q
+        # the c bound 1/ln(3 + margin) moves with it: c = 0.75 lies below 1/ln(3.5)
+        v = np.ones((1, germ.context.dim))
+        assert germ.B(np.array([0.75]), v)[0, -1] != 0.0
+        with pytest.raises(ValueError, match=r"c < 1/ln\(4\)"):
+            make_germ("moving-bump", schedule, spacing).B(np.array([0.75]), v)
 
 
 class TestContexts:
@@ -639,7 +829,7 @@ class TestContexts:
         assert np.array_equal(w_small, w)
         assert w[-1] == 1.0 - germ.context.gram(0)[4, 4]
         # openness now probes c = 0.05, below the old grid bound 0.0724
-        rep = openness_probe(germ, 0, 0.1)
+        (rep,) = openness_probe(germ, 0, [0.1])
         assert [row[0] for row in rep.rows] == [0.0] + [0.9 * 0.1] * 2 + [0.5 * 0.1] * 2
 
     @pytest.mark.parametrize("c", [1.0 / math.log(4.0), 0.75, 2.0])
