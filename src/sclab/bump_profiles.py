@@ -224,11 +224,6 @@ class SmoothStep:
         _check_order(order)
         return _step(x, order)
 
-    def derivative_sup(self, order: int) -> float:
-        """Sup of |f^(order)| by dense sampling of the transition interval."""
-        xs = np.linspace(0.4, 1.1, 10001)
-        return float(np.max(np.abs(self.derivative(xs, order))))
-
 
 def make_smooth_step() -> SmoothStep:
     return SmoothStep()

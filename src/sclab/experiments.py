@@ -30,11 +30,10 @@ from .gallery import (
 )
 from .germs import (
     certify,
-    germ_continuity_report,
+    dW_opnorm_probe,
     make_germ,
     modulus_with_count,
     openness_probe,
-    radius_shrink_probes,
     replay_certificate,
 )
 from .operator_probe import (
@@ -80,6 +79,9 @@ _MAX_TRUNCATION = 1024
 
 #: the largest level count: schedule() holds levels + 2 weights
 _MAX_LEVELS = 1024
+
+#: absolute slack of germ-continuity's factor-two law ||D_w B|| <= 2 epsilon
+_LAW_SLACK = 1e-8
 
 _T_GRIDS = ("blowup_t_grid", "dichotomy_t_grid", "branching_t_grid", "smoothness_t_grid")
 
@@ -824,8 +826,8 @@ def _germ_continuity(cfg: ExperimentConfig) -> List[Check]:
     schedule = cfg.schedule()
     for germ_id in ("rank-one", "quadratic"):
         germ = make_germ(germ_id, schedule, cfg.spacing)
-        report = germ_continuity_report(germ, cfg.germ_level, seed=cfg.seed)
-        replay_ok = replay_certificate(germ, report.certificate)
+        cert = certify(germ, cfg.germ_level, seed=cfg.seed)
+        replay_ok = replay_certificate(germ, cert)
         checks.append(
             _check(
                 f"{germ_id}: certificate replay",
@@ -833,28 +835,29 @@ def _germ_continuity(cfg: ExperimentConfig) -> List[Check]:
                 "seeds",
                 "exact replay",
                 "ok" if replay_ok else "drift",
-                report.contracting and replay_ok,
+                cert.all_certified and replay_ok,
             )
         )
-        worst_excess = max(
-            (r.dw_opnorm - 2.0 * r.epsilon for r in report.rows), default=math.inf
-        )
+        # one probe call: the certified radii, then 1/2, 1/4 and 1/8 of the
+        # epsilon = 0.1 radius (a TypeError where that one is not certified)
+        base = next(p for p in cert.pairs if p.epsilon == 0.1)
+        radii = [p.delta for p in cert.pairs if p.delta is not None]
+        radii += [frac * base.delta for frac in (0.5, 0.25, 0.125)]
+        probes = iter(dW_opnorm_probe(germ, cfg.germ_level, radii, seed=cfg.seed + 1))
+        # a failed pair reads the modulus last sampled by its search
+        ops = {p.epsilon: p.worst_ratio if p.delta is None else next(probes) for p in cert.pairs}
         checks.append(
             _check(
                 f"{germ_id}: factor-two law",
                 "inside each certified radius the partial-differential norm "
                 "stays below twice the certified modulus",
-                1e-8,
-                worst_excess,
-                report.two_epsilon_law_ok,
+                _LAW_SLACK,
+                max(op - 2.0 * eps for eps, op in ops.items()),
+                cert.all_certified
+                and all(op <= 2.0 * eps + _LAW_SLACK for eps, op in ops.items()),
             )
         )
-        # the epsilon = 0.1 row probed its certified radius with this seed
-        base = next(r for r in report.rows if r.epsilon == 0.1)
-        probes = radius_shrink_probes(
-            germ, cfg.germ_level, base.delta, (0.5, 0.25, 0.125), seed=cfg.seed + 1
-        )
-        vals = [base.dw_opnorm] + [p for _, p in probes]
+        vals = [ops[0.1], *probes]
         shrink_ok = all(b <= a + 1e-12 for a, b in zip(vals, vals[1:])) and vals[-1] < 0.05
         checks.append(
             _check(

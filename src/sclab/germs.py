@@ -33,7 +33,6 @@ from .scale_core import (
 __all__ = [
     "GermContext",
     "BasicGerm",
-    "germ_eval",
     "ModulusResult",
     "modulus_with_count",
     "CertifiedPair",
@@ -43,10 +42,6 @@ __all__ = [
     "certificate_from_json",
     "replay_certificate",
     "dW_opnorm_probe",
-    "ContinuityRow",
-    "ContinuityReport",
-    "germ_continuity_report",
-    "radius_shrink_probes",
     "OpennessReport",
     "openness_probe",
     "make_rank_one_germ",
@@ -57,9 +52,6 @@ __all__ = [
 ]
 
 _ATOM_WINDOW = (-2.0, 2.0)
-
-#: absolute slack of the factor-two law ||D_w B|| <= 2 epsilon
-_LAW_SLACK = 1e-8
 
 #: how far the openness probe lets the condition number grow over its value
 #: at the origin
@@ -135,9 +127,6 @@ class GermContext:
             self._l2 = self.gram(0) if self.schedule.delta(0) == 0.0 else self._pairings(0, 0.0)
         return self._l2
 
-    def norm(self, v: np.ndarray, level: int) -> float:
-        return float(_norms(v[None, :], self.gram(level))[0])
-
     def l2_pair_vector(self, j: int) -> np.ndarray:
         """L2 pairings of coordinate j with every coordinate: row j of the L2
         Gram matrix (a contiguous read-only view)."""
@@ -194,11 +183,6 @@ class BasicGerm:
     def context_for(self, c: float) -> GermContext:
         """The context at parameter c: the germ's one context, for every c."""
         return self.context
-
-
-def germ_eval(germ: BasicGerm, c: float, v: np.ndarray) -> Tuple[float, np.ndarray]:
-    """(c, w - B(c, w)) in coefficient coordinates, at one point."""
-    return c, v - germ.B(np.array([c]), v[None, :])[0]
 
 
 def _parameters(
@@ -311,6 +295,8 @@ class ContractionCertificate:
     germ_id: str
     level: int
     pairs: Tuple[CertifiedPair, ...]
+    #: the trials per modulus call, which a replay repeats
+    n_samples: int
 
     @property
     def all_certified(self) -> bool:
@@ -355,7 +341,7 @@ def certify(
         p or CertifiedPair(eps, None, worst, 0, seed)
         for p, eps, worst in zip(pairs, epsilons, last)
     ]
-    return ContractionCertificate(germ.name, level, tuple(pairs))
+    return ContractionCertificate(germ.name, level, tuple(pairs), n_samples)
 
 
 def certificate_to_json(cert: ContractionCertificate) -> str:
@@ -363,6 +349,7 @@ def certificate_to_json(cert: ContractionCertificate) -> str:
         {
             "germ_id": cert.germ_id,
             "level": cert.level,
+            "n_samples": cert.n_samples,
             "pairs": [
                 {
                     "epsilon": p.epsilon,
@@ -390,18 +377,22 @@ def certificate_from_json(text: str) -> ContractionCertificate:
             )
             for p in raw["pairs"]
         ),
+        raw["n_samples"],
     )
 
 
 def replay_certificate(germ: BasicGerm, cert: ContractionCertificate) -> bool:
-    """Re-run every certified pair with its recorded seed, in one fresh
-    modulus_with_count call per seed over that seed's radii; every sampled
-    modulus must reproduce bit-for-bit."""
+    """Re-run every certified pair with its recorded seed and the
+    certificate's n_samples, in one fresh modulus_with_count call per seed
+    over that seed's radii; every sampled modulus must reproduce
+    bit-for-bit."""
     if any(p.delta is None for p in cert.pairs):
         return False
     for seed in dict.fromkeys(p.seed for p in cert.pairs):
         pairs = [p for p in cert.pairs if p.seed == seed]
-        results = modulus_with_count(germ, cert.level, [p.delta for p in pairs], seed=seed)
+        results = modulus_with_count(
+            germ, cert.level, [p.delta for p in pairs], cert.n_samples, seed
+        )
         for p, res in zip(pairs, results):
             if res is None or (res.worst_ratio, res.samples) != (p.worst_ratio, p.samples):
                 return False
@@ -443,70 +434,6 @@ def dW_opnorm_probe(
     return _per_radius(radii, live, [_worst(top) for top in tops])
 
 
-@dataclass(frozen=True)
-class ContinuityRow:
-    epsilon: float
-    delta: Optional[float]
-    dw_opnorm: float
-    within_factor_two: bool
-
-
-@dataclass(frozen=True)
-class ContinuityReport:
-    germ_id: str
-    level: int
-    certificate: ContractionCertificate
-    rows: Tuple[ContinuityRow, ...]
-    contracting: bool
-    two_epsilon_law_ok: bool
-
-
-def germ_continuity_report(
-    germ: BasicGerm,
-    level: int,
-    epsilons: Sequence[float] = (0.5, 0.25, 0.1),
-    n_samples: int = 40,
-    seed: int = 0,
-) -> ContinuityReport:
-    """Certify contraction radii and check the factor-two law: inside each
-    certified radius the w-partial differential norm stays below
-    2 epsilon, probed at every certified radius in one call.  Maps that
-    fail certification are flagged, not rejected."""
-    cert = certify(germ, level, epsilons, n_samples, seed)
-    certified = [p.delta for p in cert.pairs if p.delta is not None]
-    ops = iter(dW_opnorm_probe(germ, level, certified, seed=seed + 1))
-    rows: List[ContinuityRow] = []
-    for p in cert.pairs:
-        if p.delta is None:
-            # record the modulus observed at the smallest radius searched
-            rows.append(ContinuityRow(p.epsilon, None, p.worst_ratio, False))
-            continue
-        op = next(ops)
-        rows.append(ContinuityRow(p.epsilon, p.delta, op, op <= 2.0 * p.epsilon + _LAW_SLACK))
-    contracting = cert.all_certified
-    return ContinuityReport(
-        germ_id=germ.name,
-        level=level,
-        certificate=cert,
-        rows=tuple(rows),
-        contracting=contracting,
-        two_epsilon_law_ok=contracting and all(r.within_factor_two for r in rows),
-    )
-
-
-def radius_shrink_probes(
-    germ: BasicGerm,
-    level: int,
-    base_radius: float,
-    fractions: Sequence[float] = (1.0, 0.5, 0.25, 0.125),
-    seed: int = 1,
-) -> List[Tuple[float, float]]:
-    """Differential-norm probes at shrinking fractions of a base radius,
-    in one call."""
-    probes = dW_opnorm_probe(germ, level, [frac * base_radius for frac in fractions], seed=seed)
-    return list(zip(fractions, probes))
-
-
 # ---------------------------------------------------------------------------
 # openness of invertible differentials
 
@@ -520,9 +447,6 @@ class OpennessReport:
     worst_cond: float
     passed: bool
     rows: Tuple[Tuple[float, float, float], ...]  # (c, ||w||, cond)
-
-    def __bool__(self) -> bool:
-        return self.passed
 
 
 def openness_probe(

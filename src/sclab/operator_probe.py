@@ -1,7 +1,7 @@
 """Quantitative probes for linear operators between levels of a scale:
-witness lower bounds, truncation operator norms under general inner
-products, finite-difference validation of analytic differentials, and the
-level-dependent norm dichotomy of the projection differential.
+truncation operator norms under general inner products, finite-difference
+validation of analytic differentials, and the level-dependent norm
+dichotomy of the projection differential.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .scale_core import LogScalar, grid_sobolev_norms, uniform_trapezoid
 
 __all__ = [
     "OperatorHandle",
-    "witness_lower_bound",
     "metric_singular_values",
     "truncation_opnorm",
     "numerical_rank",
@@ -65,25 +64,6 @@ class OperatorHandle:
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "gram_dom", gd)
         object.__setattr__(self, "gram_cod", gc)
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        return self.matrix @ np.asarray(v, dtype=float)
-
-    def dom_norm(self, v: np.ndarray) -> float:
-        v = np.asarray(v, dtype=float)
-        return math.sqrt(max(0.0, float(v @ self.gram_dom @ v)))
-
-    def cod_norm(self, w: np.ndarray) -> float:
-        w = np.asarray(w, dtype=float)
-        return math.sqrt(max(0.0, float(w @ self.gram_cod @ w)))
-
-
-def witness_lower_bound(op: OperatorHandle, v: np.ndarray) -> float:
-    """||A v|| / ||v||: a certified lower bound for the operator norm."""
-    nv = op.dom_norm(v)
-    if nv == 0.0:
-        raise ValueError("witness vector has zero norm")
-    return op.cod_norm(op.apply(v)) / nv
 
 
 def metric_singular_values(op: OperatorHandle) -> np.ndarray:

@@ -161,18 +161,6 @@ class LogScalar:
         bigger_mag = 1 if self.logmag > other.logmag else -1
         return bigger_mag * self.sign
 
-    def __lt__(self, other: "LogScalar") -> bool:
-        return self.cmp(other) < 0
-
-    def __le__(self, other: "LogScalar") -> bool:
-        return self.cmp(other) <= 0
-
-    def __gt__(self, other: "LogScalar") -> bool:
-        return self.cmp(other) > 0
-
-    def __ge__(self, other: "LogScalar") -> bool:
-        return self.cmp(other) >= 0
-
 
 # ---------------------------------------------------------------------------
 # weight schedules

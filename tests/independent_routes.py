@@ -1,0 +1,34 @@
+"""Independent routes the tests check the library against: one vector, one
+point or one dense sample at a time, with none of the library's stacking."""
+
+import math
+
+import numpy as np
+
+
+def level_norm(v, g) -> float:
+    """sqrt(v g v) of one coefficient vector under a Gram matrix, with a
+    negative rounding residue read as 0."""
+    v = np.asarray(v, dtype=float)
+    return math.sqrt(max(0.0, float(v @ g @ v)))
+
+
+def witness_ratio(op, v) -> float:
+    """||A v|| / ||v|| under an OperatorHandle's Gram matrices: a lower bound
+    for its operator norm, which no top metric singular value may undercut."""
+    v = np.asarray(v, dtype=float)
+    return level_norm(op.matrix @ v, op.gram_cod) / level_norm(v, op.gram_dom)
+
+
+def step_derivative_sup(step, order: int) -> float:
+    """Sup of |f^(order)| of a smooth step by dense sampling of its
+    transition interval (1/2, 1)."""
+    xs = np.linspace(0.4, 1.1, 10001)
+    return float(np.max(np.abs(step.derivative(xs, order))))
+
+
+def germ_point(germ, c: float, v):
+    """(c, w - B(c, w)) in coefficient coordinates, at one point, through a
+    one-row call of germ.B."""
+    v = np.asarray(v, dtype=float)
+    return c, v - germ.B(np.array([c]), v[None, :])[0]

@@ -223,15 +223,17 @@ class TestReports:
                 report = run(eid, cfg)
                 want = json.dumps(dataclasses.asdict(report), sort_keys=True, indent=2) + "\n"
                 assert emit(report, "json") == want, eid
-        # no echoed value is one of the config's own mutable objects, and
-        # every check field is immutable, so no report shares state
+        # no list or dict reachable from an echoed field is one the config
+        # holds (every field, checked with `is`), and every check field is
+        # immutable, so no report shares state
         for cfg in configs:
             echoed = cfg.to_dict()
-            for f in dataclasses.fields(cfg):
-                value = getattr(cfg, f.name)
-                if not isinstance(value, (str, int, float, bool, type(None), tuple)):
-                    assert echoed[f.name] is not value, f.name
-                    assert echoed[f.name] == value, f.name
+            names = [f.name for f in dataclasses.fields(cfg)]
+            assert list(echoed) == names
+            owned = [obj for name in names for obj in _containers(getattr(cfg, name))]
+            for name in names:
+                for obj in _containers(echoed[name]):
+                    assert not any(obj is mine for mine in owned), name
         for f in dataclasses.fields(Check):
             assert f.type in ("str", "bool", str, bool), f.name
         cfg = ExperimentConfig()
@@ -247,6 +249,20 @@ class TestReports:
                 report = run(eid, ExperimentConfig(seed=seed, spacing=spacing))
                 for fmt in ("json", "csv"):
                     assert "np." not in emit(report, fmt), (eid, seed, fmt)
+
+
+def _containers(value):
+    """Every list and dict object reachable from value."""
+    found, stack = [], [value]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, (list, dict)):
+            found.append(v)
+        if isinstance(v, dict):
+            stack.extend(v.values())
+        elif isinstance(v, (list, tuple)):
+            stack.extend(v)
+    return found
 
 
 def _failing_report(eid: str) -> ExperimentReport:

@@ -1,3 +1,6 @@
+import dataclasses
+import functools
+import json
 import math
 from collections import Counter
 
@@ -17,19 +20,18 @@ from sclab.germs import (
     certificate_to_json,
     certify,
     dW_opnorm_probe,
-    germ_continuity_report,
-    germ_eval,
     make_germ,
     make_moving_bump_pseudo_germ,
     make_quadratic_germ,
     make_rank_one_germ,
     modulus_with_count,
     openness_probe,
-    radius_shrink_probes,
     replay_certificate,
 )
 from sclab.operator_probe import OperatorHandle, metric_singular_values, truncation_opnorm
 from sclab.scale_core import WeightSchedule, grid_combine, grid_l2_inner, grid_sobolev_inner
+
+from independent_routes import germ_point, level_norm
 
 
 def _grid_atoms(ctx, c):
@@ -171,7 +173,7 @@ def _per_point_openness(germ, level, radius, seed=2, h=1e-6):
     eye = np.eye(1 + m)
 
     def full(x):
-        a, w = germ_eval(germ, x[0], x[1:])
+        a, w = germ_point(germ, x[0], x[1:])
         return np.concatenate(([a], w))
 
     def cond(c, v):
@@ -442,7 +444,7 @@ def _sequential_certify(germ, level, epsilons, seed, max_halvings):
                 break
             delta /= 2.0
         pairs.append(found or CertifiedPair(eps, None, last, 0, seed))
-    return ContractionCertificate(germ.name, level, tuple(pairs))
+    return ContractionCertificate(germ.name, level, tuple(pairs), 40)
 
 
 # the certify ladders' radii, one twice; the moving bump admits no c at the
@@ -547,9 +549,9 @@ class TestRadiusLists:
             ("rank-one", [0.05]),
             ("quadratic", [0.1]),
         ]
-        # two dW calls per contracting germ (certified radii, then the
-        # shrink fractions), and three openness calls
-        assert svds == [(36, 4, 4)] * 4 + [(7, 5, 5), (7, 5, 5), (15, 6, 6)]
+        # one dW call per contracting germ (its three certified radii and
+        # three fractions of the epsilon = 0.1 one), and three openness calls
+        assert svds == [(72, 4, 4)] * 2 + [(7, 5, 5), (7, 5, 5), (15, 6, 6)]
 
 
 class TestGermEval:
@@ -557,7 +559,7 @@ class TestGermEval:
         germ = make_rank_one_germ()
         ctx = germ.context_for(0.0)
         v = np.zeros(ctx.dim)
-        a, w = germ_eval(germ, 0.3, v)
+        a, w = germ_point(germ, 0.3, v)
         assert a == 0.3
         assert np.all(w == 0.0)
 
@@ -566,9 +568,9 @@ class TestGermEval:
         ctx = germ.context_for(0.2)
         rng = np.random.default_rng(0)
         v1, v2 = rng.normal(size=ctx.dim), rng.normal(size=ctx.dim)
-        _, w1 = germ_eval(germ, 0.2, v1)
-        _, w2 = germ_eval(germ, 0.2, v2)
-        _, wsum = germ_eval(germ, 0.2, v1 + v2)
+        _, w1 = germ_point(germ, 0.2, v1)
+        _, w2 = germ_point(germ, 0.2, v2)
+        _, wsum = germ_point(germ, 0.2, v1 + v2)
         assert np.allclose(wsum, w1 + w2, rtol=1e-13)
 
     def test_quadratic_kills_unit_bump(self):
@@ -577,13 +579,13 @@ class TestGermEval:
         germ = make_quadratic_germ()
         ctx = germ.context_for(0.0)
         e_bump = np.eye(ctx.dim)[0]
-        _, w = germ_eval(germ, 0.0, e_bump)
-        assert ctx.norm(w, 0) < 1e-8
+        _, w = germ_point(germ, 0.0, e_bump)
+        assert level_norm(w, ctx.gram(0)) < 1e-8
 
     def test_moving_bump_vanishes_for_nonpositive_c(self):
         germ = make_moving_bump_pseudo_germ()
         v = np.ones(germ.context.dim)
-        _, w = germ_eval(germ, -0.5, v)
+        _, w = germ_point(germ, -0.5, v)
         assert np.allclose(w, v)
 
 
@@ -648,11 +650,13 @@ class TestCertificates:
         assert not cert.all_certified
 
     def test_json_round_trip(self):
-        cert = certify(make_germ("rank-one"), 1, epsilons=(0.25,))
-        text = certificate_to_json(cert)
-        back = certificate_from_json(text)
-        assert back == cert
-        assert certificate_to_json(back) == text
+        for n in (40, 20):
+            cert = certify(make_germ("rank-one"), 1, epsilons=(0.25,), n_samples=n)
+            text = certificate_to_json(cert)
+            assert json.loads(text)["n_samples"] == n
+            back = certificate_from_json(text)
+            assert back == cert
+            assert certificate_to_json(back) == text
 
     def test_replay_is_bit_exact(self):
         germ = make_germ("quadratic")
@@ -668,27 +672,103 @@ class TestCertificates:
         )
         assert not replay_certificate(germ, tampered)
 
+    @pytest.mark.parametrize("gid", ["rank-one", "quadratic"])
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    def test_replay_uses_the_recorded_sample_count(self, gid, level):
+        germ = make_germ(gid)
+        for n in (20, 40, 64):
+            cert = certify(germ, level, n_samples=n)
+            assert cert.n_samples == n
+            assert replay_certificate(germ, cert)
+            assert replay_certificate(germ, certificate_from_json(certificate_to_json(cert)))
+
+    def test_replay_detects_an_edited_sample_count(self):
+        germ = make_germ("quadratic")
+        text = certificate_to_json(certify(germ, 1))
+        assert '"n_samples": 40' in text
+        for n in (20, 39, 41, 64):
+            edited = certificate_from_json(text.replace('"n_samples": 40', f'"n_samples": {n}'))
+            assert edited.n_samples == n
+            assert not replay_certificate(germ, edited)
+
+
+def _by_name(report):
+    return {c.name: c for c in report.checks}
+
 
 class TestDifferentialLaw:
     def test_two_epsilon_law_for_contracting_germs(self):
         for gid in ("rank-one", "quadratic"):
-            rep = germ_continuity_report(make_germ(gid), 1)
-            assert rep.contracting
-            assert rep.two_epsilon_law_ok
-            for row in rep.rows:
-                assert row.dw_opnorm <= 2.0 * row.epsilon + 1e-8
+            germ = make_germ(gid)
+            cert = certify(germ, 1)
+            assert cert.all_certified
+            ops = dW_opnorm_probe(germ, 1, [p.delta for p in cert.pairs])
+            for p, op in zip(cert.pairs, ops):
+                assert op <= 2.0 * p.epsilon + 1e-8
 
     def test_moving_bump_flagged_not_raised(self):
-        rep = germ_continuity_report(make_germ("moving-bump"), 0, epsilons=(0.5,))
-        assert not rep.contracting
-        assert not rep.two_epsilon_law_ok
+        germ = make_germ("moving-bump")
+        cert = certify(germ, 0, epsilons=(0.5,))
+        assert not cert.all_certified
+        # the failed pair reads the modulus its search sampled last, and no
+        # certified radius is left to probe
+        assert cert.pairs[0].worst_ratio >= 0.9
+        assert dW_opnorm_probe(germ, 0, [p.delta for p in cert.pairs if p.delta is not None]) == []
+        checks = _by_name(run("germ-continuity", ExperimentConfig(germ_level=0)))
+        assert checks["moving-bump: non-contraction flag"].passed
 
-    def test_radius_shrink_probes_decay(self):
+    def test_probes_decay_with_the_radius(self):
         germ = make_germ("rank-one")
-        probes = radius_shrink_probes(germ, 1, 0.2)
-        vals = [v for _, v in probes]
+        vals = dW_opnorm_probe(germ, 1, [0.2 * f for f in (1.0, 0.5, 0.25, 0.125)])
         assert all(b <= a + 1e-12 for a, b in zip(vals, vals[1:]))
         assert vals[-1] < vals[0]
+
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    def test_report_reads_certify_and_one_radius_probes(self, level):
+        # the law's worst excess and the decay's last probe, from certify
+        # and one dW_opnorm_probe call per radius
+        for seed in range(3):
+            cfg = ExperimentConfig(seed=seed, germ_level=level)
+            checks = _by_name(run("germ-continuity", cfg))
+            for gid in ("rank-one", "quadratic"):
+                germ = make_germ(gid, cfg.schedule(), cfg.spacing)
+                cert = certify(germ, level, seed=seed)
+
+                def probe(radius):
+                    return dW_opnorm_probe(germ, level, [radius], seed=seed + 1)[0]
+
+                excess = max(probe(p.delta) - 2.0 * p.epsilon for p in cert.pairs)
+                assert checks[f"{gid}: factor-two law"].measured == repr(excess)
+                assert cert.pairs[2].epsilon == 0.1
+                tail = probe(0.125 * cert.pairs[2].delta)
+                assert checks[f"{gid}: probe decay"].measured == repr(tail)
+
+    def test_a_failed_pair_reads_its_last_modulus(self, monkeypatch):
+        def failing_half(germ, level, **kwargs):
+            # the epsilon = 0.5 search ends without a radius, its last
+            # sampled modulus 1.25
+            cert = certify(germ, level, **kwargs)
+            failed = CertifiedPair(0.5, None, 1.25, 0, 0)
+            return dataclasses.replace(cert, pairs=(failed,) + cert.pairs[1:])
+
+        monkeypatch.setattr(experiments, "certify", failing_half)
+        checks = _by_name(run("germ-continuity", ExperimentConfig()))
+        for gid in ("rank-one", "quadratic"):
+            assert not checks[f"{gid}: certificate replay"].passed
+            law = checks[f"{gid}: factor-two law"]
+            # 1.25 - 2 (0.5) exceeds every certified pair's (negative) excess
+            assert law.measured == repr(1.25 - 1.0) and not law.passed
+            assert checks[f"{gid}: probe decay"].passed
+
+    def test_an_uncertified_tenth_ends_in_the_error_check(self, monkeypatch):
+        # one rung certifies no radius for the quadratic germ at level 0, so
+        # the decay has no epsilon = 0.1 radius to shrink
+        monkeypatch.setattr(experiments, "certify", functools.partial(certify, max_halvings=1))
+        (check,) = run("germ-continuity", ExperimentConfig(germ_level=0)).checks
+        assert (check.name, check.passed) == ("error", False)
+        assert check.measured == (
+            "TypeError: unsupported operand type(s) for *: 'float' and 'NoneType'"
+        )
 
     def test_dw_probe_zero_map(self):
         germ = make_germ("moving-bump")
@@ -702,7 +782,6 @@ class TestOpenness:
         for gid in ("rank-one", "quadratic"):
             (rep,) = openness_probe(make_germ(gid), 1, [0.1])
             assert rep.passed
-            assert bool(rep)
             assert rep.worst_cond <= 2.0 * rep.cond_at_zero
             assert rep.cond_at_zero < 1.5
 
@@ -787,7 +866,7 @@ class TestContexts:
                 want = math.sqrt(
                     sum(grid_sobolev_inner(f, g, level, delta) for f in pieces for g in pieces)
                 )
-                assert ctx.norm(v, level) == pytest.approx(want, rel=1e-12, abs=0.0)
+                assert level_norm(v, ctx.gram(level)) == pytest.approx(want, rel=1e-12, abs=0.0)
                 # B(c, w) = <w, b_c> b_c: its bump coordinate times s_i b_c
                 out = germ.B(np.array([c]), v[None, :])[0]
                 pair = sum(grid_l2_inner(f, b) for f in pieces)
@@ -824,8 +903,8 @@ class TestContexts:
         # exp(1/c) overflows at c = 1e-3; B maps the bump coordinate to q
         # times itself there as at c = 0.3
         e_m = np.eye(germ.context.dim)[-1]
-        _, w_small = germ_eval(germ, 1e-3, e_m)
-        _, w = germ_eval(germ, 0.3, e_m)
+        _, w_small = germ_point(germ, 1e-3, e_m)
+        _, w = germ_point(germ, 0.3, e_m)
         assert np.array_equal(w_small, w)
         assert w[-1] == 1.0 - germ.context.gram(0)[4, 4]
         # openness now probes c = 0.05, below the old grid bound 0.0724
@@ -839,7 +918,7 @@ class TestContexts:
         with pytest.raises(ValueError, match=r"c < 1/ln\(4\), got c="):
             germ.B(np.array([0.3, c]), v)
         with pytest.raises(ValueError, match=r"c < 1/ln\(4\), got c="):
-            germ_eval(germ, c, v[0])
+            germ_point(germ, c, v[0])
         assert germ.B(np.array([0.3, 0.72]), v)[:, -1].all()
 
     def test_factories_share_the_base_context(self):

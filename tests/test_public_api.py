@@ -1,0 +1,72 @@
+"""No unused API: every function, method and class defined in src/sclab (a
+dunder aside) is named somewhere in src/ or bench/ beyond its own
+definition and its module's __all__ entry.  The files are read as text and
+parsed with ast; nothing is imported."""
+
+import ast
+import re
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _definitions(tree):
+    """(name, line) of every non-dunder def and class in a module, nested
+    ones included, in line order."""
+    defs = [
+        (node.name, node.lineno)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+    ]
+    return sorted(defs, key=lambda d: d[1])
+
+
+def _exports(tree):
+    """The names listed in a module's __all__."""
+    return [
+        elt.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+        for elt in node.value.elts
+    ]
+
+
+def unreferenced(root: Path):
+    """'module.py:line name' for every definition under root/src/sclab that
+    root/src and root/bench name only where it is defined or exported."""
+    sources = sorted((root / "src" / "sclab").glob("*.py"))
+    text = "\n".join(p.read_text() for p in sources + sorted((root / "bench").glob("*.py")))
+    words = Counter(re.findall(r"\w+", text))
+    words.subtract(re.findall(r"\b(?:def|class)\s+(\w+)", text))
+    unused = []
+    for path in sources:
+        tree = ast.parse(path.read_text())
+        words.subtract(_exports(tree))
+        unused += [(path.name, line, name) for name, line in _definitions(tree)]
+    return [f"{module}:{line} {name}" for module, line, name in unused if words[name] <= 0]
+
+
+def test_every_definition_has_a_caller():
+    assert unreferenced(ROOT) == []
+
+
+def test_a_definition_named_only_by_its_export_is_flagged(tmp_path):
+    (tmp_path / "src" / "sclab").mkdir(parents=True)
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "src" / "sclab" / "mod.py").write_text(
+        '__all__ = ["used", "unused"]\n\n\n'
+        "class Box:\n"
+        "    def __len__(self):\n"
+        "        return 0\n\n"
+        "    def size(self):\n"
+        "        return 0\n\n\n"
+        "def used():\n"
+        "    return Box()\n\n\n"
+        "def unused():\n"
+        "    return 1\n"
+    )
+    (tmp_path / "bench" / "run.py").write_text("from sclab.mod import used\nused()\n")
+    assert unreferenced(tmp_path) == ["mod.py:8 size", "mod.py:16 unused"]
