@@ -839,10 +839,11 @@ def _germ_continuity(cfg: ExperimentConfig) -> List[Check]:
             )
         )
         # one probe call: the certified radii, then 1/2, 1/4 and 1/8 of the
-        # epsilon = 0.1 radius (a TypeError where that one is not certified)
+        # epsilon = 0.1 radius where that one is certified
         base = next(p for p in cert.pairs if p.epsilon == 0.1)
         radii = [p.delta for p in cert.pairs if p.delta is not None]
-        radii += [frac * base.delta for frac in (0.5, 0.25, 0.125)]
+        if base.delta is not None:
+            radii += [frac * base.delta for frac in (0.5, 0.25, 0.125)]
         probes = iter(dW_opnorm_probe(germ, cfg.germ_level, radii, seed=cfg.seed + 1))
         # a failed pair reads the modulus last sampled by its search
         ops = {p.epsilon: p.worst_ratio if p.delta is None else next(probes) for p in cert.pairs}
@@ -857,16 +858,19 @@ def _germ_continuity(cfg: ExperimentConfig) -> List[Check]:
                 and all(op <= 2.0 * eps + _LAW_SLACK for eps, op in ops.items()),
             )
         )
-        vals = [ops[0.1], *probes]
-        shrink_ok = all(b <= a + 1e-12 for a, b in zip(vals, vals[1:])) and vals[-1] < 0.05
+        if base.delta is None:
+            decay = (f"{germ_id} has no certified radius for epsilon 0.1", False)
+        else:
+            vals = [ops[0.1], *probes]
+            ok = all(b <= a + 1e-12 for a, b in zip(vals, vals[1:])) and vals[-1] < 0.05
+            decay = (vals[-1], ok)
         checks.append(
             _check(
                 f"{germ_id}: probe decay",
                 "differential-norm probes decrease as the radius shrinks through "
                 "1, 1/2, 1/4, 1/8 of the certified radius, ending below 0.05",
                 0.05,
-                vals[-1],
-                shrink_ok,
+                *decay,
             )
         )
     pseudo = make_germ("moving-bump", schedule, cfg.spacing, cfg.margin)

@@ -185,10 +185,7 @@ class TrackedScalar:
         return LogScalar.from_real(self.base).add(self.dust)
 
     def to_real(self) -> float:
-        extra = 0.0
-        if not self.dust.is_zero and self.dust.logmag > -745.0:
-            extra = self.dust.to_real()
-        return self.base + extra
+        return self.base + self.dust.to_real()
 
 
 @dataclass(frozen=True)
@@ -205,8 +202,6 @@ class BumpSplit:
     ) -> GridFunction:
         if self.orth is None:
             raise ValueError("orthogonal part is symbolic; cannot materialize")
-        if self.along.is_zero or self.along.logmag < -745.0:
-            return self.orth
         return _add_bump(self.orth, self.t, spacing, margin, self.along.to_real())
 
 
@@ -310,15 +305,10 @@ def h_eval(
     return _add_bump(f, t, spacing, margin, c)
 
 
-def _real(x: LogScalar) -> float:
-    """x as a float, 0.0 where it is zero or underflows one."""
-    return 0.0 if x.is_zero or x.logmag < -745.0 else x.to_real()
-
-
 def _h_coefficient(t: float, a: float) -> float:
     """The c with h_eval(t, f) = f + c b_t at t > 0, from a = <f, b_t>:
-    -phi_t(a), and 0.0 where phi_t underflows a float."""
-    return -_real(phi_value(t, LogScalar.from_real(a)))
+    -phi_t(a), and a zero where phi_t underflows a float."""
+    return -phi_value(t, LogScalar.from_real(a)).to_real()
 
 
 def h_diff(
@@ -342,11 +332,11 @@ def h_diff(
     c0, c1 = -slope * pair_with_bump(F, t, spacing, margin), 0.0
     if T != 0.0:
         dshift = -shift_amount(t) / (t * t)  # d/dt of exp(1/t)
-        c0 -= T * _real(phi_dt(t, x_log))
+        c0 -= T * phi_dt(t, x_log).to_real()
         afp = pair_with_bump(f, t, spacing, margin, order=1)
         if afp != 0.0:
             c0 -= T * slope * (dshift * afp)
-        value = _real(phi_value(t, x_log))
+        value = phi_value(t, x_log).to_real()
         if value != 0.0:
             c1 = -T * value * dshift
     return _add_bump(F, t, spacing, margin, c0, c1)
@@ -494,7 +484,9 @@ class ScMapHandle:
 
     ``eval(points, tangents, hs)`` returns the ``Sweep`` of the map's
     outputs at points[p] + h * tangents[p] for each h in hs, with the
-    differential at each point applied to its tangent.
+    differential at each point applied to its tangent.  A sequence map takes
+    a batch of P points; a grid map takes one (P = 1) and raises ValueError
+    on more.
     """
 
     name: str
@@ -551,14 +543,13 @@ def _grid_sweep(
     <g, b_t>), where c is 0.0 for t <= 0 and wherever b_t's window does not
     reach g's; diff(t, f, T, F, spacing, margin) is its differential.
 
-    A point's rows lie on the hull of its own window, its tangent's and its
-    bump terms', which every point of a batch must share: zeros padded past
-    a grid's edge would change its trapezoid end weights and gradients.
-    Rows are normed with schedule's weights (WeightSchedule.default() if
-    None).  A first pass finds c at the steps where b_t reaches g = f + h F,
-    the only steps that build g as a grid.  Each stack is then formed as it
-    is read, g and then c b_t added in the order the one-point map adds
-    them, so the sweep holds no outputs.
+    A grid sweep takes one base point.  Its rows lie on the hull of the
+    point's window, its tangent's and its bump terms', and are normed with
+    schedule's weights (WeightSchedule.default() if None).  A first pass
+    finds c at the steps where b_t reaches g = f + h F, the only steps that
+    build g as a grid.  Each row is then formed as it is read, g and then
+    c b_t added in the order the one-point map adds them, so the sweep
+    holds no outputs.
     """
     schedule = schedule or WeightSchedule.default()
     lead = int(with_t)
@@ -566,56 +557,42 @@ def _grid_sweep(
     def bump(s: float) -> GridFunction:
         return shifted_bump(s, 0, spacing, margin)
 
-    def bump_terms(f: GridFunction, F: GridFunction, hs, ts) -> dict:
-        """c by step index, at the steps where it is not 0.0."""
-        x0_g = min(f.x0, F.x0)
-        coefs = {}
-        for j, (h, s) in enumerate(zip(hs, ts)):
+    def line(points, tangents, hs) -> Sweep:
+        if len(points) != 1:
+            raise ValueError(f"a grid sweep takes one base point, not {len(points)}")
+        ((t, f),), ((T, F),) = points, tangents
+        ts, x0_g = [t + h * T for h in hs], min(f.x0, F.x0)
+
+        def bump_term(h: float, s: float) -> float:
             if s > 0 and bump_reaches(x0_g, s, margin):
                 g = grid_combine([(1.0, f), (h, F)])
-                c = coefficient(s, pair_with_bump(g, s, spacing, margin))
-                if c != 0.0:
-                    coefs[j] = c
-        return coefs
+                return coefficient(s, pair_with_bump(g, s, spacing, margin))
+            return 0.0
 
-    def line(points, tangents, hs) -> Sweep:
-        fs, Fs = [f for _, f in points], [F for _, F in tangents]
-        ts = [[t + h * T for h in hs] for (t, _), (T, _) in zip(points, tangents)]
-        coefs = [bump_terms(f, F, hs, s) for f, F, s in zip(fs, Fs, ts)]
-        windows = {
-            grid_window(itertools.chain((f, F), (bump(s[j]) for j in c)))
-            for f, F, s, c in zip(fs, Fs, ts, coefs)
-        }
-        if len(windows) != 1:
-            raise ValueError(f"the points of a grid batch lie on {len(windows)} windows, not one")
-        (x0, n), dx = windows.pop(), fs[0].spacing
-        f_rows = np.array([grid_row(f, x0, dx, n) for f in fs])
-        F_rows = np.array([grid_row(F, x0, dx, n) for F in Fs])
-        t_rows = np.array(ts)
+        coefs = [bump_term(h, s) for h, s in zip(hs, ts)]
+        terms = (bump(s) for s, c in zip(ts, coefs) if c != 0.0)
+        (x0, n), dx = grid_window(itertools.chain((f, F), terms)), f.spacing
+        f_row, F_row = grid_row(f, x0, dx, n), grid_row(F, x0, dx, n)
 
         def rows():
-            for j, h in enumerate(hs):
-                out = np.empty((len(points), lead + n))
-                out[:, :lead] = t_rows[:, j : j + 1]
-                body = out[:, lead:]
-                np.multiply(F_rows, h, out=body)
-                body += f_rows
-                for p, c in enumerate(coefs):
-                    if j in c:
-                        b = bump(ts[p][j])
-                        body[p, grid_slice(b, x0, dx, n)] += c[j] * b.values
+            for h, s, c in zip(hs, ts, coefs):
+                out = np.empty((1, lead + n))
+                out[0, :lead] = s
+                body = out[0, lead:]
+                np.multiply(F_row, h, out=body)
+                body += f_row
+                if c != 0.0:
+                    b = bump(s)
+                    body[grid_slice(b, x0, dx, n)] += c * b.values
                 yield out
 
         def exact(i: int):
-            out, scales = np.empty((len(points), lead + n)), np.empty(len(points))
-            for p, ((t, f), (T, F)) in enumerate(zip(points, tangents)):
-                value = diff(t, f, T, F, spacing, margin)
-                if with_t:
-                    out[p, 0], value = value
-                out[p, lead:] = grid_row(value, x0, dx, n)
-                norm = grid_sobolev_norm(value, i, schedule.delta(i))
-                scales[p] = math.hypot(out[p, 0], norm) if with_t else norm
-            return out, scales
+            out, value = np.empty((1, lead + n)), diff(t, f, T, F, spacing, margin)
+            if with_t:
+                out[0, 0], value = value
+            out[0, lead:] = grid_row(value, x0, dx, n)
+            norm = grid_sobolev_norm(value, i, schedule.delta(i))
+            return out, np.array([math.hypot(out[0, 0], norm) if with_t else norm])
 
         def norms(stack, i: int) -> np.ndarray:
             return grid_sobolev_norms(stack, i, schedule.delta(i), x0, dx)

@@ -287,7 +287,6 @@ class CertifiedPair:
     delta: Optional[float]
     worst_ratio: float
     samples: int
-    seed: int
 
 
 @dataclass(frozen=True)
@@ -295,8 +294,10 @@ class ContractionCertificate:
     germ_id: str
     level: int
     pairs: Tuple[CertifiedPair, ...]
-    #: the trials per modulus call, which a replay repeats
+    #: the trials per modulus call and the seed of every pair's sampling,
+    #: which a replay repeats
     n_samples: int
+    seed: int
 
     @property
     def all_certified(self) -> bool:
@@ -332,16 +333,15 @@ def certify(
             eps, res = epsilons[k], sampled[deltas[k]]
             if res is None:
                 # no admissible sample: the search ends without a radius
-                pairs[k] = CertifiedPair(eps, None, last[k], 0, seed)
+                pairs[k] = CertifiedPair(eps, None, last[k], 0)
             elif res.worst_ratio <= eps:
-                pairs[k] = CertifiedPair(eps, deltas[k], res.worst_ratio, res.samples, seed)
+                pairs[k] = CertifiedPair(eps, deltas[k], res.worst_ratio, res.samples)
             else:
                 last[k], deltas[k] = res.worst_ratio, deltas[k] / 2.0
     pairs = [
-        p or CertifiedPair(eps, None, worst, 0, seed)
-        for p, eps, worst in zip(pairs, epsilons, last)
+        p or CertifiedPair(eps, None, worst, 0) for p, eps, worst in zip(pairs, epsilons, last)
     ]
-    return ContractionCertificate(germ.name, level, tuple(pairs), n_samples)
+    return ContractionCertificate(germ.name, level, tuple(pairs), n_samples, seed)
 
 
 def certificate_to_json(cert: ContractionCertificate) -> str:
@@ -350,13 +350,13 @@ def certificate_to_json(cert: ContractionCertificate) -> str:
             "germ_id": cert.germ_id,
             "level": cert.level,
             "n_samples": cert.n_samples,
+            "seed": cert.seed,
             "pairs": [
                 {
                     "epsilon": p.epsilon,
                     "delta": p.delta,
                     "worst_ratio": p.worst_ratio,
                     "samples": p.samples,
-                    "seed": p.seed,
                 }
                 for p in cert.pairs
             ],
@@ -372,31 +372,26 @@ def certificate_from_json(text: str) -> ContractionCertificate:
         raw["germ_id"],
         raw["level"],
         tuple(
-            CertifiedPair(
-                p["epsilon"], p["delta"], p["worst_ratio"], p["samples"], p["seed"]
-            )
+            CertifiedPair(p["epsilon"], p["delta"], p["worst_ratio"], p["samples"])
             for p in raw["pairs"]
         ),
         raw["n_samples"],
+        raw["seed"],
     )
 
 
 def replay_certificate(germ: BasicGerm, cert: ContractionCertificate) -> bool:
-    """Re-run every certified pair with its recorded seed and the
-    certificate's n_samples, in one fresh modulus_with_count call per seed
-    over that seed's radii; every sampled modulus must reproduce
-    bit-for-bit."""
-    if any(p.delta is None for p in cert.pairs):
+    """Re-run every certified pair with the certificate's seed and
+    n_samples, in one fresh modulus_with_count call over its radii; every
+    sampled modulus must reproduce bit-for-bit."""
+    if not cert.all_certified:
         return False
-    for seed in dict.fromkeys(p.seed for p in cert.pairs):
-        pairs = [p for p in cert.pairs if p.seed == seed]
-        results = modulus_with_count(
-            germ, cert.level, [p.delta for p in pairs], cert.n_samples, seed
-        )
-        for p, res in zip(pairs, results):
-            if res is None or (res.worst_ratio, res.samples) != (p.worst_ratio, p.samples):
-                return False
-    return True
+    deltas = [p.delta for p in cert.pairs]
+    results = modulus_with_count(germ, cert.level, deltas, cert.n_samples, cert.seed)
+    return all(
+        res is not None and (res.worst_ratio, res.samples) == (p.worst_ratio, p.samples)
+        for p, res in zip(cert.pairs, results)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -440,9 +435,6 @@ def dW_opnorm_probe(
 
 @dataclass(frozen=True)
 class OpennessReport:
-    germ_id: str
-    level: int
-    radius: float
     cond_at_zero: float
     worst_cond: float
     passed: bool
@@ -485,7 +477,7 @@ def openness_probe(
         cond0, worst = float(conds[0]), float(conds.max())
         passed = math.isfinite(worst) and worst <= _COND_FACTOR * cond0
         rows = tuple(zip(c_rows, w_radii, conds.tolist()))
-        reports.append(OpennessReport(germ.name, level, radius, cond0, worst, passed, rows))
+        reports.append(OpennessReport(cond0, worst, passed, rows))
     return reports
 
 

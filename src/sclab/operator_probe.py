@@ -20,7 +20,6 @@ from .bump_profiles import (
     phi_gate,
     shift_amount,
 )
-from .gallery import ScMapHandle
 from .scale_core import LogScalar, grid_sobolev_norms, uniform_trapezoid
 
 __all__ = [
@@ -109,13 +108,9 @@ class DiffReport:
     order_estimate: float
     per_step: Tuple[Tuple[float, float], ...] = field(default=())
 
-    @property
-    def ok(self) -> bool:
-        return math.isfinite(self.mismatch)
-
 
 def finite_diff_differential(
-    handle: ScMapHandle,
+    handle,
     points: Sequence,
     tangents: Sequence,
     level: int = 0,
@@ -123,7 +118,9 @@ def finite_diff_differential(
 ) -> List[DiffReport]:
     """Compare the analytic differential at each base point, applied to its
     tangent, with central finite differences of the map along that tangent,
-    in the level-i codomain norm: one report per point.
+    in the level-i codomain norm: one report per point.  The handle is a
+    gallery ScMapHandle: a sequence map's takes P points at once, a grid
+    map's one.
 
     Each mismatch reported is the best over the step sweep, taking plain
     second-order central differences and one Richardson extrapolation step

@@ -106,6 +106,8 @@ class LogScalar:
         return self.sign == 0
 
     def to_real(self) -> float:
+        """sign * exp(logmag): a signed zero where exp underflows, and
+        OverflowError past the float range."""
         if self.sign == 0:
             return 0.0
         if self.logmag > 709.78:
@@ -128,9 +130,6 @@ class LogScalar:
 
     def neg(self) -> "LogScalar":
         return LogScalar(-self.sign, self.logmag)
-
-    def abs(self) -> "LogScalar":
-        return LogScalar(abs(self.sign), self.logmag)
 
     def add(self, other: "LogScalar") -> "LogScalar":
         if self.sign == 0:
@@ -193,9 +192,6 @@ class WeightSchedule:
         if i >= len(self.deltas):
             raise ValueError(f"level {i} beyond schedule of length {len(self.deltas)}")
         return self.deltas[i]
-
-    def __len__(self) -> int:
-        return len(self.deltas)
 
 
 # ---------------------------------------------------------------------------
@@ -534,7 +530,6 @@ class AnalyticTailFunction:
 
     # points array -> (signs, logmags) arrays, one entry per point
     log_evaluate: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
-    delta: float
 
     @staticmethod
     def inverse_square_tail(delta: float) -> "AnalyticTailFunction":
@@ -546,4 +541,4 @@ class AnalyticTailFunction:
             lm = -delta * ax - np.where(ax > 1.0, 2.0 * np.log(np.maximum(ax, 1.0)), 0.0)
             return np.ones_like(lm), lm
 
-        return AnalyticTailFunction(lev, delta)
+        return AnalyticTailFunction(lev)

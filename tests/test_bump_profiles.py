@@ -487,7 +487,7 @@ class TestTailPairing:
                     assert (got.sign, got.logmag.hex()) == (ref.sign, ref.logmag.hex())
 
     def test_unsettled_tail_pairing_raises(self):
-        f = AnalyticTailFunction(_never_settles, 0.1)
+        f = AnalyticTailFunction(_never_settles)
         with pytest.raises(ConvergenceError, match="last two iterates") as info:
             _pair_tail_log(f, 0.4, 1e-2)
         assert isinstance(info.value, ArithmeticError)

@@ -106,7 +106,7 @@ class TestConfig:
         assert ExperimentConfig(seed=2**31).seed == 2**31
         assert ExperimentConfig(dichotomy_t_grid=[0.05]).dichotomy_t_grid == [0.05]
         assert ExperimentConfig(tail_delta=0.0).tail_delta == 0.0
-        assert len(ExperimentConfig(levels=1024).schedule()) == 1026
+        assert len(ExperimentConfig(levels=1024).schedule().deltas) == 1026
 
     def test_from_file_with_override(self, tmp_path):
         p = tmp_path / "cfg.json"
@@ -334,7 +334,7 @@ class TestExperimentErrors:
         monkeypatch.setattr(
             AnalyticTailFunction,
             "inverse_square_tail",
-            staticmethod(lambda delta: AnalyticTailFunction(never_settles, delta)),
+            staticmethod(lambda delta: AnalyticTailFunction(never_settles)),
         )
         report = run("inverse-blowup", ExperimentConfig(blowup_t_grid=[0.5]))
         assert not report.passed

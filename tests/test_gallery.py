@@ -13,6 +13,8 @@ from sclab.bump_profiles import (
     step_n,
 )
 from sclab.gallery import (
+    BumpSplit,
+    TrackedScalar,
     h_diff,
     h_eval,
     h_transversality_data,
@@ -232,6 +234,49 @@ class TestGatedShear:
         assert img.y.to_real() == 0.7
         assert img.f.orth is f
         assert img.f.along.is_zero
+
+    def test_log_parts_convert_as_to_real_does(self):
+        # exp(-745.1) is the least subnormal, and exp(-746) underflows to 0.0
+        f, t = _test_input(0.4), 0.4
+        for logmag, subnormal in ((-745.1, True), (-746.0, False), (-800.0, False)):
+            dust = LogScalar(-1, logmag)
+            assert TrackedScalar(0.5, dust).to_real() == 0.5
+            assert TrackedScalar(0.0, dust).to_real() == -math.exp(logmag)
+            got = BumpSplit(t, f, dust).materialize()
+            assert (got is not f) == subnormal
+
+    @pytest.mark.parametrize("t", [0.0, -0.2])
+    def test_inverse_undoes_the_identity_below_zero(self, t):
+        # at t <= 0 both maps are the identity: the inverse of a grid input,
+        # or of the image's split, gives back y and f, and the map sends
+        # them to the image again
+        f = _test_input(0.4)
+        img = s_tilde_eval(t, 0.7, f)
+        for g in (f, img.f):
+            pre = s_tilde_inv(t, img.y, g)
+            assert (pre.t, pre.y) == (t, LogScalar.from_real(0.7))
+            assert pre.f.orth is f and pre.f.along.is_zero
+            back = s_tilde_eval(t, pre.y.to_real(), pre.f.materialize())
+            assert (back.t, back.y, back.f.along) == (img.t, img.y, img.f.along)
+            assert back.f.orth is f
+
+    @pytest.mark.parametrize("t", [0.0, -0.2])
+    def test_inverse_keeps_split_and_tail_inputs_below_zero(self, t):
+        f = _test_input(0.4)
+        # a split keeps its coefficient along the bump, and y its dust
+        along = LogScalar.from_real(-0.3)
+        y = TrackedScalar(0.7, LogScalar(1, -800.0))
+        pre = s_tilde_inv(t, y, BumpSplit(t, f, along))
+        assert pre.y == y.to_log()
+        assert pre.f.orth is f and pre.f.along == along
+        # a tail input has no grid part: it stays symbolic
+        pre = s_tilde_inv(t, 0.7, AnalyticTailFunction.inverse_square_tail(0.1))
+        assert pre.y == LogScalar.from_real(0.7)
+        assert pre.f.orth is None and pre.f.along.is_zero
+        with pytest.raises(ValueError, match="symbolic"):
+            pre.f.materialize()
+        # the scalar comes back from the image of its real part
+        assert s_tilde_eval(t, pre.y.to_real(), f).y.to_log() == pre.y
 
 
 class TestBranchingFamily:

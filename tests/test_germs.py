@@ -263,8 +263,9 @@ class TestStackedSampling:
         germ = make_germ(gid)
         radii = (0.3, 0.2, 0.15) if gid == "moving-bump" else (0.1, 0.05, 0.01)
         for seed in range(3):
-            for radius, rep in zip(radii, openness_probe(germ, level, radii, seed=seed)):
-                assert rep.radius == radius
+            reports = openness_probe(germ, level, radii, seed=seed)
+            assert len(reports) == len(radii)
+            for radius, rep in zip(radii, reports):
                 rows = _per_point_openness(germ, level, radius, seed=seed)
                 assert [row[:2] for row in rep.rows] == [row[:2] for row in rows]
                 assert rep.rows[0][2] == pytest.approx(rows[0][2], rel=1e-8, abs=0.0)
@@ -440,11 +441,11 @@ def _sequential_certify(germ, level, epsilons, seed, max_halvings):
                 break
             last = res.worst_ratio
             if res.worst_ratio <= eps:
-                found = CertifiedPair(eps, delta, res.worst_ratio, res.samples, seed)
+                found = CertifiedPair(eps, delta, res.worst_ratio, res.samples)
                 break
             delta /= 2.0
-        pairs.append(found or CertifiedPair(eps, None, last, 0, seed))
-    return ContractionCertificate(germ.name, level, tuple(pairs), 40)
+        pairs.append(found or CertifiedPair(eps, None, last, 0))
+    return ContractionCertificate(germ.name, level, tuple(pairs), 40, seed)
 
 
 # the certify ladders' radii, one twice; the moving bump admits no c at the
@@ -748,7 +749,7 @@ class TestDifferentialLaw:
             # the epsilon = 0.5 search ends without a radius, its last
             # sampled modulus 1.25
             cert = certify(germ, level, **kwargs)
-            failed = CertifiedPair(0.5, None, 1.25, 0, 0)
+            failed = CertifiedPair(0.5, None, 1.25, 0)
             return dataclasses.replace(cert, pairs=(failed,) + cert.pairs[1:])
 
         monkeypatch.setattr(experiments, "certify", failing_half)
@@ -760,15 +761,28 @@ class TestDifferentialLaw:
             assert law.measured == repr(1.25 - 1.0) and not law.passed
             assert checks[f"{gid}: probe decay"].passed
 
-    def test_an_uncertified_tenth_ends_in_the_error_check(self, monkeypatch):
-        # one rung certifies no radius for the quadratic germ at level 0, so
-        # the decay has no epsilon = 0.1 radius to shrink
+    def test_an_uncertified_tenth_fails_only_that_germs_decay(self, monkeypatch):
+        # one rung certifies no epsilon = 0.1 radius for the quadratic germ
+        # at level 0, so its decay has no radius to shrink; its replay and
+        # law checks still run and fail, and the rank-one germ, which one
+        # rung certifies, passes
         monkeypatch.setattr(experiments, "certify", functools.partial(certify, max_halvings=1))
-        (check,) = run("germ-continuity", ExperimentConfig(germ_level=0)).checks
-        assert (check.name, check.passed) == ("error", False)
-        assert check.measured == (
-            "TypeError: unsupported operand type(s) for *: 'float' and 'NoneType'"
-        )
+        cfg = ExperimentConfig(germ_level=0)
+        germ = make_germ("quadratic", cfg.schedule(), cfg.spacing)
+        cert = certify(germ, 0, max_halvings=1)
+        assert cert.pairs[2].epsilon == 0.1 and cert.pairs[2].delta is None
+        checks = _by_name(run("germ-continuity", cfg))
+        assert "error" not in checks and len(checks) == 7
+        decay = checks["quadratic: probe decay"]
+        assert not decay.passed
+        assert decay.measured == "quadratic has no certified radius for epsilon 0.1"
+        assert not checks["quadratic: certificate replay"].passed
+        # the failed pair reads its last sampled modulus
+        law = checks["quadratic: factor-two law"]
+        assert not law.passed and float(law.measured) >= cert.pairs[2].worst_ratio - 0.2
+        for name in ("certificate replay", "factor-two law", "probe decay"):
+            assert checks[f"rank-one: {name}"].passed
+        assert checks["moving-bump: non-contraction flag"].passed
 
     def test_dw_probe_zero_map(self):
         germ = make_germ("moving-bump")

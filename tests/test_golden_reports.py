@@ -1,0 +1,66 @@
+"""Golden reports: each experiment's JSON reports, with the environment
+stamp emptied, hash to the digest committed for it in golden_reports.json.
+
+The runs are the 78 default ones (every experiment at seeds 0-2, spacing
+1e-3 and 5e-4) and, for germ-continuity and germ-openness, seeds 0-39 at
+germ_level 0-2.  A digest holds only under the stamp (python, numpy,
+machine) it was made under; under another stamp the test skips and says
+so.  A change that moves a report rewrites the file with
+
+    PYTHONPATH=src python tests/test_golden_reports.py --write
+
+and tables the move in CHANGES.md.
+"""
+
+import dataclasses
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from sclab.experiments import EXPERIMENT_IDS, ExperimentConfig, _stamp, emit, run
+
+GOLDEN = Path(__file__).with_name("golden_reports.json")
+
+
+def _configs(eid):
+    for spacing in (1e-3, 5e-4):
+        for seed in range(3):
+            yield ExperimentConfig(seed=seed, spacing=spacing)
+    if eid in ("germ-continuity", "germ-openness"):
+        for level in range(3):
+            for seed in range(40):
+                yield ExperimentConfig(seed=seed, germ_level=level)
+
+
+def digest(eid: str) -> str:
+    """sha256 over the JSON text of each of eid's reports, in run order."""
+    h = hashlib.sha256()
+    for cfg in _configs(eid):
+        h.update(emit(dataclasses.replace(run(eid, cfg), stamp={})).encode())
+    return h.hexdigest()
+
+
+def _golden() -> dict:
+    return json.loads(GOLDEN.read_text())
+
+
+def test_every_experiment_has_one_digest():
+    assert sorted(_golden()["digests"]) == sorted(EXPERIMENT_IDS)
+
+
+@pytest.mark.parametrize("eid", EXPERIMENT_IDS)
+def test_reports_match_the_golden_digest(eid):
+    golden = _golden()
+    if golden["stamp"] != _stamp():
+        pytest.skip(f"digests made under {golden['stamp']}, not this run's {_stamp()}")
+    assert digest(eid) == golden["digests"][eid]
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--write"]:
+        sys.exit(f"usage: {sys.argv[0]} --write")
+    table = {"stamp": _stamp(), "digests": {eid: digest(eid) for eid in EXPERIMENT_IDS}}
+    GOLDEN.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")

@@ -70,3 +70,17 @@ def test_a_definition_named_only_by_its_export_is_flagged(tmp_path):
     )
     (tmp_path / "bench" / "run.py").write_text("from sclab.mod import used\nused()\n")
     assert unreferenced(tmp_path) == ["mod.py:8 size", "mod.py:16 unused"]
+
+
+def _sclab_imports(module: str):
+    """The sclab modules that src/sclab/<module>.py imports."""
+    tree = ast.parse((ROOT / "src" / "sclab" / f"{module}.py").read_text())
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            found |= {node.module} if node.module else {a.name for a in node.names}
+    return found
+
+
+def test_operator_probe_depends_only_on_the_lower_layers():
+    assert _sclab_imports("operator_probe") == {"scale_core", "bump_profiles"}
