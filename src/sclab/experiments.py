@@ -455,41 +455,37 @@ def _seq_tangent_check(cfg: ExperimentConfig) -> List[Check]:
 
 
 def _retract_image_gap(cfg: ExperimentConfig) -> List[Check]:
-    checks = []
     rng = np.random.default_rng(cfg.seed)
     h = cfg.spacing
     windows = [bump_profiles.bump_window(k, h, cfg.margin) for k in range(4)]
     row = np.empty(windows[0].size)
-    worst_orth = 0.0
+    worst_orth = worst_pair = worst_dist = worst_ker = 0.0
     for t in (0.3, 0.4, 0.5):
+        b = shifted_bump(t, 0, h, cfg.margin)
         # random combinations f of the bump and its first three derivatives on
         # b_t's window, each formed in one row as grid_combine adds them,
         # normed, projected in place and paired with b_t before the next
-        x0 = shifted_bump(t, 0, h, cfg.margin).x0
         for coeffs in rng.normal(size=(34, 4)):
             row.fill(0.0)
             for c, w in zip(coeffs, windows):
                 row += c * w
-            norm = grid_sobolev_norms(row[np.newaxis], 0, 0.0, x0, h)[0]
-            resid = abs(uniform_trapezoid(s_proj_row(t, row, x0, h, cfg.margin) * windows[0], h))
+            norm = grid_sobolev_norms(row[np.newaxis], 0, 0.0, b.x0, h)[0]
+            proj = s_proj_row(t, row, b.x0, h, cfg.margin)
+            resid = abs(uniform_trapezoid(proj * windows[0], h))
             worst_orth = max(worst_orth, resid / max(norm, 1e-300))
-    checks.append(
+        worst_pair = max(worst_pair, abs(grid_l2_inner(b.scaled(t), b) - t))
+        dist = math.hypot(t, grid_sobolev_norm(b.scaled(t), 0, 0.0))
+        worst_dist = max(worst_dist, abs(dist - t * math.sqrt(2.0)))
+        _, g = s_proj_diff(t, b.zeros_like(), 0.0, b, h, cfg.margin)
+        worst_ker = max(worst_ker, grid_sobolev_norm(g, 0, 0.0))
+    return [
         _check(
             "projection orthogonality",
             "after projection nothing remains along the moving bump",
             1e-10,
             worst_orth,
             worst_orth <= 1e-10,
-        )
-    )
-    worst_pair = 0.0
-    worst_dist = 0.0
-    for t in (0.3, 0.4, 0.5):
-        b = shifted_bump(t, 0, cfg.spacing, cfg.margin)
-        worst_pair = max(worst_pair, abs(grid_l2_inner(b.scaled(t), b) - t))
-        dist = math.hypot(t, grid_sobolev_norm(b.scaled(t), 0, 0.0))
-        worst_dist = max(worst_dist, abs(dist - t * math.sqrt(2.0)))
-    checks.append(
+        ),
         _check(
             "missed target line",
             "the candidate limit points (t, t*bump) pair to t with the bump and "
@@ -498,23 +494,15 @@ def _retract_image_gap(cfg: ExperimentConfig) -> List[Check]:
             0.0,
             max(worst_pair, worst_dist),
             worst_pair <= 1e-6 and worst_dist <= 1e-8,
-        )
-    )
-    worst_ker = 0.0
-    for t in (0.3, 0.4, 0.5):
-        b = shifted_bump(t, 0, cfg.spacing, cfg.margin)
-        _, g = s_proj_diff(t, b.zeros_like(), 0.0, b, cfg.spacing, cfg.margin)
-        worst_ker = max(worst_ker, grid_sobolev_norm(g, 0, 0.0))
-    checks.append(
+        ),
         _check(
             "kernel witness",
             "the differential at (t, 0) annihilates the bump direction",
             0.0,
             worst_ker,
             worst_ker <= 1e-10,
-        )
-    )
-    return checks
+        ),
+    ]
 
 
 def _identity_differential(cfg: ExperimentConfig) -> List[Check]:
@@ -828,13 +816,15 @@ def _germ_continuity(cfg: ExperimentConfig) -> List[Check]:
         germ = make_germ(germ_id, schedule, cfg.spacing)
         cert = certify(germ, cfg.germ_level, seed=cfg.seed)
         replay_ok = replay_certificate(germ, cert)
+        # an uncertified pair leaves nothing to replay
+        replay = "ok" if replay_ok else "drift" if cert.all_certified else "uncertified"
         checks.append(
             _check(
                 f"{germ_id}: certificate replay",
                 "contraction certificates replay bit-for-bit with the recorded "
                 "seeds",
                 "exact replay",
-                "ok" if replay_ok else "drift",
+                replay,
                 cert.all_certified and replay_ok,
             )
         )

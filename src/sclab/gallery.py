@@ -56,8 +56,6 @@ __all__ = [
     "s_tilde_eval",
     "s_tilde_inv",
     "phi_value",
-    "phi_dx",
-    "phi_dt",
     "h_eval",
     "h_diff",
     "h_zero_branch",
@@ -103,8 +101,12 @@ def s_proj(
     margin: float = DEFAULT_MARGIN,
 ):
     """(t, f - <f, b_t> b_t) for t > 0, identity for t <= 0."""
-    c = _s_proj_coefficient(t, pair_with_bump(f, t, spacing, margin)) if t > 0 else 0.0
-    return (t, _add_bump(f, t, spacing, margin, c))
+    return (t, _moving_bump(_s_proj_partials, t, f, spacing, margin))
+
+
+def _s_proj_partials(t: float, a: float):
+    """(c, dc/da, dc/dt) of the projection map's c = -a at a = <f, b_t>."""
+    return (-a, -1.0, 0.0)
 
 
 def s_proj_row(
@@ -124,15 +126,10 @@ def s_proj_row(
     if t > 0 and bump_reaches(x0, t, margin):
         b = shifted_bump(t, 0, spacing, margin)
         seg = row[grid_slice(b, x0, spacing, row.size)]
-        c = _s_proj_coefficient(t, uniform_trapezoid(seg * b.values, spacing))
+        c = _s_proj_partials(t, uniform_trapezoid(seg * b.values, spacing))[0]
         if c != 0.0:
             seg += c * b.values
     return row
-
-
-def _s_proj_coefficient(t: float, a: float) -> float:
-    """The c with s_proj(t, f) = (t, f + c b_t) at t > 0, from a = <f, b_t>."""
-    return -a
 
 
 def _add_bump(
@@ -144,6 +141,42 @@ def _add_bump(
     return grid_combine([(1.0, f), *terms]) if terms else f
 
 
+def _moving_bump(
+    partials: Callable,
+    t: float,
+    f: GridFunction,
+    spacing: float,
+    margin: float,
+    tangent: Optional[tuple] = None,
+) -> GridFunction:
+    """The grid map f -> f + c b_t at parameter t, identity for t <= 0,
+    where partials(t, a) gives (c, dc/da, dc/dt) at a = <f, b_t>; or, given
+    a tangent (T, F), its differential at (t, f):
+
+        F + (c_a <F, b_t> + T c_t + T c_a S' <f, b_t'>) b_t + T c S' b_t',
+
+    with S' = d/dt exp(1/t) = -exp(1/t)/t^2, the escaping bump's speed.
+    S' multiplies only a non-zero <f, b_t'> or c: where b_t's window lies
+    left of f's, exp(1/t) may be inf, and every pairing is exactly 0.
+    """
+    if t <= 0:
+        return f if tangent is None else tangent[1]
+    c, c_a, c_t = partials(t, pair_with_bump(f, t, spacing, margin))
+    if tangent is None:
+        return _add_bump(f, t, spacing, margin, c)
+    T, F = tangent
+    c0, c1 = c_a * pair_with_bump(F, t, spacing, margin), 0.0
+    if T != 0.0:
+        ds = -shift_amount(t) / (t * t)
+        c0 += T * c_t
+        afp = pair_with_bump(f, t, spacing, margin, order=1)
+        if afp != 0.0:
+            c0 += T * c_a * (ds * afp)
+        if c != 0.0:
+            c1 = T * c * ds
+    return _add_bump(F, t, spacing, margin, c0, c1)
+
+
 def s_proj_diff(
     t: float,
     f: GridFunction,
@@ -152,22 +185,8 @@ def s_proj_diff(
     spacing: float = DEFAULT_SPACING,
     margin: float = DEFAULT_MARGIN,
 ):
-    """Full differential of the projection map at (t, f).
-
-    The t-derivative terms carry the pairings of f with b_t and b_t'; where
-    both are exactly 0 (the bump window lies left of f's) they add nothing,
-    and exp(1/t), which may be inf there, is not read.
-    """
-    if t <= 0:
-        return (T, F)
-    c0, c1 = -pair_with_bump(F, t, spacing, margin), 0.0
-    if T != 0.0:
-        af = pair_with_bump(f, t, spacing, margin)
-        afp = pair_with_bump(f, t, spacing, margin, order=1)
-        if af != 0.0 or afp != 0.0:
-            scale = T * shift_amount(t) / (t * t)
-            c0, c1 = c0 + scale * afp, scale * af
-    return (T, _add_bump(F, t, spacing, margin, c0, c1))
+    """Full differential of the projection map at (t, f), applied to (T, F)."""
+    return (T, _moving_bump(_s_proj_partials, t, f, spacing, margin, (T, F)))
 
 
 # ---------------------------------------------------------------------------
@@ -281,17 +300,16 @@ def phi_value(t: float, x: LogScalar) -> LogScalar:
     return x.mul(LogScalar.one().add(phi_gate(t).neg()).add(x))
 
 
-def phi_dx(t: float, x: LogScalar) -> LogScalar:
-    """d/dx phi_t(x) = 1 - g(t) + 2x."""
-    return LogScalar.one().add(phi_gate(t).neg()).add(x.mul(LogScalar.from_real(2.0)))
-
-
-def phi_dt(t: float, x: LogScalar) -> LogScalar:
-    """d/dt phi_t(x) = -g'(t) x = -(2/t^3) exp(1/t^2) g(t) x, 0 for t <= 0."""
-    if t <= 0 or x.is_zero:
-        return LogScalar.zero()
-    lead = LogScalar(-1, math.log(2.0) - 3.0 * math.log(t) + 1.0 / (t * t))
-    return lead.mul(phi_gate(t)).mul(x)
+def _h_partials(t: float, a: float):
+    """(c, dc/da, dc/dt) of the branching family's c = -phi_t(a) at
+    a = <f, b_t>: (-phi_t(a), -(1 - g(t) + 2a), g'(t) a), with
+    g'(t) = (2/t^3) exp(1/t^2) g(t), each a float from log-domain arithmetic
+    (0.0 where it underflows)."""
+    x, gate = LogScalar.from_real(a), phi_gate(t)
+    slope = LogScalar.one().add(gate.neg()).add(x.mul(LogScalar.from_real(2.0)))
+    lead = LogScalar(1, math.log(2.0) - 3.0 * math.log(t) + 1.0 / (t * t))
+    c_t = lead.mul(gate).mul(x)
+    return (-phi_value(t, x).to_real(), -slope.to_real(), c_t.to_real())
 
 
 def h_eval(
@@ -301,14 +319,7 @@ def h_eval(
     margin: float = DEFAULT_MARGIN,
 ) -> GridFunction:
     """f - phi_t(<f, b_t>) b_t for t > 0, identity for t <= 0."""
-    c = _h_coefficient(t, pair_with_bump(f, t, spacing, margin)) if t > 0 else 0.0
-    return _add_bump(f, t, spacing, margin, c)
-
-
-def _h_coefficient(t: float, a: float) -> float:
-    """The c with h_eval(t, f) = f + c b_t at t > 0, from a = <f, b_t>:
-    -phi_t(a), and a zero where phi_t underflows a float."""
-    return -phi_value(t, LogScalar.from_real(a)).to_real()
+    return _moving_bump(_h_partials, t, f, spacing, margin)
 
 
 def h_diff(
@@ -319,27 +330,8 @@ def h_diff(
     spacing: float = DEFAULT_SPACING,
     margin: float = DEFAULT_MARGIN,
 ) -> GridFunction:
-    """Full differential of the branching family at (t, f), applied to (T, F).
-
-    Every t-derivative term carries a pairing of f with b_t or b_t'; where
-    those are exactly 0 (the bump window lies left of f's) it adds nothing,
-    and exp(1/t), which may be inf there, is not multiplied in.
-    """
-    if t <= 0:
-        return F
-    x_log = LogScalar.from_real(pair_with_bump(f, t, spacing, margin))
-    slope = phi_dx(t, x_log).to_real()
-    c0, c1 = -slope * pair_with_bump(F, t, spacing, margin), 0.0
-    if T != 0.0:
-        dshift = -shift_amount(t) / (t * t)  # d/dt of exp(1/t)
-        c0 -= T * phi_dt(t, x_log).to_real()
-        afp = pair_with_bump(f, t, spacing, margin, order=1)
-        if afp != 0.0:
-            c0 -= T * slope * (dshift * afp)
-        value = phi_value(t, x_log).to_real()
-        if value != 0.0:
-            c1 = -T * value * dshift
-    return _add_bump(F, t, spacing, margin, c0, c1)
+    """Full differential of the branching family at (t, f), applied to (T, F)."""
+    return _moving_bump(_h_partials, t, f, spacing, margin, (T, F))
 
 
 def h_zero_branch(t: float):
@@ -532,16 +524,15 @@ def seq_rho_k_handle(k: int) -> ScMapHandle:
 
 
 def _grid_sweep(
-    coefficient: Callable,
-    diff: Callable,
+    partials: Callable,
     with_t: bool,
     spacing: float,
     margin: float,
     schedule: Optional[WeightSchedule],
 ) -> Callable:
-    """eval for a grid map that sends (t, g) to g + c b_t, c = coefficient(t,
-    <g, b_t>), where c is 0.0 for t <= 0 and wherever b_t's window does not
-    reach g's; diff(t, f, T, F, spacing, margin) is its differential.
+    """eval for the grid map _moving_bump(partials, ...), which sends (t, g)
+    to g + c b_t, c = partials(t, <g, b_t>)[0], where c is 0.0 for t <= 0
+    and wherever b_t's window does not reach g's.
 
     A grid sweep takes one base point.  Its rows lie on the hull of the
     point's window, its tangent's and its bump terms', and are normed with
@@ -566,7 +557,7 @@ def _grid_sweep(
         def bump_term(h: float, s: float) -> float:
             if s > 0 and bump_reaches(x0_g, s, margin):
                 g = grid_combine([(1.0, f), (h, F)])
-                return coefficient(s, pair_with_bump(g, s, spacing, margin))
+                return partials(s, pair_with_bump(g, s, spacing, margin))[0]
             return 0.0
 
         coefs = [bump_term(h, s) for h, s in zip(hs, ts)]
@@ -587,9 +578,9 @@ def _grid_sweep(
                 yield out
 
         def exact(i: int):
-            out, value = np.empty((1, lead + n)), diff(t, f, T, F, spacing, margin)
-            if with_t:
-                out[0, 0], value = value
+            out = np.empty((1, lead + n))
+            value = _moving_bump(partials, t, f, spacing, margin, (T, F))
+            out[0, :lead] = T
             out[0, lead:] = grid_row(value, x0, dx, n)
             norm = grid_sobolev_norm(value, i, schedule.delta(i))
             return out, np.array([math.hypot(out[0, 0], norm) if with_t else norm])
@@ -607,7 +598,7 @@ def s_proj_handle(
     margin: float = DEFAULT_MARGIN,
     schedule: Optional[WeightSchedule] = None,
 ) -> ScMapHandle:
-    sweep = _grid_sweep(_s_proj_coefficient, s_proj_diff, True, spacing, margin, schedule)
+    sweep = _grid_sweep(_s_proj_partials, True, spacing, margin, schedule)
     return ScMapHandle("s-proj", sweep)
 
 
@@ -616,5 +607,5 @@ def h_family_handle(
     margin: float = DEFAULT_MARGIN,
     schedule: Optional[WeightSchedule] = None,
 ) -> ScMapHandle:
-    sweep = _grid_sweep(_h_coefficient, h_diff, False, spacing, margin, schedule)
+    sweep = _grid_sweep(_h_partials, False, spacing, margin, schedule)
     return ScMapHandle("h-family", sweep)

@@ -27,6 +27,7 @@ from .operator_probe import OperatorHandle, metric_singular_values
 from .scale_core import (
     GridFunction,
     WeightSchedule,
+    grid_l2_inner,
     grid_sobolev_inner,
 )
 
@@ -92,45 +93,31 @@ def _worst(values: np.ndarray) -> float:
 
 @dataclass
 class GermContext:
-    """Grid atoms spanning a germ's sampled w-subspace, with cached level
-    Gram matrices (read-only arrays)."""
+    """Grid atoms spanning a germ's sampled w-subspace: a context is its
+    dim and its level Gram matrices gram(level), cached read-only arrays."""
 
     atoms: Tuple[GridFunction, ...]
     schedule: WeightSchedule
     _grams: Dict[int, np.ndarray] = field(default_factory=dict)
-    _l2: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
         return len(self.atoms)
 
-    def _pairings(self, order: int, delta: float) -> np.ndarray:
-        """The Gram matrix of the order-th Sobolev pairing with weight delta."""
-        m = self.dim
+    def _build(self, level: int) -> np.ndarray:
+        """The Gram matrix of the level-th Sobolev pairing with its weight."""
+        m, delta = self.dim, self.schedule.delta(level)
         g = np.zeros((m, m))
         for q in range(m):
             for p in range(q + 1):
-                g[p, q] = g[q, p] = grid_sobolev_inner(
-                    self.atoms[p], self.atoms[q], order, delta
-                )
+                g[p, q] = g[q, p] = grid_sobolev_inner(self.atoms[p], self.atoms[q], level, delta)
         g.flags.writeable = False
         return g
 
     def gram(self, level: int) -> np.ndarray:
         if level not in self._grams:
-            self._grams[level] = self._pairings(level, self.schedule.delta(level))
+            self._grams[level] = self._build(level)
         return self._grams[level]
-
-    def l2_gram(self) -> np.ndarray:
-        """The order-0, delta = 0 Gram matrix: gram(0) itself when delta_0 = 0."""
-        if self._l2 is None:
-            self._l2 = self.gram(0) if self.schedule.delta(0) == 0.0 else self._pairings(0, 0.0)
-        return self._l2
-
-    def l2_pair_vector(self, j: int) -> np.ndarray:
-        """L2 pairings of coordinate j with every coordinate: row j of the L2
-        Gram matrix (a contiguous read-only view)."""
-        return self.l2_gram()[j]
 
 
 @dataclass
@@ -148,10 +135,8 @@ class _BumpContext(GermContext):
     def dim(self) -> int:
         return len(self.atoms) + 1
 
-    def _pairings(self, order: int, delta: float) -> np.ndarray:
-        # l2_gram asks for (0, 0.0): the base's L2 block, its gram(0) if delta_0 = 0
-        block = self.base.l2_gram() if (order, delta) == (0, 0.0) else self.base.gram(order)
-        g = np.pad(block, (0, 1))
+    def _build(self, level: int) -> np.ndarray:
+        g = np.pad(self.base.gram(level), (0, 1))
         g[-1, -1] = self.q
         g.flags.writeable = False
         return g
@@ -486,16 +471,33 @@ def openness_probe(
 
 
 @functools.lru_cache(maxsize=32)
-def _base_context(schedule: WeightSchedule, spacing: float) -> GermContext:
-    """The bump, its shifts by -1/2 and 1/2 and its derivative as atoms, with
-    their cached Gram matrices: built once per (schedule, spacing) and shared
-    by every germ."""
+def _atoms(spacing: float) -> Tuple[GridFunction, ...]:
+    """The bump b, its shifts by -1/2 and 1/2 and its derivative, sampled
+    on _ATOM_WINDOW."""
     bump = make_bump()
     x0, x1 = _ATOM_WINDOW
     n = round((x1 - x0) / spacing) + 1
     xs = x0 + spacing * np.arange(n)
     samples = (bump(xs), bump(xs - 0.5), bump(xs + 0.5), bump.derivative(xs, 1))
-    return GermContext(tuple(GridFunction(x0, spacing, v) for v in samples), schedule)
+    return tuple(GridFunction(x0, spacing, v) for v in samples)
+
+
+@functools.lru_cache(maxsize=32)
+def _bump_pairings(spacing: float) -> np.ndarray:
+    """The L2 pairings <a_j, b> of the atoms with the bump b = a_0, a
+    read-only vector: one for every schedule, which weights only the level
+    Gram matrices (at delta_0 = 0 it is row 0 of gram(0), bit for bit)."""
+    atoms = _atoms(spacing)
+    p = np.array([grid_l2_inner(atoms[0], a) for a in atoms])
+    p.flags.writeable = False
+    return p
+
+
+@functools.lru_cache(maxsize=32)
+def _base_context(schedule: WeightSchedule, spacing: float) -> GermContext:
+    """The atoms with their cached Gram matrices: built once per (schedule,
+    spacing) and shared by every germ."""
+    return GermContext(_atoms(spacing), schedule)
 
 
 def _symmetric_range(delta: float) -> Tuple[float, float]:
@@ -508,7 +510,7 @@ def make_rank_one_germ(
     """B(c, w) = c <w, b> b with the unit bump b: linear in w, contraction
     radius proportional to the target modulus."""
     ctx = _base_context(schedule or WeightSchedule.default(), spacing)
-    pair_vec = ctx.l2_pair_vector(0)
+    pair_vec = _bump_pairings(spacing)
     e_bump = np.eye(ctx.dim)[0]
 
     def B(c: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -529,7 +531,7 @@ def make_quadratic_germ(
 ) -> BasicGerm:
     """B(c, w) = <w, b> w: quadratic in w, independent of c."""
     ctx = _base_context(schedule or WeightSchedule.default(), spacing)
-    pair_vec = ctx.l2_pair_vector(0)
+    pair_vec = _bump_pairings(spacing)
 
     def B(c: np.ndarray, v: np.ndarray) -> np.ndarray:
         return _dots(v, pair_vec)[:, None] * v

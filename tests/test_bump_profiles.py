@@ -12,7 +12,6 @@ from sclab.bump_profiles import (
     RepresentabilityError,
     _logsumexp,
     _pair_tail_log,
-    _refined_trapezoid,
     bump_reaches,
     bump_self_pairing,
     bump_window,
@@ -493,17 +492,22 @@ class TestTailPairing:
         assert isinstance(info.value, ArithmeticError)
         assert str(info.value).count("LogScalar(sign=1") == 2
 
-    def test_unsettled_trapezoid_raises_after_five_refinements(self):
+    def test_unsettled_bump_normalization_raises_after_five_refinements(self, monkeypatch):
         sizes = []
 
-        def fun(xs):
+        def unnormalized(xs):
             sizes.append(xs.size)
             return np.full(xs.size, float(xs.size))
 
-        # the iterates are 2 * 512001 and 2 * 2048001, up to rounding
-        with pytest.raises(ConvergenceError, match=r"iterates 1024002\.\d* and 4096002\.\d*"):
-            _refined_trapezoid(fun, -1.0, 1.0)
+        # make_bump's own trapezoids, uncached: 2001 nodes, refined 4x finer
+        monkeypatch.setattr(bump_profiles, "_bump_unnormalized", unnormalized)
+        unsettled = r"trapezoid on \[-1, 1\] did not settle after 5 refinements"
+        with pytest.raises(ConvergenceError, match=unsettled) as info:
+            make_bump.__wrapped__()
         assert sizes == [2001, 8001, 32001, 128001, 512001, 2048001]
+        # the iterates are 2 * 512001^2 and 2 * 2048001^2, up to rounding
+        prev, cur = (float(x) for x in str(info.value).split("iterates ")[1].split(" and "))
+        assert prev == pytest.approx(2.0 * 512001**2) and cur == pytest.approx(2.0 * 2048001**2)
 
 
 def _fsum_logsumexp(a) -> float:

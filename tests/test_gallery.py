@@ -15,12 +15,11 @@ from sclab.bump_profiles import (
 from sclab.gallery import (
     BumpSplit,
     TrackedScalar,
+    _h_partials,
     h_diff,
     h_eval,
     h_transversality_data,
     h_zero_branch,
-    phi_dt,
-    phi_dx,
     phi_value,
     rho_eval,
     rho_k_eval,
@@ -311,20 +310,22 @@ class TestBranchingFamily:
         diff = grid_combine([(1.0, out), (-1.0, proj)])
         assert grid_sobolev_norm(diff, 0, 0.0) < 1e-12
 
-    def test_phi_family_partials(self):
+    def test_branching_partials(self):
+        # the branching family's c = -phi_t(a) with its a- and t-partials
         t = 0.5
         g = phi_gate(t).to_real()
         for x in (0.25, -0.5, 1.0):
-            xl = LogScalar.from_real(x)
-            assert phi_value(t, xl).to_real() == pytest.approx(
+            c, c_a, c_t = _h_partials(t, x)
+            assert phi_value(t, LogScalar.from_real(x)).to_real() == pytest.approx(
                 x * (1 - g + x), rel=1e-12
             )
-            assert phi_dx(t, xl).to_real() == pytest.approx(1 - g + 2 * x, rel=1e-12)
-            # dt check against a closed form in log space
-            dt = phi_dt(t, xl)
+            assert c == -phi_value(t, LogScalar.from_real(x)).to_real()
+            assert c_a == pytest.approx(-(1 - g + 2 * x), rel=1e-12)
+            # c_t = g'(t) x, against a closed form in log space
             expected = math.log(2.0) - 3 * math.log(t) + 1 / t**2 + phi_gate(t).logmag
-            assert dt.sign == -int(math.copysign(1, x))
-            assert dt.logmag == pytest.approx(expected + math.log(abs(x)), rel=1e-12)
+            assert math.copysign(1.0, c_t) == math.copysign(1.0, x)
+            assert math.log(abs(c_t)) == pytest.approx(expected + math.log(abs(x)), rel=1e-12)
+        assert _h_partials(t, 0.0)[::2] == (0.0, 0.0)
 
     def test_fixed_point_residuals(self):
         for t in (0.5, 0.4, 0.3):

@@ -247,7 +247,7 @@ class TestStackedSampling:
         # dual norm ||p||_{i,*} = sqrt(p G_i^-1 p)
         germ = make_germ("rank-one")
         g = germ.context.gram(level)
-        p = germ.context.l2_pair_vector(0)
+        p = _pairings(germ.context, 0.0, 0)
         e_norm = math.sqrt(g[0, 0])
         p_dual = math.sqrt(float(p @ np.linalg.solve(g, p)))
         for radius in _RADII["rank-one"]:
@@ -361,20 +361,18 @@ class TestStackedSampling:
         if gid == "moving-bump":
             assert not stacked[:3].any() and stacked[3:, -1].all()
 
-    @pytest.mark.parametrize(
-        "schedule", [WeightSchedule.default(), WeightSchedule((0.05, 0.1, 0.2))]
-    )
-    def test_pairings_are_rows_of_the_l2_gram(self, schedule):
-        germ = make_moving_bump_pseudo_germ(schedule)
-        ctx = germ.context
-        # one row for every c: b_c pairs only with itself, to q at every c
-        for c in (0.2, 0.4):
-            for j in range(ctx.dim):
-                pairs = ctx.l2_pair_vector(j)
-                assert np.array_equal(pairs, _pairings(ctx, c, j))
-                assert pairs.flags.c_contiguous and not pairs.flags.writeable
-        # only a schedule with delta_0 = 0 shares the level-0 Gram matrix
-        assert (ctx.l2_gram() is ctx.gram(0)) == (schedule.delta(0) == 0.0)
+    @pytest.mark.parametrize("spacing", [1e-3, 5e-4])
+    def test_bump_pairings_are_the_l2_row_for_every_schedule(self, spacing):
+        # one read-only vector <a_j, b> serves every schedule; where
+        # delta_0 = 0 it is row 0 of gram(0), bit for bit
+        pairs = germs._bump_pairings(spacing)
+        assert pairs.flags.c_contiguous and not pairs.flags.writeable
+        for schedule in (WeightSchedule.default(), WeightSchedule((0.05, 0.1, 0.2))):
+            ctx = make_rank_one_germ(schedule, spacing).context
+            assert np.array_equal(pairs.view(np.int64), _pairings(ctx, 0.0, 0).view(np.int64))
+            if schedule.delta(0) == 0.0:
+                assert np.array_equal(pairs.view(np.int64), ctx.gram(0)[0].view(np.int64))
+            assert germs._bump_pairings(spacing) is pairs
 
     def test_replay_recomputes_every_certified_pair(self, monkeypatch):
         germ = make_germ("quadratic")
@@ -784,6 +782,16 @@ class TestDifferentialLaw:
             assert checks[f"rank-one: {name}"].passed
         assert checks["moving-bump: non-contraction flag"].passed
 
+    def test_an_uncertified_replay_reads_uncertified_not_drift(self, monkeypatch):
+        # with one halving the quadratic germ certifies no epsilon = 0.1
+        # radius at level 0, so nothing is replayed: the replay check fails
+        # and names that, while the fully certified rank-one germ reads ok
+        monkeypatch.setattr(experiments, "certify", functools.partial(certify, max_halvings=1))
+        checks = _by_name(run("germ-continuity", ExperimentConfig(germ_level=0)))
+        replay = checks["quadratic: certificate replay"]
+        assert not replay.passed and replay.measured == "uncertified"
+        assert checks["rank-one: certificate replay"].measured == "ok"
+
     def test_dw_probe_zero_map(self):
         germ = make_germ("moving-bump")
         # below the sampler floor the probe cannot draw any parameter
@@ -835,8 +843,8 @@ class TestContexts:
         ctx = make_moving_bump_pseudo_germ(spacing=spacing).context_for(c)
         ref = GermContext(_grid_atoms(ctx, c), ctx.schedule)
         assert ctx.dim == ref.dim == 5
-        assert np.array_equal(ctx.l2_gram(), ref.l2_gram())
-        q = ref.l2_gram()[4, 4]
+        assert ctx.schedule.delta(0) == 0.0  # so gram(0) is the L2 Gram matrix
+        q = ref.gram(0)[4, 4]
         for level in range(3):
             got = ctx.gram(level)
             assert not got[4, :4].any() and not got[:4, 4].any()
@@ -908,7 +916,6 @@ class TestContexts:
         ctx = make_moving_bump_pseudo_germ().context_for(0.3)
         for level in range(3):
             ctx.gram(level)
-        ctx.l2_gram()
         assert ctx.dim == 5
         assert calls == []
 
@@ -944,7 +951,7 @@ class TestContexts:
 
     def test_cached_arrays_are_read_only(self):
         ctx = make_moving_bump_pseudo_germ().context_for(0.3)
-        for arr in (ctx.gram(0), ctx.base.gram(0), ctx.l2_pair_vector(4), ctx.base.l2_pair_vector(0)):
+        for arr in (ctx.gram(0), ctx.base.gram(0), germs._bump_pairings(1e-3)):
             assert not arr.flags.writeable
 
 

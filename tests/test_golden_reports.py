@@ -3,9 +3,11 @@ stamp emptied, hash to the digest committed for it in golden_reports.json.
 
 The runs are the 78 default ones (every experiment at seeds 0-2, spacing
 1e-3 and 5e-4) and, for germ-continuity and germ-openness, seeds 0-39 at
-germ_level 0-2.  A digest holds only under the stamp (python, numpy,
-machine) it was made under; under another stamp the test skips and says
-so.  A change that moves a report rewrites the file with
+germ_level 0-2.  A separate certificates digest pins certify's sampled
+moduli: the JSON of every germ's certificate at seeds 0-39 and levels 0-2
+under the default schedule, spacing and margin.  A digest holds only under
+the stamp (python, numpy, machine) it was made under; under another stamp
+the test skips and says so.  A change that moves a report rewrites the file with
 
     PYTHONPATH=src python tests/test_golden_reports.py --write
 
@@ -21,6 +23,7 @@ from pathlib import Path
 import pytest
 
 from sclab.experiments import EXPERIMENT_IDS, ExperimentConfig, _stamp, emit, run
+from sclab.germs import GERM_IDS, certificate_to_json, certify, make_germ
 
 GOLDEN = Path(__file__).with_name("golden_reports.json")
 
@@ -43,6 +46,19 @@ def digest(eid: str) -> str:
     return h.hexdigest()
 
 
+def certificates_digest() -> str:
+    """sha256 over certificate_to_json of certify at every germ, seed 0-39
+    and level 0-2, in that nesting order."""
+    cfg = ExperimentConfig()
+    germs = [make_germ(gid, cfg.schedule(), cfg.spacing, cfg.margin) for gid in GERM_IDS]
+    h = hashlib.sha256()
+    for germ in germs:
+        for seed in range(40):
+            for level in range(3):
+                h.update(certificate_to_json(certify(germ, level, seed=seed)).encode())
+    return h.hexdigest()
+
+
 def _golden() -> dict:
     return json.loads(GOLDEN.read_text())
 
@@ -59,8 +75,19 @@ def test_reports_match_the_golden_digest(eid):
     assert digest(eid) == golden["digests"][eid]
 
 
+def test_certificates_match_the_golden_digest():
+    golden = _golden()
+    if golden["stamp"] != _stamp():
+        pytest.skip(f"digests made under {golden['stamp']}, not this run's {_stamp()}")
+    assert certificates_digest() == golden["certificates"]
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit(f"usage: {sys.argv[0]} --write")
-    table = {"stamp": _stamp(), "digests": {eid: digest(eid) for eid in EXPERIMENT_IDS}}
+    table = {
+        "stamp": _stamp(),
+        "digests": {eid: digest(eid) for eid in EXPERIMENT_IDS},
+        "certificates": certificates_digest(),
+    }
     GOLDEN.write_text(json.dumps(table, indent=2, sort_keys=True) + "\n")

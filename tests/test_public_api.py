@@ -1,7 +1,8 @@
 """No unused API: every function, method and class defined in src/sclab (a
 dunder aside) is named somewhere in src/ or bench/ beyond its own
-definition and its module's __all__ entry.  The files are read as text and
-parsed with ast; nothing is imported."""
+definition and its module's __all__ entry, and every __all__ entry is
+defined or imported in its module.  The files are read as text and parsed
+with ast; nothing is imported."""
 
 import ast
 import re
@@ -70,6 +71,49 @@ def test_a_definition_named_only_by_its_export_is_flagged(tmp_path):
     )
     (tmp_path / "bench" / "run.py").write_text("from sclab.mod import used\nused()\n")
     assert unreferenced(tmp_path) == ["mod.py:8 size", "mod.py:16 unused"]
+
+
+def _bound_names(tree):
+    """The names a module binds at its top level: defs, classes, assignment
+    targets and imports."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {(a.asname or a.name).split(".")[0] for a in node.names}
+    return names
+
+
+def stale_exports(root: Path):
+    """'module.py name' for every __all__ entry under root/src/sclab that its
+    module neither defines nor imports."""
+    stale = []
+    for path in sorted((root / "src" / "sclab").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        bound = _bound_names(tree)
+        stale += [f"{path.name} {name}" for name in _exports(tree) if name not in bound]
+    return stale
+
+
+def test_every_export_is_defined_or_imported():
+    assert stale_exports(ROOT) == []
+
+
+def test_an_export_with_no_definition_is_flagged(tmp_path):
+    (tmp_path / "src" / "sclab").mkdir(parents=True)
+    (tmp_path / "src" / "sclab" / "mod.py").write_text(
+        '__all__ = ["defined", "imported", "assigned", "gone"]\n\n'
+        "from math import pi as imported\n\n"
+        "assigned: int = 1\n\n\n"
+        "def defined():\n"
+        "    gone = 2\n"
+        "    return gone\n"
+    )
+    assert stale_exports(tmp_path) == ["mod.py gone"]
 
 
 def _sclab_imports(module: str):
