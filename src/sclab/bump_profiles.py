@@ -242,6 +242,7 @@ def shift_amount(t: float) -> float:
     return _safe_exp(1.0 / t)
 
 
+@functools.lru_cache(maxsize=256)
 def shifted_bump(
     t: float,
     order: int = 0,
@@ -249,7 +250,11 @@ def shifted_bump(
     margin: float = DEFAULT_MARGIN,
 ) -> GridFunction:
     """Grid sampling of the order-th bump derivative shifted to -exp(1/t);
-    the only place that builds one, so the only check of MAX_SHIFT."""
+    the only place that builds one, so the only check of MAX_SHIFT.
+
+    Memoised per argument tuple: each call with the same arguments returns
+    the same GridFunction, whose values are the shared read-only
+    bump_window itself, not a copy."""
     if t <= 0:
         raise ValueError("shifted bump defined only for t > 0")
     if 1.0 / t > math.log(MAX_SHIFT):
@@ -333,22 +338,31 @@ def _logsumexp(a: np.ndarray) -> float:
     return float(np.log1p(s / m) + np.log(m) + top)
 
 
+@functools.lru_cache(maxsize=16)
+def _tail_nodes(spacing: float, j: int):
+    """The tail pairing's quadrature at refinement j, read-only: the nodes u
+    of [-1, 1], spacing / 4**j apart, where the bump is positive, and the
+    log weights log(b(u)) + log(spacing / 4**j).  They do not depend on t or
+    on the tail, so each (spacing, j) is sampled once."""
+    h = spacing / 4.0**j
+    u = np.linspace(-1.0, 1.0, round(2.0 / h) + 1)
+    bv = make_bump()(u)
+    keep = bv > 0
+    u = u[keep]
+    log_w = np.log(bv[keep]) + math.log(h)
+    u.flags.writeable = log_w.flags.writeable = False
+    return u, log_w
+
+
 def _pair_tail_log(f: AnalyticTailFunction, t: float, spacing: float) -> LogScalar:
     shift = shift_amount(t)
     if not math.isfinite(shift):
         raise RepresentabilityError("exp(1/t) overflows floats even for the log path")
-    bump = make_bump()
 
     def quad(j: int) -> LogScalar:
-        h = spacing / 4.0**j
-        n = round(2.0 / h) + 1
-        u = np.linspace(-1.0, 1.0, n)
-        bv = bump(u)
-        keep = bv > 0
-        u = u[keep]
-        bv = bv[keep]
+        u, log_w = _tail_nodes(spacing, j)
         signs, logf = f.log_evaluate(u - shift)
-        log_terms = np.log(bv) + math.log(h) + logf
+        log_terms = log_w + logf
         pos = log_terms[signs > 0]
         neg = log_terms[signs < 0]
         lp = _logsumexp(pos) if pos.size else -math.inf

@@ -132,6 +132,8 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be a non-empty list of parameters t > 0")
         if self.out_dir is not None and not isinstance(self.out_dir, str):
             raise ValueError("out_dir must be a path string")
+        if self.out_dir is not None and "\0" in self.out_dir:
+            raise ValueError("out_dir must not contain a null byte")
         if self.spacing <= 0 or self.margin <= 0:
             raise ValueError("spacing and margin must be positive")
         # the widest sampled window: the bump's, 2 (1 + margin) long, or the
@@ -161,7 +163,10 @@ class ExperimentConfig:
     @classmethod
     def from_file(cls, path: str, **overrides) -> "ExperimentConfig":
         with open(path) as fh:
-            raw = json.load(fh)
+            try:
+                raw = json.load(fh)
+            except RecursionError:
+                raise ValueError(f"config file {path} nests too deeply") from None
         if not isinstance(raw, dict):
             raise ValueError("config file must hold a flat JSON object")
         known = {f.name for f in fields(cls)}

@@ -459,7 +459,7 @@ class Sweep:
 
     Pair codomains (parameter, function) put the parameter first.  Every
     row, output or differential, has the bits of the one-point value on its
-    own indices, and zeros elsewhere.
+    own indices, up to the signs of zeros, and zeros elsewhere.
     """
 
     rows: Iterable  # one (P, width) stack per step, in order, read once
@@ -540,7 +540,8 @@ def _grid_sweep(
     finds c at the steps where b_t reaches g = f + h F, the only steps that
     build g as a grid.  Each row is then formed as it is read, g and then
     c b_t added in the order the one-point map adds them, so the sweep
-    holds no outputs.
+    holds no outputs.  A zero f is not added: it would change only the
+    signs of zeros, which no central, difference or squared norm reads.
     """
     schedule = schedule or WeightSchedule.default()
     lead = int(with_t)
@@ -563,7 +564,8 @@ def _grid_sweep(
         coefs = [bump_term(h, s) for h, s in zip(hs, ts)]
         terms = (bump(s) for s, c in zip(ts, coefs) if c != 0.0)
         (x0, n), dx = grid_window(itertools.chain((f, F), terms)), f.spacing
-        f_row, F_row = grid_row(f, x0, dx, n), grid_row(F, x0, dx, n)
+        f_row = grid_row(f, x0, dx, n) if f.values.any() else None
+        F_row = grid_row(F, x0, dx, n)
 
         def rows():
             for h, s, c in zip(hs, ts, coefs):
@@ -571,7 +573,8 @@ def _grid_sweep(
                 out[0, :lead] = s
                 body = out[0, lead:]
                 np.multiply(F_row, h, out=body)
-                body += f_row
+                if f_row is not None:
+                    body += f_row
                 if c != 0.0:
                     b = bump(s)
                     body[grid_slice(b, x0, dx, n)] += c * b.values

@@ -198,16 +198,35 @@ class WeightSchedule:
 # grid functions
 
 
+def _frozen(a: np.ndarray) -> np.ndarray:
+    """a, read-only: for a fresh array nobody else holds."""
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class GridFunction:
-    """Real samples on a uniform grid over a finite window; zero outside."""
+    """Real samples on a uniform grid over a finite window; zero outside.
+
+    A read-only float64 1-D ndarray that owns its data is stored as given,
+    so functions built from one shared window share its memory; any other
+    input, a writable array or a view included, is copied.
+    """
 
     x0: float
     spacing: float
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        vals = np.array(self.values, dtype=float)  # a copy: never alias the caller
+        vals = self.values
+        if not (
+            type(vals) is np.ndarray
+            and vals.dtype == np.float64
+            and vals.ndim == 1
+            and vals.flags.owndata
+            and not vals.flags.writeable
+        ):
+            vals = np.array(vals, dtype=float)  # a copy: never alias the caller
         if vals.ndim != 1 or vals.size < 2:
             raise ValueError("grid function needs at least 2 nodes")
         if not np.isfinite(vals).all():
@@ -229,10 +248,10 @@ class GridFunction:
         return self.x0 + self.spacing * np.arange(self.n_nodes)
 
     def scaled(self, c: float) -> "GridFunction":
-        return GridFunction(self.x0, self.spacing, c * self.values)
+        return GridFunction(self.x0, self.spacing, _frozen(c * self.values))
 
     def zeros_like(self) -> "GridFunction":
-        return GridFunction(self.x0, self.spacing, np.zeros(self.n_nodes))
+        return GridFunction(self.x0, self.spacing, _frozen(np.zeros(self.n_nodes)))
 
 
 def _disjoint(f: GridFunction, g: GridFunction) -> bool:
@@ -413,7 +432,7 @@ def grid_combine(terms: list) -> GridFunction:
     for c, f in terms:
         off = round((f.x0 - x0) / h)
         out[off : off + f.n_nodes] += c * f.values
-    return GridFunction(x0, h, out)
+    return GridFunction(x0, h, _frozen(out))
 
 
 # ---------------------------------------------------------------------------

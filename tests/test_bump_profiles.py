@@ -12,6 +12,7 @@ from sclab.bump_profiles import (
     RepresentabilityError,
     _logsumexp,
     _pair_tail_log,
+    _tail_nodes,
     bump_reaches,
     bump_self_pairing,
     bump_window,
@@ -25,6 +26,7 @@ from sclab.bump_profiles import (
     step_n,
 )
 from sclab import bump_profiles
+from sclab.experiments import ExperimentConfig
 from sclab.scale_core import (
     AnalyticTailFunction,
     GridFunction,
@@ -389,12 +391,21 @@ class TestShiftedBump:
                 got = shifted_bump(0.4, k, spacing, 1.0).values
                 assert np.array_equal(got.view(np.int64), direct.view(np.int64)), (k, spacing)
 
-    def test_windows_share_values_not_memory(self):
+    def test_windows_share_the_read_only_cached_window(self):
         a = shifted_bump(0.5, 1)
         b = shifted_bump(0.3, 1)
         assert a.x0 != b.x0
-        assert np.array_equal(a.values, b.values)
-        assert not np.shares_memory(a.values, b.values)
+        window = bump_window(1, DEFAULT_SPACING, DEFAULT_MARGIN)
+        assert a.values is window and b.values is window
+        assert not a.values.flags.writeable
+        with pytest.raises(ValueError):
+            a.values[0] = 1.0
+
+    def test_memoised_per_argument_tuple(self):
+        a = shifted_bump(0.45, 2, 5e-4, 0.5)
+        assert shifted_bump(0.45, 2, 5e-4, 0.5) is a
+        assert shifted_bump(0.45, 1, 5e-4, 0.5) is not a
+        assert a.values is bump_window(2, 5e-4, 0.5)
 
     def test_cached_window_is_read_only(self):
         w = bump_window(2, DEFAULT_SPACING, DEFAULT_MARGIN)
@@ -477,13 +488,18 @@ class TestTailPairing:
             assert np.array_equal(logmags.view(np.int64), loop.view(np.int64)), delta
 
     def test_pairing_is_bit_identical_to_per_node_loop(self):
+        # every default blowup t at the benchmark's spacings 1e-3 and 5e-4,
+        # whose cached nodes serve every t and tail
         for delta in (0.0, 0.1, 0.3):
             f = AnalyticTailFunction.inverse_square_tail(delta)
-            for t in (0.5, 0.3):
-                for h in (2e-3, 5e-3):
+            for t in ExperimentConfig().blowup_t_grid:
+                for h in (2e-3, 5e-3, 1e-3, 5e-4):
                     got = _pair_tail_log(f, t, h)
                     ref = _loop_pair_tail_log(delta, t, h)
                     assert (got.sign, got.logmag.hex()) == (ref.sign, ref.logmag.hex())
+        u, log_w = _tail_nodes(5e-4, 1)
+        assert _tail_nodes(5e-4, 1)[0] is u
+        assert not (u.flags.writeable or log_w.flags.writeable)
 
     def test_unsettled_tail_pairing_raises(self):
         f = AnalyticTailFunction(_never_settles)

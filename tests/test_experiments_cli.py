@@ -121,6 +121,16 @@ class TestConfig:
         with pytest.raises(ValueError, match="unknown config keys"):
             ExperimentConfig.from_file(str(p))
 
+    def test_rejects_a_null_byte_in_out_dir(self):
+        with pytest.raises(ValueError, match="null byte"):
+            ExperimentConfig(out_dir="reports\0x")
+
+    def test_from_file_names_a_file_nested_past_the_recursion_limit(self, tmp_path):
+        p = tmp_path / "deep.json"
+        p.write_text("[" * 100_000)
+        with pytest.raises(ValueError, match="deep.json nests too deeply"):
+            ExperimentConfig.from_file(str(p))
+
     def test_from_file_rejects_non_object(self, tmp_path):
         p = tmp_path / "cfg.json"
         p.write_text("[1, 2]")
@@ -567,6 +577,13 @@ class TestGridRowLoops:
             want = _old_projection_orthogonality(cfg)
             assert checks["projection orthogonality"].measured == repr(want)
 
+    def test_retract_image_gap_samples_one_shifted_bump_per_t(self):
+        shifted_bump.cache_clear()
+        assert run("retract-image-gap", ExperimentConfig()).passed
+        info = shifted_bump.cache_info()
+        assert info.currsize == info.misses == 3  # t = 0.3, 0.4, 0.5
+        assert info.hits > 0
+
     def test_identity_differential_norms_with_the_config_schedule(self, monkeypatch):
         seen = []
         for name in ("s_proj_handle", "h_family_handle"):
@@ -625,6 +642,20 @@ class TestCli:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert next(iter(bad)) in captured.err
+
+    @pytest.mark.parametrize(
+        "text, named",
+        [('{"out_dir": "a\\u0000b"}', "null byte"), ("[" * 100_000, "nests too deeply")],
+    )
+    def test_unusable_config_file_exits_two_with_one_line(self, tmp_path, capsys, text, named):
+        p = tmp_path / "cfg.json"
+        p.write_text(text)
+        assert cli.main(["run", "seq-discontinuity", "--config", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("sclab: error:")
+        assert len(captured.err.splitlines()) == 1
+        assert named in captured.err
 
     def test_seed_flag_is_validated(self, capsys):
         assert cli.main(["run", "seq-discontinuity", "--seed", "-1"]) == 2

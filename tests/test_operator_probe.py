@@ -441,6 +441,19 @@ class TestOneCallSweep:
                 _assert_grid_sweep_equal(maps, point, tan, level)
 
     @pytest.mark.parametrize("name", ["s-proj", "h-family"])
+    def test_zero_base_point_with_a_bump_term_equals_the_reference_kernel(self, name):
+        # the sweep adds no row for a zero f, the reference adds it with
+        # grid_combine; here f is wider than F and lies on b_t's window, so
+        # every row has a bump term (identity-differential's zero base
+        # points are in test_grid_reports_equal_the_one_point_sweep)
+        t, b = 0.4, shifted_bump(0.4, 0)
+        F = grid_combine([(1.0, b), (0.5, shifted_bump(t, 1))])
+        zero = GridFunction(b.x0 - 0.5, b.spacing, np.zeros(b.n_nodes + 1000))
+        for level in (0, 1):
+            got = _assert_grid_sweep_equal(_grid_map(name), (t, zero), (0.0, F), level)
+            assert got.mismatch < 1e-9
+
+    @pytest.mark.parametrize("name", ["s-proj", "h-family"])
     def test_grid_sweep_where_the_bump_overlaps_f(self, name):
         # at t = 0.4 with f on b_t's window, every output carries a bump
         # term.  T = 0 keeps the bumps on f's nodes; a moving t puts them

@@ -447,3 +447,36 @@ class TestGridModel:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(OverflowError, match="not finite"):
                 grid_sobolev_inner(f, f, 0, 0.1)
+
+    def test_copies_writable_arrays_and_read_only_views(self):
+        src = np.linspace(0.0, 1.0, 5)
+        f = GridFunction(0.0, 0.1, src)
+        src[0] = 9.0
+        assert f.values[0] == 0.0
+        base = np.linspace(0.0, 1.0, 6)
+        view = base[1:]
+        view.flags.writeable = False
+        g = GridFunction(0.0, 0.1, view)
+        base[1] = 9.0
+        assert g.values[0] == 0.2
+        assert not (np.shares_memory(g.values, base) or g.values.flags.writeable)
+
+    def test_keeps_a_read_only_array_that_owns_its_data(self):
+        a = 0.25 * np.arange(5.0)
+        a.flags.writeable = False
+        assert GridFunction(0.0, 0.1, a).values is a
+        # other dtypes are converted, and the finiteness scan still runs
+        b = np.arange(5, dtype=np.float32)
+        b.flags.writeable = False
+        assert GridFunction(0.0, 0.1, b).values.dtype == np.float64
+        a = np.array([0.0, np.inf])
+        a.flags.writeable = False
+        with pytest.raises(ValueError, match="finite"):
+            GridFunction(0.0, 0.1, a)
+
+    def test_fresh_results_are_kept_read_only(self):
+        f = GridFunction(0.0, 0.1, np.linspace(0.0, 1.0, 5))
+        g = GridFunction(0.2, 0.1, np.ones(5))
+        for h in (f.scaled(2.0), f.zeros_like(), grid_combine([(1.0, f), (0.5, g)])):
+            assert h.values.flags.owndata and not h.values.flags.writeable
+            assert not np.shares_memory(h.values, f.values)
