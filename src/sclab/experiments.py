@@ -21,6 +21,7 @@ from .gallery import (
     h_transversality_data,
     h_zero_branch,
     phi_value,
+    rho_eval,
     rho_k_tangent,
     s_proj_diff,
     s_proj_handle,
@@ -557,9 +558,12 @@ def _identity_differential(cfg: ExperimentConfig) -> List[Check]:
     )
     q = bump_self_pairing(cfg.spacing, cfg.margin)
     gram = np.diag([1.0, q])
+    b = shifted_bump(0.5, 0, cfg.spacing, cfg.margin)
     ranks = {}
     for t in (0.5, -0.5):
-        m = np.array([[1.0, 0.0], [0.0, q if t > 0 else 0.0]])
+        # the retraction's b-column entry <rho_t(b), b> / q: q where t > 0
+        rho = rho_eval(t, b, cfg.spacing, cfg.margin)[1]
+        m = np.array([[1.0, 0.0], [0.0, grid_l2_inner(rho, b) / q]])
         ranks[t] = numerical_rank(OperatorHandle(m, gram, gram))
     checks.append(
         _check(

@@ -216,13 +216,6 @@ class BumpSplit:
     orth: Optional[GridFunction]
     along: LogScalar
 
-    def materialize(
-        self, spacing: float = DEFAULT_SPACING, margin: float = DEFAULT_MARGIN
-    ) -> GridFunction:
-        if self.orth is None:
-            raise ValueError("orthogonal part is symbolic; cannot materialize")
-        return _add_bump(self.orth, self.t, spacing, margin, self.along.to_real())
-
 
 @dataclass(frozen=True)
 class ShearImage:
@@ -347,6 +340,16 @@ class TransversalityData:
     witness_value_partial_route: LogScalar
 
 
+def _fiber_critical(gate: LogScalar, x: LogScalar) -> bool:
+    """Whether the fiber derivative g - 2x of a -> a - phi_t(a) vanishes at
+    x, with g = gate = g(t), formed in log arithmetic (1 - g rounds to 1 in
+    floats): it is zero, or its size relative to g lies below the two-route
+    witness's tolerance 1e-12 max(1, |log g|)."""
+    d = gate.sub(x.mul(LogScalar.from_real(2.0)))
+    tol = math.log(1e-12 * max(1.0, abs(gate.logmag)))
+    return d.is_zero or d.logmag - gate.logmag <= tol
+
+
 def h_transversality_data(
     t: float,
     spacing: float = DEFAULT_SPACING,
@@ -354,17 +357,16 @@ def h_transversality_data(
 ) -> TransversalityData:
     """Where fiber transversality fails, and the total-derivative witness.
 
-    The failure locus coefficient is half the zero-branch coefficient; the
+    The failure locus coefficient is half the zero-branch coefficient g(t),
+    where the fiber derivative of a -> a - phi_t(a) must vanish; the
     witness magnitude (1/t^3) exp(1/t^2 - 2 exp(1/t^2)) is computed by two
     independent routes that must agree.
     """
     if t <= 0:
         raise ValueError("the failure locus exists only for t > 0")
     gate = phi_gate(t)
-    half = LogScalar.from_real(0.5)
-    failure_coeff = gate.mul(half)
-    _, branch = h_zero_branch(t)
-    midpoint = failure_coeff.cmp(branch.mul(half)) == 0
+    failure_coeff = gate.mul(LogScalar.from_real(0.5))
+    midpoint = _fiber_critical(gate, failure_coeff)
     E = math.exp(1.0 / (t * t))
     direct = LogScalar(1, math.fsum([-3.0 * math.log(t), 1.0 / (t * t), -2.0 * E]))
     # independent route: |d_t phi_t(x_t)| * <b_t, b_t> with x_t = gate / 2

@@ -17,7 +17,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -45,9 +45,6 @@ __all__ = [
     "dW_opnorm_probe",
     "OpennessReport",
     "openness_probe",
-    "make_rank_one_germ",
-    "make_quadratic_germ",
-    "make_moving_bump_pseudo_germ",
     "GERM_IDS",
     "make_germ",
 ]
@@ -91,55 +88,22 @@ def _worst(values: np.ndarray) -> float:
     return float(np.max(values, initial=0.0, where=values > 0.0))
 
 
-@dataclass
+@dataclass(eq=False)
 class GermContext:
-    """Grid atoms spanning a germ's sampled w-subspace: a context is its
-    dim and its level Gram matrices gram(level), cached read-only arrays."""
+    """A Gram provider for a germ's coordinates: its dim and its level Gram
+    matrices gram(level) = build(level), each built once and cached
+    read-only in _grams."""
 
-    atoms: Tuple[GridFunction, ...]
-    schedule: WeightSchedule
-    _grams: Dict[int, np.ndarray] = field(default_factory=dict)
-
-    @property
-    def dim(self) -> int:
-        return len(self.atoms)
-
-    def _build(self, level: int) -> np.ndarray:
-        """The Gram matrix of the level-th Sobolev pairing with its weight."""
-        m, delta = self.dim, self.schedule.delta(level)
-        g = np.zeros((m, m))
-        for q in range(m):
-            for p in range(q + 1):
-                g[p, q] = g[q, p] = grid_sobolev_inner(self.atoms[p], self.atoms[q], level, delta)
-        g.flags.writeable = False
-        return g
+    dim: int
+    build: Callable[[int], np.ndarray]
+    _grams: Dict[int, np.ndarray] = field(default_factory=dict, repr=False)
 
     def gram(self, level: int) -> np.ndarray:
         if level not in self._grams:
-            self._grams[level] = self._build(level)
+            g = self.build(level)
+            g.flags.writeable = False
+            self._grams[level] = g
         return self._grams[level]
-
-
-@dataclass
-class _BumpContext(GermContext):
-    """A base context's atoms followed by one coordinate along the escaping
-    bump b_c, scaled per level: at level i it is e_i = s_i b_c with
-    s_i^2 ||b_c||_i^2 = q = <b_c, b_c>.  b_c's window lies left of every
-    atom's, so each Gram matrix is blockdiag(base block, q) at every c, and
-    no grid is sampled.  When delta_0 = 0, s_0 = 1."""
-
-    base: Optional[GermContext] = field(default=None, repr=False)
-    q: float = 0.0
-
-    @property
-    def dim(self) -> int:
-        return len(self.atoms) + 1
-
-    def _build(self, level: int) -> np.ndarray:
-        g = np.pad(self.base.gram(level), (0, 1))
-        g[-1, -1] = self.q
-        g.flags.writeable = False
-        return g
 
 
 #: B and dB of a germ act on row stacks: parameters c of shape (n,) and
@@ -163,6 +127,7 @@ class BasicGerm:
     #: c_range(delta): the interval (lo, hi) of the parameters sampled at
     #: radius delta, or None when delta admits no c
     c_range: Callable[[float], Optional[Tuple[float, float]]]
+    #: the last coordinate moves with c, and modulus_with_count samples it
     c_dependent_atoms: bool = False
 
     def context_for(self, c: float) -> GermContext:
@@ -330,39 +295,14 @@ def certify(
 
 
 def certificate_to_json(cert: ContractionCertificate) -> str:
-    return json.dumps(
-        {
-            "germ_id": cert.germ_id,
-            "level": cert.level,
-            "n_samples": cert.n_samples,
-            "seed": cert.seed,
-            "pairs": [
-                {
-                    "epsilon": p.epsilon,
-                    "delta": p.delta,
-                    "worst_ratio": p.worst_ratio,
-                    "samples": p.samples,
-                }
-                for p in cert.pairs
-            ],
-        },
-        sort_keys=True,
-        indent=2,
-    )
+    return json.dumps(asdict(cert), sort_keys=True, indent=2)
 
 
 def certificate_from_json(text: str) -> ContractionCertificate:
+    """The certificate a JSON text holds; a missing or unknown key raises."""
     raw = json.loads(text)
-    return ContractionCertificate(
-        raw["germ_id"],
-        raw["level"],
-        tuple(
-            CertifiedPair(p["epsilon"], p["delta"], p["worst_ratio"], p["samples"])
-            for p in raw["pairs"]
-        ),
-        raw["n_samples"],
-        raw["seed"],
-    )
+    raw["pairs"] = tuple(CertifiedPair(**p) for p in raw["pairs"])
+    return ContractionCertificate(**raw)
 
 
 def replay_certificate(germ: BasicGerm, cert: ContractionCertificate) -> bool:
@@ -437,15 +377,16 @@ def openness_probe(
     radius may not exceed the condition number at the origin by more than
     _COND_FACTOR.  Each radius's report is that of a call with it alone.
 
-    The points are the origin, then for each probed c the point (c, 0) and
-    (c, w) with one normal draw of w per c, of norm radius / 2; the normals
-    are drawn once, for every radius.  The full differentials I - (0; dB)
+    The points are the origin, then for each c of 0.9, -0.9 and 0.5 times
+    the radius the point (c, 0) and (c, w) with one normal draw of w per c,
+    of norm radius / 2; the normals are drawn once, for every radius and
+    every germ.  The full differentials I - (0; dB)
     of (c, w) -> (c, w - B) at every radius's points, in the metric of
     level i with the parameter direction included, go to one
     metric_singular_values call."""
     rng = np.random.default_rng(seed)
     m, g = germ.context.dim, germ.context.gram(level)
-    fractions = (0.9, 0.5) if germ.c_dependent_atoms else (0.9, -0.9, 0.5)
+    fractions = (0.9, -0.9, 0.5)
     normals = rng.normal(size=(len(fractions), m))
     cs = [[0.0] + [f * radius for f in fractions for _ in range(2)] for radius in radii]
     v = np.zeros((len(radii), 1 + 2 * len(fractions), m))
@@ -495,42 +436,47 @@ def _bump_pairings(spacing: float) -> np.ndarray:
 
 @functools.lru_cache(maxsize=32)
 def _base_context(schedule: WeightSchedule, spacing: float) -> GermContext:
-    """The atoms with their cached Gram matrices: built once per (schedule,
-    spacing) and shared by every germ."""
-    return GermContext(_atoms(spacing), schedule)
+    """The atoms' context, built once per (schedule, spacing) and shared by
+    every germ: its level Gram matrix holds the Sobolev pairings of the
+    atoms with the level's weight."""
+    atoms = _atoms(spacing)
+
+    def build(level: int) -> np.ndarray:
+        m, delta = len(atoms), schedule.delta(level)
+        g = np.zeros((m, m))
+        for q in range(m):
+            for p in range(q + 1):
+                g[p, q] = g[q, p] = grid_sobolev_inner(atoms[p], atoms[q], level, delta)
+        return g
+
+    return GermContext(len(atoms), build)
 
 
 def _symmetric_range(delta: float) -> Tuple[float, float]:
     return -0.999 * delta, 0.999 * delta
 
 
-def make_rank_one_germ(
-    schedule: Optional[WeightSchedule] = None, spacing: float = DEFAULT_SPACING
-) -> BasicGerm:
+def _rank_one(base: GermContext, spacing: float, margin: float) -> BasicGerm:
     """B(c, w) = c <w, b> b with the unit bump b: linear in w, contraction
     radius proportional to the target modulus."""
-    ctx = _base_context(schedule or WeightSchedule.default(), spacing)
     pair_vec = _bump_pairings(spacing)
-    e_bump = np.eye(ctx.dim)[0]
+    e_bump = np.eye(base.dim)[0]
 
     def B(c: np.ndarray, v: np.ndarray) -> np.ndarray:
         return (c * _dots(v, pair_vec))[:, None] * e_bump
 
     def dB(c: np.ndarray, v: np.ndarray) -> np.ndarray:
         # dB/dc = <w, b> e and D_wB = c e (x) p: both live in row 0
-        out = np.zeros((len(c), ctx.dim, 1 + ctx.dim))
+        out = np.zeros((len(c), base.dim, 1 + base.dim))
         out[:, 0, 0] = _dots(v, pair_vec)
         out[:, 0, 1:] = c[:, None] * pair_vec
         return out
 
-    return BasicGerm(name="rank-one", context=ctx, B=B, dB=dB, c_range=_symmetric_range)
+    return BasicGerm("rank-one", base, B, dB, _symmetric_range)
 
 
-def make_quadratic_germ(
-    schedule: Optional[WeightSchedule] = None, spacing: float = DEFAULT_SPACING
-) -> BasicGerm:
+def _quadratic(base: GermContext, spacing: float, margin: float) -> BasicGerm:
     """B(c, w) = <w, b> w: quadratic in w, independent of c."""
-    ctx = _base_context(schedule or WeightSchedule.default(), spacing)
     pair_vec = _bump_pairings(spacing)
 
     def B(c: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -538,34 +484,37 @@ def make_quadratic_germ(
 
     def dB(c: np.ndarray, v: np.ndarray) -> np.ndarray:
         # dB/dc = 0 and D_wB = v (x) p + <w, b> I
-        out = np.zeros((len(c), ctx.dim, 1 + ctx.dim))
+        out = np.zeros((len(c), base.dim, 1 + base.dim))
         out[:, :, 1:] = v[:, :, None] * pair_vec
-        out[:, :, 1:] += _dots(v, pair_vec)[:, None, None] * np.eye(ctx.dim)
+        out[:, :, 1:] += _dots(v, pair_vec)[:, None, None] * np.eye(base.dim)
         return out
 
-    return BasicGerm(name="quadratic", context=ctx, B=B, dB=dB, c_range=_symmetric_range)
+    return BasicGerm("quadratic", base, B, dB, _symmetric_range)
 
 
-def make_moving_bump_pseudo_germ(
-    schedule: Optional[WeightSchedule] = None,
-    spacing: float = DEFAULT_SPACING,
-    margin: float = DEFAULT_MARGIN,
-) -> BasicGerm:
+def _moving_bump(base: GermContext, spacing: float, margin: float) -> BasicGerm:
     """B(c, w) = <w, b_c> b_c with the escaping bump b_c for c > 0 (zero
     for c <= 0): the projection map's correction term.  Not a contraction —
     along the direction b_c the ratio stays near 1 at every radius.
 
-    The germ's one context, for every c, is the shared base context plus one
+    The germ's one context, for every c, is the base context plus one
     coordinate along b_c, scaled per level to e_i = s_i b_c with
-    s_i^2 ||b_c||_i^2 = q = <b_c, b_c> (_BumpContext).  So no c samples a
-    grid, and B(c, w) = (s_i q v_m) b_c = q v_m e_i at every level, with
-    D_wB = q e_m (x) e_m.  Its c-partial is 0: B is written in the shared
-    coordinate, whatever c it stands for.  That needs b_c's window left of
-    the atoms', that is c < 1/ln(3 + margin) (1/ln 4 by default), which B
-    and dB check; the experiments draw c < 0.5."""
-    base_ctx = _base_context(schedule or WeightSchedule.default(), spacing)
+    s_i^2 ||b_c||_i^2 = q = <b_c, b_c> (s_0 = 1 when delta_0 = 0).  b_c's
+    window lies left of every atom's, so each Gram matrix is blockdiag(base
+    Gram matrix, q) and no c samples a grid.  B(c, w) = (s_i q v_m) b_c =
+    q v_m e_i at every level, with D_wB = q e_m (x) e_m.  Its c-partial is
+    0: B is written in the shared coordinate, whatever c it stands for.
+    That needs b_c's window left of the atoms', that is c < 1/ln(3 +
+    margin) (1/ln 4 by default), which B and dB check; the experiments draw
+    c < 0.5."""
     q = bump_self_pairing(spacing, margin)  # the same for every c
-    ctx = _BumpContext(base_ctx.atoms, base_ctx.schedule, base=base_ctx, q=q)
+
+    def gram(level: int) -> np.ndarray:
+        g = np.pad(base.gram(level), (0, 1))
+        g[-1, -1] = q
+        return g
+
+    ctx = GermContext(base.dim + 1, gram)
     reach = 1.0 + margin - _ATOM_WINDOW[0]
     c_max = 1.0 / math.log(reach)
 
@@ -591,12 +540,11 @@ def make_moving_bump_pseudo_germ(
         lo, hi = 0.074, 0.999 * delta
         return None if hi <= lo else (max(lo, 0.5 * delta), hi)
 
-    return BasicGerm(
-        name="moving-bump", context=ctx, B=B, dB=dB, c_range=c_range, c_dependent_atoms=True
-    )
+    return BasicGerm("moving-bump", ctx, B, dB, c_range, c_dependent_atoms=True)
 
 
-GERM_IDS = ("rank-one", "quadratic", "moving-bump")
+_BUILDERS = {"rank-one": _rank_one, "quadratic": _quadratic, "moving-bump": _moving_bump}
+GERM_IDS = tuple(_BUILDERS)
 
 
 def make_germ(
@@ -605,10 +553,9 @@ def make_germ(
     spacing: float = DEFAULT_SPACING,
     margin: float = DEFAULT_MARGIN,
 ) -> BasicGerm:
-    """The germ named germ_id; margin reaches only the moving bump."""
-    if germ_id == "moving-bump":
-        return make_moving_bump_pseudo_germ(schedule, spacing, margin)
-    factory = {"rank-one": make_rank_one_germ, "quadratic": make_quadratic_germ}.get(germ_id)
-    if factory is None:
+    """The germ named germ_id over the shared base context of (schedule,
+    spacing); margin reaches only the moving bump."""
+    if germ_id not in _BUILDERS:
         raise KeyError(f"unknown germ id {germ_id!r}; known: {GERM_IDS}")
-    return factory(schedule, spacing)
+    base = _base_context(schedule or WeightSchedule.default(), spacing)
+    return _BUILDERS[germ_id](base, spacing, margin)

@@ -149,17 +149,6 @@ class LogScalar:
     def sub(self, other: "LogScalar") -> "LogScalar":
         return self.add(other.neg())
 
-    def cmp(self, other: "LogScalar") -> int:
-        """-1, 0 or +1 according to the order of the represented reals."""
-        if self.sign != other.sign:
-            return -1 if self.sign < other.sign else 1
-        if self.sign == 0:
-            return 0
-        if self.logmag == other.logmag:
-            return 0
-        bigger_mag = 1 if self.logmag > other.logmag else -1
-        return bigger_mag * self.sign
-
 
 # ---------------------------------------------------------------------------
 # weight schedules

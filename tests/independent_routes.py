@@ -5,6 +5,9 @@ import math
 
 import numpy as np
 
+from sclab.bump_profiles import DEFAULT_MARGIN, DEFAULT_SPACING, shifted_bump
+from sclab.scale_core import grid_combine
+
 
 def level_norm(v, g) -> float:
     """sqrt(v g v) of one coefficient vector under a Gram matrix, with a
@@ -27,8 +30,30 @@ def step_derivative_sup(step, order: int) -> float:
     return float(np.max(np.abs(step.derivative(xs, order))))
 
 
+def log_cmp(a, b) -> int:
+    """-1, 0 or +1 according to the order of the reals two LogScalars
+    represent, read from their signs and log magnitudes."""
+    if a.sign != b.sign:
+        return -1 if a.sign < b.sign else 1
+    if a.sign == 0 or a.logmag == b.logmag:
+        return 0
+    return (1 if a.logmag > b.logmag else -1) * a.sign
+
+
 def germ_point(germ, c: float, v):
     """(c, w - B(c, w)) in coefficient coordinates, at one point, through a
     one-row call of germ.B."""
     v = np.asarray(v, dtype=float)
     return c, v - germ.B(np.array([c]), v[None, :])[0]
+
+
+def materialize(split, spacing: float = DEFAULT_SPACING, margin: float = DEFAULT_MARGIN):
+    """A gallery BumpSplit on the grid: orth + along b_t in one grid_combine,
+    and orth itself where along reads 0.0 as a float; a symbolic orth (None)
+    cannot be sampled and raises."""
+    if split.orth is None:
+        raise ValueError("orthogonal part is symbolic; cannot materialize")
+    a = split.along.to_real()
+    if a == 0.0:
+        return split.orth
+    return grid_combine([(1.0, split.orth), (a, shifted_bump(split.t, 0, spacing, margin))])

@@ -40,6 +40,8 @@ from sclab.scale_core import (
     tail_projection,
 )
 
+from independent_routes import log_cmp
+
 GERM_LEVEL = 1
 
 
@@ -310,7 +312,7 @@ def test_criterion_08_branching_zeroset():
         data = h_transversality_data(t)
         _, branch = h_zero_branch(t)
         half = branch.mul(LogScalar.from_real(0.5))
-        if data.failure_coeff.cmp(half) != 0:
+        if log_cmp(data.failure_coeff, half) != 0:
             failures.append(f"failure locus is not half the branch at t={t}")
         a, b = data.witness_value, data.witness_value_partial_route
         gap = abs(a.logmag - b.logmag)

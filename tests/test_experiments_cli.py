@@ -177,7 +177,7 @@ class TestReports:
         # the pseudo-germ's self-pairing q at this margin (1.0, as at the
         # default margin) and its bound c < 1/ln(3 + margin), which pins the margin
         (germ,) = [g for g in made if g.name == "moving-bump"]
-        assert germ.context.q == bump_self_pairing(margin=2.0)
+        assert germ.context.gram(0)[-1, -1] == bump_self_pairing(margin=2.0)
         with pytest.raises(ValueError, match=r"c < 1/ln\(5\)"):
             germ.B(np.array([0.65]), np.ones((1, germ.context.dim)))
 
@@ -598,6 +598,15 @@ class TestGridRowLoops:
         cfg = ExperimentConfig(levels=2, weight_step=0.3)
         assert run("identity-differential", cfg).passed
         assert seen == [cfg.schedule()] * 2
+
+    def test_retraction_rank_reads_the_retraction(self, monkeypatch):
+        check = "retraction differential rank"
+        got = {c.name: c for c in run("identity-differential", ExperimentConfig()).checks}
+        assert got[check].passed and got[check].measured == "2 then 1"
+        # a retraction that drops its bump term has rank one at t > 0 too
+        monkeypatch.setattr(experiments, "rho_eval", lambda t, f, *a: (t, f.zeros_like()))
+        got = {c.name: c for c in run("identity-differential", ExperimentConfig()).checks}
+        assert not got[check].passed and got[check].measured == "1 then 1"
 
 
 class TestCli:

@@ -12,6 +12,8 @@ from sclab.bump_profiles import (
     shifted_bump,
     step_n,
 )
+from sclab import gallery
+from sclab.experiments import ExperimentConfig
 from sclab.gallery import (
     BumpSplit,
     TrackedScalar,
@@ -43,6 +45,8 @@ from sclab.scale_core import (
     grid_sobolev_norm,
     seq_norm,
 )
+
+from independent_routes import materialize
 
 
 def _test_input(t: float) -> GridFunction:
@@ -182,7 +186,7 @@ class TestGatedShear:
         img = s_tilde_eval(t, y0, f)
         pre = s_tilde_inv(img.t, img.y, img.f)
         assert pre.y.to_real() == pytest.approx(y0, rel=1e-9)
-        f_back = pre.f.materialize()
+        f_back = materialize(pre.f)
         diff = grid_combine([(1.0, f_back), (-1.0, f)])
         rel = grid_sobolev_norm(diff, 0, 0.0) / grid_sobolev_norm(f, 0, 0.0)
         assert rel < 1e-9
@@ -221,7 +225,7 @@ class TestGatedShear:
             assert (got.orth.x0, got.orth.values.tolist()) == (orth.x0, orth.values.tolist())
         split = s_tilde_eval(t, 0.8, f).f
         want = grid_combine([(1.0, orth), (split.along.to_real(), b)])
-        got = split.materialize()
+        got = materialize(split)
         assert (got.x0, got.values.tolist()) == (want.x0, want.values.tolist())
         far = GridFunction(5.0, 1e-3, np.ones(11))
         assert s_tilde_eval(t, 0.8, far).f.orth is far
@@ -241,7 +245,7 @@ class TestGatedShear:
             dust = LogScalar(-1, logmag)
             assert TrackedScalar(0.5, dust).to_real() == 0.5
             assert TrackedScalar(0.0, dust).to_real() == -math.exp(logmag)
-            got = BumpSplit(t, f, dust).materialize()
+            got = materialize(BumpSplit(t, f, dust))
             assert (got is not f) == subnormal
 
     @pytest.mark.parametrize("t", [0.0, -0.2])
@@ -255,7 +259,7 @@ class TestGatedShear:
             pre = s_tilde_inv(t, img.y, g)
             assert (pre.t, pre.y) == (t, LogScalar.from_real(0.7))
             assert pre.f.orth is f and pre.f.along.is_zero
-            back = s_tilde_eval(t, pre.y.to_real(), pre.f.materialize())
+            back = s_tilde_eval(t, pre.y.to_real(), materialize(pre.f))
             assert (back.t, back.y, back.f.along) == (img.t, img.y, img.f.along)
             assert back.f.orth is f
 
@@ -273,7 +277,7 @@ class TestGatedShear:
         assert pre.y == LogScalar.from_real(0.7)
         assert pre.f.orth is None and pre.f.along.is_zero
         with pytest.raises(ValueError, match="symbolic"):
-            pre.f.materialize()
+            materialize(pre.f)
         # the scalar comes back from the image of its real part
         assert s_tilde_eval(t, pre.y.to_real(), f).y.to_log() == pre.y
 
@@ -346,6 +350,16 @@ class TestTransversality:
             assert a.sign == b.sign == 1
             tol = 1e-12 * max(1.0, abs(a.logmag))
             assert abs(a.logmag - b.logmag) <= tol
+
+    @pytest.mark.parametrize("t", ExperimentConfig().branching_t_grid)
+    def test_midpoint_check_fails_off_the_critical_point(self, t):
+        # the fiber derivative g - 2x of a -> a - phi_t(a) vanishes at
+        # x = g / 2 only: 0.4 g (log-relative size log 0.2) and 0.5000001 g
+        # (log 2e-7) lie above the tolerance, at least 16.5 below zero
+        g = phi_gate(t)
+        assert gallery._fiber_critical(g, g.mul(LogScalar.from_real(0.5)))
+        for fraction in (0.4, 0.5000001):
+            assert not gallery._fiber_critical(g, g.mul(LogScalar.from_real(fraction)))
 
     def test_failure_coeff_is_half_gate(self):
         t = 0.4

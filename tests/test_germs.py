@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import itertools
 import json
 import math
 from collections import Counter
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 
 from sclab import bump_profiles, experiments, germs, scale_core
-from sclab.bump_profiles import shifted_bump
+from sclab.bump_profiles import DEFAULT_SPACING, bump_self_pairing, shifted_bump
 from sclab.experiments import ExperimentConfig, run
 from sclab.germs import (
     GERM_IDS,
@@ -21,9 +22,6 @@ from sclab.germs import (
     certify,
     dW_opnorm_probe,
     make_germ,
-    make_moving_bump_pseudo_germ,
-    make_quadratic_germ,
-    make_rank_one_germ,
     modulus_with_count,
     openness_probe,
     replay_certificate,
@@ -34,18 +32,28 @@ from sclab.scale_core import WeightSchedule, grid_combine, grid_l2_inner, grid_s
 from independent_routes import germ_point, level_norm
 
 
-def _grid_atoms(ctx, c):
-    """The coordinates of ctx at parameter c > 0 as grid functions: a
-    moving-bump context's escaping bump b_c, unscaled (its L2 coordinate),
-    is sampled with shifted_bump."""
-    if ctx.dim == len(ctx.atoms):
-        return ctx.atoms
-    return ctx.atoms + (shifted_bump(c, 0, ctx.atoms[0].spacing),)
+def _grid_atoms(ctx, c, spacing=DEFAULT_SPACING):
+    """The coordinates of ctx at parameter c > 0 as grid functions: the
+    atoms, and for a moving-bump context the escaping bump b_c, unscaled
+    (its L2 coordinate), sampled with shifted_bump."""
+    atoms = germs._atoms(spacing)
+    if ctx.dim == len(atoms):
+        return atoms
+    return atoms + (shifted_bump(c, 0, spacing),)
 
 
-def _pairings(ctx, c, j):
+def _grid_gram(atoms, level, delta):
+    """The level Gram matrix of grid functions, one Sobolev quadrature per
+    entry on and above the diagonal, mirrored below it."""
+    g = np.zeros((len(atoms), len(atoms)))
+    for j, k in itertools.combinations_with_replacement(range(len(atoms)), 2):
+        g[j, k] = g[k, j] = grid_sobolev_inner(atoms[j], atoms[k], level, delta)
+    return g
+
+
+def _pairings(ctx, c, j, spacing=DEFAULT_SPACING):
     """L2 pairings of every coordinate with coordinate j, one quadrature each."""
-    atoms = _grid_atoms(ctx, c)
+    atoms = _grid_atoms(ctx, c, spacing)
     return np.array([grid_l2_inner(a, atoms[j]) for a in atoms])
 
 
@@ -183,10 +191,7 @@ def _per_point_openness(germ, level, radius, seed=2, h=1e-6):
         return math.inf if sv[-1] <= 1e-300 else float(sv[0] / sv[-1])
 
     rows = [(0.0, 0.0, cond(0.0, np.zeros(m)))]
-    c_values = [0.9 * radius, 0.5 * radius]
-    if not germ.c_dependent_atoms:
-        c_values.insert(1, -0.9 * radius)
-    for c in c_values:
+    for c in (0.9 * radius, -0.9 * radius, 0.5 * radius):
         rows.append((c, 0.0, cond(c, np.zeros(m))))
         v = _rescaler(g)(rng.normal(size=m), 0.5 * radius)
         rows.append((c, 0.5 * radius, cond(c, v)))
@@ -269,13 +274,12 @@ class TestStackedSampling:
                 rows = _per_point_openness(germ, level, radius, seed=seed)
                 assert [row[:2] for row in rep.rows] == [row[:2] for row in rows]
                 assert rep.rows[0][2] == pytest.approx(rows[0][2], rel=1e-8, abs=0.0)
-                if gid == "moving-bump":
-                    # I - q e_m (x) e_m with q = <b_c, b_c> ~ 1 (exactly 1 at
-                    # some spacings) is singular to working precision at c > 0
-                    for (c, _, got), (_, _, want) in zip(rep.rows[1:], rows[1:]):
-                        assert c > 0.0 and got >= 1e12 and want >= 1e12
-                    continue
-                for (_, _, got), (_, _, want) in zip(rep.rows, rows):
+                for (c, _, got), (_, _, want) in zip(rep.rows, rows):
+                    if gid == "moving-bump" and c > 0.0:
+                        # I - q e_m (x) e_m with q = <b_c, b_c> ~ 1 (exactly 1
+                        # at some spacings) is singular to working precision
+                        assert got >= 1e12 and want >= 1e12
+                        continue
                     assert got == pytest.approx(want, rel=1e-8, abs=0.0)
                 assert rep.cond_at_zero == rep.rows[0][2]
                 assert rep.worst_cond == max(cond for _, _, cond in rep.rows)
@@ -340,7 +344,8 @@ class TestStackedSampling:
         openness_probe(make_germ("rank-one"), 1, [0.1])
         openness_probe(make_germ("moving-bump"), 1, [0.3])
         openness_probe(make_germ("moving-bump"), 1, [0.3, 0.2, 0.15])
-        assert calls == [(7, 5, 5), (5, 6, 6), (15, 6, 6)]
+        # every germ draws the same seven points per radius
+        assert calls == [(7, 5, 5), (7, 6, 6), (21, 6, 6)]
 
     @pytest.mark.parametrize("gid", GERM_IDS)
     def test_stacked_B_equals_per_row_B(self, gid):
@@ -368,8 +373,9 @@ class TestStackedSampling:
         pairs = germs._bump_pairings(spacing)
         assert pairs.flags.c_contiguous and not pairs.flags.writeable
         for schedule in (WeightSchedule.default(), WeightSchedule((0.05, 0.1, 0.2))):
-            ctx = make_rank_one_germ(schedule, spacing).context
-            assert np.array_equal(pairs.view(np.int64), _pairings(ctx, 0.0, 0).view(np.int64))
+            ctx = make_germ("rank-one", schedule, spacing).context
+            want = _pairings(ctx, 0.0, 0, spacing)
+            assert np.array_equal(pairs.view(np.int64), want.view(np.int64))
             if schedule.delta(0) == 0.0:
                 assert np.array_equal(pairs.view(np.int64), ctx.gram(0)[0].view(np.int64))
             assert germs._bump_pairings(spacing) is pairs
@@ -550,12 +556,12 @@ class TestRadiusLists:
         ]
         # one dW call per contracting germ (its three certified radii and
         # three fractions of the epsilon = 0.1 one), and three openness calls
-        assert svds == [(72, 4, 4)] * 2 + [(7, 5, 5), (7, 5, 5), (15, 6, 6)]
+        assert svds == [(72, 4, 4)] * 2 + [(7, 5, 5), (7, 5, 5), (21, 6, 6)]
 
 
 class TestGermEval:
     def test_rank_one_at_origin(self):
-        germ = make_rank_one_germ()
+        germ = make_germ("rank-one")
         ctx = germ.context_for(0.0)
         v = np.zeros(ctx.dim)
         a, w = germ_point(germ, 0.3, v)
@@ -563,7 +569,7 @@ class TestGermEval:
         assert np.all(w == 0.0)
 
     def test_rank_one_linear_in_w(self):
-        germ = make_rank_one_germ()
+        germ = make_germ("rank-one")
         ctx = germ.context_for(0.2)
         rng = np.random.default_rng(0)
         v1, v2 = rng.normal(size=ctx.dim), rng.normal(size=ctx.dim)
@@ -575,14 +581,14 @@ class TestGermEval:
     def test_quadratic_kills_unit_bump(self):
         # B(c, w) = <w, b> w, so at w = b (unit L2 mass) the output w-part
         # collapses: b - <b, b> b ~ 0 up to quadrature error
-        germ = make_quadratic_germ()
+        germ = make_germ("quadratic")
         ctx = germ.context_for(0.0)
         e_bump = np.eye(ctx.dim)[0]
         _, w = germ_point(germ, 0.0, e_bump)
         assert level_norm(w, ctx.gram(0)) < 1e-8
 
     def test_moving_bump_vanishes_for_nonpositive_c(self):
-        germ = make_moving_bump_pseudo_germ()
+        germ = make_germ("moving-bump")
         v = np.ones(germ.context.dim)
         _, w = germ_point(germ, -0.5, v)
         assert np.allclose(w, v)
@@ -595,7 +601,7 @@ def _modulus(germ, level, delta, seed=0):
 
 class TestContractionModulus:
     def test_rank_one_bounded_by_radius(self):
-        germ = make_rank_one_germ()
+        germ = make_germ("rank-one")
         for delta in (0.5, 0.25, 0.1):
             mod = _modulus(germ, 1, delta, seed=0)
             # |c| < delta and the projection has norm <= 1 at level 0; at
@@ -603,29 +609,29 @@ class TestContractionModulus:
             assert mod <= 3.0 * delta
 
     def test_modulus_shrinks_with_radius(self):
-        for germ in (make_rank_one_germ(), make_quadratic_germ()):
+        for germ in (make_germ("rank-one"), make_germ("quadratic")):
             m_big = _modulus(germ, 1, 0.5, seed=0)
             m_small = _modulus(germ, 1, 0.01, seed=0)
             assert m_small < m_big
             assert m_small < 0.1
 
     def test_moving_bump_stays_near_one(self):
-        germ = make_moving_bump_pseudo_germ()
+        germ = make_germ("moving-bump")
         mod = _modulus(germ, 0, 0.3, seed=0)
         assert mod >= 0.9
 
     def test_deterministic_given_seed(self):
-        germ = make_quadratic_germ()
+        germ = make_germ("quadratic")
         r1 = modulus_with_count(germ, 1, [0.2], seed=5)
         r2 = modulus_with_count(germ, 1, [0.2], seed=5)
         assert r1 == r2
 
     def test_rejects_nonpositive_radius(self):
         with pytest.raises(ValueError):
-            modulus_with_count(make_rank_one_germ(), 0, [0.3, 0.0])
+            modulus_with_count(make_germ("rank-one"), 0, [0.3, 0.0])
 
     def test_degenerate_sampling_reads_none(self):
-        germ = make_moving_bump_pseudo_germ()
+        germ = make_germ("moving-bump")
         # below the representability floor no parameter can be drawn
         assert germ.c_range(0.05) is None
         got = modulus_with_count(germ, 0, [0.05, 0.3, 0.07])
@@ -647,6 +653,27 @@ class TestCertificates:
             make_germ("moving-bump"), 0, epsilons=(0.5,), max_halvings=4
         )
         assert not cert.all_certified
+
+    def test_json_keys_are_the_dataclass_fields(self):
+        cert = certify(make_germ("rank-one"), 1, epsilons=(0.5, 0.25))
+        text = certificate_to_json(cert)
+        # a missing or an unknown key raises, at the top and in a pair
+        for edit in (
+            lambda raw: raw.pop("seed"),
+            lambda raw: raw.update(stamp="x"),
+            lambda raw: raw["pairs"][1].pop("samples"),
+            lambda raw: raw["pairs"][0].update(note="x"),
+        ):
+            raw = json.loads(text)
+            edit(raw)
+            with pytest.raises(TypeError):
+                certificate_from_json(json.dumps(raw))
+        assert sorted(json.loads(text)) == sorted(
+            f.name for f in dataclasses.fields(ContractionCertificate)
+        )
+        assert sorted(json.loads(text)["pairs"][0]) == sorted(
+            f.name for f in dataclasses.fields(CertifiedPair)
+        )
 
     def test_json_round_trip(self):
         for n in (40, 20):
@@ -822,10 +849,19 @@ class TestFactory:
         with pytest.raises(KeyError):
             make_germ("nope")
 
+    def test_make_germ_is_the_one_factory(self):
+        assert GERM_IDS == ("rank-one", "quadratic", "moving-bump")
+        assert [name for name in germs.__all__ if name.startswith("make_")] == ["make_germ"]
+        # no schedule means the default one, over the same cached base context
+        base = germs._base_context(WeightSchedule.default(), DEFAULT_SPACING)
+        for gid in ("rank-one", "quadratic"):
+            assert make_germ(gid).context is base
+            assert make_germ(gid, WeightSchedule.default(), DEFAULT_SPACING).context is base
+
     def test_margin_reaches_the_moving_bump(self):
         schedule, spacing = WeightSchedule.default(), 5e-4
         germ = make_germ("moving-bump", schedule, spacing, 0.5)
-        assert germ.context.q == make_moving_bump_pseudo_germ(schedule, spacing, 0.5).context.q
+        assert germ.context.gram(0)[-1, -1] == bump_self_pairing(spacing, 0.5)
         # the c bound 1/ln(3 + margin) moves with it: c = 0.75 lies below 1/ln(3.5)
         v = np.ones((1, germ.context.dim))
         assert germ.B(np.array([0.75]), v)[0, -1] != 0.0
@@ -834,17 +870,54 @@ class TestFactory:
 
 
 class TestContexts:
+    def test_a_context_is_a_cached_gram_provider(self):
+        # one class, no subclass; gram(level) builds once and caches a
+        # read-only array in _grams
+        assert GermContext.__subclasses__() == []
+        assert "gram" in GermContext.__dict__
+        built = []
+
+        def build(level):
+            built.append(level)
+            return np.eye(2) * (level + 1)
+
+        ctx = GermContext(2, build)
+        g = ctx.gram(1)
+        assert ctx.gram(1) is g and ctx._grams == {1: g} and built == [1]
+        assert not g.flags.writeable and np.array_equal(g, 2.0 * np.eye(2))
+        ctx.gram(0)
+        assert built == [1, 0]
+
+    @pytest.mark.parametrize("spacing", [1e-3, 5e-4])
+    @pytest.mark.parametrize("margin", [0.5, 1.0, 2.0])
+    def test_moving_bump_gram_is_the_base_block_and_q(self, spacing, margin):
+        # blockdiag(base Gram matrix, q) bit for bit, at every level
+        schedule = WeightSchedule.default()
+        base = germs._base_context(schedule, spacing)
+        ctx = make_germ("moving-bump", schedule, spacing, margin).context
+        q = bump_self_pairing(spacing, margin)
+        for level in range(3):
+            want = np.zeros((5, 5))
+            want[:4, :4] = base.gram(level)
+            want[4, 4] = q
+            assert np.array_equal(ctx.gram(level).view(np.int64), want.view(np.int64))
+
     @pytest.mark.parametrize("spacing", [1e-3, 5e-4])
     @pytest.mark.parametrize("c", [0.1, 0.2, 0.3, 0.5, 0.7])
     def test_moving_bump_gram_matches_the_grid_reference(self, c, spacing):
         # one context serves every c: its L2 Gram matrix is that of the atoms
         # and b_c sampled on the grid, and at every level its base block is
         # the grid's, b_c pairs with no atom and its entry stays q
-        ctx = make_moving_bump_pseudo_germ(spacing=spacing).context_for(c)
-        ref = GermContext(_grid_atoms(ctx, c), ctx.schedule)
-        assert ctx.dim == ref.dim == 5
-        assert ctx.schedule.delta(0) == 0.0  # so gram(0) is the L2 Gram matrix
-        q = ref.gram(0)[4, 4]
+        ctx = make_germ("moving-bump", spacing=spacing).context_for(c)
+        atoms = _grid_atoms(ctx, c, spacing)
+        schedule = WeightSchedule.default()
+        assert ctx.dim == len(atoms) == 5
+        assert schedule.delta(0) == 0.0  # so gram(0) is the L2 Gram matrix
+
+        def ref(level):
+            return _grid_gram(atoms, level, schedule.delta(level))
+
+        q = ref(0)[4, 4]
         for level in range(3):
             got = ctx.gram(level)
             assert not got[4, :4].any() and not got[:4, 4].any()
@@ -853,9 +926,9 @@ class TestContexts:
                 # the unscaled b_c's weight exp(2 delta |x|) overflows on its
                 # window; the scaled coordinate never meets it
                 with pytest.raises(OverflowError, match="delta="):
-                    ref.gram(level)
+                    ref(level)
                 continue
-            want = ref.gram(level)
+            want = ref(level)
             if level == 0:
                 assert np.array_equal(got, want)
             else:
@@ -868,13 +941,14 @@ class TestContexts:
         # w = sum_j v_j a_j + v_m s_i b_c sampled on the grid, in two pieces:
         # b_c's nodes do not line up with the atoms'.  Its level-i norm is
         # the root of the Sobolev inner products of the pieces.
-        germ = make_moving_bump_pseudo_germ(spacing=spacing)
+        germ = make_germ("moving-bump", spacing=spacing)
         ctx = germ.context_for(c)
         b = shifted_bump(c, 0, spacing)
         q = grid_l2_inner(b, b)
         rng = np.random.default_rng(11)
+        atoms = germs._atoms(spacing)
         for level in range(3):
-            delta = ctx.schedule.delta(level)
+            delta = WeightSchedule.default().delta(level)
             s_i = math.sqrt(q) / math.sqrt(grid_sobolev_inner(b, b, level, delta))
             if level == 0:
                 assert s_i == 1.0
@@ -882,7 +956,7 @@ class TestContexts:
             for _ in range(5):
                 v = rng.normal(size=ctx.dim)
                 pieces = (
-                    grid_combine(list(zip(v[:4], ctx.atoms))),
+                    grid_combine(list(zip(v[:4], atoms))),
                     b.scaled(v[4] * s_i),
                 )
                 want = math.sqrt(
@@ -897,7 +971,7 @@ class TestContexts:
 
     def test_bump_coordinate_samples_no_grid(self, monkeypatch):
         assert not hasattr(germs, "shifted_bump")
-        base = make_rank_one_germ().context
+        base = make_germ("rank-one").context
         for level in range(3):
             base.gram(level)
         calls = []
@@ -913,14 +987,14 @@ class TestContexts:
             for name in ("shifted_bump", "grid_sobolev_inner"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
-        ctx = make_moving_bump_pseudo_germ().context_for(0.3)
+        ctx = make_germ("moving-bump").context_for(0.3)
         for level in range(3):
             ctx.gram(level)
         assert ctx.dim == 5
         assert calls == []
 
     def test_small_c_needs_no_grid(self):
-        germ = make_moving_bump_pseudo_germ()
+        germ = make_germ("moving-bump")
         # exp(1/c) overflows at c = 1e-3; B maps the bump coordinate to q
         # times itself there as at c = 0.3
         e_m = np.eye(germ.context.dim)[-1]
@@ -928,13 +1002,16 @@ class TestContexts:
         _, w = germ_point(germ, 0.3, e_m)
         assert np.array_equal(w_small, w)
         assert w[-1] == 1.0 - germ.context.gram(0)[4, 4]
-        # openness now probes c = 0.05, below the old grid bound 0.0724
+        # openness probes c = 0.05, below the old grid bound 0.0724, and
+        # c = -0.09, where B is zero, as it does for every germ
         (rep,) = openness_probe(germ, 0, [0.1])
-        assert [row[0] for row in rep.rows] == [0.0] + [0.9 * 0.1] * 2 + [0.5 * 0.1] * 2
+        cs = [0.0] + [0.9 * 0.1] * 2 + [-0.9 * 0.1] * 2 + [0.5 * 0.1] * 2
+        assert [row[0] for row in rep.rows] == cs
+        assert [row[2] for row in rep.rows[3:5]] == pytest.approx([1.0, 1.0], rel=1e-12)
 
     @pytest.mark.parametrize("c", [1.0 / math.log(4.0), 0.75, 2.0])
     def test_bump_window_must_lie_left_of_the_atoms(self, c):
-        germ = make_moving_bump_pseudo_germ()
+        germ = make_germ("moving-bump")
         v = np.ones((2, germ.context.dim))
         with pytest.raises(ValueError, match=r"c < 1/ln\(4\), got c="):
             germ.B(np.array([0.3, c]), v)
@@ -943,15 +1020,16 @@ class TestContexts:
         assert germ.B(np.array([0.3, 0.72]), v)[:, -1].all()
 
     def test_factories_share_the_base_context(self):
-        base = make_rank_one_germ(WeightSchedule.default()).context_for(0.2)
-        assert make_quadratic_germ(WeightSchedule.default()).context_for(0.0) is base
-        moving = make_moving_bump_pseudo_germ(WeightSchedule.default())
+        base = make_germ("rank-one", WeightSchedule.default()).context_for(0.2)
+        assert make_germ("quadratic", WeightSchedule.default()).context_for(0.0) is base
+        assert base is germs._base_context(WeightSchedule.default(), DEFAULT_SPACING)
+        moving = make_germ("moving-bump", WeightSchedule.default())
         assert moving.context_for(-0.1) is moving.context_for(0.3)
-        assert moving.context_for(0.3).base is base
 
     def test_cached_arrays_are_read_only(self):
-        ctx = make_moving_bump_pseudo_germ().context_for(0.3)
-        for arr in (ctx.gram(0), ctx.base.gram(0), germs._bump_pairings(1e-3)):
+        ctx = make_germ("moving-bump").context_for(0.3)
+        base = germs._base_context(WeightSchedule.default(), DEFAULT_SPACING)
+        for arr in (ctx.gram(0), base.gram(0), germs._bump_pairings(1e-3)):
             assert not arr.flags.writeable
 
 
@@ -967,14 +1045,16 @@ class TestMovingBumpLevels:
 
     def test_certify_builds_no_context(self, monkeypatch):
         # a fresh schedule, so that no cached Gram matrix serves the run
-        germ = make_moving_bump_pseudo_germ(WeightSchedule((0.0, 0.07, 0.14)))
+        schedule = WeightSchedule((0.0, 0.07, 0.14))
+        germ = make_germ("moving-bump", schedule)
         made, built = [], Counter()
-        for cls in (GermContext,) + tuple(GermContext.__subclasses__()):
-            def counted_init(self, *args, _init=cls.__init__, **kwargs):
-                made.append(type(self))
-                _init(self, *args, **kwargs)
+        init = GermContext.__init__
 
-            monkeypatch.setattr(cls, "__init__", counted_init)
+        def counted_init(self, *args, **kwargs):
+            made.append(type(self))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(GermContext, "__init__", counted_init)
         gram = GermContext.gram
 
         def counted_gram(self, level):
@@ -986,5 +1066,5 @@ class TestMovingBumpLevels:
         certify(germ, 2, seed=3)
         assert made == []
         # the germ's context and its base block, each once, at level 2 only
-        ctx = germ.context
-        assert built == Counter({(id(ctx), 2): 1, (id(ctx.base), 2): 1})
+        base = germs._base_context(schedule, DEFAULT_SPACING)
+        assert built == Counter({(id(germ.context), 2): 1, (id(base), 2): 1})

@@ -1,11 +1,14 @@
 """No unused API: every function, method and class defined in src/sclab (a
 dunder aside) is named somewhere in src/ or bench/ beyond its own
-definition and its module's __all__ entry, and every __all__ entry is
-defined or imported in its module.  The files are read as text and parsed
-with ast; nothing is imported."""
+definition, and every __all__ entry is defined or imported in its module.
+A name counts as code: a NAME token of src/ or bench/, or a word in a
+string literal of bench/, whose tracer reaches functions by name; words in
+comments, docstrings and src/ strings (__all__ entries among them) do not.
+The files are read with tokenize and ast; nothing is imported."""
 
 import ast
 import re
+import tokenize
 from collections import Counter
 from pathlib import Path
 
@@ -35,17 +38,33 @@ def _exports(tree):
     ]
 
 
+def _code_words(path: Path, strings: bool) -> Counter:
+    """The NAME tokens of a Python file, less the name each def and class
+    statement defines, and with strings the words of its string literals."""
+    words: Counter = Counter()
+    previous = ""
+    with path.open("rb") as fh:
+        for tok in tokenize.tokenize(fh.readline):
+            if tok.type == tokenize.NAME and previous not in ("def", "class"):
+                words[tok.string] += 1
+            elif tok.type == tokenize.STRING and strings:
+                words.update(re.findall(r"\w+", tok.string))
+            previous = tok.string
+    return words
+
+
 def unreferenced(root: Path):
     """'module.py:line name' for every definition under root/src/sclab that
-    root/src and root/bench name only where it is defined or exported."""
+    no code in root/src or root/bench names beyond its definition."""
     sources = sorted((root / "src" / "sclab").glob("*.py"))
-    text = "\n".join(p.read_text() for p in sources + sorted((root / "bench").glob("*.py")))
-    words = Counter(re.findall(r"\w+", text))
-    words.subtract(re.findall(r"\b(?:def|class)\s+(\w+)", text))
+    words: Counter = Counter()
+    for path in sources:
+        words += _code_words(path, strings=False)
+    for path in sorted((root / "bench").glob("*.py")):
+        words += _code_words(path, strings=True)
     unused = []
     for path in sources:
         tree = ast.parse(path.read_text())
-        words.subtract(_exports(tree))
         unused += [(path.name, line, name) for name, line in _definitions(tree)]
     return [f"{module}:{line} {name}" for module, line, name in unused if words[name] <= 0]
 
@@ -71,6 +90,32 @@ def test_a_definition_named_only_by_its_export_is_flagged(tmp_path):
     )
     (tmp_path / "bench" / "run.py").write_text("from sclab.mod import used\nused()\n")
     assert unreferenced(tmp_path) == ["mod.py:8 size", "mod.py:16 unused"]
+
+
+def test_a_definition_named_only_in_a_string_or_comment_is_flagged(tmp_path):
+    (tmp_path / "src" / "sclab").mkdir(parents=True)
+    (tmp_path / "bench").mkdir()
+    (tmp_path / "src" / "sclab" / "mod.py").write_text(
+        "def in_docstring():\n"
+        '    """Not in_comment, nor in_string, nor by_bench_string."""\n'
+        "    return 'in_string'  # in_docstring and in_comment\n\n\n"
+        "def in_comment():\n"
+        "    return 1\n\n\n"
+        "def in_string():\n"
+        "    return 2\n\n\n"
+        "def by_bench_string():\n"
+        "    return 3\n"
+    )
+    # bench reaches functions by name: a word in its strings counts, one in
+    # its comments does not
+    (tmp_path / "bench" / "run.py").write_text(
+        'TRACED = ("by_bench_string",)  # in_comment\n'
+    )
+    assert unreferenced(tmp_path) == [
+        "mod.py:1 in_docstring",
+        "mod.py:6 in_comment",
+        "mod.py:10 in_string",
+    ]
 
 
 def _bound_names(tree):
