@@ -830,8 +830,8 @@ def _germ_continuity(cfg: ExperimentConfig) -> List[Check]:
         checks.append(
             _check(
                 f"{germ_id}: certificate replay",
-                "contraction certificates replay bit-for-bit with the recorded "
-                "seeds",
+                "certified moduli re-derive bit-for-bit from the closed form, "
+                "and the sampled witness at the recorded seed stays below them",
                 "exact replay",
                 replay,
                 cert.all_certified and replay_ok,
@@ -843,17 +843,23 @@ def _germ_continuity(cfg: ExperimentConfig) -> List[Check]:
         radii = [p.delta for p in cert.pairs if p.delta is not None]
         if base.delta is not None:
             radii += [frac * base.delta for frac in (0.5, 0.25, 0.125)]
-        probes = iter(dW_opnorm_probe(germ, cfg.germ_level, radii, seed=cfg.seed + 1))
-        # a failed pair reads the modulus last sampled by its search
-        ops = {p.epsilon: p.worst_ratio if p.delta is None else next(probes) for p in cert.pairs}
+        probes = dW_opnorm_probe(germ, cfg.germ_level, radii, seed=cfg.seed + 1)
+        # sup ||D_wB|| over a ball is the germ's modulus there, so no probe
+        # may exceed the closed form
+        bounded = all(op <= germ.modulus(cfg.germ_level, r) for r, op in zip(radii, probes))
+        probes = iter(probes)
+        # a failed pair reads the last modulus its search found above epsilon
+        ops = {p.epsilon: p.modulus if p.delta is None else next(probes) for p in cert.pairs}
         checks.append(
             _check(
                 f"{germ_id}: factor-two law",
                 "inside each certified radius the partial-differential norm "
-                "stays below twice the certified modulus",
+                "stays below twice the certified modulus, and every probe "
+                "below the closed-form modulus at its radius",
                 _LAW_SLACK,
                 max(op - 2.0 * eps for eps, op in ops.items()),
                 cert.all_certified
+                and bounded
                 and all(op <= 2.0 * eps + _LAW_SLACK for eps, op in ops.items()),
             )
         )

@@ -1,15 +1,16 @@
 """Basic germs (c, w) -> (c, w - B(c, w)) with the level-wise
-contraction property, sampled contraction certificates, the factor-two law
-for the partial differential norm, and openness probes for the
-differential — plus a pseudo-germ built from the moving-bump projection
-that fails all of it.
+contraction property, contraction certificates from each germ's closed-form
+modulus with a sampled witness on replay, the factor-two law for the
+partial differential norm, and openness probes for the differential — plus
+a pseudo-germ built from the moving-bump projection that fails all of it.
 
 Inputs w live in the span of a small list of smooth atoms (grid
 functions); one witness coordinate along the escaping bump, scaled per
 level, is added for the map whose bad direction moves with the parameter.
 Every germ carries the closed-form differential dB of B, so the
 differential probes take exact metric operator norms and no finite
-difference is formed here.
+difference is formed here, and its exact contraction modulus on each ball,
+which certify reads and modulus_with_count samples from below.
 """
 
 from __future__ import annotations
@@ -127,6 +128,10 @@ class BasicGerm:
     #: c_range(delta): the interval (lo, hi) of the parameters sampled at
     #: radius delta, or None when delta admits no c
     c_range: Callable[[float], Optional[Tuple[float, float]]]
+    #: modulus(level, delta): the exact level-i contraction modulus, the sup
+    #: of ||B(c, w1) - B(c, w2)||_i / ||w1 - w2||_i over c in c_range(delta)
+    #: and ||w1||_i, ||w2||_i < delta; None where c_range(delta) is None
+    modulus: Callable[[int, float], Optional[float]]
     #: the last coordinate moves with c, and modulus_with_count samples it
     c_dependent_atoms: bool = False
 
@@ -158,7 +163,7 @@ def _per_radius(radii: Sequence[float], live: List[int], values) -> list:
 
 
 # ---------------------------------------------------------------------------
-# contraction sampling and certificates
+# sampled contraction moduli and certificates
 
 
 @dataclass(frozen=True)
@@ -235,8 +240,9 @@ def modulus_with_count(
 class CertifiedPair:
     epsilon: float
     delta: Optional[float]
-    worst_ratio: float
-    samples: int
+    #: the exact modulus at delta; for a failed search (delta None) the last
+    #: modulus above epsilon, NaN where the ladder had none
+    modulus: float
 
 
 @dataclass(frozen=True)
@@ -244,8 +250,7 @@ class ContractionCertificate:
     germ_id: str
     level: int
     pairs: Tuple[CertifiedPair, ...]
-    #: the trials per modulus call and the seed of every pair's sampling,
-    #: which a replay repeats
+    #: the trials and the seed of the sampled witness that a replay runs
     n_samples: int
     seed: int
 
@@ -262,36 +267,26 @@ def certify(
     seed: int = 0,
     max_halvings: int = 40,
 ) -> ContractionCertificate:
-    """For each target modulus epsilon, search for a radius delta whose
-    sampled modulus stays below it (halving from delta = min(epsilon, 0.5),
-    at most max_halvings radii).  A pair with delta None records a failed
-    search.  The searches advance together, one rung at a time: each rung
-    samples its radii in one modulus_with_count call, and a radius that
-    two searches reach is sampled once in this call."""
-    deltas = [min(float(eps), 0.5) for eps in epsilons]
-    last = [math.nan] * len(deltas)
-    pairs: List[Optional[CertifiedPair]] = [None] * len(deltas)
-    sampled: Dict[float, Optional[ModulusResult]] = {}
-    for _ in range(max_halvings):
-        rung = [k for k, p in enumerate(pairs) if p is None]
-        if not rung:
-            break
-        new = [d for d in dict.fromkeys(deltas[k] for k in rung) if d not in sampled]
-        if new:
-            sampled.update(zip(new, modulus_with_count(germ, level, new, n_samples, seed)))
-        for k in rung:
-            eps, res = epsilons[k], sampled[deltas[k]]
-            if res is None:
-                # no admissible sample: the search ends without a radius
-                pairs[k] = CertifiedPair(eps, None, last[k], 0)
-            elif res.worst_ratio <= eps:
-                pairs[k] = CertifiedPair(eps, deltas[k], res.worst_ratio, res.samples)
-            else:
-                last[k], deltas[k] = res.worst_ratio, deltas[k] / 2.0
-    pairs = [
-        p or CertifiedPair(eps, None, worst, 0) for p, eps, worst in zip(pairs, epsilons, last)
-    ]
-    return ContractionCertificate(germ.name, level, tuple(pairs), n_samples, seed)
+    """For each target modulus epsilon, the first radius on the halving
+    ladder min(epsilon, 0.5), its half, ... (at most max_halvings radii)
+    whose exact modulus germ.modulus(level, delta) is at most epsilon.  A
+    pair with delta None records a failed search, which ends at the last
+    rung or where the germ admits no parameter.  Nothing is sampled here:
+    n_samples and seed are recorded for the witness of replay_certificate."""
+
+    def search(eps: float) -> CertifiedPair:
+        delta, last = min(float(eps), 0.5), math.nan
+        for _ in range(max_halvings):
+            modulus = germ.modulus(level, delta)
+            if modulus is None:
+                break
+            if modulus <= eps:
+                return CertifiedPair(eps, delta, modulus)
+            last, delta = modulus, delta / 2.0
+        return CertifiedPair(eps, None, last)
+
+    pairs = tuple(search(eps) for eps in epsilons)
+    return ContractionCertificate(germ.name, level, pairs, n_samples, seed)
 
 
 def certificate_to_json(cert: ContractionCertificate) -> str:
@@ -306,16 +301,20 @@ def certificate_from_json(text: str) -> ContractionCertificate:
 
 
 def replay_certificate(germ: BasicGerm, cert: ContractionCertificate) -> bool:
-    """Re-run every certified pair with the certificate's seed and
-    n_samples, in one fresh modulus_with_count call over its radii; every
-    sampled modulus must reproduce bit-for-bit."""
-    if not cert.all_certified:
+    """Every pair must be certified, with its modulus re-derived bit for bit
+    from germ.modulus at its radius and at most its epsilon.  Then the
+    sampled route witnesses the closed forms: one fresh modulus_with_count
+    call over the certified radii, at the certificate's seed and n_samples,
+    whose worst ratio at each radius may not exceed the exact modulus."""
+    if not cert.all_certified or any(
+        germ.modulus(cert.level, p.delta) != p.modulus or p.modulus > p.epsilon
+        for p in cert.pairs
+    ):
         return False
     deltas = [p.delta for p in cert.pairs]
-    results = modulus_with_count(germ, cert.level, deltas, cert.n_samples, cert.seed)
+    witness = modulus_with_count(germ, cert.level, deltas, cert.n_samples, cert.seed)
     return all(
-        res is not None and (res.worst_ratio, res.samples) == (p.worst_ratio, p.samples)
-        for p, res in zip(cert.pairs, results)
+        res is not None and res.worst_ratio <= p.modulus for p, res in zip(cert.pairs, witness)
     )
 
 
@@ -456,6 +455,12 @@ def _symmetric_range(delta: float) -> Tuple[float, float]:
     return -0.999 * delta, 0.999 * delta
 
 
+def _dual_norm(g: np.ndarray, p: np.ndarray) -> float:
+    """||p||_{i,*} = sqrt(p G_i^-1 p): the level-i norm of the functional
+    v -> p . v, attained along G_i^-1 p."""
+    return math.sqrt(float(p @ np.linalg.solve(g, p)))
+
+
 def _rank_one(base: GermContext, spacing: float, margin: float) -> BasicGerm:
     """B(c, w) = c <w, b> b with the unit bump b: linear in w, contraction
     radius proportional to the target modulus."""
@@ -472,7 +477,13 @@ def _rank_one(base: GermContext, spacing: float, margin: float) -> BasicGerm:
         out[:, 0, 1:] = c[:, None] * pair_vec
         return out
 
-    return BasicGerm("rank-one", base, B, dB, _symmetric_range)
+    def modulus(level: int, delta: float) -> float:
+        # B is linear in w with norm |c| ||e||_i ||p||_{i,*}, largest at the
+        # end of c_range
+        g = base.gram(level)
+        return _symmetric_range(delta)[1] * math.sqrt(g[0, 0]) * _dual_norm(g, pair_vec)
+
+    return BasicGerm("rank-one", base, B, dB, _symmetric_range, modulus)
 
 
 def _quadratic(base: GermContext, spacing: float, margin: float) -> BasicGerm:
@@ -489,7 +500,13 @@ def _quadratic(base: GermContext, spacing: float, margin: float) -> BasicGerm:
         out[:, :, 1:] += _dots(v, pair_vec)[:, None, None] * np.eye(base.dim)
         return out
 
-    return BasicGerm("quadratic", base, B, dB, _symmetric_range)
+    def modulus(level: int, delta: float) -> float:
+        # B(w1) - B(w2) = <w1 - w2, b> w1 + <w2, b> (w1 - w2), so the ratio
+        # is below (||w1||_i + ||w2||_i) ||p||_{i,*}, and tends to that sup
+        # along G_i^-1 p
+        return 2.0 * delta * _dual_norm(base.gram(level), pair_vec)
+
+    return BasicGerm("quadratic", base, B, dB, _symmetric_range, modulus)
 
 
 def _moving_bump(base: GermContext, spacing: float, margin: float) -> BasicGerm:
@@ -540,7 +557,13 @@ def _moving_bump(base: GermContext, spacing: float, margin: float) -> BasicGerm:
         lo, hi = 0.074, 0.999 * delta
         return None if hi <= lo else (max(lo, 0.5 * delta), hi)
 
-    return BasicGerm("moving-bump", ctx, B, dB, c_range, c_dependent_atoms=True)
+    def modulus(level: int, delta: float) -> Optional[float]:
+        # every admitted c is positive, and B scales the bump coordinate by
+        # q, a block of its own in every Gram matrix: the ratio is at most
+        # q, and q along that coordinate
+        return None if c_range(delta) is None else q
+
+    return BasicGerm("moving-bump", ctx, B, dB, c_range, modulus, c_dependent_atoms=True)
 
 
 _BUILDERS = {"rank-one": _rank_one, "quadratic": _quadratic, "moving-bump": _moving_bump}

@@ -3,8 +3,8 @@ stamp emptied, hash to the digest committed for it in golden_reports.json.
 
 The runs are the 78 default ones (every experiment at seeds 0-2, spacing
 1e-3 and 5e-4) and, for germ-continuity and germ-openness, seeds 0-39 at
-germ_level 0-2.  A separate certificates digest pins certify's sampled
-moduli: the JSON of every germ's certificate at seeds 0-39 and levels 0-2
+germ_level 0-2.  A separate certificates digest pins certify's radii and
+closed-form moduli: the JSON of every germ's certificate at seeds 0-39 and levels 0-2
 under the default schedule, spacing and margin.  A digest holds only under
 the stamp (python, numpy, machine) it was made under; under another stamp
 the test skips and says so.  A change that moves a report rewrites the file with
