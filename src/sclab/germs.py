@@ -5,12 +5,14 @@ partial differential norm, and openness probes for the differential — plus
 a pseudo-germ built from the moving-bump projection that fails all of it.
 
 Inputs w live in the span of a small list of smooth atoms (grid
-functions); one witness coordinate along the escaping bump, scaled per
-level, is added for the map whose bad direction moves with the parameter.
-Every germ carries the closed-form differential dB of B, so the
-differential probes take exact metric operator norms and no finite
-difference is formed here, and its exact contraction modulus on each ball,
-which certify reads and modulus_with_count samples from below.
+functions); one coordinate along the escaping bump, scaled per level, is
+added for the map whose bad direction moves with the parameter.  Every
+germ carries the closed-form differential dB of B, so the differential
+probes take exact metric operator norms and no finite difference is formed
+here, and its exact contraction modulus on each ball, which certify reads
+and modulus_with_count samples from below.  The constants a modulus needs
+per level (the Gram matrix, the dual norm of the bump pairing) are formed
+once per germ and level.
 """
 
 from __future__ import annotations
@@ -132,8 +134,6 @@ class BasicGerm:
     #: of ||B(c, w1) - B(c, w2)||_i / ||w1 - w2||_i over c in c_range(delta)
     #: and ||w1||_i, ||w2||_i < delta; None where c_range(delta) is None
     modulus: Callable[[int, float], Optional[float]]
-    #: the last coordinate moves with c, and modulus_with_count samples it
-    c_dependent_atoms: bool = False
 
     def context_for(self, c: float) -> GermContext:
         """The context at parameter c: the germ's one context, for every c."""
@@ -183,8 +183,9 @@ def modulus_with_count(
     ||B(c,w1) - B(c,w2)||_i / ||w1 - w2||_i over |c|, ||w1||_i, ||w2||_i <
     delta, with the sample count; None where delta admits no parameter c
     or no pair with w1 != w2.  Each trial pairs w1 (radius r1) with 0, with
-    a w2 of radius r2 and with w1 plus a step of radius 1e-3 delta; where
-    the atoms move with c, also the witness coordinate (radius r1) with 0.
+    a w2 of radius r2 and with w1 plus a step of radius 1e-3 delta.  Random
+    pairs bound the modulus from below only: replay_certificate reads them
+    as a witness against the closed form, and nothing certifies from them.
 
     Deterministic given the seed, and each radius's result is that of a
     call with it alone.  The draws are made once for every radius, one
@@ -208,20 +209,9 @@ def modulus_with_count(
     r1[:, ::2] = 0.999 * delta
     # the norms of w1, w2 and the step at every radius
     norms = [r1, delta * u2, np.broadcast_to(1e-3 * delta, r1.shape)]
-    if germ.c_dependent_atoms:
-        # the bad direction moves with c and random draws can miss it:
-        # also sample the witness atom itself, at norm r1
-        witness = np.zeros((1, n_samples, m))
-        witness[..., -1] = 1.0
-        normals = np.concatenate((normals, witness))
-        norms.append(r1)
     w = _scaled(normals, np.stack(norms, axis=1), g)
     w1 = w[:, 0]
-    zero = np.zeros_like(w1)
-    wa, wb = [w1, w1, w1], [zero, w[:, 1], w1 + w[:, 2]]
-    if germ.c_dependent_atoms:
-        wa.append(w[:, 3])
-        wb.append(zero)
+    wa, wb = [w1, w1, w1], [np.zeros_like(w1), w[:, 1], w1 + w[:, 2]]
     # (2, radii, kinds of pair, n, m), and the parameter of every row
     pairs = np.stack((np.stack(wa, axis=1), np.stack(wb, axis=1)))
     rows = pairs.shape[1:-1]
@@ -391,8 +381,12 @@ def openness_probe(
     v = np.zeros((len(radii), 1 + 2 * len(fractions), m))
     v[:, 2::2] = _scaled(normals, 0.5 * np.array(radii, dtype=float)[:, None], g)
     d = germ.dB(np.array(cs).ravel(), v.reshape(-1, m))
-    jac = np.eye(1 + m) - np.pad(d, ((0, 0), (1, 0), (0, 0)))
-    gram = np.block([[np.ones((1, 1)), np.zeros((1, m))], [np.zeros((m, 1)), g]])
+    # I - (0; dB) and blockdiag(1, G_i), filled in place
+    jac = np.tile(np.eye(1 + m), (len(d), 1, 1))
+    jac[:, 1:] -= d
+    gram = np.zeros((1 + m, 1 + m))
+    gram[0, 0] = 1.0
+    gram[1:, 1:] = g
     sv = metric_singular_values(OperatorHandle(jac, gram, gram))
     cond = np.full(len(sv), math.inf)
     np.divide(sv[:, 0], sv[:, -1], out=cond, where=sv[:, -1] > 1e-300)
@@ -465,6 +459,7 @@ def _rank_one(base: GermContext, spacing: float, margin: float) -> BasicGerm:
     """B(c, w) = c <w, b> b with the unit bump b: linear in w, contraction
     radius proportional to the target modulus."""
     pair_vec = _bump_pairings(spacing)
+    dual = functools.cache(lambda level: _dual_norm(base.gram(level), pair_vec))
     e_bump = np.eye(base.dim)[0]
 
     def B(c: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -480,8 +475,7 @@ def _rank_one(base: GermContext, spacing: float, margin: float) -> BasicGerm:
     def modulus(level: int, delta: float) -> float:
         # B is linear in w with norm |c| ||e||_i ||p||_{i,*}, largest at the
         # end of c_range
-        g = base.gram(level)
-        return _symmetric_range(delta)[1] * math.sqrt(g[0, 0]) * _dual_norm(g, pair_vec)
+        return _symmetric_range(delta)[1] * math.sqrt(base.gram(level)[0, 0]) * dual(level)
 
     return BasicGerm("rank-one", base, B, dB, _symmetric_range, modulus)
 
@@ -489,6 +483,7 @@ def _rank_one(base: GermContext, spacing: float, margin: float) -> BasicGerm:
 def _quadratic(base: GermContext, spacing: float, margin: float) -> BasicGerm:
     """B(c, w) = <w, b> w: quadratic in w, independent of c."""
     pair_vec = _bump_pairings(spacing)
+    dual = functools.cache(lambda level: _dual_norm(base.gram(level), pair_vec))
 
     def B(c: np.ndarray, v: np.ndarray) -> np.ndarray:
         return _dots(v, pair_vec)[:, None] * v
@@ -504,7 +499,7 @@ def _quadratic(base: GermContext, spacing: float, margin: float) -> BasicGerm:
         # B(w1) - B(w2) = <w1 - w2, b> w1 + <w2, b> (w1 - w2), so the ratio
         # is below (||w1||_i + ||w2||_i) ||p||_{i,*}, and tends to that sup
         # along G_i^-1 p
-        return 2.0 * delta * _dual_norm(base.gram(level), pair_vec)
+        return 2.0 * delta * dual(level)
 
     return BasicGerm("quadratic", base, B, dB, _symmetric_range, modulus)
 
@@ -563,7 +558,7 @@ def _moving_bump(base: GermContext, spacing: float, margin: float) -> BasicGerm:
         # q, and q along that coordinate
         return None if c_range(delta) is None else q
 
-    return BasicGerm("moving-bump", ctx, B, dB, c_range, modulus, c_dependent_atoms=True)
+    return BasicGerm("moving-bump", ctx, B, dB, c_range, modulus)
 
 
 _BUILDERS = {"rank-one": _rank_one, "quadratic": _quadratic, "moving-bump": _moving_bump}

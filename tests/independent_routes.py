@@ -6,7 +6,7 @@ import math
 import numpy as np
 
 from sclab.bump_profiles import DEFAULT_MARGIN, DEFAULT_SPACING, shifted_bump
-from sclab.scale_core import grid_combine
+from sclab.scale_core import GridFunction, grid_combine, grid_l2_inner, grid_sobolev_norm
 
 
 def level_norm(v, g) -> float:
@@ -45,6 +45,29 @@ def germ_point(germ, c: float, v):
     one-row call of germ.B."""
     v = np.asarray(v, dtype=float)
     return c, v - germ.B(np.array([c]), v[None, :])[0]
+
+
+def moving_bump_ratio(
+    c: float,
+    level: int,
+    delta: float,
+    spacing: float = DEFAULT_SPACING,
+    margin: float = DEFAULT_MARGIN,
+) -> float:
+    """||<w, b_c> b_c||_i / ||w||_i at w = b_c / ||b_c||_i, with b_c the
+    escaping bump on its own shifted_bump grid: the moving-bump projection's
+    ratio along its bad direction, formed from grid functions only.
+
+    Left of 0 the weight exp(delta |x|) is exp(-delta x), so moving a
+    window right scales every weighted norm on it by one factor and leaves
+    the ratio alone; a window too far left for a float weight is moved to
+    end at -1."""
+    b = shifted_bump(c, 0, spacing, margin)
+    if delta * abs(b.x0) > 300.0:
+        b = GridFunction(-1.0 - (b.n_nodes - 1) * spacing, spacing, b.values)
+    w = grid_combine([(1.0 / grid_sobolev_norm(b, level, delta), b)])
+    image = grid_combine([(grid_l2_inner(w, b), b)])
+    return grid_sobolev_norm(image, level, delta) / grid_sobolev_norm(w, level, delta)
 
 
 def materialize(split, spacing: float = DEFAULT_SPACING, margin: float = DEFAULT_MARGIN):

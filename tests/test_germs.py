@@ -29,7 +29,7 @@ from sclab.germs import (
 from sclab.operator_probe import OperatorHandle, metric_singular_values, truncation_opnorm
 from sclab.scale_core import WeightSchedule, grid_combine, grid_l2_inner, grid_sobolev_inner
 
-from independent_routes import germ_point, level_norm
+from independent_routes import germ_point, level_norm, moving_bump_ratio
 
 
 def _grid_atoms(ctx, c, spacing=DEFAULT_SPACING):
@@ -116,8 +116,6 @@ def _per_sample_modulus(germ, level, delta, n_samples=40, seed=0):
             (w1, scaled(n2, delta * float(u2[trial]))),
             (w1, w1 + scaled(n3, 1e-3 * delta)),
         ]
-        if germ.c_dependent_atoms:
-            pairs.append((scaled(np.eye(m)[-1], r1), np.zeros(m)))
         for wa, wb in pairs:
             d = wa - wb
             denom = math.sqrt(max(0.0, float(d @ g @ d)))
@@ -419,11 +417,6 @@ def _one_radius_modulus(germ, level, delta, n_samples=40, seed=0):
     w1 = scaled(n1, r1)
     zero = np.zeros_like(w1)
     wa, wb = [w1, w1, w1], [zero, scaled(n2, r2), w1 + scaled(n3, 1e-3 * delta)]
-    if germ.c_dependent_atoms:
-        witness = zero.copy()
-        witness[:, -1] = 1.0
-        wa.append(scaled(witness, r1))
-        wb.append(zero)
     k = len(wa)
     wa, wb = np.concatenate(wa), np.concatenate(wb)
     denom = germs._norms(wa - wb, g)
@@ -536,22 +529,52 @@ class TestRadiusLists:
             svds.append(op.matrix.shape)
             return svd(op)
 
-        for module in (germs, experiments):
-            monkeypatch.setattr(module, "modulus_with_count", recording)
+        monkeypatch.setattr(germs, "modulus_with_count", recording)
         monkeypatch.setattr(germs, "metric_singular_values", counting)
         cfg = ExperimentConfig(seed=0, germ_level=1)
         assert run("germ-continuity", cfg).passed and run("germ-openness", cfg).passed
-        # certify samples nothing: germ-continuity's two replay witnesses
-        # over the certified radii and the pseudo-germ's five moduli, and
-        # germ-openness none
+        # certify samples nothing and the flag reads the closed form:
+        # germ-continuity's two replay witnesses over the certified radii,
+        # and germ-openness none
         assert moduli == [
             ("rank-one", [0.25, 0.125, 0.05]),
             ("quadratic", [0.25, 0.125, 0.05]),
-            ("moving-bump", [0.5, 0.4, 0.3, 0.2, 0.15]),
         ]
         # one dW call per contracting germ (its three certified radii and
         # three fractions of the epsilon = 0.1 one), and three openness calls
         assert svds == [(72, 4, 4)] * 2 + [(7, 5, 5), (7, 5, 5), (21, 6, 6)]
+
+    def test_germ_experiments_solve_each_dual_norm_once(self, monkeypatch):
+        solves, made = [], []
+        dual, make = germs._dual_norm, experiments.make_germ
+
+        def counting(g, p):
+            solves.append(g)
+            return dual(g, p)
+
+        def recording(germ_id, *args, **kwargs):
+            made.append(germ_id)
+            return make(germ_id, *args, **kwargs)
+
+        monkeypatch.setattr(germs, "_dual_norm", counting)
+        monkeypatch.setattr(experiments, "make_germ", recording)
+        for level in range(3):
+            solves.clear()
+            made.clear()
+            cfg = ExperimentConfig(seed=0, germ_level=level)
+            assert run("germ-continuity", cfg).passed and run("germ-openness", cfg).passed
+            # each experiment builds its own rank-one and quadratic germ, and
+            # each of those solves for ||p||_{i,*} once, at the run's level
+            assert made == ["rank-one", "quadratic", "moving-bump"] * 2
+            assert len(solves) == 4
+            gram = make_germ("rank-one", cfg.schedule()).context.gram(level)
+            assert all(g is gram for g in solves)
+        # a germ read at two levels solves once per level
+        solves.clear()
+        germ = make_germ("quadratic")
+        for level in (0, 1, 0, 1, 1):
+            germ.modulus(level, 0.25)
+        assert len(solves) == 2
 
 
 class TestGermEval:
@@ -788,7 +811,7 @@ class TestClosedFormModuli:
     def test_certified_pairs_are_sound_and_the_samples_stay_below(self, level, spacing):
         # no certified pair's exact modulus exceeds its epsilon, and the
         # sampled modulus at every radius of every ladder stays at or below
-        # the closed form (the moving bump's witness row reaches q)
+        # the closed form
         worst = {}
         for gid in GERM_IDS:
             germ = make_germ(gid, spacing=spacing)
@@ -807,8 +830,13 @@ class TestClosedFormModuli:
                     if res is not None:
                         assert res.worst_ratio <= exact[d]
                         worst[gid] = max(worst.get(gid, 0.0), res.worst_ratio / exact[d])
-        assert worst["moving-bump"] == 1.0
         assert max(worst["rank-one"], worst["quadratic"]) < 0.99
+        # random pairs need not find the moving bump's direction (at level 2
+        # they stay near a third of q); the flag's witness rows attain q
+        cfg = ExperimentConfig(spacing=spacing, germ_level=level)
+        flag = _by_name(run("germ-continuity", cfg))["moving-bump: non-contraction flag"]
+        q = make_germ("moving-bump", spacing=spacing).modulus(level, 0.5)
+        assert flag.passed and abs(float(flag.measured) - q) <= 4 * math.ulp(q)
 
     @pytest.mark.parametrize("spacing", _SPACINGS)
     @pytest.mark.parametrize("level", [0, 1, 2])
@@ -839,6 +867,29 @@ class TestClosedFormModuli:
                 got = _ratio(moving, level, c, 0.5 * delta * e_m, np.zeros_like(e_m))
                 assert got == pytest.approx(moving.modulus(level, delta), rel=1e-12, abs=0.0)
                 assert moving.modulus(level, delta) == moving.context.gram(level)[-1, -1]
+
+    @pytest.mark.parametrize("spacing", _SPACINGS)
+    def test_moving_bump_modulus_by_the_grid_route(self, spacing):
+        # q from the escaping bump's own grid, through no germ coordinate
+        germ = make_germ("moving-bump", spacing=spacing)
+        schedule = WeightSchedule.default()
+        for level in range(3):
+            for c in (0.1, 0.2, 0.3):
+                got = moving_bump_ratio(c, level, schedule.delta(level), spacing)
+                assert got == pytest.approx(germ.modulus(level, 0.5), rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("spacing", _SPACINGS)
+    def test_level_zero_quadratic_radii_sit_on_epsilon(self, spacing):
+        # a tripwire that runs under every stamp, unlike the golden digests
+        germ = make_germ("quadratic", spacing=spacing)
+        why = (
+            "the quadratic germ's level-0 radii sit exactly on epsilon because "
+            "<b, b> reads 1.0, so ||p||_{0,*} = 1 and 2 delta ||p||_{0,*} = epsilon; "
+            "one ulp more halves all three radii and moves the certificates"
+        )
+        for delta in (0.5, 0.25, 0.125, 0.1, 0.05):
+            assert germ.modulus(0, delta) == 2.0 * delta, why
+        assert tuple(p.delta for p in certify(germ, 0).pairs) == (0.25, 0.125, 0.05), why
 
     @pytest.mark.parametrize("spacing", _SPACINGS)
     def test_dual_norms_and_bump_norms_per_level(self, spacing):
@@ -954,6 +1005,26 @@ class TestDifferentialLaw:
         replay = checks["quadratic: certificate replay"]
         assert not replay.passed and replay.measured == "uncertified"
         assert checks["rank-one: certificate replay"].measured == "ok"
+
+    def test_the_flag_fails_when_B_falls_short_of_its_modulus(self, monkeypatch):
+        # the flag reads the closed form q, and the applied map must back it:
+        # halve the pseudo-germ's B while its modulus still reads q >= 0.9
+        make = experiments.make_germ
+
+        def halved(germ_id, *args, **kwargs):
+            germ = make(germ_id, *args, **kwargs)
+            if germ_id != "moving-bump":
+                return germ
+            return dataclasses.replace(germ, B=lambda c, v: 0.5 * germ.B(c, v))
+
+        monkeypatch.setattr(experiments, "make_germ", halved)
+        q = make_germ("moving-bump").modulus(1, 0.5)
+        assert q >= 0.9
+        checks = _by_name(run("germ-continuity", ExperimentConfig(germ_level=1)))
+        flag = checks["moving-bump: non-contraction flag"]
+        assert not flag.passed
+        assert float(flag.measured) == pytest.approx(0.5 * q, rel=1e-12)
+        assert all(c.passed for name, c in checks.items() if not name.startswith("moving-bump"))
 
     @pytest.mark.parametrize("level", [0, 1, 2])
     def test_dW_probes_stay_below_the_closed_form_modulus(self, level):
