@@ -10,9 +10,11 @@ added for the map whose bad direction moves with the parameter.  Every
 germ carries the closed-form differential dB of B, so the differential
 probes take exact metric operator norms and no finite difference is formed
 here, and its exact contraction modulus on each ball, which certify reads
-and modulus_with_count samples from below.  The constants a modulus needs
-per level (the Gram matrix, the dual norm of the bump pairing) are formed
-once per germ and level.
+and modulus_with_count samples from below.  Every radius delta > 0 admits
+parameters, so each probe returns one float per radius and a certificate
+search that never meets its target ends at its last rung.  The constants a
+modulus needs per level (the Gram matrix, the dual norm of the bump
+pairing) are formed once per germ and level.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from .scale_core import (
 __all__ = [
     "GermContext",
     "BasicGerm",
-    "ModulusResult",
     "modulus_with_count",
     "CertifiedPair",
     "ContractionCertificate",
@@ -128,12 +129,12 @@ class BasicGerm:
     B: RowMap
     dB: RowMap
     #: c_range(delta): the interval (lo, hi) of the parameters sampled at
-    #: radius delta, or None when delta admits no c
-    c_range: Callable[[float], Optional[Tuple[float, float]]]
+    #: radius delta; every delta > 0 admits parameters
+    c_range: Callable[[float], Tuple[float, float]]
     #: modulus(level, delta): the exact level-i contraction modulus, the sup
     #: of ||B(c, w1) - B(c, w2)||_i / ||w1 - w2||_i over c in c_range(delta)
-    #: and ||w1||_i, ||w2||_i < delta; None where c_range(delta) is None
-    modulus: Callable[[int, float], Optional[float]]
+    #: and ||w1||_i, ||w2||_i < delta
+    modulus: Callable[[int, float], float]
 
     def context_for(self, c: float) -> GermContext:
         """The context at parameter c: the germ's one context, for every c."""
@@ -142,34 +143,17 @@ class BasicGerm:
 
 def _parameters(
     germ: BasicGerm, radii: Sequence[float], u: np.ndarray
-) -> Tuple[List[int], np.ndarray, np.ndarray]:
-    """The indices of the radii that admit parameters, those radii as a
-    (k, 1) column and their parameters lo + (hi - lo) u over c_range, one
-    (n,) row per radius: bit for bit Generator.uniform(lo, hi, n) on the
-    draws u = Generator.uniform(size=n)."""
-    spans = [germ.c_range(r) for r in radii]
-    live = [k for k, span in enumerate(spans) if span is not None]
-    bounds = np.array([spans[k] for k in live]).reshape(-1, 2)
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The radii as a (k, 1) column and their parameters lo + (hi - lo) u
+    over c_range, one (n,) row per radius: bit for bit
+    Generator.uniform(lo, hi, n) on the draws u = Generator.uniform(size=n)."""
+    bounds = np.array([germ.c_range(r) for r in radii]).reshape(-1, 2)
     lo, hi = bounds[:, :1], bounds[:, 1:]
-    return live, np.array([radii[k] for k in live], dtype=float)[:, None], lo + (hi - lo) * u
-
-
-def _per_radius(radii: Sequence[float], live: List[int], values) -> list:
-    """One entry per radius: the values of the live radii, None elsewhere."""
-    out = [None] * len(radii)
-    for k, value in zip(live, values):
-        out[k] = value
-    return out
+    return np.array(radii, dtype=float)[:, None], lo + (hi - lo) * u
 
 
 # ---------------------------------------------------------------------------
 # sampled contraction moduli and certificates
-
-
-@dataclass(frozen=True)
-class ModulusResult:
-    worst_ratio: float
-    samples: int
 
 
 def modulus_with_count(
@@ -178,12 +162,12 @@ def modulus_with_count(
     deltas: Sequence[float],
     n_samples: int = 40,
     seed: int = 0,
-) -> List[Optional[ModulusResult]]:
+) -> List[float]:
     """For each radius delta, the worst sampled ratio
-    ||B(c,w1) - B(c,w2)||_i / ||w1 - w2||_i over |c|, ||w1||_i, ||w2||_i <
-    delta, with the sample count; None where delta admits no parameter c
-    or no pair with w1 != w2.  Each trial pairs w1 (radius r1) with 0, with
-    a w2 of radius r2 and with w1 plus a step of radius 1e-3 delta.  Random
+    ||B(c,w1) - B(c,w2)||_i / ||w1 - w2||_i over c in c_range(delta) and
+    ||w1||_i, ||w2||_i < delta.  Each trial pairs w1 (radius r1, at least
+    0.05 delta) with 0, with a w2 of radius r2 and with w1 plus a step of
+    radius 1e-3 delta, and pairs with w1 = w2 are skipped.  Random
     pairs bound the modulus from below only: replay_certificate reads them
     as a witness against the closed form, and nothing certifies from them.
 
@@ -203,7 +187,7 @@ def modulus_with_count(
     u1 = rng.uniform(0.05, 0.95, n_samples)
     normals = rng.normal(size=(3, n_samples, m))
     u2 = rng.uniform(0.05, 0.95, n_samples)
-    live, delta, c = _parameters(germ, deltas, u)
+    delta, c = _parameters(germ, deltas, u)
 
     r1 = delta * u1
     r1[:, ::2] = 0.999 * delta
@@ -219,11 +203,7 @@ def modulus_with_count(
     b = b.reshape(pairs.shape)
     denom = _norms((pairs[0] - pairs[1]).reshape(-1, m), g).reshape(rows)
     num = _norms((b[0] - b[1]).reshape(-1, m), g).reshape(rows)
-    results = []
-    for nk, dk in zip(num, denom):
-        ratios = nk[dk != 0.0] / dk[dk != 0.0]
-        results.append(ModulusResult(_worst(ratios), ratios.size) if ratios.size else None)
-    return _per_radius(deltas, live, results)
+    return [_worst(nk[dk != 0.0] / dk[dk != 0.0]) for nk, dk in zip(num, denom)]
 
 
 @dataclass(frozen=True)
@@ -261,15 +241,13 @@ def certify(
     ladder min(epsilon, 0.5), its half, ... (at most max_halvings radii)
     whose exact modulus germ.modulus(level, delta) is at most epsilon.  A
     pair with delta None records a failed search, which ends at the last
-    rung or where the germ admits no parameter.  Nothing is sampled here:
-    n_samples and seed are recorded for the witness of replay_certificate."""
+    rung.  Nothing is sampled here: n_samples and seed are recorded for the
+    witness of replay_certificate."""
 
     def search(eps: float) -> CertifiedPair:
         delta, last = min(float(eps), 0.5), math.nan
         for _ in range(max_halvings):
             modulus = germ.modulus(level, delta)
-            if modulus is None:
-                break
             if modulus <= eps:
                 return CertifiedPair(eps, delta, modulus)
             last, delta = modulus, delta / 2.0
@@ -303,9 +281,7 @@ def replay_certificate(germ: BasicGerm, cert: ContractionCertificate) -> bool:
         return False
     deltas = [p.delta for p in cert.pairs]
     witness = modulus_with_count(germ, cert.level, deltas, cert.n_samples, cert.seed)
-    return all(
-        res is not None and res.worst_ratio <= p.modulus for p, res in zip(cert.pairs, witness)
-    )
+    return all(worst <= p.modulus for p, worst in zip(cert.pairs, witness))
 
 
 # ---------------------------------------------------------------------------
@@ -318,29 +294,28 @@ def dW_opnorm_probe(
     radii: Sequence[float],
     n_samples: int = 12,
     seed: int = 1,
-) -> List[Optional[float]]:
+) -> List[float]:
     """For each radius, the sampled operator norm of the w-partial
-    differential of B over base points with |c|, ||w||_i < radius: the
-    largest exact level-i operator norm of D_wB at the points; None where
-    the radius admits no parameter c.  Each radius's value is that of a
-    call with it alone.  The draws are made once for every radius, one
-    generator call per kind, in this order: n uniforms u for c (c = lo +
-    (hi - lo) u over c_range(radius)), n uniforms for r / radius (r, the
-    radius of w, is 0.999 radius at even trials) and the (n, m) normals of
-    w.  All radii's points go to one metric_singular_values call on the
-    stack of germ.dB."""
+    differential of B over base points with c in c_range(radius) and
+    ||w||_i < radius: the largest exact level-i operator norm of D_wB at
+    the points.  Each radius's value is that of a call with it alone.  The
+    draws are made once for every radius, one generator call per kind, in
+    this order: n uniforms u for c (c = lo + (hi - lo) u over
+    c_range(radius)), n uniforms for r / radius (r, the radius of w, is
+    0.999 radius at even trials) and the (n, m) normals of w.  All radii's
+    points go to one metric_singular_values call on the stack of germ.dB."""
     rng = np.random.default_rng(seed)
     u = rng.uniform(size=n_samples)
     g = germ.context.gram(level)
     u_r = rng.uniform(0.05, 0.95, n_samples)
     normals = rng.normal(size=(n_samples, len(g)))
-    live, radius, c = _parameters(germ, radii, u)
+    radius, c = _parameters(germ, radii, u)
     r = radius * u_r
     r[:, ::2] = 0.999 * radius
     w = _scaled(normals, r, g).reshape(-1, len(g))
     sv = metric_singular_values(OperatorHandle(germ.dB(c.ravel(), w)[:, :, 1:], g, g))
-    tops = sv[:, 0].reshape(len(live), n_samples)
-    return _per_radius(radii, live, [_worst(top) for top in tops])
+    tops = sv[:, 0].reshape(len(radii), n_samples)
+    return [_worst(top) for top in tops]
 
 
 # ---------------------------------------------------------------------------
@@ -517,8 +492,9 @@ def _moving_bump(base: GermContext, spacing: float, margin: float) -> BasicGerm:
     q v_m e_i at every level, with D_wB = q e_m (x) e_m.  Its c-partial is
     0: B is written in the shared coordinate, whatever c it stands for.
     That needs b_c's window left of the atoms', that is c < 1/ln(3 +
-    margin) (1/ln 4 by default), which B and dB check; the experiments draw
-    c < 0.5."""
+    margin) (1/ln 4 by default), which B and dB check.  Its parameters at
+    radius delta are (0.5 delta, 0.999 delta), positive at every radius, so
+    its modulus is q on every ball; certify's radii stay at or below 0.5."""
     q = bump_self_pairing(spacing, margin)  # the same for every c
 
     def gram(level: int) -> np.ndarray:
@@ -546,17 +522,14 @@ def _moving_bump(base: GermContext, spacing: float, margin: float) -> BasicGerm:
         out[live(c), -1, -1] = q
         return out
 
-    def c_range(delta: float) -> Optional[Tuple[float, float]]:
-        # once 0.999 delta <= lo no c is admitted, which ends certify's
-        # (failing) halving search
-        lo, hi = 0.074, 0.999 * delta
-        return None if hi <= lo else (max(lo, 0.5 * delta), hi)
+    def c_range(delta: float) -> Tuple[float, float]:
+        return 0.5 * delta, 0.999 * delta
 
-    def modulus(level: int, delta: float) -> Optional[float]:
-        # every admitted c is positive, and B scales the bump coordinate by
+    def modulus(level: int, delta: float) -> float:
+        # every sampled c is positive, and B scales the bump coordinate by
         # q, a block of its own in every Gram matrix: the ratio is at most
-        # q, and q along that coordinate
-        return None if c_range(delta) is None else q
+        # q, and q along that coordinate, at every radius
+        return q
 
     return BasicGerm("moving-bump", ctx, B, dB, c_range, modulus)
 

@@ -110,7 +110,7 @@ class LogScalar:
         OverflowError past the float range."""
         if self.sign == 0:
             return 0.0
-        if self.logmag > 709.78:
+        if self.logmag > _LOG_FLOAT_MAX:
             raise OverflowError(f"log magnitude {self.logmag} exceeds float range")
         return self.sign * math.exp(self.logmag)
 

@@ -16,7 +16,6 @@ from sclab.germs import (
     CertifiedPair,
     ContractionCertificate,
     GermContext,
-    ModulusResult,
     certificate_from_json,
     certificate_to_json,
     certify,
@@ -83,10 +82,8 @@ def _one_vector_B(germ, c):
 
 def _sample_c(germ, rng, delta, n):
     """The n parameters at radius delta as the probes drew them when they
-    took one radius: Generator.uniform(lo, hi, n) over c_range(delta), or
-    None (no draw) where delta admits no c."""
-    span = germ.c_range(delta)
-    return None if span is None else rng.uniform(*span, n)
+    took one radius: Generator.uniform(lo, hi, n) over c_range(delta)."""
+    return rng.uniform(*germ.c_range(delta), n)
 
 
 def _rescaler(g):
@@ -97,7 +94,8 @@ def _rescaler(g):
 
 def _per_sample_modulus(germ, level, delta, n_samples=40, seed=0):
     """modulus_with_count one trial and one vector at a time, on the draws
-    it reads (c, r1 uniforms, (3, n, m) normals, r2 uniforms)."""
+    it reads (c, r1 uniforms, (3, n, m) normals, r2 uniforms); every trial
+    has a pair with w1 != w2, its (w1, 0) pair."""
     rng = np.random.default_rng(seed)
     cs = _sample_c(germ, rng, delta, n_samples)
     u1 = rng.uniform(0.05, 0.95, n_samples)
@@ -105,7 +103,7 @@ def _per_sample_modulus(germ, level, delta, n_samples=40, seed=0):
     u2 = rng.uniform(0.05, 0.95, n_samples)
     g, m = germ.context.gram(level), germ.context.dim
     scaled = _rescaler(g)
-    worst, used = 0.0, 0
+    worst = 0.0
     for trial, c in enumerate(cs.tolist()):
         B = _one_vector_B(germ, c)
         n1, n2, n3 = normals[:, trial]
@@ -123,8 +121,7 @@ def _per_sample_modulus(germ, level, delta, n_samples=40, seed=0):
                 continue
             d = B(c, wa) - B(c, wb)
             worst = max(worst, math.sqrt(max(0.0, float(d @ g @ d))) / denom)
-            used += 1
-    return worst, used
+    return worst
 
 
 def _per_sample_dW(germ, level, radius, n_samples=12, seed=1, h=1e-6):
@@ -212,7 +209,8 @@ class _CountingGenerator:
         return counted
 
 
-# the moving bump's radii draw c down to the sampler's floor 0.074
+# the one-vector reference samples the moving bump's b_c on the grid, which
+# needs c > 1/ln(MAX_SHIFT) ~ 0.0724: its radii keep 0.5 delta above that
 _RADII = {
     "rank-one": (0.5, 0.2, 0.05, 0.01),
     "quadratic": (0.5, 0.2, 0.05, 0.01),
@@ -227,10 +225,8 @@ class TestStackedSampling:
         germ = make_germ(gid)
         for seed in range(5):
             results = modulus_with_count(germ, level, _RADII[gid], seed=seed)
-            for delta, res in zip(_RADII[gid], results):
-                assert (res.worst_ratio, res.samples) == _per_sample_modulus(
-                    germ, level, delta, seed=seed
-                )
+            for delta, worst in zip(_RADII[gid], results):
+                assert worst == _per_sample_modulus(germ, level, delta, seed=seed)
 
     @pytest.mark.parametrize("gid", GERM_IDS)
     @pytest.mark.parametrize("level", [0, 1, 2])
@@ -398,13 +394,9 @@ class TestStackedSampling:
 
 def _one_radius_modulus(germ, level, delta, n_samples=40, seed=0):
     """modulus_with_count as it was when it took one radius: a fresh
-    generator, c drawn by Generator.uniform(lo, hi, n), and None where that
-    call raised DegenerateSampleError (delta admits no c, and nothing more
-    is drawn, or no pair is admissible)."""
+    generator and c drawn by Generator.uniform(lo, hi, n)."""
     rng = np.random.default_rng(seed)
     c = _sample_c(germ, rng, delta, n_samples)
-    if c is None:
-        return None
     g = germ.context.gram(level)
 
     def scaled(v, radius):
@@ -422,12 +414,10 @@ def _one_radius_modulus(germ, level, delta, n_samples=40, seed=0):
     denom = germs._norms(wa - wb, g)
     b = germ.B(np.tile(c, 2 * k), np.concatenate((wa, wb)))
     num = germs._norms(b[: len(wa)] - b[len(wa) :], g)
-    ratios = num[denom != 0.0] / denom[denom != 0.0]
-    return ModulusResult(germs._worst(ratios), ratios.size) if ratios.size else None
+    return germs._worst(num[denom != 0.0] / denom[denom != 0.0])
 
 
-# the certify ladders' radii, one twice; the moving bump admits no c at the
-# last three
+# the certify ladders' radii, one twice
 _LADDER = (0.5, 0.25, 0.125, 0.1, 0.25, 0.0625, 0.05, 0.025)
 
 
@@ -437,17 +427,13 @@ class TestRadiusLists:
         germ = make_germ(gid)
         for seed in range(40):
             u = np.random.default_rng(seed).uniform(size=40)
-            live, radii, c = germs._parameters(germ, _LADDER, u)
-            assert [_LADDER[k] for k in live] == radii[:, 0].tolist()
-            for delta in _LADDER:
+            radii, c = germs._parameters(germ, _LADDER, u)
+            assert radii[:, 0].tolist() == list(_LADDER)
+            for delta, row in zip(_LADDER, c):
                 want = _sample_c(germ, np.random.default_rng(seed), delta, 40)
-                if want is None:
-                    assert _LADDER.index(delta) not in live
-                    continue
                 lo, hi = germ.c_range(delta)
                 assert np.array_equal(lo + (hi - lo) * u, want)
-                assert np.array_equal(c[live.index(_LADDER.index(delta))], want)
-        assert (germ.c_range(0.0625) is None) == (gid == "moving-bump")
+                assert np.array_equal(row, want)
 
     @pytest.mark.parametrize("gid", GERM_IDS)
     @pytest.mark.parametrize("level", [0, 1, 2])
@@ -462,8 +448,6 @@ class TestRadiusLists:
                 assert res == _one_radius_modulus(germ, level, delta, seed=seed)
                 assert probe == dW_opnorm_probe(germ, level, [delta], seed=seed)[0]
                 assert rep == openness_probe(germ, level, [delta], seed=seed)[0]
-                # None exactly where the one-radius call raised
-                assert (res is None) == (probe is None) == (germ.c_range(delta) is None)
 
     @pytest.mark.parametrize("gid", GERM_IDS)
     def test_certify_takes_the_first_ladder_radius_within_epsilon(self, gid):
@@ -483,8 +467,6 @@ class TestRadiusLists:
                     for k in range(halvings):
                         delta = min(eps, 0.5) / 2**k
                         modulus = germ.modulus(level, delta)
-                        if modulus is None:
-                            break
                         if modulus <= eps:
                             found = (delta, modulus)
                             break
@@ -614,7 +596,7 @@ class TestGermEval:
 
 def _modulus(germ, level, delta, seed=0):
     """The worst sampled ratio at one radius."""
-    return modulus_with_count(germ, level, [delta], seed=seed)[0].worst_ratio
+    return modulus_with_count(germ, level, [delta], seed=seed)[0]
 
 
 class TestContractionModulus:
@@ -633,11 +615,6 @@ class TestContractionModulus:
             assert m_small < m_big
             assert m_small < 0.1
 
-    def test_moving_bump_stays_near_one(self):
-        germ = make_germ("moving-bump")
-        mod = _modulus(germ, 0, 0.3, seed=0)
-        assert mod >= 0.9
-
     def test_deterministic_given_seed(self):
         germ = make_germ("quadratic")
         r1 = modulus_with_count(germ, 1, [0.2], seed=5)
@@ -648,12 +625,20 @@ class TestContractionModulus:
         with pytest.raises(ValueError):
             modulus_with_count(make_germ("rank-one"), 0, [0.3, 0.0])
 
-    def test_degenerate_sampling_reads_none(self):
-        germ = make_germ("moving-bump")
-        # below the representability floor no parameter can be drawn
-        assert germ.c_range(0.05) is None
-        got = modulus_with_count(germ, 0, [0.05, 0.3, 0.07])
-        assert got[0] is None and got[2] is None and got[1].worst_ratio >= 0.9
+    @pytest.mark.parametrize("spacing", [1e-3, 5e-4])
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    def test_moving_bump_witness_reads_q(self, level, spacing):
+        # c at the top of c_range and w along the bump coordinate at level
+        # norm 0.999 delta attain q, down to the last rung of a 40-halving
+        # ladder; the sampled ratios stay at or below q on every ladder
+        # (test_certified_pairs_are_sound_and_the_samples_stay_below)
+        germ = make_germ("moving-bump", spacing=spacing)
+        e_m = np.eye(germ.context.dim)[-1]
+        w = e_m / math.sqrt(germ.context.gram(level)[-1, -1])
+        for delta in (0.3, 0.05, 1e-3, 0.5 / 2**39):
+            q = germ.modulus(level, delta)
+            got = _ratio(germ, level, germ.c_range(delta)[1], 0.999 * delta * w, 0.0 * w)
+            assert abs(got - q) <= 4 * math.ulp(q)
 
 
 class TestCertificates:
@@ -759,7 +744,7 @@ class TestCertificates:
             assert not replay_certificate(germ, dataclasses.replace(cert, pairs=(edited,) + cert.pairs[1:]))
 
         def above(germ, level, deltas, n_samples, seed):
-            return [ModulusResult(1.0001 * germ.modulus(level, d), n_samples) for d in deltas]
+            return [1.0001 * germ.modulus(level, d) for d in deltas]
 
         monkeypatch.setattr(germs, "modulus_with_count", above)
         assert not replay_certificate(germ, cert)
@@ -793,11 +778,12 @@ def _ratio(germ, level, c, w1, w2):
     return level_norm(b1 - b2, g) / level_norm(w1 - w2, g)
 
 
-def _ladder(germ, level, eps):
+def _ladder(germ, level, eps, max_halvings=40):
     """The radii certify's search for eps visits: min(eps, 0.5), halved
-    until the modulus is <= eps or None."""
+    until the modulus is <= eps, at most max_halvings radii (certify's
+    default), the bound that ends the moving bump's search."""
     radii = [min(eps, 0.5)]
-    while (modulus := germ.modulus(level, radii[-1])) is not None and modulus > eps:
+    while len(radii) < max_halvings and germ.modulus(level, radii[-1]) > eps:
         radii.append(radii[-1] / 2.0)
     return radii
 
@@ -818,18 +804,15 @@ class TestClosedFormModuli:
             ladder = sorted({d for eps in (0.5, 0.25, 0.1) for d in _ladder(germ, level, eps)})
             exact = {d: germ.modulus(level, d) for d in ladder}
             for d, modulus in exact.items():
-                if modulus is not None:
-                    assert modulus == pytest.approx(
-                        _closed_form(germ, level, d, spacing), rel=1e-12, abs=0.0
-                    )
+                assert modulus == pytest.approx(
+                    _closed_form(germ, level, d, spacing), rel=1e-12, abs=0.0
+                )
             for seed in range(40):
                 for p in certify(germ, level, seed=seed).pairs:
                     assert p.delta is None or p.modulus == exact[p.delta] <= p.epsilon
-                for d, res in zip(ladder, modulus_with_count(germ, level, ladder, seed=seed)):
-                    assert (res is None) == (exact[d] is None)
-                    if res is not None:
-                        assert res.worst_ratio <= exact[d]
-                        worst[gid] = max(worst.get(gid, 0.0), res.worst_ratio / exact[d])
+                for d, got in zip(ladder, modulus_with_count(germ, level, ladder, seed=seed)):
+                    assert got <= exact[d]
+                    worst[gid] = max(worst.get(gid, 0.0), got / exact[d])
         assert max(worst["rank-one"], worst["quadratic"]) < 0.99
         # random pairs need not find the moving bump's direction (at level 2
         # they stay near a third of q); the flag's witness rows attain q
@@ -861,12 +844,11 @@ class TestClosedFormModuli:
             # the ball is open: pairs near its boundary come within 2e-6
             got = _ratio(quadratic, level, 0.0, (1.0 - 1e-6) * delta * d, (1.0 - 2e-6) * delta * d)
             assert quadratic.modulus(level, delta) * (1.0 - 2e-6) < got < quadratic.modulus(level, delta)
-            if moving.c_range(delta) is not None:
-                e_m = np.eye(moving.context.dim)[-1]
-                c = moving.c_range(delta)[1]
-                got = _ratio(moving, level, c, 0.5 * delta * e_m, np.zeros_like(e_m))
-                assert got == pytest.approx(moving.modulus(level, delta), rel=1e-12, abs=0.0)
-                assert moving.modulus(level, delta) == moving.context.gram(level)[-1, -1]
+            e_m = np.eye(moving.context.dim)[-1]
+            c = moving.c_range(delta)[1]
+            got = _ratio(moving, level, c, 0.5 * delta * e_m, np.zeros_like(e_m))
+            assert got == pytest.approx(moving.modulus(level, delta), rel=1e-12, abs=0.0)
+            assert moving.modulus(level, delta) == moving.context.gram(level)[-1, -1]
 
     @pytest.mark.parametrize("spacing", _SPACINGS)
     def test_moving_bump_modulus_by_the_grid_route(self, spacing):
@@ -1049,11 +1031,15 @@ class TestDifferentialLaw:
             assert float(law.measured) <= 0.0 and not law.passed
             assert checks[f"{gid}: certificate replay"].passed
 
-    def test_dw_probe_zero_map(self):
+    def test_moving_bump_dw_probe_reads_q_at_every_radius(self):
+        # D_wB = q e_m (x) e_m at every sampled c > 0, and the bump
+        # coordinate is a block of its own, so its level-i norm is q at
+        # every radius
         germ = make_germ("moving-bump")
-        # below the sampler floor the probe cannot draw any parameter
-        assert dW_opnorm_probe(germ, 0, [0.05]) == [None]
-        assert dW_opnorm_probe(germ, 0, [0.05, 0.3])[0] is None
+        for level in range(3):
+            q = germ.modulus(level, 0.3)
+            for got in dW_opnorm_probe(germ, level, [0.3, 0.05, 1e-3, 0.5 / 2**39]):
+                assert got == pytest.approx(q, rel=1e-12, abs=0.0)
 
 
 class TestOpenness:
@@ -1294,5 +1280,43 @@ class TestMovingBumpLevels:
 
         monkeypatch.setattr(GermContext, "gram", counted_gram)
         certify(germ, 2, seed=3)
-        # its modulus is q wherever c_range admits a c: no Gram matrix either
+        # its modulus is q at every radius: no Gram matrix either
         assert made == [] and built == Counter()
+
+    @pytest.mark.parametrize("halvings", [40, 4, 1])
+    def test_certify_fails_at_the_last_rung(self, halvings):
+        # the modulus is q at every radius, so each search reads it once per
+        # rung, max_halvings times, and records (epsilon, None, q)
+        germ = make_germ("moving-bump")
+        calls = []
+
+        def counted(level, delta):
+            calls.append(delta)
+            return germ.modulus(level, delta)
+
+        counting = dataclasses.replace(germ, modulus=counted)
+        epsilons = (0.5, 0.25, 0.1)
+        for level in range(3):
+            calls.clear()
+            cert = certify(counting, level, epsilons, max_halvings=halvings)
+            q = germ.modulus(level, 0.5)
+            assert cert.pairs == tuple(CertifiedPair(eps, None, q) for eps in epsilons)
+            assert calls == [min(eps, 0.5) / 2**k for eps in epsilons for k in range(halvings)]
+
+    @pytest.mark.parametrize("margin", [0.5, 1.0, 2.0])
+    def test_every_radius_admits_parameters(self, margin):
+        # c_range(delta) = (0.5 delta, 0.999 delta) down to the last rung of
+        # a 40-halving ladder, and B maps the bump coordinate to q times itself
+        # at the bottom of it; only c >= 1/ln(3 + margin) raises
+        germ = make_germ("moving-bump", margin=margin)
+        q = bump_self_pairing(DEFAULT_SPACING, margin)
+        v = np.random.default_rng(5).normal(size=(1, germ.context.dim))
+        for delta in (0.5, 0.3, 0.074, 0.05, 1e-3, 0.5 / 2**39):
+            assert germ.c_range(delta) == (0.5 * delta, 0.999 * delta)
+            assert [germ.modulus(level, delta) for level in range(3)] == [q] * 3
+            out = germ.B(np.array([0.5 * delta]), v)[0]
+            assert not out[:-1].any() and out[-1] == q * v[0, -1]
+        c_max = np.array([1.0 / math.log(3.0 + margin)])
+        for fn in (germ.B, germ.dB):
+            with pytest.raises(ValueError, match=rf"c < 1/ln\({3.0 + margin:g}\)"):
+                fn(c_max, v)

@@ -63,6 +63,13 @@ class TestLogScalar:
         assert LogScalar.zero().to_real() == 0.0
         assert LogScalar.one().to_real() == 1.0
 
+    def test_to_real_reaches_the_top_of_the_float_range(self):
+        # exp(709.781) is 1.7946e308, a float; the range ends at log(max float)
+        assert LogScalar(1, 709.781).to_real() == math.exp(709.781)
+        assert LogScalar(-1, 709.7827).to_real() == -math.exp(709.7827)
+        with pytest.raises(OverflowError, match="log magnitude 709.783"):
+            LogScalar(1, 709.783).to_real()
+
     # from_real keeps only log|x|, and adjacent floats (near 1e-300, say) can
     # share it; so their order is monotone in the reals and exact where the
     # logs differ
