@@ -39,6 +39,7 @@ from .germs import (
     replay_certificate,
 )
 from .operator_probe import (
+    DEFAULT_FD_STEPS,
     OperatorHandle,
     finite_diff_differential,
     numerical_rank,
@@ -521,42 +522,41 @@ def _identity_differential(cfg: ExperimentConfig) -> List[Check]:
     bump = bump_profiles.make_bump()
     b0, b1, b2 = bump(xs), bump(xs - 0.5), bump(xs + 0.5)
     zero = GridFunction(x0, h, np.zeros(n))
-
-    def direction() -> GridFunction:
+    T = float(rng.uniform(0.5, 1.5))
+    # below the first parameter at which b_t's window reaches x0
+    # (bump_reaches) no step has a bump term, and the identity is the whole
+    # differential; past it the sweeps would meet b_t off the tangent's nodes
+    reach, swept = 1.0 / math.log(1.0 + cfg.margin - x0), max(DEFAULT_FD_STEPS) * T
+    checks.append(
+        _check(
+            "origin sweeps stay off the bump",
+            "every finite-difference step at the origin lies below the first "
+            "parameter at which the bump reaches the tangent's window",
+            reach,
+            swept,
+            swept < reach,
+        )
+    )
+    if swept < reach:
         c = rng.normal(size=3)
-        return GridFunction(x0, h, c[0] * b0 + c[1] * b1 + c[2] * b2)
-
-    worst_proj = 0.0
-    worst_branch = 0.0
-    proj = s_proj_handle(cfg.spacing, cfg.margin, cfg.schedule())
-    fam = h_family_handle(cfg.spacing, cfg.margin, cfg.schedule())
-    for _ in range(10):
-        tan = (float(rng.uniform(0.5, 1.5)), direction())
-        # one point per call: a (10, N) batch would hold 10 rows per stack
-        (rp,) = finite_diff_differential(proj, [(0.0, zero)], [tan], level=0)
-        worst_proj = max(worst_proj, rp.mismatch)
-        (rb,) = finite_diff_differential(fam, [(0.0, zero)], [tan], level=0)
-        worst_branch = max(worst_branch, rb.mismatch)
-    checks.append(
-        _check(
-            "projection-map differential at the origin",
-            "finite differences of the projection map at (0, 0) reproduce the "
-            "identity",
-            1e-6,
-            worst_proj,
-            worst_proj <= 1e-6,
-        )
-    )
-    checks.append(
-        _check(
-            "branching-family differential at the origin",
-            "finite differences of the branching family at (0, 0) reproduce the "
-            "identity",
-            1e-6,
-            worst_branch,
-            worst_branch <= 1e-6,
-        )
-    )
+        tan = (T, GridFunction(x0, h, c[0] * b0 + c[1] * b1 + c[2] * b2))
+        for name, what, make in (
+            ("projection-map", "projection map", s_proj_handle),
+            ("branching-family", "branching family", h_family_handle),
+        ):
+            handle = make(cfg.spacing, cfg.margin, cfg.schedule())
+            (r,) = finite_diff_differential(
+                handle, [(0.0, zero)], [tan], level=0, steps=DEFAULT_FD_STEPS
+            )
+            checks.append(
+                _check(
+                    f"{name} differential at the origin",
+                    f"finite differences of the {what} at (0, 0) reproduce the identity",
+                    1e-6,
+                    r.mismatch,
+                    r.mismatch <= 1e-6,
+                )
+            )
     q = bump_self_pairing(cfg.spacing, cfg.margin)
     gram = np.diag([1.0, q])
     b = shifted_bump(0.5, 0, cfg.spacing, cfg.margin)

@@ -13,8 +13,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sclab import cli, experiments
-from sclab.bump_profiles import bump_self_pairing, shifted_bump, step_n
+from sclab import cli, experiments, gallery
+from sclab.bump_profiles import (
+    bump_reaches,
+    bump_self_pairing,
+    make_bump,
+    shifted_bump,
+    step_n,
+)
 from sclab.experiments import (
     EXPERIMENT_IDS,
     Check,
@@ -25,15 +31,23 @@ from sclab.experiments import (
     run,
 )
 from sclab.gallery import (
+    h_family_handle,
     rho_k_eval,
     s_proj,
+    s_proj_handle,
     seq_diffeo,
     seq_diffeo_inv,
     seq_rho_k_handle,
 )
-from sclab.operator_probe import OperatorHandle, finite_diff_differential, truncation_opnorm
+from sclab.operator_probe import (
+    DEFAULT_FD_STEPS,
+    OperatorHandle,
+    finite_diff_differential,
+    truncation_opnorm,
+)
 from sclab.scale_core import (
     AnalyticTailFunction,
+    GridFunction,
     SeqVector,
     _seq_weights,
     grid_combine,
@@ -367,14 +381,8 @@ class TestExperimentErrors:
         assert "Traceback" not in captured.out + captured.err
 
 
-def test_runs_without_scipy():
-    code = (
-        "import sys\n"
-        "sys.modules['scipy'] = None\n"
-        "from sclab import cli\n"
-        "for eid in ('inverse-blowup', 'seq-discontinuity', 'germ-openness'):\n"
-        "    assert cli.main(['run', eid]) == 0, eid\n"
-    )
+def _run_fresh(code: str) -> None:
+    """Run code in a fresh interpreter that imports sclab from src/."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
@@ -385,6 +393,34 @@ def test_runs_without_scipy():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_runs_without_scipy():
+    _run_fresh(
+        "import sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from sclab import cli\n"
+        "for eid in ('inverse-blowup', 'seq-discontinuity', 'germ-openness'):\n"
+        "    assert cli.main(['run', eid]) == 0, eid\n"
+    )
+
+
+def test_importing_the_cli_fills_no_cache():
+    # the cold start imports sclab.cli: no functools cache of sclab may be
+    # filled at import time, where every start would pay for it
+    _run_fresh(
+        "import sys\n"
+        "import sclab.cli\n"
+        "caches = [\n"
+        "    (name, attr, value.cache_info().currsize)\n"
+        "    for name, module in list(sys.modules.items())\n"
+        "    if name == 'sclab' or name.startswith('sclab.')\n"
+        "    for attr, value in vars(module).items()\n"
+        "    if callable(getattr(value, 'cache_info', None))\n"
+        "]\n"
+        "assert caches, 'no cache found'\n"
+        "assert all(size == 0 for _, _, size in caches), caches\n"
+    )
 
 
 def _old_seq_norm(x: SeqVector, i: int) -> float:
@@ -607,6 +643,95 @@ class TestGridRowLoops:
         monkeypatch.setattr(experiments, "rho_eval", lambda t, f, *a: (t, f.zeros_like()))
         got = {c.name: c for c in run("identity-differential", ExperimentConfig()).checks}
         assert not got[check].passed and got[check].measured == "1 then 1"
+
+
+def _origin_tangent(cfg: ExperimentConfig):
+    """The zero base point and identity-differential's tangent (T, F): the
+    first draws of default_rng(cfg.seed), F a combination of three bumps on
+    the window [-2, 2]."""
+    rng = np.random.default_rng(cfg.seed)
+    T = float(rng.uniform(0.5, 1.5))
+    c = rng.normal(size=3)
+    xs = -2.0 + cfg.spacing * np.arange(round(4.0 / cfg.spacing) + 1)
+    bump = make_bump()
+    values = c[0] * bump(xs) + c[1] * bump(xs - 0.5) + c[2] * bump(xs + 0.5)
+    zero = GridFunction(-2.0, cfg.spacing, np.zeros(xs.size))
+    return (0.0, zero), (T, GridFunction(-2.0, cfg.spacing, values))
+
+
+class TestIdentityDifferential:
+    @pytest.mark.parametrize("spacing", [1e-3, 5e-4])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_origin_checks_read_one_sweep_of_the_first_draw(self, seed, spacing):
+        cfg = ExperimentConfig(seed=seed, spacing=spacing)
+        checks = {c.name: c for c in run("identity-differential", cfg).checks}
+        point, tangent = _origin_tangent(cfg)
+        for name, make in (
+            ("projection-map", s_proj_handle),
+            ("branching-family", h_family_handle),
+        ):
+            handle = make(cfg.spacing, cfg.margin, cfg.schedule())
+            (want,) = finite_diff_differential(handle, [point], [tangent], level=0)
+            got = checks[f"{name} differential at the origin"]
+            assert got.passed and got.measured == repr(want.mismatch)
+
+    def test_off_bump_check_reads_the_largest_step(self):
+        cfg = ExperimentConfig(seed=0)
+        checks = {c.name: c for c in run("identity-differential", cfg).checks}
+        T = _origin_tangent(cfg)[1][0]
+        got = checks["origin sweeps stay off the bump"]
+        # the claimed parameter is the first at which b_t reaches x = -2
+        reach = 1.0 / math.log(3.0 + cfg.margin)
+        assert got.claimed == repr(reach) and got.measured == repr(max(DEFAULT_FD_STEPS) * T)
+        assert got.passed
+        assert bump_reaches(-2.0, reach, cfg.margin)
+        assert not bump_reaches(-2.0, math.nextafter(reach, 0.0), cfg.margin)
+
+    def test_one_run_makes_two_pinned_sweeps(self, monkeypatch):
+        calls = []
+        sweep = experiments.finite_diff_differential
+
+        def recording(handle, points, tangents, *args, **kwargs):
+            calls.append((handle.name, len(points), kwargs.get("steps")))
+            return sweep(handle, points, tangents, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "finite_diff_differential", recording)
+        assert run("identity-differential", ExperimentConfig()).passed
+        assert calls == [("s-proj", 1, DEFAULT_FD_STEPS), ("h-family", 1, DEFAULT_FD_STEPS)]
+
+    @pytest.mark.parametrize(
+        "check",
+        [
+            "projection-map differential at the origin",
+            "branching-family differential at the origin",
+        ],
+    )
+    def test_origin_check_fails_under_a_scaled_differential(self, monkeypatch, check):
+        # the t <= 0 tangent branch of the moving-bump differential scaled by
+        # 1 + 1e-5, where finite differences still read the identity
+        moving_bump = gallery._moving_bump
+
+        def scaled(partials, t, f, spacing, margin, tangent=None):
+            out = moving_bump(partials, t, f, spacing, margin, tangent)
+            return grid_combine([(1.0 + 1e-5, out)]) if t <= 0 and tangent is not None else out
+
+        monkeypatch.setattr(gallery, "_moving_bump", scaled)
+        report = run("identity-differential", ExperimentConfig())
+        got = {c.name: c for c in report.checks}
+        assert not got[check].passed and not report.passed
+        assert float(got[check].measured) > 1e-6
+
+    def test_a_step_onto_the_bump_fails_the_off_bump_check(self, monkeypatch):
+        check = "origin sweeps stay off the bump"
+        # a leading step of 1.5: 1.5 T >= 0.75 exceeds 1/ln(4), where b_t's
+        # window reaches x = -2 at the default margin
+        monkeypatch.setattr(experiments, "DEFAULT_FD_STEPS", (1.5, *DEFAULT_FD_STEPS))
+        report = run("identity-differential", ExperimentConfig())
+        got = {c.name: c for c in report.checks}
+        assert not got[check].passed and not report.passed
+        assert float(got[check].measured) >= float(got[check].claimed)
+        # no origin sweep runs past the bump; the rank check still does
+        assert list(got) == [check, "retraction differential rank"]
 
 
 class TestCli:
