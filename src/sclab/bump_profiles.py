@@ -15,7 +15,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -37,6 +37,7 @@ __all__ = [
     "shift_amount",
     "shifted_bump",
     "bump_window",
+    "bump_window_gram",
     "pair_with_bump",
     "bump_reaches",
     "bump_self_pairing",
@@ -282,6 +283,28 @@ def bump_window(order: int, spacing: float, margin: float) -> np.ndarray:
     return vals
 
 
+@functools.lru_cache(maxsize=8)
+def bump_window_gram(
+    r: int, level: int, delta: float, spacing: float, margin: float
+) -> np.ndarray:
+    """Read-only Gram of b^(0..r-1) on the unshifted window ending at 0, in
+    grid_sobolev_norms' arithmetic: entry (a, b) sums over j <= level the
+    uniform_trapezoid of w d^j b^(a) times w d^j b^(b), w = exp(delta |x|).
+    Raises OverflowError, naming delta and the window, where not finite."""
+    rows = np.array([bump_window(k, spacing, margin) for k in range(r)])
+    x = -2.0 * (1.0 + margin) + spacing * np.arange(rows.shape[1])
+    gram = np.zeros((r, r))
+    with np.errstate(all="ignore"):  # an overflow is raised below
+        w = np.exp(delta * np.abs(x))
+        for j in range(level + 1):
+            gram += [[uniform_trapezoid((w * u) * (w * v), spacing) for v in rows] for u in rows]
+            rows = np.gradient(rows, spacing, axis=1, edge_order=2)
+    if not np.isfinite(gram).all():
+        raise OverflowError(f"weighted Gram at delta={delta!r} is not finite on [{x[0]}, {x[-1]}]")
+    gram.flags.writeable = False
+    return gram
+
+
 @functools.lru_cache(maxsize=64)
 def bump_self_pairing(spacing: float = DEFAULT_SPACING, margin: float = DEFAULT_MARGIN) -> float:
     """grid_l2_inner(b, b) of b = shifted_bump(t), bit for bit, for every
@@ -421,22 +444,21 @@ def step_n(n, t: float, order: int = 0):
 
 
 def log_limit_probe(
-    l: int, m: int, n: int, delta: float, t_grid: Sequence[float]
-) -> list:
-    """Log of t^-l * exp(delta*exp(1/t)/2 + m/t^2 + n/t - exp(1/t^2)) per t.
-
-    The double-exponential decay of the gate dominates every other factor, so
-    the values must dive to -inf as t decreases; callers check that trend.
-    """
-    ts = list(t_grid)
-    if any(t <= 0 or t > 1 for t in ts):
+    exponents: Sequence[Tuple[int, int, int]], delta: float, t_grid: Sequence[float]
+) -> List[List[float]]:
+    """Per (l, m, n), the log of t^-l * exp(delta*exp(1/t)/2 + m/t^2 + n/t -
+    exp(1/t^2)) at each t, clamped to the most negative float; each t's terms
+    are computed once.  The gate's double-exponential decay dominates, so the
+    values must dive to -inf as t decreases; callers check that trend."""
+    if any(t <= 0 or t > 1 for t in t_grid):
         raise ValueError("t grid must lie in (0, 1]")
-    out = []
-    for t in ts:
-        gate = phi_gate_logmag(t)
-        envelope = 0.5 * delta * _safe_exp(1.0 / t)
-        if not math.isfinite(envelope):
-            raise RepresentabilityError("exp(1/t) overflows the probe envelope")
-        lm = math.fsum([-l * math.log(t), envelope, m / (t * t), n / t, gate])
-        out.append(LogScalar.from_log(1, max(lm, _LOG_MIN)))
-    return out
+    terms = [
+        (t, math.log(t), 0.5 * delta * _safe_exp(1.0 / t), t * t, phi_gate_logmag(t))
+        for t in t_grid
+    ]
+    if not all(math.isfinite(envelope) for _, _, envelope, _, _ in terms):
+        raise RepresentabilityError("exp(1/t) overflows the probe envelope")
+    return [
+        [max(math.fsum([-l * lt, e, m / tt, n / t, g]), _LOG_MIN) for t, lt, e, tt, g in terms]
+        for l, m, n in exponents
+    ]

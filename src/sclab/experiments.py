@@ -627,29 +627,16 @@ def _inverse_blowup(cfg: ExperimentConfig) -> List[Check]:
 
 def _g0_smoothness(cfg: ExperimentConfig) -> List[Check]:
     t_grid = cfg.smoothness_t_grid
-    strictly_dec = True
-    final_ok = True
-    worst_final = -math.inf
-    floor = bump_profiles._LOG_MIN  # where the gate's log is clamped
-    clamped = set()  # grid indices where a log reads the floor, not a value
-    for ell in range(4):
-        for m in range(4):
-            for n in range(4):
-                for delta in (0.0, 0.2):
-                    vals = log_limit_probe(ell, m, n, delta, t_grid)
-                    lms = [v.logmag for v in vals]
-                    if not min(lms) > floor:
-                        clamped.update(j for j, lm in enumerate(lms) if not lm > floor)
-                    strictly_dec = strictly_dec and all(
-                        b < a for a, b in zip(lms, lms[1:])
-                    )
-                    worst_final = max(worst_final, lms[-1])
-                    final_ok = final_ok and lms[-1] < -1e3
-    # a check that reads the floor fails, and names the first t it read there
+    exponents = [(ell, m, n) for ell in range(4) for m in range(4) for n in range(4)]
+    logs = [lms for delta in (0.0, 0.2) for lms in log_limit_probe(exponents, delta, t_grid)]
+    clamped = {j for lms in logs for j, lm in enumerate(lms) if not lm > bump_profiles._LOG_MIN}
+    strictly_dec = all(b < a for lms in logs for a, b in zip(lms, lms[1:]))
+    worst_final = max(lms[-1] for lms in logs)
+    # a check that reads the clamp _LOG_MIN fails, and names the first t it read there
     decreasing = ("ok" if strictly_dec else "violated", strictly_dec)
     if clamped:
         decreasing = (t_grid[min(clamped)], False)
-    collapse = (worst_final, final_ok)
+    collapse = (worst_final, worst_final < -1e3)
     if len(t_grid) - 1 in clamped:
         collapse = (t_grid[-1], False)
     return [
@@ -782,8 +769,8 @@ def _opnorm_dichotomy(cfg: ExperimentConfig) -> List[Check]:
         seed=cfg.seed,
     )
     lower_ok = all(r.l2_lower_bound >= 0.999 for r in rows)
-    # sampled <= bound * (1 + 1e-9), in logs
-    sandwich_ok = all(r.log_sampled_over_bound <= math.log1p(1e-9) for r in rows)
+    # sampled <= bound * (1 + 1e-9), in logs; a -inf (every pairing 0) bounds nothing
+    sandwich_ok = all(-math.inf < r.log_sampled_over_bound <= math.log1p(1e-9) for r in rows)
     uppers = [r.log_upper_bound for r in rows]
     # rows follow the configured grid, which runs downward in t
     monotone_ok = all(b < a for a, b in zip(uppers, uppers[1:]))

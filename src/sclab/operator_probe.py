@@ -16,11 +16,11 @@ from .bump_profiles import (
     DEFAULT_MARGIN,
     DEFAULT_SPACING,
     bump_self_pairing,
-    bump_window,
+    bump_window_gram,
     phi_gate,
     shift_amount,
 )
-from .scale_core import LogScalar, grid_sobolev_norms, uniform_trapezoid
+from .scale_core import LogScalar
 
 __all__ = [
     "OperatorHandle",
@@ -207,15 +207,14 @@ def opnorm_dichotomy(
     |x| = exp(1/t) - 1 - margin + |u| for u on the unshifted window ending
     at 0 (f vanishes where b_t's window reaches past 0).  So ||f||_{1,delta}
     is exp(delta (exp(1/t) - 1 - margin)) times that norm on the unshifted
-    window, <f, b_t> does not depend on t, and t enters only through scalars.
+    window, <f, b_t> does not depend on t, and t enters only through scalars:
+    <f, b_t> = a P[:, 0] and that norm squared is a G a, for cached Gram matrices.
     """
     if delta <= 0:
         raise ValueError("the cross-level dichotomy needs delta > 0")
     rng = np.random.default_rng(seed)
-    windows = [bump_window(k, spacing, margin) for k in range(3)]
-    # one (n_samples, N) stack serves every t; it is filled and paired a row
-    # at a time, so no other array as large as the stack is formed
-    samples = np.empty((n_samples, windows[0].size))
+    pair = bump_window_gram(3, 0, 0.0, spacing, margin)  # P: L2, unweighted
+    gram = bump_window_gram(3, 1, delta, spacing, margin)  # G: first order, weighted
     q = bump_self_pairing(spacing, margin)
     rows = []
     for t in t_grid:
@@ -223,12 +222,14 @@ def opnorm_dichotomy(
         slope = LogScalar.one().add(phi_gate(t).neg())
         l2_lower = abs(slope.to_real()) * q  # witness F = b_t, L2 both sides
         log_upper = slope.logmag - delta * (shift - 1.0)
-        for row, coeffs in zip(samples, rng.normal(size=(n_samples, 3))):
-            row[:] = sum(a * w for a, w in zip(coeffs, windows))
-        pairings = np.array([uniform_trapezoid(row * windows[0], spacing) for row in samples])
-        norms = grid_sobolev_norms(samples, 1, delta, -2.0 * (1.0 + margin), spacing)
-        # |c_t <f, b_t>| sqrt(q) / ||f||_{1,delta} over the bound; c_t cancels
-        worst = float(np.max(np.log(np.abs(pairings)) - np.log(norms)))
-        worst += 0.5 * math.log(q) + delta * margin
+        coeffs = rng.normal(size=(n_samples, 3))
+        with np.errstate(all="ignore"):  # a 0 pairing logs as -inf; an overflow raises
+            norms = np.sqrt(np.einsum("si,ij,sj->s", coeffs, gram, coeffs))
+            # |c_t <f, b_t>| sqrt(q) / ||f||_{1,delta} over the bound; c_t cancels
+            ratios = np.log(np.abs(coeffs @ pair[:, 0])) - np.log(norms)
+        if not np.isfinite(norms).all():
+            where = f"delta={delta!r} is not finite on [{-2.0 * (1.0 + margin)!r}, 0]"
+            raise OverflowError(f"weighted Sobolev norm with {where}")
+        worst = float(np.max(ratios)) + 0.5 * math.log(q) + delta * margin
         rows.append(DichotomyRow(t, l2_lower, log_upper, worst))
     return rows

@@ -261,19 +261,14 @@ def test_criterion_06_gated_path_smoothness():
     failures = []
     grid = [0.5, 0.4, 0.3, 0.25, 0.2, 0.15]
     final_worst = -math.inf
-    for ell in range(4):
-        for m in range(4):
-            for n in range(4):
-                for delta in (0.0, 0.2):
-                    vals = log_limit_probe(ell, m, n, delta, grid)
-                    lms = [v.logmag for v in vals]
-                    if not all(b < a for a, b in zip(lms, lms[1:])):
-                        failures.append(f"not decreasing at ({ell},{m},{n},{delta})")
-                    final_worst = max(final_worst, lms[-1])
-                    if lms[-1] >= -1e3:
-                        failures.append(
-                            f"envelope {lms[-1]:.1f} >= -1e3 at ({ell},{m},{n},{delta})"
-                        )
+    exponents = [(ell, m, n) for ell in range(4) for m in range(4) for n in range(4)]
+    for delta in (0.0, 0.2):
+        for (ell, m, n), lms in zip(exponents, log_limit_probe(exponents, delta, grid)):
+            if not all(b < a for a, b in zip(lms, lms[1:])):
+                failures.append(f"not decreasing at ({ell},{m},{n},{delta})")
+            final_worst = max(final_worst, lms[-1])
+            if lms[-1] >= -1e3:
+                failures.append(f"envelope {lms[-1]:.1f} >= -1e3 at ({ell},{m},{n},{delta})")
     _verdict(6, "gated-path smoothness limits", failures, f"worst final envelope {final_worst:.3g}")
 
 

@@ -16,11 +16,13 @@ from sclab.bump_profiles import (
     bump_reaches,
     bump_self_pairing,
     bump_window,
+    bump_window_gram,
     log_limit_probe,
     make_bump,
     make_smooth_step,
     pair_with_bump,
     phi_gate,
+    phi_gate_logmag,
     shift_amount,
     shifted_bump,
     step_n,
@@ -34,6 +36,7 @@ from sclab.scale_core import (
     grid_combine,
     grid_l2_inner,
     grid_sobolev_inner,
+    grid_sobolev_norm,
 )
 
 from independent_routes import step_derivative_sup
@@ -591,14 +594,98 @@ class TestPhiGate:
             assert prev < -1e4
 
 
+def _per_triple_log_limit(l, m, n, delta, t_grid):
+    """The probe one exponent triple at a time, every term recomputed per
+    triple and wrapped in a LogScalar, as one call per triple took it."""
+    out = []
+    for t in t_grid:
+        gate = phi_gate_logmag(t)
+        envelope = 0.5 * delta * math.exp(1.0 / t)
+        lm = math.fsum([-l * math.log(t), envelope, m / (t * t), n / t, gate])
+        out.append(LogScalar.from_log(1, max(lm, bump_profiles._LOG_MIN)).logmag)
+    return out
+
+
+_EXPONENTS = [(ell, m, n) for ell in range(4) for m in range(4) for n in range(4)]
+
+
 class TestLogLimitProbe:
     def test_strict_decrease_and_collapse(self):
         grid = [0.5, 0.4, 0.3, 0.25, 0.2, 0.15]
-        vals = log_limit_probe(3, 3, 3, 0.2, grid)
-        lms = [v.logmag for v in vals]
+        (lms,) = log_limit_probe([(3, 3, 3)], 0.2, grid)
         assert all(b < a for a, b in zip(lms, lms[1:]))
         assert lms[-1] < -1e3
 
     def test_drop_between_half_and_point_three(self):
-        vals = log_limit_probe(1, 1, 1, 0.2, [0.5, 0.3])
-        assert vals[0].logmag - vals[1].logmag >= math.exp(1.0 / 0.09) / 2.0
+        (vals,) = log_limit_probe([(1, 1, 1)], 0.2, [0.5, 0.3])
+        assert vals[0] - vals[1] >= math.exp(1.0 / 0.09) / 2.0
+
+    @pytest.mark.parametrize(
+        "grid", [[0.5, 0.4, 0.3, 0.25, 0.2, 0.15], [0.5, 0.3, 0.1, 0.05, 0.035, 0.03]]
+    )
+    def test_equals_the_per_triple_formula_bit_for_bit(self, grid):
+        # the second grid reaches the clamp: exp(1/t^2) overflows below 0.0375
+        clamped = 0
+        for delta in (0.0, 0.2):
+            got = log_limit_probe(_EXPONENTS, delta, grid)
+            assert len(got) == len(_EXPONENTS)
+            for (ell, m, n), lms in zip(_EXPONENTS, got):
+                want = _per_triple_log_limit(ell, m, n, delta, grid)
+                assert all(type(lm) is float for lm in lms)
+                assert [lm.hex() for lm in lms] == [w.hex() for w in want], (ell, m, n, delta)
+                clamped += lms.count(bump_profiles._LOG_MIN)
+        assert clamped == (2 * 2 * len(_EXPONENTS) if grid[-1] < 0.0375 else 0)
+
+    @pytest.mark.parametrize("t", [0.0, -0.1, 1.5])
+    def test_rejects_t_outside_the_unit_interval(self, t):
+        with pytest.raises(ValueError, match=r"\(0, 1\]"):
+            log_limit_probe(_EXPONENTS, 0.2, [0.5, t])
+
+    @pytest.mark.parametrize("delta", [0.0, 0.2])
+    def test_overflowing_envelope_is_not_representable(self, delta):
+        # exp(1/t) overflows below t ~ 0.00141, and 0 * inf is no envelope
+        with pytest.raises(RepresentabilityError, match="envelope"):
+            log_limit_probe(_EXPONENTS, delta, [0.5, 0.001])
+
+
+class TestBumpWindowGram:
+    """bump_window_gram against grid_sobolev_norm and grid_l2_inner of
+    explicit combinations of the unshifted windows ending at 0."""
+
+    @staticmethod
+    def _windows(spacing, margin=DEFAULT_MARGIN):
+        return [
+            GridFunction(-2.0 * (1.0 + margin), spacing, bump_window(k, spacing, margin))
+            for k in range(3)
+        ]
+
+    @pytest.mark.parametrize("delta", [0.1, 0.5])
+    @pytest.mark.parametrize("spacing", [1e-3, 5e-4])
+    def test_quadratic_forms_are_the_norms_of_the_combinations(self, spacing, delta):
+        gram = bump_window_gram(3, 1, delta, spacing, DEFAULT_MARGIN)
+        pair = bump_window_gram(3, 0, 0.0, spacing, DEFAULT_MARGIN)
+        windows = self._windows(spacing)
+        for a in np.random.default_rng(5).normal(size=(8, 3)):
+            f = grid_combine(list(zip(a, windows)))
+            want = grid_sobolev_norm(f, 1, delta)
+            assert math.sqrt(a @ gram @ a) == pytest.approx(want, rel=1e-12, abs=0.0)
+            want = grid_l2_inner(f, windows[0])
+            assert a @ pair[:, 0] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("spacing", [1e-3, 5e-4])
+    def test_l2_gram_keeps_the_self_pairing_bits(self, spacing):
+        pair = bump_window_gram(3, 0, 0.0, spacing, DEFAULT_MARGIN)
+        assert pair[0, 0] == bump_self_pairing(spacing)
+        assert np.array_equal(pair, pair.T)
+
+    def test_cached_and_read_only(self):
+        gram = bump_window_gram(3, 1, 0.1, DEFAULT_SPACING, DEFAULT_MARGIN)
+        assert bump_window_gram(3, 1, 0.1, DEFAULT_SPACING, DEFAULT_MARGIN) is gram
+        assert gram.shape == (3, 3) and not gram.flags.writeable
+        with pytest.raises(ValueError):
+            gram[0, 0] = 1.0
+
+    @pytest.mark.parametrize("delta", [118.0, 200.0])
+    def test_non_finite_entry_raises_naming_delta_and_window(self, delta):
+        with pytest.raises(OverflowError, match=rf"delta={delta!r} is not finite on \[-4\.0, "):
+            bump_window_gram(3, 1, delta, DEFAULT_SPACING, DEFAULT_MARGIN)

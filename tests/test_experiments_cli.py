@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sclab import cli, experiments, gallery
+from sclab import cli, experiments, gallery, operator_probe
 from sclab.bump_profiles import (
     bump_reaches,
     bump_self_pairing,
@@ -732,6 +732,77 @@ class TestIdentityDifferential:
         assert float(got[check].measured) >= float(got[check].claimed)
         # no origin sweep runs past the bump; the rank check still does
         assert list(got) == [check, "retraction differential rank"]
+
+
+def _dichotomy_checks(cfg: ExperimentConfig) -> dict:
+    """opnorm-dichotomy at cfg with every warning raised as an error, so a
+    numpy floating-point warning fails the test instead of passing silently."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return {c.name: c for c in run("opnorm-dichotomy", cfg).checks}
+
+
+class TestDichotomySandwich:
+    @pytest.mark.parametrize("delta", [50.0, 100.0, 110.0])
+    def test_large_delta_still_reports_and_passes(self, delta):
+        checks = _dichotomy_checks(ExperimentConfig(dichotomy_delta=delta))
+        assert all(c.passed for c in checks.values()), checks
+        assert math.isfinite(float(checks["cross-level sandwich"].measured))
+
+    @pytest.mark.parametrize("delta", [118.0, 120.0, 177.0, 200.0])
+    def test_delta_past_the_float_range_ends_in_one_error_line(self, delta):
+        # below 118 the weighted Gram is finite; past it an entry overflows,
+        # and past 177.4 exp(delta |x|) itself overflows on the window
+        checks = _dichotomy_checks(ExperimentConfig(dichotomy_delta=delta))
+        assert list(checks) == ["error"] and not checks["error"].passed
+        measured = checks["error"].measured
+        assert measured.startswith("OverflowError: ") and "\n" not in measured
+        assert f"delta={delta!r} is not finite on [-4.0, " in measured
+
+    def test_a_non_finite_sample_norm_raises(self, monkeypatch):
+        # a Gram finite entry by entry whose quadratic forms overflow
+        gram = operator_probe.bump_window_gram
+
+        def huge(r, level, delta, spacing, margin):
+            g = gram(r, level, delta, spacing, margin)
+            return g if level == 0 else 1e308 * np.eye(r)
+
+        monkeypatch.setattr(operator_probe, "bump_window_gram", huge)
+        checks = _dichotomy_checks(ExperimentConfig())
+        assert list(checks) == ["error"]
+        assert checks["error"].measured.startswith(
+            "OverflowError: weighted Sobolev norm with delta=0.1 is not finite on [-4.0, 0]"
+        )
+
+    def test_a_minus_inf_sandwich_fails(self, monkeypatch):
+        # every pairing 0: each log ratio is -inf, which bounds nothing
+        gram = operator_probe.bump_window_gram
+
+        def unpaired(r, level, delta, spacing, margin):
+            g = gram(r, level, delta, spacing, margin)
+            return g if level else np.zeros_like(g)
+
+        monkeypatch.setattr(operator_probe, "bump_window_gram", unpaired)
+        checks = _dichotomy_checks(ExperimentConfig())
+        assert [n for n, c in checks.items() if not c.passed] == ["cross-level sandwich"]
+        assert checks["cross-level sandwich"].measured == "-inf"
+
+    def test_the_unweighted_gram_fails_the_sandwich_at_some_seed(self, monkeypatch):
+        # the fault: plain L2 norms of the samples in place of the weighted
+        # first-order ones; it fails at 6 of seeds 0-39 (3, 5, 6, 19, 35, 38)
+        gram = operator_probe.bump_window_gram
+        monkeypatch.setattr(
+            operator_probe,
+            "bump_window_gram",
+            lambda r, level, delta, spacing, margin: gram(r, 0, 0.0, spacing, margin),
+        )
+        failing = []
+        for seed in range(40):
+            checks = _dichotomy_checks(ExperimentConfig(seed=seed))
+            failed = [n for n, c in checks.items() if not c.passed]
+            assert failed in ([], ["cross-level sandwich"])
+            failing += [seed] if failed else []
+        assert failing
 
 
 class TestCli:
