@@ -13,10 +13,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sclab import cli, experiments, gallery, operator_probe
+from sclab import bump_profiles, cli, experiments, gallery, operator_probe
 from sclab.bump_profiles import (
+    BumpProfile,
     bump_reaches,
     bump_self_pairing,
+    bump_window,
+    bump_window_gram,
     make_bump,
     shifted_bump,
     step_n,
@@ -604,14 +607,116 @@ def _old_projection_orthogonality(cfg: ExperimentConfig) -> float:
     return worst
 
 
+def _orthogonality(cfg: ExperimentConfig) -> float:
+    checks = {c.name: c for c in run("retract-image-gap", cfg).checks}
+    return float(checks["projection orthogonality"].measured)
+
+
+def _scale_projection_coefficient(monkeypatch):
+    # (c, dc/da, dc/dt) of the projection map's c = -<f, b_t> scaled by 1 + 1e-9
+    partials = gallery._s_proj_partials
+    monkeypatch.setattr(
+        gallery, "_s_proj_partials", lambda t, a: tuple((1.0 + 1e-9) * p for p in partials(t, a))
+    )
+
+
+def _scale_bump_normalization(monkeypatch):
+    # the bump's normalisation scaled by 1 + 1e-5, sampled afresh: the caches
+    # that hold its samples are cleared here and by the bump_caches fixture
+    bump = make_bump()
+    scaled = BumpProfile(bump.normalization * (1.0 + 1e-5))
+    monkeypatch.setattr(bump_profiles, "make_bump", lambda: scaled)
+    _clear_bump_caches()
+
+
+def _clear_bump_caches():
+    for cache in (bump_window, shifted_bump, bump_window_gram, bump_self_pairing):
+        cache.cache_clear()
+
+
+@pytest.fixture
+def bump_caches():
+    """Clears the caches of bump samples after the test, so none that a
+    fault filled outlives it."""
+    yield
+    _clear_bump_caches()
+
+
+#: each retract-image-gap check with one injected fault that fails it: under
+#: the coefficient fault the kernel witness reads 1.0e-9 and orthogonality
+#: 2.7e-10 to 4.6e-10 (seeds 0-9, both spacings); the normalisation fault
+#: fails every check
+_RETRACT_FAULTS = {
+    "projection orthogonality": _scale_projection_coefficient,
+    "missed target pairing": _scale_bump_normalization,
+    "missed target distance": _scale_bump_normalization,
+    "kernel witness": _scale_projection_coefficient,
+}
+
+
 class TestGridRowLoops:
     @pytest.mark.parametrize("spacing", [1e-3, 5e-4])
-    def test_orthogonality_equals_the_per_draw_loop(self, spacing):
+    def test_orthogonality_reads_rounding_on_both_routes(self, spacing):
+        # the projected windows and the per-draw loop round apart; over seeds
+        # 0-39 and both spacings they read at most 2.9e-17 and 1.1e-16
+        for seed in range(40):
+            cfg = ExperimentConfig(seed=seed, spacing=spacing)
+            assert _orthogonality(cfg) <= 1e-15
+            assert _old_projection_orthogonality(cfg) <= 1e-15
+
+    @pytest.mark.parametrize("spacing", [1e-3, 5e-4])
+    @pytest.mark.parametrize("fault", [_scale_projection_coefficient, _scale_bump_normalization])
+    def test_orthogonality_agrees_with_the_per_draw_loop_under_a_fault(
+        self, monkeypatch, bump_caches, fault, spacing
+    ):
+        fault(monkeypatch)
         for seed in range(10):
             cfg = ExperimentConfig(seed=seed, spacing=spacing)
-            checks = {c.name: c for c in run("retract-image-gap", cfg).checks}
-            want = _old_projection_orthogonality(cfg)
-            assert checks["projection orthogonality"].measured == repr(want)
+            got, want = _orthogonality(cfg), _old_projection_orthogonality(cfg)
+            assert got == pytest.approx(want, rel=1e-6)
+            assert got > 1e-10 and want > 1e-10
+
+    @pytest.mark.parametrize("spacing", [1e-3, 5e-4])
+    def test_gram_norms_equal_the_norms_of_the_combinations(self, spacing):
+        cfg = ExperimentConfig(spacing=spacing)
+        gram = bump_window_gram(4, 0, 0.0, spacing, cfg.margin)
+        draws = np.random.default_rng(0).normal(size=(3, 34, 4))
+        for t, coeffs in zip((0.3, 0.4, 0.5), draws):
+            bumps = [shifted_bump(t, k, spacing, cfg.margin) for k in range(4)]
+            for c in coeffs:
+                want = grid_sobolev_norm(grid_combine(list(zip(c, bumps))), 0, 0.0)
+                assert math.sqrt(c @ gram @ c) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_one_run_projects_each_window_once_per_t(self, monkeypatch):
+        calls = []
+        project = experiments.s_proj_row
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return project(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "s_proj_row", counted)
+        bump_window_gram.cache_clear()
+        for spacing in (1e-3, 5e-4):
+            calls.clear()
+            assert run("retract-image-gap", ExperimentConfig(spacing=spacing)).passed
+            assert calls == [0.3] * 4 + [0.4] * 4 + [0.5] * 4
+        info = bump_window_gram.cache_info()
+        assert info.currsize == info.misses == 2  # one Gram per spacing
+        assert run("retract-image-gap", ExperimentConfig()).passed
+        assert bump_window_gram.cache_info().currsize == 2
+
+    @pytest.mark.parametrize("check", sorted(_RETRACT_FAULTS))
+    def test_each_check_fails_under_its_fault(self, monkeypatch, bump_caches, check):
+        _RETRACT_FAULTS[check](monkeypatch)
+        report = run("retract-image-gap", ExperimentConfig())
+        got = {c.name: c for c in report.checks}
+        assert not got[check].passed and not report.passed
+        assert float(got[check].measured) > float(got[check].claimed)
+
+    def test_the_fault_table_covers_every_check(self):
+        names = [c.name for c in run("retract-image-gap", ExperimentConfig()).checks]
+        assert sorted(names) == sorted(_RETRACT_FAULTS)
 
     def test_retract_image_gap_samples_one_shifted_bump_per_t(self):
         shifted_bump.cache_clear()
