@@ -297,8 +297,9 @@ def bump_window_gram(
     with np.errstate(all="ignore"):  # an overflow is raised below
         w = np.exp(delta * np.abs(x))
         for j in range(level + 1):
+            if j:  # the j-th derivative; none is taken past the last level
+                rows = np.gradient(rows, spacing, axis=1, edge_order=2)
             gram += [[uniform_trapezoid((w * u) * (w * v), spacing) for v in rows] for u in rows]
-            rows = np.gradient(rows, spacing, axis=1, edge_order=2)
     if not np.isfinite(gram).all():
         raise OverflowError(f"weighted Gram at delta={delta!r} is not finite on [{x[0]}, {x[-1]}]")
     gram.flags.writeable = False

@@ -229,6 +229,18 @@ def _check(name: str, claim: str, claimed, measured, passed: bool) -> Check:
     return Check(name, claim, _fmt(claimed), _fmt(measured), bool(passed))
 
 
+def _at_most(name: str, claim: str, bound: float, measured: float) -> Check:
+    """A check that claims its bound and passes where measured <= bound; a
+    NaN fails."""
+    return _check(name, claim, bound, measured, measured <= bound)
+
+
+def _at_least(name: str, claim: str, bound: float, measured: float) -> Check:
+    """A check that claims its bound and passes where measured >= bound; a
+    NaN fails."""
+    return _check(name, claim, bound, measured, measured >= bound)
+
+
 def _stamp() -> dict:
     return {
         "python": platform.python_version(),
@@ -242,7 +254,6 @@ def _stamp() -> dict:
 
 
 def _seq_discontinuity(cfg: ExperimentConfig) -> List[Check]:
-    checks = []
     # the diagonal map multiplies mode m by f_m(t): row n - 2 holds e_n and
     # the factors at t = 1/n for n = 2..10, and one more row those at t = 0
     units = np.eye(10)[1:]
@@ -250,50 +261,45 @@ def _seq_discontinuity(cfg: ExperimentConfig) -> List[Check]:
     factors = step_n(np.arange(1, 11), ts[:, np.newaxis], 0)
     moved = factors[:-1] * units - factors[-1] * units
     gaps = [seq_norms(moved, i) / seq_norms(units, i) - 0.5 for i in range(3)]
-    worst = float(np.max(np.abs(gaps)))
-    checks.append(
-        _check(
-            "unit-vector gap",
-            "the difference of the diagonal map at parameters 1/n and 0 moves "
-            "each unit vector e_n by exactly half its norm, on every level",
-            0.0,
-            worst,
-            worst <= 1e-12,
-        )
-    )
     N = cfg.truncation_n
     # the map at 1/n minus the map at 0 is diagonal, and a diagonal operator
     # has norm max |d_m| under every diagonal level metric
     ts = 1.0 / np.array([[2.0], [4.0], [7.0]])
     opnorms = np.abs(step_n(np.arange(1, N + 1), ts, 0) - 1.0).max(axis=1)
-    worst_op = float(opnorms.max())
-    ok_opnorm = bool(np.all((0.5 - 1e-12 <= opnorms) & (opnorms <= 1.0 + 1e-12)))
-    checks.append(
-        _check(
-            "difference operator norm",
-            "truncated operator norm of the parameter-1/n minus parameter-0 map "
-            "lies in [1/2, 1]",
-            "[0.5, 1]",
-            worst_op,
-            ok_opnorm,
-        )
-    )
     rng = np.random.default_rng(cfg.seed)
     draws = [(rng.normal(size=N), rng.uniform(-0.2, 0.6)) for _ in range(20)]
     xs = np.array([x for x, _ in draws])
     factors = step_n(np.arange(1, N + 1), np.array([[t] for _, t in draws]), 0)
     back = (factors * xs) / factors
-    worst_rt = float(np.max(seq_norms(back - xs, 0) / seq_norms(xs, 0)))
-    checks.append(
-        _check(
+    return [
+        _at_most(
+            "unit-vector gap",
+            "the difference of the diagonal map at parameters 1/n and 0 moves "
+            "each unit vector e_n by exactly half its norm, on every level",
+            1e-12,
+            float(np.max(np.abs(gaps))),
+        ),
+        _at_least(
+            "difference operator norm at least 1/2",
+            "truncated operator norm of the parameter-1/n minus parameter-0 map "
+            "is at least 1/2",
+            0.5 - 1e-12,
+            float(opnorms.min()),
+        ),
+        _at_most(
+            "difference operator norm at most 1",
+            "truncated operator norm of the parameter-1/n minus parameter-0 map "
+            "is at most 1",
+            1.0 + 1e-12,
+            float(opnorms.max()),
+        ),
+        _at_most(
             "round trip",
             "inverse of the diagonal map recovers the input",
-            0.0,
-            worst_rt,
-            worst_rt <= 1e-14,
-        )
-    )
-    return checks
+            1e-14,
+            float(np.max(seq_norms(back - xs, 0) / seq_norms(xs, 0))),
+        ),
+    ]
 
 
 def _blocks(total: int):
@@ -301,12 +307,15 @@ def _blocks(total: int):
     return [(lo, min(_SEQ_BLOCK, total - lo)) for lo in range(0, total, _SEQ_BLOCK)]
 
 
-def _running_max(current: float, values: np.ndarray) -> float:
-    """max(current, *values.flat), keeping the first of equal maxima as the
-    sequential builtin max does (so the sign of a zero maximum matches)."""
+def _running_max(current: float, values) -> float:
+    """max(current, *np.asarray(values).flat), keeping the first of equal
+    maxima as the sequential builtin max does (so the sign of a zero maximum
+    matches) and any NaN, which the builtin drops past its first argument."""
+    values = np.asarray(values)
     if not values.size:
         return current
-    return max(current, float(values.flat[np.argmax(values)]))
+    v = float(values.flat[np.argmax(values)])  # argmax takes a NaN as the maximum
+    return current if v <= current or current != current else v
 
 
 def _single_mode_gap(rng: np.random.Generator, n_modes: int) -> float:
@@ -364,53 +373,39 @@ def _diagonal_map_ratio(rng: np.random.Generator, dim: int) -> float:
 
 
 def _seq_tail_bounds(cfg: ExperimentConfig) -> List[Check]:
-    checks = []
-    rng = np.random.default_rng(cfg.seed)
-    worst = _single_mode_gap(rng, cfg.truncation_n)
-    checks.append(
-        _check(
+    N = 16
+    e_N = SeqVector.basis(N)
+    eq_gaps = [
+        abs(seq_norm(e_N, i) - N ** (-3 * k) * seq_norm(e_N, i + k))
+        for i in range(2)
+        for k in range(1, 3)
+    ]
+    rng = np.random.default_rng(cfg.seed)  # the three checks draw in list order
+    return [
+        _at_most(
             "single-mode level scaling",
             "the level-i norm of a single mode n equals n^(-3k) times its "
             "level-(i+k) norm",
-            0.0,
-            worst,
-            worst <= 1e-12,
-        )
-    )
-    N = 16
-    worst_gap = _tail_bound_gap(rng, cfg.truncation_n, N)
-    eq_gap = math.inf
-    for i in range(2):
-        for k in range(1, 3):
-            e_N = SeqVector.basis(N)
-            lhs = seq_norm(e_N, i)
-            rhs = N ** (-3 * k) * seq_norm(e_N, i + k)
-            eq_gap = min(eq_gap, abs(lhs - rhs))
-    checks.append(
-        _check(
+            1e-12,
+            _single_mode_gap(rng, cfg.truncation_n),
+        ),
+        _at_most(
             "tail bound with sharp mode",
             "the tail beyond mode N is bounded by N^(-3k) times the higher-level "
             "norm, with equality at the single mode N",
-            0.0,
-            max(worst_gap, eq_gap),
-            worst_gap <= 1e-12 and eq_gap <= 1e-12,
-        )
-    )
-    worst_ratio = _diagonal_map_ratio(rng, cfg.truncation_n)
-    checks.append(
-        _check(
+            1e-12,
+            _running_max(_tail_bound_gap(rng, cfg.truncation_n, N), eq_gaps),
+        ),
+        _at_most(
             "diagonal map bounded by two",
             "the diagonal plateau map never more than doubles any level norm",
-            2.0,
-            worst_ratio,
-            worst_ratio <= 2.0 + 1e-12,
-        )
-    )
-    return checks
+            2.0 + 1e-12,
+            _diagonal_map_ratio(rng, cfg.truncation_n),
+        ),
+    ]
 
 
 def _seq_tangent_check(cfg: ExperimentConfig) -> List[Check]:
-    checks = []
     rng = np.random.default_rng(cfg.seed)
     base_ts = []
     for n in range(2, 7):
@@ -426,35 +421,30 @@ def _seq_tangent_check(cfg: ExperimentConfig) -> List[Check]:
             points.append((t, SeqVector(rng.normal(size=10))))
             tangents.append((float(rng.uniform(0.5, 1.5)), SeqVector(rng.normal(size=10))))
         handle = seq_rho_k_handle(k)
-        for rep in finite_diff_differential(handle, points, tangents, level=0, steps=steps):
-            worst = max(worst, rep.mismatch)
-    checks.append(
-        _check(
-            "interior tangent formula",
-            "finite differences of the derivative family match the analytic "
-            "tangent formula at interior parameters",
-            1e-6,
-            worst,
-            worst <= 1e-6,
-        )
-    )
+        reps = finite_diff_differential(handle, points, tangents, level=0, steps=steps)
+        worst = _running_max(worst, [rep.mismatch for rep in reps])
     x = SeqVector(rng.normal(size=10))
     X = SeqVector(rng.normal(size=10))
     d0 = rho_k_tangent(0, 0.0, x, 1.0, X)
     gap0 = seq_norm(d0.add(X.scaled(-1.0)), 0)
     d1 = rho_k_tangent(1, 0.0, x, 1.0, X)
     gap1 = seq_norm(d1, 0)
-    checks.append(
-        _check(
+    return [
+        _at_most(
+            "interior tangent formula",
+            "finite differences of the derivative family match the analytic "
+            "tangent formula at interior parameters",
+            1e-6,
+            worst,
+        ),
+        _at_most(
             "tangent at the limit parameter",
             "at parameter zero the order-0 tangent is the direction itself and "
             "the order-1 tangent vanishes",
             0.0,
-            max(gap0, gap1),
-            gap0 == 0.0 and gap1 == 0.0,
-        )
-    )
-    return checks
+            _running_max(gap0, gap1),
+        ),
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -476,39 +466,35 @@ def _retract_image_gap(cfg: ExperimentConfig) -> List[Check]:
         c = rng.normal(size=(34, 4))
         norms = np.sqrt(np.einsum("ij,jk,ik->i", c, gram, c))
         worst_orth = _running_max(worst_orth, np.abs(c @ v) / np.maximum(norms, 1e-300))
-        worst_pair = max(worst_pair, abs(grid_l2_inner(b.scaled(t), b) - t))
+        worst_pair = _running_max(worst_pair, abs(grid_l2_inner(b.scaled(t), b) - t))
         dist = math.hypot(t, grid_sobolev_norm(b.scaled(t), 0, 0.0))
-        worst_dist = max(worst_dist, abs(dist - t * math.sqrt(2.0)))
+        worst_dist = _running_max(worst_dist, abs(dist - t * math.sqrt(2.0)))
         _, g = s_proj_diff(t, b.zeros_like(), 0.0, b, h, cfg.margin)
-        worst_ker = max(worst_ker, grid_sobolev_norm(g, 0, 0.0))
+        worst_ker = _running_max(worst_ker, grid_sobolev_norm(g, 0, 0.0))
     return [
-        _check(
+        _at_most(
             "projection orthogonality",
             "after projection nothing remains along the moving bump",
             1e-10,
             worst_orth,
-            worst_orth <= 1e-10,
         ),
-        _check(
+        _at_most(
             "missed target pairing",
             "the candidate limit points (t, t*bump) pair to t with the bump",
             1e-6,
             worst_pair,
-            worst_pair <= 1e-6,
         ),
-        _check(
+        _at_most(
             "missed target distance",
             "the candidate limit points (t, t*bump) sit at distance t*sqrt(2) from the origin",
             1e-8,
             worst_dist,
-            worst_dist <= 1e-8,
         ),
-        _check(
+        _at_most(
             "kernel witness",
             "the differential at (t, 0) annihilates the bump direction",
             1e-10,
             worst_ker,
-            worst_ker <= 1e-10,
         ),
     ]
 
@@ -549,12 +535,11 @@ def _identity_differential(cfg: ExperimentConfig) -> List[Check]:
                 handle, [(0.0, zero)], [tan], level=0, steps=DEFAULT_FD_STEPS
             )
             checks.append(
-                _check(
+                _at_most(
                     f"{name} differential at the origin",
                     f"finite differences of the {what} at (0, 0) reproduce the identity",
                     1e-6,
                     r.mismatch,
-                    r.mismatch <= 1e-6,
                 )
             )
     q = bump_self_pairing(cfg.spacing, cfg.margin)
@@ -580,7 +565,6 @@ def _identity_differential(cfg: ExperimentConfig) -> List[Check]:
 
 
 def _inverse_blowup(cfg: ExperimentConfig) -> List[Check]:
-    checks = []
     delta = cfg.tail_delta
     f = AnalyticTailFunction.inverse_square_tail(delta)
     logs = []
@@ -600,7 +584,7 @@ def _inverse_blowup(cfg: ExperimentConfig) -> List[Check]:
         logs.append(lm)
         margins.append(lm - bound)
         ok_bound = ok_bound and math.isfinite(lm) and lm >= bound
-    checks.append(
+    return [
         _check(
             "blow-up lower bound",
             "the log of the inverse shear's scalar output dominates the "
@@ -608,21 +592,15 @@ def _inverse_blowup(cfg: ExperimentConfig) -> List[Check]:
             "exp(1/t^2) - 2 delta exp(1/t) - 2/t - log 4",
             min(margins),
             ok_bound,
-        )
-    )
-    increments = [logs[i + 1] - logs[i] for i in range(len(logs) - 1)]
-    min_inc = min(increments) if increments else math.inf
-    checks.append(
-        _check(
+        ),
+        _at_least(
             "blow-up growth per step",
             "each step down the parameter grid multiplies the scalar output by "
             "at least ten",
             math.log(10.0),
-            min_inc,
-            min_inc >= math.log(10.0),
-        )
-    )
-    return checks
+            float(np.min(np.diff(logs), initial=math.inf)),
+        ),
+    ]
 
 
 def _g0_smoothness(cfg: ExperimentConfig) -> List[Check]:
@@ -657,7 +635,6 @@ def _g0_smoothness(cfg: ExperimentConfig) -> List[Check]:
 
 
 def _noncompact_zeroset(cfg: ExperimentConfig) -> List[Check]:
-    checks = []
     worst = 0.0
     for n, m in ((2, 5), (3, 7)):
         bn = shifted_bump(1.0 / n, 0, cfg.spacing, cfg.margin)
@@ -668,19 +645,17 @@ def _noncompact_zeroset(cfg: ExperimentConfig) -> List[Check]:
             + grid_sobolev_norm(bm, 0, 0.0) ** 2
             - 2.0 * cross
         )
-        worst = max(worst, abs(dist - math.sqrt(2.0)))
-    checks.append(
-        _check(
+        worst = _running_max(worst, abs(dist - math.sqrt(2.0)))
+    return [
+        _at_most(
             "mutual distance sqrt(2)",
             "far-separated unit bumps are sqrt(2) apart, so the bounded zero-set "
             "sequence has no convergent subsequence; the squared distance is 2 "
             "(a squared-norm reading of the source constant)",
-            math.sqrt(2.0),
+            1e-8,
             worst,
-            worst <= 1e-8,
         )
-    )
-    return checks
+    ]
 
 
 def _branching_zeroset(cfg: ExperimentConfig) -> List[Check]:
@@ -740,22 +715,18 @@ def _branching_zeroset(cfg: ExperimentConfig) -> List[Check]:
 
 def _transversality_witness(cfg: ExperimentConfig) -> List[Check]:
     worst = 0.0
-    ok = True
     for t in cfg.branching_t_grid:
         data = h_transversality_data(t, cfg.spacing, cfg.margin)
         a, b = data.witness_value, data.witness_value_partial_route
-        tol = 1e-12 * max(1.0, abs(a.logmag))
-        gap = abs(a.logmag - b.logmag)
-        worst = max(worst, gap / max(1.0, abs(a.logmag)))
-        ok = ok and a.sign == b.sign and gap <= tol
+        gap = abs(a.logmag - b.logmag) / max(1.0, abs(a.logmag)) if a.sign == b.sign else math.inf
+        worst = _running_max(worst, gap)
     return [
-        _check(
+        _at_most(
             "two-route witness agreement",
             "the closed-form witness magnitude and the independent "
             "partial-derivative route agree in log magnitude",
             1e-12,
             worst,
-            ok,
         )
     ]
 
@@ -768,7 +739,6 @@ def _opnorm_dichotomy(cfg: ExperimentConfig) -> List[Check]:
         cfg.margin,
         seed=cfg.seed,
     )
-    lower_ok = all(r.l2_lower_bound >= 0.999 for r in rows)
     # sampled <= bound * (1 + 1e-9), in logs; a -inf (every pairing 0) bounds nothing
     sandwich_ok = all(-math.inf < r.log_sampled_over_bound <= math.log1p(1e-9) for r in rows)
     uppers = [r.log_upper_bound for r in rows]
@@ -781,13 +751,12 @@ def _opnorm_dichotomy(cfg: ExperimentConfig) -> List[Check]:
     if unbounded:
         monotone = (unbounded[0], False)
     return [
-        _check(
+        _at_least(
             "same-level lower bound",
             "the bump witness keeps the unweighted operator norm near one at "
             "every sampled parameter",
             0.999,
-            min(r.l2_lower_bound for r in rows),
-            lower_ok,
+            float(np.min([r.l2_lower_bound for r in rows])),
         ),
         _check(
             "cross-level sandwich",

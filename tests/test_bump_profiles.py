@@ -37,6 +37,7 @@ from sclab.scale_core import (
     grid_l2_inner,
     grid_sobolev_inner,
     grid_sobolev_norm,
+    uniform_trapezoid,
 )
 
 from independent_routes import step_derivative_sup
@@ -684,6 +685,30 @@ class TestBumpWindowGram:
         assert gram.shape == (3, 3) and not gram.flags.writeable
         with pytest.raises(ValueError):
             gram[0, 0] = 1.0
+
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    def test_a_level_l_build_takes_l_gradients(self, monkeypatch, level):
+        calls = []
+        gradient = np.gradient
+        monkeypatch.setattr(np, "gradient", lambda *a, **k: calls.append(1) or gradient(*a, **k))
+        bump_window(0, DEFAULT_SPACING, DEFAULT_MARGIN)  # the rows are sampled, not differenced
+        bump_window_gram.cache_clear()
+        bump_window_gram(4, level, 0.1, DEFAULT_SPACING, DEFAULT_MARGIN)
+        assert len(calls) == level
+
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    @pytest.mark.parametrize("delta", [0.0, 0.1])
+    @pytest.mark.parametrize("spacing", [1e-3, 5e-4])
+    def test_keeps_the_bits_of_the_gradient_per_level_build(self, spacing, delta, level):
+        # the build that took one more gradient, after the last level
+        rows = np.array([bump_window(k, spacing, DEFAULT_MARGIN) for k in range(4)])
+        x = -2.0 * (1.0 + DEFAULT_MARGIN) + spacing * np.arange(rows.shape[1])
+        w, want = np.exp(delta * np.abs(x)), np.zeros((4, 4))
+        for _ in range(level + 1):
+            want += [[uniform_trapezoid((w * u) * (w * v), spacing) for v in rows] for u in rows]
+            rows = np.gradient(rows, spacing, axis=1, edge_order=2)
+        got = bump_window_gram(4, level, delta, spacing, DEFAULT_MARGIN)
+        assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("delta", [118.0, 200.0])
     def test_non_finite_entry_raises_naming_delta_and_window(self, delta):

@@ -7,6 +7,7 @@ import math
 import os
 import subprocess
 import sys
+import types
 import warnings
 from pathlib import Path
 
@@ -51,6 +52,7 @@ from sclab.operator_probe import (
 from sclab.scale_core import (
     AnalyticTailFunction,
     GridFunction,
+    LogScalar,
     SeqVector,
     _seq_weights,
     grid_combine,
@@ -59,6 +61,7 @@ from sclab.scale_core import (
     seq_norm,
     tail_projection,
 )
+from test_golden_reports import BOUND_CHECKS
 
 FAST_IDS = ("seq-discontinuity", "seq-tail-bounds", "seq-tangent-check")
 
@@ -576,9 +579,12 @@ class TestStackedSeqLoops:
                 norms.append(truncation_opnorm(OperatorHandle(np.diag(diag), gram, gram)))
                 assert norms[-1] == float(np.abs(diag).max())
         report = run("seq-discontinuity", ExperimentConfig(truncation_n=dim))
-        (check,) = [c for c in report.checks if c.name == "difference operator norm"]
-        assert check.measured == repr(max(norms))
-        assert check.passed == all(0.5 - 1e-12 <= x <= 1.0 + 1e-12 for x in norms)
+        got = {c.name: c for c in report.checks}
+        lower = got["difference operator norm at least 1/2"]
+        upper = got["difference operator norm at most 1"]
+        assert (lower.measured, upper.measured) == (repr(min(norms)), repr(max(norms)))
+        assert lower.passed == all(0.5 - 1e-12 <= x for x in norms)
+        assert upper.passed == all(x <= 1.0 + 1e-12 for x in norms)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_seq_tangent_batches_equal_the_one_point_calls(self, seed):
@@ -590,6 +596,27 @@ class TestStackedSeqLoops:
         assert repr(experiments._running_max(-math.inf, np.array([-0.0, 0.0]))) == "-0.0"
         assert repr(experiments._running_max(0.0, np.array([-0.0, -1.0]))) == "0.0"
         assert experiments._running_max(1.5, np.zeros(0)) == 1.5
+
+    @pytest.mark.parametrize(
+        "current, values",
+        [
+            (0.0, np.array([1e-17, math.nan, 3e-17])),
+            (0.0, np.array([math.nan, 1.0])),
+            (2.0, np.array([[1.0, 3.0], [math.nan, 0.5]])),
+            (math.nan, np.array([1.0, 2.0])),
+            (math.nan, np.zeros(0)),
+            (-math.inf, math.nan),
+            (1.0, [0.5, math.nan]),
+        ],
+    )
+    def test_running_max_keeps_a_nan(self, current, values):
+        assert math.isnan(experiments._running_max(current, values))
+
+    def test_running_max_takes_scalars_and_lists(self):
+        assert experiments._running_max(0.0, 2.5) == 2.5
+        assert experiments._running_max(3.0, [1.0, 2.0]) == 3.0
+        assert repr(experiments._running_max(0.0, -0.0)) == "0.0"
+        assert experiments._running_max(-math.inf, [1.0, math.inf, 2.0]) == math.inf
 
 
 def _old_projection_orthogonality(cfg: ExperimentConfig) -> float:
@@ -908,6 +935,166 @@ class TestDichotomySandwich:
             assert failed in ([], ["cross-level sandwich"])
             failing += [seed] if failed else []
         assert failing
+
+
+def _patch_result(name, call, change):
+    """A fault that passes the result of experiments.<name> through change on
+    its call-th call (counting from 0), or on every call where call is None."""
+
+    def inject(monkeypatch):
+        real, calls = getattr(experiments, name), []
+
+        def patched(*args, **kwargs):
+            out = real(*args, **kwargs)
+            calls.append(name)
+            return change(out) if call in (None, len(calls) - 1) else out
+
+        monkeypatch.setattr(experiments, name, patched)
+
+    return inject
+
+
+def _nan(out):
+    """NaN for a float; for an array, a copy with NaN in its last flat
+    position, so not in the first one."""
+    if not isinstance(out, np.ndarray):
+        return math.nan
+    out = out.astype(float)
+    out.flat[-1] = math.nan
+    return out
+
+
+def _nan_on_call(name, call=None):
+    return _patch_result(name, call, _nan)
+
+
+def _last_mismatch_nan(reports):
+    return [*reports[:-1], dataclasses.replace(reports[-1], mismatch=math.nan)]
+
+
+_NAN_LOGMAG = types.SimpleNamespace(logmag=math.nan)
+
+
+def _second_lower_bound_nan(rows):
+    return [rows[0], dataclasses.replace(rows[1], l2_lower_bound=math.nan), *rows[2:]]
+
+
+def _witness_logmags(a, b):
+    def change(data):
+        return dataclasses.replace(
+            data,
+            witness_value=LogScalar(data.witness_value.sign, a),
+            witness_value_partial_route=LogScalar(data.witness_value.sign, b),
+        )
+
+    return change
+
+
+#: (experiment, check, fault): each fault puts a NaN into what the check
+#: reduces to its measured value, past the first position where the
+#: reduction has one, and the check must then fail.  Call indices are at the
+#: default config (truncation_n = 32: seq-tail-bounds' seq_norms calls 0-4
+#: are the single modes' levels, 5-12 the tails')
+_NAN_FAULTS = [
+    ("seq-discontinuity", "unit-vector gap", _nan_on_call("seq_norms", 0)),
+    ("seq-discontinuity", "difference operator norm at least 1/2", _nan_on_call("step_n", 1)),
+    ("seq-discontinuity", "difference operator norm at most 1", _nan_on_call("step_n", 1)),
+    ("seq-discontinuity", "round trip", _nan_on_call("seq_norms", 6)),
+    ("seq-tail-bounds", "single-mode level scaling", _nan_on_call("seq_norms", 1)),
+    ("seq-tail-bounds", "tail bound with sharp mode", _nan_on_call("seq_norm")),
+    ("seq-tail-bounds", "tail bound with sharp mode", _nan_on_call("seq_norm", 5)),
+    ("seq-tail-bounds", "tail bound with sharp mode", _nan_on_call("seq_norms", 6)),
+    ("seq-tail-bounds", "diagonal map bounded by two", _nan_on_call("step_n", 0)),
+    (
+        "seq-tangent-check",
+        "interior tangent formula",
+        _patch_result("finite_diff_differential", 0, _last_mismatch_nan),
+    ),
+    ("seq-tangent-check", "tangent at the limit parameter", _nan_on_call("seq_norm", 0)),
+    ("seq-tangent-check", "tangent at the limit parameter", _nan_on_call("seq_norm", 1)),
+    ("retract-image-gap", "projection orthogonality", _nan_on_call("uniform_trapezoid", 1)),
+    ("retract-image-gap", "missed target pairing", _nan_on_call("grid_l2_inner", 1)),
+    # grid_sobolev_norm alternates: the distance, then the kernel witness, per t
+    ("retract-image-gap", "missed target distance", _nan_on_call("grid_sobolev_norm", 2)),
+    ("retract-image-gap", "kernel witness", _nan_on_call("grid_sobolev_norm", 3)),
+    (
+        "identity-differential",
+        "projection-map differential at the origin",
+        _patch_result("finite_diff_differential", 0, _last_mismatch_nan),
+    ),
+    (
+        "identity-differential",
+        "branching-family differential at the origin",
+        _patch_result("finite_diff_differential", 1, _last_mismatch_nan),
+    ),
+    (
+        "inverse-blowup",
+        "blow-up growth per step",
+        # the third scalar output's log magnitude, which LogScalar cannot hold
+        _patch_result("s_tilde_inv", 2, lambda _: types.SimpleNamespace(y=_NAN_LOGMAG)),
+    ),
+    ("noncompact-zeroset", "mutual distance sqrt(2)", _nan_on_call("grid_l2_inner", 1)),
+    (
+        "transversality-witness",
+        "two-route witness agreement",
+        _patch_result("h_transversality_data", 1, _witness_logmags(math.inf, math.inf)),
+    ),
+    (
+        "transversality-witness",
+        "two-route witness agreement",
+        _patch_result("h_transversality_data", 1, _witness_logmags(math.inf, 0.0)),
+    ),
+    (
+        "opnorm-dichotomy",
+        "same-level lower bound",
+        _patch_result("opnorm_dichotomy", 0, _second_lower_bound_nan),
+    ),
+]
+
+
+class TestBoundChecksFailOnNaN:
+    @pytest.mark.parametrize(
+        "eid, check, fault", _NAN_FAULTS, ids=[f"{e}:{c}" for e, c, _ in _NAN_FAULTS]
+    )
+    def test_a_nan_fails_the_check(self, monkeypatch, eid, check, fault):
+        fault(monkeypatch)
+        report = run(eid, ExperimentConfig())
+        got = {c.name: c for c in report.checks}
+        assert got[check].measured == "nan"
+        assert not got[check].passed and not report.passed
+
+    def test_every_bound_check_has_a_nan_fault(self):
+        assert {check for _, check, _ in _NAN_FAULTS} == set(BOUND_CHECKS)
+
+    def test_opposite_witness_signs_read_inf(self, monkeypatch):
+        def flip(data):
+            b = data.witness_value_partial_route
+            return dataclasses.replace(data, witness_value_partial_route=b.neg())
+
+        _patch_result("h_transversality_data", 2, flip)(monkeypatch)
+        (check,) = run("transversality-witness", ExperimentConfig()).checks
+        assert (check.measured, check.passed) == ("inf", False)
+
+    def test_the_sharp_mode_fails_where_one_pair_is_off(self, monkeypatch):
+        # the level-3 norm scaled by 1 + 1e-9 moves only (i, k) = (1, 2) off
+        # equality, by 16^3 1e-9
+        norm = experiments.seq_norm
+        monkeypatch.setattr(
+            experiments, "seq_norm", lambda x, i: norm(x, i) * (1.0 + 1e-9 if i == 3 else 1.0)
+        )
+        got = {c.name: c for c in run("seq-tail-bounds", ExperimentConfig()).checks}
+        check = got["tail bound with sharp mode"]
+        assert not check.passed
+        assert float(check.measured) == pytest.approx(16**3 * 1e-9, rel=1e-3)
+
+    def test_the_sharp_mode_builds_the_basis_vector_once(self, monkeypatch):
+        calls = []
+        basis = SeqVector.basis
+        monkeypatch.setattr(
+            SeqVector, "basis", staticmethod(lambda n: calls.append(n) or basis(n))
+        )
+        assert run("seq-tail-bounds", ExperimentConfig()).passed
+        assert calls == [16]
 
 
 class TestCli:

@@ -12,11 +12,15 @@ the test skips and says so.  A change that moves a report rewrites the file with
     PYTHONPATH=src python tests/test_golden_reports.py --write
 
 and tables the move in CHANGES.md.
+
+The same runs pin every bound check to its report: a check that states one
+bound claims it and passes exactly where its measured value meets it.
 """
 
 import dataclasses
 import hashlib
 import json
+import operator
 import sys
 from pathlib import Path
 
@@ -57,6 +61,69 @@ def certificates_digest() -> str:
             for level in range(3):
                 h.update(certificate_to_json(certify(germ, level, seed=seed)).encode())
     return h.hexdigest()
+
+
+#: the checks that state one bound, and the comparison their passed re-derives:
+#: measured <= claimed (le) or measured >= claimed (ge)
+BOUND_CHECKS = {
+    "unit-vector gap": operator.le,
+    "difference operator norm at least 1/2": operator.ge,
+    "difference operator norm at most 1": operator.le,
+    "round trip": operator.le,
+    "single-mode level scaling": operator.le,
+    "tail bound with sharp mode": operator.le,
+    "diagonal map bounded by two": operator.le,
+    "interior tangent formula": operator.le,
+    "tangent at the limit parameter": operator.le,
+    "projection orthogonality": operator.le,
+    "missed target pairing": operator.le,
+    "missed target distance": operator.le,
+    "kernel witness": operator.le,
+    "projection-map differential at the origin": operator.le,
+    "branching-family differential at the origin": operator.le,
+    "blow-up growth per step": operator.ge,
+    "mutual distance sqrt(2)": operator.le,
+    "two-route witness agreement": operator.le,
+    "same-level lower bound": operator.ge,
+}
+
+#: the other checks: tokens, text claims, strict inequalities and gates on
+#: more than one condition
+OTHER_CHECKS = {
+    "origin sweeps stay off the bump",
+    "retraction differential rank",
+    "blow-up lower bound",
+    "envelope strictly decreasing",
+    "envelope collapse",
+    "fixed-point residuals",
+    "branch dichotomy",
+    "midpoint identity",
+    "cross-level sandwich",
+    "upper bound decreasing",
+    *(
+        f"{germ}: {check}"
+        for germ in ("rank-one", "quadratic")
+        for check in ("certificate replay", "factor-two law", "probe decay")
+    ),
+    "moving-bump: non-contraction flag",
+    "rank-one: openness at certified radius",
+    "quadratic: openness at certified radius",
+    "moving-bump: openness failure",
+}
+
+
+def test_every_bound_check_passes_by_its_claimed_bound():
+    emitted = set()
+    for eid in EXPERIMENT_IDS:
+        for cfg in _configs(eid):
+            for check in run(eid, cfg).checks:
+                emitted.add(check.name)
+                if check.name in BOUND_CHECKS:
+                    holds = BOUND_CHECKS[check.name](float(check.measured), float(check.claimed))
+                    assert check.passed == holds, (eid, cfg, check)
+    # every check is classified, once, and the tables name no check that is gone
+    assert not set(BOUND_CHECKS) & OTHER_CHECKS
+    assert emitted == set(BOUND_CHECKS) | OTHER_CHECKS
 
 
 def _golden() -> dict:
