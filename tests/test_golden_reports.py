@@ -2,8 +2,10 @@
 stamp emptied, hash to the digest committed for it in golden_reports.json.
 
 The runs are the 78 default ones (every experiment at seeds 0-2, spacing
-1e-3 and 5e-4) and, for germ-continuity and germ-openness, seeds 0-39 at
-germ_level 0-2.  A separate certificates digest pins certify's radii and
+1e-3 and 5e-4); for the three sequence experiments, seeds 0-2 at
+truncation_n 16, 64 and 150 (the sizes the seq-model benchmark runs, and
+one that crosses the 100-trial block edge); and, for germ-continuity and
+germ-openness, seeds 0-39 at germ_level 0-2.  A separate certificates digest pins certify's radii and
 closed-form moduli: the JSON of every germ's certificate at seeds 0-39 and levels 0-2
 under the default schedule, spacing and margin.  A digest holds only under
 the stamp (python, numpy, machine) it was made under; under another stamp
@@ -36,6 +38,10 @@ def _configs(eid):
     for spacing in (1e-3, 5e-4):
         for seed in range(3):
             yield ExperimentConfig(seed=seed, spacing=spacing)
+    if eid.startswith("seq-"):
+        for n in (16, 64, 150):
+            for seed in range(3):
+                yield ExperimentConfig(seed=seed, truncation_n=n)
     if eid in ("germ-continuity", "germ-openness"):
         for level in range(3):
             for seed in range(40):
