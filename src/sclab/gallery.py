@@ -479,8 +479,10 @@ class ScMapHandle:
     ``eval(points, tangents, hs)`` returns the ``Sweep`` of the map's
     outputs at points[p] + h * tangents[p] for each h in hs, with the
     differential at each point applied to its tangent.  A sequence map takes
-    a batch of P points; a grid map takes one (P = 1) and raises ValueError
-    on more.
+    a batch of P points and P tangents as stacks: (ts, xs) and (Ts, Xs),
+    (P,) parameters and (P, n) rows on one mode count.  A grid map takes a
+    list of one (t, GridFunction) point and one tangent (P = 1) and raises
+    ValueError on more.
     """
 
     name: str
@@ -500,22 +502,21 @@ def _pair_norms(norms: Callable) -> Callable:
 
 def _seq_sweep(k: int, points, tangents, hs) -> Sweep:
     """Rows of rho_k(t + h T, x + h X), one (P, n) stack per h in hs for the
-    P points (t, x) and tangents (T, X), and the rows of rho_k_tangent.
-
-    Every point must span the same n modes, the larger of x and X: zeros
-    padded past a shorter point would regroup its norms' sums.  All rows
-    come from one step_n call and the tangents from two, whatever P is.
+    P points (ts, xs) and tangents (Ts, Xs), each a (P,) parameter array and
+    a (P, n) row stack, and the rows of rho_k_tangent.  All rows come from
+    one step_n call and the tangents from two, whatever P is.
     """
-    widths = {max(x.dim, X.dim) for (_, x), (_, X) in zip(points, tangents)}
-    if len(widths) != 1:
-        raise ValueError(f"the points of a sequence batch span {sorted(widths)} modes, not one")
-    n = widths.pop()
-    ts = np.array([t for t, _ in points], dtype=float)
-    Ts = np.array([T for T, _ in tangents], dtype=float)
-    xs, Xs = _seq_rows([x for _, x in points], n), _seq_rows([X for _, X in tangents], n)
+    (ts, xs), (Ts, Xs) = points, tangents
+    ts, xs, Ts, Xs = (np.asarray(a, dtype=float) for a in (ts, xs, Ts, Xs))
+    stacked = ts.ndim == 1 and xs.ndim == 2 and len(xs) == ts.size
+    if not stacked or Ts.shape != ts.shape or Xs.shape != xs.shape:
+        raise ValueError(
+            "a sequence batch takes (P,) parameters and (P, n) rows, not "
+            f"{ts.shape} and {xs.shape} at the points, {Ts.shape} and {Xs.shape} at the tangents"
+        )
     hs = np.asarray(hs, dtype=float)[:, np.newaxis]
     lines = xs + hs[..., np.newaxis] * Xs
-    rows = step_n(np.arange(1, n + 1), (ts + hs * Ts)[..., np.newaxis], k) * lines
+    rows = step_n(np.arange(1, xs.shape[1] + 1), (ts + hs * Ts)[..., np.newaxis], k) * lines
     exact = _tangent_rows(k, ts, xs, Ts, Xs)
     return Sweep(rows, lambda i: (exact, seq_norms(exact, i)), seq_norms)
 
@@ -552,8 +553,11 @@ def _grid_sweep(
         return shifted_bump(s, 0, spacing, margin)
 
     def line(points, tangents, hs) -> Sweep:
-        if len(points) != 1:
-            raise ValueError(f"a grid sweep takes one base point, not {len(points)}")
+        if len(points) != 1 or len(tangents) != 1:
+            raise ValueError(
+                f"a grid sweep takes one base point and one tangent, "
+                f"not {len(points)} and {len(tangents)}"
+            )
         ((t, f),), ((T, F),) = points, tangents
         ts, x0_g = [t + h * T for h in hs], min(f.x0, F.x0)
 

@@ -119,8 +119,8 @@ def finite_diff_differential(
     """Compare the analytic differential at each base point, applied to its
     tangent, with central finite differences of the map along that tangent,
     in the level-i codomain norm: one report per point.  The handle is a
-    gallery ScMapHandle: a sequence map's takes P points at once, a grid
-    map's one.
+    gallery ScMapHandle: a sequence map's takes P points at once, as (P,)
+    parameter and (P, n) row stacks, a grid map's a list of one.
 
     Each mismatch reported is the best over the step sweep, taking plain
     second-order central differences and one Richardson extrapolation step
@@ -133,8 +133,6 @@ def finite_diff_differential(
     and change bits), and each step's 2P error rows are normed in one call.
     Each report has the bits of a call with its point alone.
     """
-    if len(points) != len(tangents):
-        raise ValueError(f"{len(points)} base points but {len(tangents)} tangents")
     sweep = handle.eval(points, tangents, [s for h in steps for s in (h, -h, h / 2.0, -h / 2.0)])
     # the scales are the norms on the analytic values' own windows: zeros
     # padded past a grid's edge would change its trapezoid end weights and

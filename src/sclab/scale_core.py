@@ -489,9 +489,19 @@ def seq_norm(x: SeqVector, i: int) -> float:
     return float(seq_norms(x.coeffs[np.newaxis], i)[0])
 
 
+@functools.lru_cache(maxsize=64)
+def _seq_weight_table(n: int, n_levels: int) -> np.ndarray:
+    """Read-only (n_levels, n) table whose row i is _seq_weights(n, i)."""
+    table = np.array([_seq_weights(n, i) for i in range(n_levels)])
+    table.flags.writeable = False
+    return table
+
+
 @np.errstate(over="ignore")  # an overflowing sum comes back inf and is rescaled
-def seq_norms(rows: np.ndarray, i: int) -> np.ndarray:
-    """Level-i norms of the rows of a finite (n, N) coefficient stack.
+def seq_norms(rows: np.ndarray, i: int | np.ndarray) -> np.ndarray:
+    """Level-i norms of the rows of a finite (n, N) coefficient stack; i is
+    one level for every row, or an integer array of n levels, one per row.
+    Each row has the bits of the one-level call with that row alone.
 
     Where a row's plain weighted sum of squares under- or overflows the
     normal range, it is recomputed with that row scaled by its largest
@@ -501,7 +511,17 @@ def seq_norms(rows: np.ndarray, i: int) -> np.ndarray:
     rows = np.asarray(rows, dtype=float)
     if rows.ndim != 2:
         raise ValueError("coefficient stack must be two-dimensional")
-    w = _seq_weights(rows.shape[1], check_level(i))
+    if np.ndim(i) == 0:
+        w = _seq_weights(rows.shape[1], check_level(i))
+    else:
+        levels = np.asarray(i)
+        integral = levels.dtype.kind in "iu"
+        if levels.shape != rows.shape[:1] or not integral or levels.min(initial=0) < 0:
+            raise ValueError(
+                f"per-row levels must be non-negative integers of shape {rows.shape[:1]}, "
+                f"got {levels.dtype} of shape {levels.shape}"
+            )
+        w = _seq_weight_table(rows.shape[1], int(levels.max(initial=0)) + 1)[levels]
     s = (w * rows * rows).sum(axis=1)
     out = np.sqrt(s)
     if s.size and (s.min() < _FLOAT_MIN or s.max() == math.inf):
@@ -509,7 +529,7 @@ def seq_norms(rows: np.ndarray, i: int) -> np.ndarray:
         m = np.abs(rows[bad]).max(axis=1, initial=0.0)
         bad, m = bad[m > 0.0], m[m > 0.0]  # a zero row keeps norm 0
         scaled = rows[bad] / m[:, np.newaxis]
-        out[bad] = m * np.sqrt((w * scaled * scaled).sum(axis=1))
+        out[bad] = m * np.sqrt(((w[bad] if w.ndim == 2 else w) * scaled * scaled).sum(axis=1))
     return out
 
 

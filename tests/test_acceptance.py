@@ -162,9 +162,9 @@ def test_criterion_03_tangent_formula():
             # interior of the active window for mode n
             frac = 0.2 + 0.6 * (j / 19.0)
             t = 1.0 / (n + 1) + frac * (1.0 / n - 1.0 / (n + 1))
-            x = SeqVector(rng.normal(size=8))
-            tangent = (1.0, SeqVector(rng.normal(size=8)))
-            (rep,) = finite_diff_differential(handle, [(t, x)], [tangent], level=0)
+            point = (np.array([t]), rng.normal(size=(1, 8)))
+            tangent = (np.array([1.0]), rng.normal(size=(1, 8)))
+            (rep,) = finite_diff_differential(handle, point, tangent, level=0)
             worst = max(worst, rep.mismatch)
             if rep.mismatch > 1e-6:
                 failures.append(f"k={k} mismatch {rep.mismatch} at t={t:.4f}")
@@ -361,12 +361,18 @@ def _measured(checks, names) -> str:
 def test_criterion_10_germ_continuity():
     # germ-continuity checks a superset of this criterion with its thresholds:
     # certification at epsilon 0.5, 0.25, 0.1 with bit-exact replay, the
-    # factor-two law with slack 1e-8, probes decreasing (slack 1e-12) to below
-    # 0.05 at 1/8 of the certified radius, and pseudo-germ moduli >= 0.9
+    # factor-two law with slack 1e-8, every probe below the closed form, probes
+    # decreasing (slack 1e-12) to below 0.05 at 1/8 of the certified radius,
+    # and pseudo-germ moduli >= 0.9
     names = [
         f"{gid}: {check}"
         for gid in ("rank-one", "quadratic")
-        for check in ("certificate replay", "factor-two law", "probe decay")
+        for check in (
+            "certificate replay",
+            "factor-two law",
+            "probes below the closed form",
+            "probe decay",
+        )
     ] + ["moving-bump: non-contraction flag"]
     checks, failures = _germ_experiment("germ-continuity", names)
     _verdict(

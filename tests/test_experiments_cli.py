@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sclab import bump_profiles, cli, experiments, gallery, operator_probe
+from sclab import bump_profiles, cli, experiments, gallery, operator_probe, scale_core
 from sclab.bump_profiles import (
     BumpProfile,
     bump_reaches,
@@ -513,10 +513,10 @@ def _old_seq_tangent_worst(cfg: ExperimentConfig) -> float:
     worst = 0.0
     for k in (0, 1):
         for t in base_ts:
-            x = SeqVector(rng.normal(size=10))
-            tan = (float(rng.uniform(0.5, 1.5)), SeqVector(rng.normal(size=10)))
+            point = (np.array([t]), rng.normal(size=(1, 10)))
+            tan = (np.array([rng.uniform(0.5, 1.5)]), rng.normal(size=(1, 10)))
             steps = (1e-3, 3e-4, 1e-4, 3e-5, 1e-5)
-            (rep,) = finite_diff_differential(seq_rho_k_handle(k), [(t, x)], [tan], 0, steps)
+            (rep,) = finite_diff_differential(seq_rho_k_handle(k), point, tan, 0, steps)
             worst = max(worst, rep.mismatch)
     return worst
 
@@ -558,6 +558,21 @@ class TestStackedSeqLoops:
         experiments._diagonal_map_ratio(_CountingGenerator(np.random.default_rng(0), calls), dim)
         blocks = len(experiments._blocks(1000))
         assert calls == ["normal", "uniform", "integers"] * blocks
+
+    @pytest.mark.parametrize("dim", [16, 150])
+    def test_diagonal_map_ratio_makes_two_norm_calls_per_block(self, monkeypatch, dim):
+        # the image's and x's norms at each trial's own level, one call each
+        calls = []
+        for name in ("step_n", "seq_norms"):
+            real = getattr(experiments, name)
+
+            def counted(*args, _real=real, _name=name):
+                calls.append(_name)
+                return _real(*args)
+
+            monkeypatch.setattr(experiments, name, counted)
+        experiments._diagonal_map_ratio(np.random.default_rng(0), dim)
+        assert calls == ["step_n", "seq_norms", "seq_norms"] * 10
 
     @pytest.mark.parametrize("dim", [16, 32, 64])
     @pytest.mark.parametrize("seed", range(4))
@@ -617,6 +632,69 @@ class TestStackedSeqLoops:
         assert experiments._running_max(3.0, [1.0, 2.0]) == 3.0
         assert repr(experiments._running_max(0.0, -0.0)) == "0.0"
         assert experiments._running_max(-math.inf, [1.0, math.inf, 2.0]) == math.inf
+
+
+def _scale_diagonal_map(monkeypatch):
+    # the plateau values f_n(t) of the diagonal map scaled by 2.1
+    step = experiments.step_n
+    monkeypatch.setattr(experiments, "step_n", lambda *args: 2.1 * step(*args))
+
+
+def _scale_tangent_rows(monkeypatch):
+    # the rows of the analytic tangent rho_k(t, X) + T rho_{k+1}(t, x)
+    # scaled by 1 + 1e-5
+    rows = gallery._tangent_rows
+    monkeypatch.setattr(gallery, "_tangent_rows", lambda *args: (1.0 + 1e-5) * rows(*args))
+
+
+def _scale_level_two_weights(monkeypatch):
+    # the level-2 weights n^12 scaled by 1 + 1e-9, on the one-level and the
+    # per-row path; the seq_weight_table fixture clears the table after it
+    weights = scale_core._seq_weights
+    monkeypatch.setattr(
+        scale_core, "_seq_weights", lambda n, i: weights(n, i) * (1.0 + 1e-9 if i == 2 else 1.0)
+    )
+    scale_core._seq_weight_table.cache_clear()
+
+
+@pytest.fixture
+def seq_weight_table():
+    """Clears the per-row weight table after the test, so none built from
+    faulted weights outlives it."""
+    yield
+    scale_core._seq_weight_table.cache_clear()
+
+
+#: check -> (experiment, fault, its reading at seeds 0-2)
+_SEQ_FAULTS = {
+    "diagonal map bounded by two": ("seq-tail-bounds", _scale_diagonal_map, 2.1),
+    "interior tangent formula": ("seq-tangent-check", _scale_tangent_rows, 1e-5),
+    "single-mode level scaling": ("seq-tail-bounds", _scale_level_two_weights, 5e-10),
+}
+
+
+class TestSeqChecksFailUnderFaults:
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("check", sorted(_SEQ_FAULTS))
+    def test_each_check_fails_under_its_fault(self, monkeypatch, seq_weight_table, check, seed):
+        eid, fault, reading = _SEQ_FAULTS[check]
+        fault(monkeypatch)
+        report = run(eid, ExperimentConfig(seed=seed))
+        got = {c.name: c for c in report.checks}[check]
+        assert not got.passed and not report.passed
+        assert float(got.measured) > float(got.claimed)
+        assert float(got.measured) == pytest.approx(reading, rel=1e-4)
+
+    def test_the_weight_fault_reaches_the_per_row_levels(self, monkeypatch, seq_weight_table):
+        rows = np.random.default_rng(0).normal(size=(6, 32))
+        levels = np.array([0, 1, 2, 2, 1, 0])
+        norms = scale_core.seq_norms
+        clean = norms(rows, levels)
+        _scale_level_two_weights(monkeypatch)
+        faulted = norms(rows, levels)
+        assert np.array_equal(faulted[levels != 2], clean[levels != 2])
+        assert np.array_equal(faulted[levels == 2], norms(rows[levels == 2], 2))
+        assert np.all(faulted[levels == 2] > clean[levels == 2])
 
 
 def _old_projection_orthogonality(cfg: ExperimentConfig) -> float:
@@ -975,6 +1053,10 @@ def _last_mismatch_nan(reports):
 _NAN_LOGMAG = types.SimpleNamespace(logmag=math.nan)
 
 
+def _second_probe_nan(ops):
+    return [ops[0], math.nan, *ops[2:]]
+
+
 def _second_lower_bound_nan(rows):
     return [rows[0], dataclasses.replace(rows[1], l2_lower_bound=math.nan), *rows[2:]]
 
@@ -1048,6 +1130,18 @@ _NAN_FAULTS = [
         "opnorm-dichotomy",
         "same-level lower bound",
         _patch_result("opnorm_dichotomy", 0, _second_lower_bound_nan),
+    ),
+    # one dW_opnorm_probe call per instance germ, its first probes at the
+    # certified radii in epsilon order
+    (
+        "germ-continuity",
+        "rank-one: factor-two law",
+        _patch_result("dW_opnorm_probe", 0, _second_probe_nan),
+    ),
+    (
+        "germ-continuity",
+        "quadratic: factor-two law",
+        _patch_result("dW_opnorm_probe", 1, _second_probe_nan),
     ),
 ]
 

@@ -957,24 +957,29 @@ class TestDifferentialLaw:
     def test_an_uncertified_tenth_fails_only_that_germs_decay(self, monkeypatch):
         # one rung certifies no epsilon = 0.1 radius for the quadratic germ
         # at level 0, so its decay has no radius to shrink; its replay and
-        # law checks still run and fail, and the rank-one germ, which one
-        # rung certifies, passes
+        # probe checks still run and fail, its law reads the failed pair's
+        # last modulus, and the rank-one germ, which one rung certifies,
+        # passes
         monkeypatch.setattr(experiments, "certify", functools.partial(certify, max_halvings=1))
         cfg = ExperimentConfig(germ_level=0)
         germ = make_germ("quadratic", cfg.schedule(), cfg.spacing)
         cert = certify(germ, 0, max_halvings=1)
         assert cert.pairs[2].epsilon == 0.1 and cert.pairs[2].delta is None
         checks = _by_name(run("germ-continuity", cfg))
-        assert "error" not in checks and len(checks) == 7
+        assert "error" not in checks and len(checks) == 9
         decay = checks["quadratic: probe decay"]
         assert not decay.passed
         assert decay.measured == "quadratic has no certified radius for epsilon 0.1"
         assert not checks["quadratic: certificate replay"].passed
-        # the failed pair reads its last modulus above epsilon, 2 (0.1) ||p||_*
+        # the failed pair reads its last modulus above epsilon, 2 (0.1) ||p||_*,
+        # which meets the law's bound; the probe check names the missing radius
         law = checks["quadratic: factor-two law"]
         assert cert.pairs[2].modulus == germ.modulus(0, 0.1) > 0.1
-        assert not law.passed and float(law.measured) >= cert.pairs[2].modulus - 0.2
-        for name in ("certificate replay", "factor-two law", "probe decay"):
+        assert float(law.measured) >= cert.pairs[2].modulus - 0.2
+        probes = checks["quadratic: probes below the closed form"]
+        assert not probes.passed and probes.measured == "uncertified, below"
+        names = ("certificate replay", "factor-two law", "probes below the closed form", "probe decay")
+        for name in names:
             assert checks[f"rank-one: {name}"].passed
         assert checks["moving-bump: non-contraction flag"].passed
 
@@ -1019,17 +1024,22 @@ class TestDifferentialLaw:
                 for radius, op in zip(radii, dW_opnorm_probe(germ, level, radii, seed=seed)):
                     assert op <= germ.modulus(level, radius)
 
-    def test_the_law_fails_on_a_probe_above_the_closed_form(self, monkeypatch):
-        # probes 1 % above the modulus stay below 2 epsilon, yet the law fails
+    def test_a_probe_above_the_closed_form_fails_the_probe_check(self, monkeypatch):
+        # probes 1 % above the modulus stay below 2 epsilon: the law holds,
+        # the probe check and the verdict fail
         def above(germ, level, radii, seed):
             return [1.01 * germ.modulus(level, r) for r in radii]
 
         monkeypatch.setattr(experiments, "dW_opnorm_probe", above)
-        checks = _by_name(run("germ-continuity", ExperimentConfig()))
+        report = run("germ-continuity", ExperimentConfig())
+        checks = _by_name(report)
         for gid in ("rank-one", "quadratic"):
             law = checks[f"{gid}: factor-two law"]
-            assert float(law.measured) <= 0.0 and not law.passed
+            assert float(law.measured) <= 0.0 and law.passed
+            probes = checks[f"{gid}: probes below the closed form"]
+            assert not probes.passed and probes.measured == "certified, above"
             assert checks[f"{gid}: certificate replay"].passed
+        assert not report.passed
 
     def test_moving_bump_dw_probe_reads_q_at_every_radius(self):
         # D_wB = q e_m (x) e_m at every sampled c > 0, and the bump

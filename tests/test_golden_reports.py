@@ -6,8 +6,8 @@ The runs are the 78 default ones (every experiment at seeds 0-2, spacing
 truncation_n 16, 64 and 150 (the sizes the seq-model benchmark runs, and
 one that crosses the 100-trial block edge); and, for germ-continuity and
 germ-openness, seeds 0-39 at germ_level 0-2.  A separate certificates digest pins certify's radii and
-closed-form moduli: the JSON of every germ's certificate at seeds 0-39 and levels 0-2
-under the default schedule, spacing and margin.  A digest holds only under
+closed-form moduli: the JSON of every germ's certificate at seeds 0-39 and
+levels 0-2 under the default schedule, spacing and margin.  A digest holds only under
 the stamp (python, numpy, machine) it was made under; under another stamp
 the test skips and says so.  A change that moves a report rewrites the file with
 
@@ -91,6 +91,8 @@ BOUND_CHECKS = {
     "mutual distance sqrt(2)": operator.le,
     "two-route witness agreement": operator.le,
     "same-level lower bound": operator.ge,
+    "rank-one: factor-two law": operator.le,
+    "quadratic: factor-two law": operator.le,
 }
 
 #: the other checks: tokens, text claims, strict inequalities and gates on
@@ -109,7 +111,7 @@ OTHER_CHECKS = {
     *(
         f"{germ}: {check}"
         for germ in ("rank-one", "quadratic")
-        for check in ("certificate replay", "factor-two law", "probe decay")
+        for check in ("certificate replay", "probes below the closed form", "probe decay")
     ),
     "moving-bump: non-contraction flag",
     "rank-one: openness at certified radius",

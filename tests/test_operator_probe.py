@@ -171,7 +171,7 @@ class TestFiniteDiffDifferential:
         x = SeqVector(np.ones(8))
         point = (0.29, x)
         tangent = (0.0, SeqVector(np.arange(1.0, 9.0)))
-        (rep,) = finite_diff_differential(handle, [point], [tangent], level=0)
+        (rep,) = finite_diff_differential(handle, *_seq_stacks([point], [tangent]), level=0)
         assert rep.mismatch < 1e-10
 
     def test_t_direction_with_curvature(self):
@@ -180,7 +180,7 @@ class TestFiniteDiffDifferential:
         t = 0.5 * (1.0 / (n + 1) + 1.0 / n)
         point = (t, SeqVector.basis(n))
         tangent = (1.0, SeqVector(np.zeros(0)))
-        (rep,) = finite_diff_differential(handle, [point], [tangent], level=0)
+        (rep,) = finite_diff_differential(handle, *_seq_stacks([point], [tangent]), level=0)
         assert rep.mismatch < 1e-7
         # central differences of a smooth map converge at second order
         # (the estimate from two coarse steps lands a bit under the limit)
@@ -196,11 +196,9 @@ class TestFiniteDiffDifferential:
         for n in range(2, 7):
             lo, hi = 1.0 / (n + 1), 1.0 / n
             for frac in (0.35, 0.6):
-                x = SeqVector(rng.normal(size=10))
-                tan = (float(rng.uniform(0.5, 1.5)), SeqVector(rng.normal(size=10)))
-                (rep,) = finite_diff_differential(
-                    handle, [(lo + frac * (hi - lo), x)], [tan], level=0, steps=steps
-                )
+                point = (np.array([lo + frac * (hi - lo)]), rng.normal(size=(1, 10)))
+                tan = (np.array([rng.uniform(0.5, 1.5)]), rng.normal(size=(1, 10)))
+                (rep,) = finite_diff_differential(handle, point, tan, level=0, steps=steps)
                 worst = max(worst, rep.mismatch)
         # the seq-tangent-check threshold
         assert worst <= 1e-6
@@ -212,9 +210,8 @@ class TestFiniteDiffDifferential:
 
     def test_report_fields(self):
         handle = seq_rho_k_handle(0)
-        (rep,) = finite_diff_differential(
-            handle, [(0.29, SeqVector.basis(3))], [(1.0, SeqVector.basis(2))], level=1
-        )
+        batch = _seq_stacks([(0.29, SeqVector.basis(3))], [(1.0, SeqVector.basis(2))])
+        (rep,) = finite_diff_differential(handle, *batch, level=1)
         assert rep.map_name == "rho-0"
         assert rep.level == 1
         assert rep.best_step in dict(rep.per_step)
@@ -233,7 +230,7 @@ class TestFiniteDiffDifferential:
         handle = ScMapHandle(inner.name, recorded)
         for level, steps in SWEEPS:
             calls.clear()
-            points, tans = [(0.29, SeqVector.basis(3))], [(1.0, SeqVector.basis(2))]
+            points, tans = _seq_stacks([(0.29, SeqVector.basis(3))], [(1.0, SeqVector.basis(2))])
             got = finite_diff_differential(handle, points, tans, level, steps)
             assert calls == [[s for h in steps for s in (h, -h, h / 2.0, -h / 2.0)]]
             assert len(calls[0]) == 4 * len(steps)
@@ -242,9 +239,25 @@ class TestFiniteDiffDifferential:
     def test_reports_one_per_point_and_checks_the_batch(self):
         handle = seq_rho_k_handle(0)
         point, tan = (0.29, SeqVector.basis(3)), (1.0, SeqVector.basis(2))
-        assert len(finite_diff_differential(handle, [point] * 3, [tan] * 3)) == 3
-        with pytest.raises(ValueError, match="2 base points but 1 tangents"):
-            finite_diff_differential(handle, [point, point], [tan])
+        assert len(finite_diff_differential(handle, *_seq_stacks([point] * 3, [tan] * 3))) == 3
+        (ts, xs), (Ts, Xs) = _seq_stacks([point] * 2, [tan] * 2)
+        with pytest.raises(ValueError, match=r"not \(2,\) and \(2, 3\) at the points, \(1,\)"):
+            finite_diff_differential(handle, (ts, xs), (Ts[:1], Xs[:1]))
+
+
+def _seq_stacks(points, tangents):
+    """(t, SeqVector) points and tangents as a sequence handle takes them:
+    each a (P,) parameter array and a (P, n) row stack, every vector added
+    into zeros on the n modes of the longest, as SeqVector.add adds them."""
+    n = max(v.dim for _, v in (*points, *tangents))
+
+    def stack(pairs):
+        rows = np.zeros((len(pairs), n))
+        for row, (_, v) in zip(rows, pairs):
+            row[: v.dim] += v.coeffs
+        return np.array([t for t, _ in pairs], dtype=float), rows
+
+    return stack(points), stack(tangents)
 
 
 def _seq_move(p, h, tan):
@@ -356,7 +369,7 @@ def _assert_grid_sweep_equal(maps, point, tan, level, steps=DEFAULT_FD_STEPS):
 def _assert_seq_sweeps_equal(k, point, tan):
     handle, one_point, diff = _seq_map(k)
     for level, steps in SWEEPS:
-        (got,) = finite_diff_differential(handle, [point], [tan], level, steps)
+        (got,) = finite_diff_differential(handle, *_seq_stacks([point], [tan]), level, steps)
         want = _one_point_sweep(handle, one_point, diff, _seq_move, point, tan, level, steps)
         assert repr(got) == repr(want)
 
@@ -482,7 +495,7 @@ class TestOneCallSweep:
         points = [(0.29, SeqVector(np.arange(1.0, 6.0))), (0.13, SeqVector(np.ones(7)))]
         tans = [(1.0, SeqVector(np.ones(7))), (-0.4, SeqVector(np.arange(2.0, 5.0)))]
         hs = [1e-2, -1e-2, 0.0, 0.5, -0.4]
-        stacks = list(seq_rho_k_handle(0).eval(points, tans, hs).rows)
+        stacks = list(seq_rho_k_handle(0).eval(*_seq_stacks(points, tans), hs).rows)
         assert len(stacks) == len(hs)
         for h, stack in zip(hs, stacks):
             assert stack.shape == (2, 7)
@@ -523,33 +536,45 @@ class TestOneCallSweep:
             tans.append((float(rng.uniform(-1.5, 1.5)), SeqVector(rng.normal(size=nX))))
         for level in (0, 1, 2):
             for steps in (DEFAULT_FD_STEPS, (1e-3, 3e-4, 1e-4, 3e-5, 1e-5)):
-                batch = finite_diff_differential(handle, points, tans, level, steps)
+                batch = finite_diff_differential(
+                    handle, *_seq_stacks(points, tans), level, steps
+                )
                 assert len(batch) == len(points)
                 for got, point, tan in zip(batch, points, tans):
-                    alone = finite_diff_differential(handle, [point], [tan], level, steps)
+                    alone = finite_diff_differential(
+                        handle, *_seq_stacks([point], [tan]), level, steps
+                    )
                     want = _one_point_sweep(
                         handle, one_point, diff, _seq_move, point, tan, level, steps
                     )
                     assert repr(got) == repr(alone[0]) == repr(want)
 
-    def test_a_batch_must_share_its_width(self):
+    def test_a_sequence_batch_takes_stacks_of_one_shape(self):
         handle = seq_rho_k_handle(0)
-        points = [(0.3, SeqVector(np.ones(4))), (0.3, SeqVector(np.ones(5)))]
-        tans = [(1.0, SeqVector(np.ones(3))), (1.0, SeqVector(np.ones(2)))]
-        with pytest.raises(ValueError, match="span \\[4, 5\\] modes"):
-            finite_diff_differential(handle, points, tans)
-        # zero padding would regroup the sums; x and X of one point may differ
-        tans[0] = (1.0, SeqVector(np.ones(5)))
-        assert len(finite_diff_differential(handle, points, tans)) == 2
+        ts, xs = np.array([0.3, 0.3]), np.ones((2, 5))
+        Ts, Xs = np.ones(2), np.ones((2, 5))
+        assert len(finite_diff_differential(handle, (ts, xs), (Ts, Xs))) == 2
+        bad = [
+            ((ts, xs), (Ts, Xs[:, :4])),  # X on fewer modes than x
+            ((ts, xs), (Ts[:1], Xs)),  # one tangent parameter for two points
+            ((ts, xs[:1]), (Ts, Xs[:1])),  # one row for two parameters
+            ((ts, xs[0]), (Ts, Xs[0])),  # rows not stacked
+            ((ts[:, np.newaxis], xs), (Ts[:, np.newaxis], Xs)),  # parameters not flat
+        ]
+        for points, tangents in bad:
+            with pytest.raises(ValueError, match="^a sequence batch takes .*[^\\n]$"):
+                finite_diff_differential(handle, points, tangents)
 
     @pytest.mark.parametrize("name", ["s-proj", "h-family"])
     def test_a_grid_sweep_takes_one_point(self, name):
         F = _origin_direction(np.random.default_rng(49), 1e-2)
         handle = _grid_map(name, 1e-2)[0]
         point, tan = (0.0, F.zeros_like()), (1.0, F)
-        with pytest.raises(ValueError, match="one base point, not 2"):
+        with pytest.raises(ValueError, match="one base point and one tangent, not 2 and 2"):
             finite_diff_differential(handle, [point, point], [tan, tan])
-        with pytest.raises(ValueError, match="one base point, not 0"):
+        with pytest.raises(ValueError, match="one base point and one tangent, not 1 and 2"):
+            finite_diff_differential(handle, [point], [tan, tan])
+        with pytest.raises(ValueError, match="one base point and one tangent, not 0 and 0"):
             handle.eval([], [], [1e-3])
         assert len(finite_diff_differential(handle, [point], [tan])) == 1
 
@@ -583,16 +608,15 @@ class TestSweepStructure:
         rng = np.random.default_rng(43)
         if name == "rho-1":
             handle = seq_rho_k_handle(1)
-            point = (0.0, SeqVector(rng.normal(size=10)))
-            tan = (1.0, SeqVector(rng.normal(size=10)))
+            batch = (np.zeros(1), rng.normal(size=(1, 10))), (np.ones(1), rng.normal(size=(1, 10)))
         else:
             handle = _grid_map(name)[0]
             F = _origin_direction(rng)
-            point, tan = (0.0, F.zeros_like()), (1.0, F)
+            batch = [(0.0, F.zeros_like())], [(1.0, F)]
         made = []
         for steps in (DEFAULT_FD_STEPS, DEFAULT_FD_STEPS + tuple(h / 64 for h in DEFAULT_FD_STEPS)):
             counts.clear()
-            finite_diff_differential(handle, [point], [tan], 0, steps)
+            finite_diff_differential(handle, *batch, 0, steps)
             made.append(dict(counts))
         assert made[0].get("grid_combine", 0) == 0
         assert made[0] == made[1]
@@ -614,7 +638,7 @@ class TestSweepStructure:
             points = [(t, SeqVector(rng.normal(size=10))) for t in ts]
             tans = [(1.0, SeqVector(rng.normal(size=10))) for _ in range(size)]
             calls.clear()
-            finite_diff_differential(seq_rho_k_handle(1), points, tans, 0)
+            finite_diff_differential(seq_rho_k_handle(1), *_seq_stacks(points, tans), 0)
             made.append(len(calls))
         assert made[0] == made[1] <= 3
 
@@ -622,12 +646,12 @@ class TestSweepStructure:
         calls = []
 
         def counted(handle, points, tangents, *args, **kwargs):
-            calls.append(len(points))
+            calls.append(points[1].shape)
             return finite_diff_differential(handle, points, tangents, *args, **kwargs)
 
         monkeypatch.setattr(experiments, "finite_diff_differential", counted)
         assert experiments.run("seq-tangent-check").passed
-        assert calls == [20, 20]
+        assert calls == [(20, 10), (20, 10)]
 
     @pytest.mark.parametrize("t", [0.0, 0.4])
     @pytest.mark.parametrize("name", ["s-proj", "h-family"])

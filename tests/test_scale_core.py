@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sclab import scale_core
 from sclab.scale_core import (
     GridFunction,
     GridMismatchError,
@@ -277,6 +278,46 @@ class TestSeqModel:
         assert seq_norms(np.zeros((2, 0)), 1).tolist() == [0.0, 0.0]
         with pytest.raises(ValueError):
             seq_norms(np.ones(3), 0)
+
+    @pytest.mark.parametrize("n_cols", [1, 16, 64, 1024])
+    def test_per_row_levels_equal_the_one_level_calls(self, n_cols):
+        rng = np.random.default_rng(14)
+        rows = rng.normal(size=(40, n_cols)) * 10.0 ** rng.integers(-20, 21, size=(40, 1))
+        levels = rng.integers(0, 4, size=40)
+        rows[0], rows[1] = 0.0, 0.0  # zero rows
+        rows[2:6] *= 1e-200 / np.abs(rows[2:6]).max(axis=1, keepdims=True)  # underflow
+        rows[6:10] *= 1e200 / np.abs(rows[6:10]).max(axis=1, keepdims=True)  # overflow
+        levels[2:10] = [0, 1, 2, 3, 0, 1, 2, 3]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = seq_norms(rows, levels)
+            for i in range(4):
+                assert np.array_equal(got[levels == i], seq_norms(rows[levels == i], i))
+        # the rescale branch keeps the tiny and huge rows' norms finite and positive
+        assert got[:2].tolist() == [0.0, 0.0]
+        assert np.all((got[2:10] > 0.0) & (got[2:10] < math.inf))
+        assert seq_norms(rows[:0], levels[:0]).shape == (0,)
+        assert seq_norms(np.zeros((0, 0)), np.zeros(0, dtype=np.int64)).shape == (0,)
+
+    def test_per_row_levels_must_be_one_non_negative_integer_per_row(self):
+        rows = np.ones((3, 4))
+        assert seq_norms(rows, np.array([0, 1, 2], dtype=np.uint8)).shape == (3,)
+        for levels in (
+            np.array([0, -1, 2]),
+            np.array([0.0, 1.0, 2.0]),
+            np.array([True, False, True]),
+            np.array([0, 1]),
+            np.zeros((3, 1), dtype=int),
+        ):
+            with pytest.raises(ValueError, match="^per-row levels must be") as err:
+                seq_norms(rows, levels)
+            assert "\n" not in str(err.value)
+
+    def test_the_per_row_weight_table_is_read_only(self):
+        table = scale_core._seq_weight_table(5, 3)
+        assert not table.flags.writeable and table.shape == (3, 5)
+        for i in range(3):
+            assert np.array_equal(table[i], scale_core._seq_weights(5, i))
 
     def test_seq_vectors_keep_trailing_zeros(self):
         # numpy groups a pairwise sum by the row's length, so seq_norm must
