@@ -24,6 +24,7 @@ from .scale_core import (
     GridFunction,
     LogScalar,
     grid_l2_inner,
+    grid_sobolev_gram,
     uniform_trapezoid,
 )
 
@@ -287,21 +288,11 @@ def bump_window(order: int, spacing: float, margin: float) -> np.ndarray:
 def bump_window_gram(
     r: int, level: int, delta: float, spacing: float, margin: float
 ) -> np.ndarray:
-    """Read-only Gram of b^(0..r-1) on the unshifted window ending at 0, in
-    grid_sobolev_norms' arithmetic: entry (a, b) sums over j <= level the
-    uniform_trapezoid of w d^j b^(a) times w d^j b^(b), w = exp(delta |x|).
-    Raises OverflowError, naming delta and the window, where not finite."""
+    """Read-only level Gram of b^(0..r-1) on the unshifted window ending
+    at 0: grid_sobolev_gram of their rows.  Raises OverflowError, naming
+    delta and the window, where an entry is not finite."""
     rows = np.array([bump_window(k, spacing, margin) for k in range(r)])
-    x = -2.0 * (1.0 + margin) + spacing * np.arange(rows.shape[1])
-    gram = np.zeros((r, r))
-    with np.errstate(all="ignore"):  # an overflow is raised below
-        w = np.exp(delta * np.abs(x))
-        for j in range(level + 1):
-            if j:  # the j-th derivative; none is taken past the last level
-                rows = np.gradient(rows, spacing, axis=1, edge_order=2)
-            gram += [[uniform_trapezoid((w * u) * (w * v), spacing) for v in rows] for u in rows]
-    if not np.isfinite(gram).all():
-        raise OverflowError(f"weighted Gram at delta={delta!r} is not finite on [{x[0]}, {x[-1]}]")
+    gram = grid_sobolev_gram(rows, level, delta, -2.0 * (1.0 + margin), spacing)
     gram.flags.writeable = False
     return gram
 
@@ -310,7 +301,7 @@ def bump_window_gram(
 def bump_self_pairing(spacing: float = DEFAULT_SPACING, margin: float = DEFAULT_MARGIN) -> float:
     """grid_l2_inner(b, b) of b = shifted_bump(t), bit for bit, for every
     t > 0: the uniform_trapezoid of b(u)^2 over the window nodes u, as
-    grid_sobolev_inner takes it at order 0 and delta = 0."""
+    grid_sobolev_pairings takes it at order 0 and delta = 0."""
     vals = bump_window(0, spacing, margin)
     return uniform_trapezoid(vals * vals, spacing)
 

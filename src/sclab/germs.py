@@ -29,12 +29,7 @@ import numpy as np
 
 from .bump_profiles import DEFAULT_MARGIN, DEFAULT_SPACING, bump_self_pairing, make_bump
 from .operator_probe import OperatorHandle, metric_singular_values
-from .scale_core import (
-    GridFunction,
-    WeightSchedule,
-    grid_l2_inner,
-    grid_sobolev_inner,
-)
+from .scale_core import GridFunction, WeightSchedule, grid_sobolev_gram, grid_sobolev_pairings
 
 __all__ = [
     "GermContext",
@@ -397,7 +392,8 @@ def _bump_pairings(spacing: float) -> np.ndarray:
     read-only vector: one for every schedule, which weights only the level
     Gram matrices (at delta_0 = 0 it is row 0 of gram(0), bit for bit)."""
     atoms = _atoms(spacing)
-    p = np.array([grid_l2_inner(atoms[0], a) for a in atoms])
+    row_0 = [(0, j) for j in range(len(atoms))]
+    p = grid_sobolev_pairings([a.values for a in atoms], row_0, 0, 0.0, atoms[0].x0, spacing)
     p.flags.writeable = False
     return p
 
@@ -405,17 +401,13 @@ def _bump_pairings(spacing: float) -> np.ndarray:
 @functools.lru_cache(maxsize=32)
 def _base_context(schedule: WeightSchedule, spacing: float) -> GermContext:
     """The atoms' context, built once per (schedule, spacing) and shared by
-    every germ: its level Gram matrix holds the Sobolev pairings of the
-    atoms with the level's weight."""
+    every germ: its level Gram matrix is grid_sobolev_gram of the atoms'
+    samples, which share one window, at the level's weight."""
     atoms = _atoms(spacing)
+    rows = [a.values for a in atoms]
 
     def build(level: int) -> np.ndarray:
-        m, delta = len(atoms), schedule.delta(level)
-        g = np.zeros((m, m))
-        for q in range(m):
-            for p in range(q + 1):
-                g[p, q] = g[q, p] = grid_sobolev_inner(atoms[p], atoms[q], level, delta)
-        return g
+        return grid_sobolev_gram(rows, level, schedule.delta(level), atoms[0].x0, spacing)
 
     return GermContext(len(atoms), build)
 

@@ -24,6 +24,8 @@ __all__ = [
     "GridMismatchError",
     "uniform_trapezoid",
     "grid_l2_inner",
+    "grid_sobolev_pairings",
+    "grid_sobolev_gram",
     "grid_sobolev_norm",
     "grid_sobolev_norms",
     "grid_sobolev_inner",
@@ -290,25 +292,18 @@ def grid_l2_inner(f: GridFunction, g: GridFunction) -> float:
     return uniform_trapezoid(f.values[sf] * g.values[sg], f.spacing)
 
 
-def grid_sobolev_norm(f: GridFunction, k: int, delta: float) -> float:
-    """Weighted Sobolev norm: the square root of the sum over j <= k of the
-    squared exp(delta|x|)-weighted L2 norms of the j-th derivatives, the
-    Hilbert norm sqrt(grid_sobolev_inner(f, f, k, delta)) up to rounding.
-    Raises OverflowError, naming delta and the window, where it is not
-    finite.  The one-row case of grid_sobolev_norms."""
-    return float(grid_sobolev_norms(f.values[np.newaxis], k, delta, f.x0, f.spacing)[0])
-
-
-def grid_sobolev_norms(
-    rows: np.ndarray, k: int, delta: float, x0: float, spacing: float
+def grid_sobolev_pairings(
+    rows: np.ndarray, pairs: Iterable, k: int, delta: float, x0: float, spacing: float
 ) -> np.ndarray:
-    """grid_sobolev_norm of each row of an (n, N) stack of samples on the
-    window of N nodes x0 + j*spacing.
+    """The level-k pairing of each row pair (a, b) of an (n, N) stack of
+    samples on the window of N nodes x0 + j*spacing: the sum over j <= k, in
+    j order, of uniform_trapezoid((w d^j a) (w d^j b)), w = exp(delta|x|).
 
-    The weight is computed once; each row then goes through the one-row
-    arithmetic on its own, so a row's norm has the bits of grid_sobolev_norm
-    of a GridFunction with those samples, and a stack of long rows is read
-    one cache-sized row at a time.
+    sclab's one weighted-Sobolev quadrature: the weight is built once, and
+    the j-th derivative is np.gradient (edge_order=2) of the whole stack,
+    taken once per order and never past the last.  Raises OverflowError,
+    naming delta and the window, where a pairing is not finite, as where w
+    itself overflows; zero samples under a finite w pair to 0.0.
     """
     if k < 0 or delta < 0:
         raise ValueError("need k >= 0 and delta >= 0")
@@ -318,23 +313,55 @@ def grid_sobolev_norms(
     n = rows.shape[1]
     if n < 2 * k + 1:
         raise ValueError(f"{n} nodes too few for Sobolev order {k}")
-    out = np.empty(rows.shape[0])
-    # an overflow shows as a non-finite norm, raised below
+    pairs = list(pairs)
+    out = np.zeros(len(pairs))
+    # an overflow shows as a non-finite pairing, raised below
     with np.errstate(over="ignore", invalid="ignore"):
+        # a weight of 1.0 would multiply exactly; skip the pass
         w = np.exp(delta * np.abs(x0 + spacing * np.arange(n))) if delta != 0.0 else None
-        for r, vals in enumerate(rows):
-            square = 0.0
-            for j in range(k + 1):
-                # a weight of 1.0 would multiply exactly; skip the pass
-                wv = vals if w is None else w * vals
-                square += uniform_trapezoid(wv**2, spacing)
-                if j < k:
-                    vals = np.gradient(vals, spacing, edge_order=2)
-            out[r] = math.sqrt(square)
+        for j in range(k + 1):
+            if j:
+                rows = np.gradient(rows, spacing, axis=1, edge_order=2)
+            weighted = rows if w is None else w * rows
+            for p, (a, b) in enumerate(pairs):
+                # u**2 is u*u bit for bit, in one read of u
+                y = weighted[a] ** 2 if a == b else weighted[a] * weighted[b]
+                out[p] += uniform_trapezoid(y, spacing)
     if not np.isfinite(out).all():
-        window = _window(x0, spacing, slice(0, n))
-        raise OverflowError(f"weighted Sobolev norm with delta={delta!r} is not finite on {window}")
+        where = f"delta={delta!r} is not finite on {_window(float(x0), spacing, slice(0, n))}"
+        raise OverflowError(f"weighted Sobolev pairing with {where}")
     return out
+
+
+def grid_sobolev_gram(
+    rows: np.ndarray, k: int, delta: float, x0: float, spacing: float
+) -> np.ndarray:
+    """The level-k Gram matrix of the rows of a stack on one window: each
+    grid_sobolev_pairings entry on and above the diagonal, mirrored below."""
+    a, b = np.triu_indices(len(rows))
+    gram = np.empty((len(rows), len(rows)))
+    gram[a, b] = gram[b, a] = grid_sobolev_pairings(rows, zip(a, b), k, delta, x0, spacing)
+    return gram
+
+
+def grid_sobolev_norm(f: GridFunction, k: int, delta: float) -> float:
+    """Weighted Sobolev norm: the square root of the sum over j <= k of the
+    squared exp(delta|x|)-weighted L2 norms of the j-th derivatives, the
+    Hilbert norm sqrt(grid_sobolev_inner(f, f, k, delta)) bit for bit.
+    Raises OverflowError, naming delta and the window, where it is not
+    finite.  The one-row case of grid_sobolev_norms."""
+    return float(grid_sobolev_norms(f.values[np.newaxis], k, delta, f.x0, f.spacing)[0])
+
+
+def grid_sobolev_norms(
+    rows: np.ndarray, k: int, delta: float, x0: float, spacing: float
+) -> np.ndarray:
+    """grid_sobolev_norm of each row of an (n, N) stack of samples on the
+    window of N nodes x0 + j*spacing: the roots of the stack's diagonal
+    grid_sobolev_pairings, so each row's norm has the bits of
+    grid_sobolev_norm of a GridFunction with those samples."""
+    diagonal = [(r, r) for r in range(len(rows))]
+    return np.sqrt(grid_sobolev_pairings(rows, diagonal, k, delta, x0, spacing))
 
 
 def _window(x0: float, spacing: float, sl: slice) -> str:
@@ -342,7 +369,10 @@ def _window(x0: float, spacing: float, sl: slice) -> str:
 
 
 def grid_sobolev_inner(f: GridFunction, g: GridFunction, k: int, delta: float) -> float:
-    """Quadratic-variant weighted Sobolev inner product over the overlap."""
+    """Level-k weighted Sobolev inner product: grid_sobolev_pairings of the
+    pair of f's and g's samples on the overlap of their windows, with the
+    derivatives taken on that overlap; 0.0 where the windows share fewer
+    than 2 nodes."""
     if k < 0 or delta < 0:
         raise ValueError("need k >= 0 and delta >= 0")
     if _disjoint(f, g):
@@ -351,28 +381,9 @@ def grid_sobolev_inner(f: GridFunction, g: GridFunction, k: int, delta: float) -
     if sl is None:
         return 0.0
     sf, sg = sl
-    w2 = 1.0
-    if delta != 0.0:
-        exponent = 2.0 * delta * np.abs(f.xs()[sf])
-        if exponent.max() > _LOG_FLOAT_MAX:
-            raise OverflowError(
-                f"weight exp(2*delta*|x|) with delta={delta!r} overflows on the "
-                f"overlap window {_window(f.x0, f.spacing, sf)}"
-            )
-        w2 = np.exp(exponent)
-    fv, gv = f.values, g.values
-    total = 0.0
-    for j in range(k + 1):
-        total += uniform_trapezoid(w2 * fv[sf] * gv[sg], f.spacing)
-        if j < k:
-            fv = np.gradient(fv, f.spacing, edge_order=2)
-            gv = np.gradient(gv, g.spacing, edge_order=2)
-    if not math.isfinite(total):
-        raise OverflowError(
-            f"weighted Sobolev inner product with delta={delta!r} is not finite "
-            f"on the overlap window {_window(f.x0, f.spacing, sf)}"
-        )
-    return total
+    rows = np.stack((f.values[sf], g.values[sg]))
+    x0 = f.x0 + f.spacing * sf.start
+    return float(grid_sobolev_pairings(rows, [(0, 1)], k, delta, x0, f.spacing)[0])
 
 
 def grid_window(fs: Iterable[GridFunction]) -> Tuple[float, int]:

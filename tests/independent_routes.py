@@ -5,8 +5,14 @@ import math
 
 import numpy as np
 
-from sclab.bump_profiles import DEFAULT_MARGIN, DEFAULT_SPACING, shifted_bump
-from sclab.scale_core import GridFunction, grid_combine, grid_l2_inner, grid_sobolev_norm
+from sclab.bump_profiles import DEFAULT_MARGIN, DEFAULT_SPACING, make_bump, shifted_bump
+from sclab.scale_core import (
+    GridFunction,
+    grid_combine,
+    grid_l2_inner,
+    grid_sobolev_norm,
+    uniform_trapezoid,
+)
 
 
 def level_norm(v, g) -> float:
@@ -80,3 +86,57 @@ def materialize(split, spacing: float = DEFAULT_SPACING, margin: float = DEFAULT
     if a == 0.0:
         return split.orth
     return grid_combine([(1.0, split.orth), (a, shifted_bump(split.t, 0, spacing, margin))])
+
+
+def own_window_pairing(f, g, level: int, delta: float) -> float:
+    """sum over j <= level of the trapezoid rule of exp(2 delta |x|) f^(j) g^(j)
+    on the overlap of two grid functions' windows, each derivative taken by
+    np.gradient on its function's own window.  sclab pairs w f^(j) with
+    w g^(j), w = exp(delta |x|), differenced on the overlap: the same rule
+    in other arithmetic.  Raises OverflowError, naming delta, where the
+    weight or the sum leaves the float range."""
+    h = f.spacing
+    offset = round((g.x0 - f.x0) / h)
+    lo, hi = max(0, offset), min(f.n_nodes, offset + g.n_nodes)
+    if hi - lo < 2:
+        return 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        w2 = np.exp(2.0 * delta * np.abs(f.xs()[lo:hi])) if delta else 1.0
+        fv, gv, total = f.values, g.values, 0.0
+        for j in range(level + 1):
+            if j:
+                fv = np.gradient(fv, h, edge_order=2)
+                gv = np.gradient(gv, h, edge_order=2)
+            total += uniform_trapezoid(w2 * fv[lo:hi] * gv[lo - offset : hi - offset], h)
+    if not math.isfinite(total):
+        raise OverflowError(f"pairing with delta={delta!r} is not finite")
+    return total
+
+
+def own_window_gram(fs, level: int, delta: float) -> np.ndarray:
+    """The level Gram matrix of grid functions, one own_window_pairing per
+    entry on and above the diagonal, mirrored below it."""
+    g = np.zeros((len(fs), len(fs)))
+    for p in range(len(fs)):
+        for q in range(p, len(fs)):
+            g[p, q] = g[q, p] = own_window_pairing(fs[p], fs[q], level, delta)
+    return g
+
+
+def closed_form_atom_gram(level: int, delta: float, spacing: float) -> np.ndarray:
+    """The level Gram matrix of the germ atoms b, b(. - 1/2), b(. + 1/2) and
+    b' with each j-th derivative in closed form (BumpProfile.derivative)
+    sampled on the atom window [-2, 2], and no finite difference: the
+    trapezoid rule of exp(2 delta |x|) a_p^(j) a_q^(j), summed over j <= level."""
+    bump = make_bump()
+    xs = -2.0 + spacing * np.arange(round(4.0 / spacing) + 1)
+    w2 = np.exp(2.0 * delta * np.abs(xs))
+
+    def d(u, j):
+        return bump.derivative(u, j) if j else bump(u)
+
+    g = np.zeros((4, 4))
+    for j in range(level + 1):
+        rows = (d(xs, j), d(xs - 0.5, j), d(xs + 0.5, j), d(xs, j + 1))
+        g += [[uniform_trapezoid(w2 * u * v, spacing) for v in rows] for u in rows]
+    return g

@@ -1,6 +1,5 @@
 import dataclasses
 import functools
-import itertools
 import json
 import math
 from collections import Counter
@@ -26,9 +25,25 @@ from sclab.germs import (
     replay_certificate,
 )
 from sclab.operator_probe import OperatorHandle, metric_singular_values, truncation_opnorm
-from sclab.scale_core import WeightSchedule, grid_combine, grid_l2_inner, grid_sobolev_inner
+from sclab.scale_core import (
+    WeightSchedule,
+    grid_combine,
+    grid_l2_inner,
+    grid_sobolev_gram,
+    grid_sobolev_inner,
+    grid_sobolev_norms,
+)
 
-from independent_routes import germ_point, level_norm, moving_bump_ratio
+from independent_routes import (
+    closed_form_atom_gram,
+    germ_point,
+    level_norm,
+    moving_bump_ratio,
+    own_window_gram,
+)
+
+
+_U = 2.0**-53  # the unit roundoff of float64
 
 
 def _grid_atoms(ctx, c, spacing=DEFAULT_SPACING):
@@ -39,15 +54,6 @@ def _grid_atoms(ctx, c, spacing=DEFAULT_SPACING):
     if ctx.dim == len(atoms):
         return atoms
     return atoms + (shifted_bump(c, 0, spacing),)
-
-
-def _grid_gram(atoms, level, delta):
-    """The level Gram matrix of grid functions, one Sobolev quadrature per
-    entry on and above the diagonal, mirrored below it."""
-    g = np.zeros((len(atoms), len(atoms)))
-    for j, k in itertools.combinations_with_replacement(range(len(atoms)), 2):
-        g[j, k] = g[k, j] = grid_sobolev_inner(atoms[j], atoms[k], level, delta)
-    return g
 
 
 def _pairings(ctx, c, j, spacing=DEFAULT_SPACING):
@@ -373,6 +379,10 @@ class TestStackedSampling:
             if schedule.delta(0) == 0.0:
                 assert np.array_equal(pairs.view(np.int64), ctx.gram(0)[0].view(np.int64))
             assert germs._bump_pairings(spacing) is pairs
+        # the unweighted level-0 Gram of the atom rows, row 0, bit for bit
+        rows = [a.values for a in germs._atoms(spacing)]
+        row_0 = grid_sobolev_gram(rows, 0, 0.0, -2.0, spacing)[0]
+        assert np.array_equal(pairs.view(np.int64), row_0.view(np.int64))
 
     def test_replay_recomputes_every_certified_pair(self, monkeypatch):
         germ = make_germ("quadratic")
@@ -1141,7 +1151,7 @@ class TestContexts:
         assert schedule.delta(0) == 0.0  # so gram(0) is the L2 Gram matrix
 
         def ref(level):
-            return _grid_gram(atoms, level, schedule.delta(level))
+            return own_window_gram(atoms, level, schedule.delta(level))
 
         q = ref(0)[4, 4]
         for level in range(3):
@@ -1158,8 +1168,47 @@ class TestContexts:
             if level == 0:
                 assert np.array_equal(got, want)
             else:
-                np.testing.assert_allclose(got[:4, :4], want[:4, :4], rtol=1e-14, atol=0.0)
+                # (w a)(w b) against w^2 a b: rounding, normwise
+                block = want[:4, :4]
+                assert np.abs(got[:4, :4] - block).max() <= 4 * _U * np.abs(block).max()
                 assert not want[4, :4].any() and not want[:4, 4].any()
+
+    @pytest.mark.parametrize("spacing", [1e-3, 5e-4])
+    def test_the_atom_gram_is_the_own_window_arithmetic(self, spacing):
+        # e^{2 delta |x|} a b on each atom's own derivatives, at six levels:
+        # the same bits at delta = 0, rounding normwise elsewhere
+        schedule = WeightSchedule.default(levels=6)
+        base = germs._base_context(schedule, spacing)
+        for level in range(6):
+            got = base.gram(level)
+            want = own_window_gram(germs._atoms(spacing), level, schedule.delta(level))
+            if level == 0:
+                assert np.array_equal(got, want)
+            assert np.abs(got - want).max() <= 4 * _U * np.abs(want).max()
+
+    def test_the_atom_gram_converges_to_the_closed_form(self):
+        # closed-form derivatives against np.gradient's second-order ones:
+        # O(h^2) normwise, so a quarter of the gap at half the spacing
+        schedule = WeightSchedule.default()
+        bounds = {1: (1.0e-4, 2.5e-5), 2: (1.05e-3, 2.6e-4), 3: (4.8e-3, 1.2e-3)}
+        for level, bound in bounds.items():
+            gaps = []
+            for spacing, at_most in zip((1e-3, 5e-4), bound):
+                got = germs._base_context(schedule, spacing).gram(level)
+                want = closed_form_atom_gram(level, schedule.delta(level), spacing)
+                gaps.append(np.abs(got - want).max() / np.abs(want).max())
+                assert gaps[-1] <= at_most, (level, spacing, gaps[-1])
+            assert 3.8 <= gaps[0] / gaps[1] <= 4.2, (level, gaps)
+
+    @pytest.mark.parametrize("spacing", [1e-3, 5e-4])
+    def test_the_atom_gram_is_symmetric_with_the_atom_norms_on_its_diagonal(self, spacing):
+        schedule = WeightSchedule.default()
+        rows = np.array([a.values for a in germs._atoms(spacing)])
+        for level in range(4):
+            g = germs._base_context(schedule, spacing).gram(level)
+            assert np.array_equal(g, g.T)
+            norms = grid_sobolev_norms(rows, level, schedule.delta(level), -2.0, spacing)
+            assert np.array_equal(np.sqrt(np.diag(g)), norms)
 
     @pytest.mark.parametrize("spacing", [1e-3, 5e-4])
     @pytest.mark.parametrize("c", [0.3, 0.5])

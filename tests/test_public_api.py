@@ -173,3 +173,54 @@ def _sclab_imports(module: str):
 
 def test_operator_probe_depends_only_on_the_lower_layers():
     assert _sclab_imports("operator_probe") == {"scale_core", "bump_profiles"}
+
+
+def _np_call(node, name: str) -> bool:
+    """Whether node is a call of np.<name>."""
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Attribute)
+        and node.func.attr == name
+        and isinstance(node.func.value, ast.Name)
+        and node.func.value.id == "np"
+    )
+
+
+def _quadrature_sites(root: Path):
+    """'module.py function' for every innermost src/sclab function that calls
+    np.gradient or builds a weight np.exp(... np.abs(...) ...)."""
+    sites = set()
+
+    def visit(node, module: str, function: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if _np_call(node, "gradient") or (
+            _np_call(node, "exp") and any(_np_call(n, "abs") for n in ast.walk(node))
+        ):
+            sites.add(f"{module} {function}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, function)
+
+    for path in sorted((root / "src" / "sclab").glob("*.py")):
+        visit(ast.parse(path.read_text()), path.name, "<module>")
+    return sites
+
+
+def test_one_function_holds_the_sobolev_quadrature():
+    # the derivative loop and the weight exp(delta |x|) live in one kernel,
+    # so that no second copy of the weighted-Sobolev rule grows back
+    assert _quadrature_sites(ROOT) == {"scale_core.py grid_sobolev_pairings"}
+
+
+def test_a_second_quadrature_is_flagged(tmp_path):
+    (tmp_path / "src" / "sclab").mkdir(parents=True)
+    (tmp_path / "src" / "sclab" / "mod.py").write_text(
+        "import numpy as np\n\n\n"
+        "def kernel(v, d, x):\n"
+        "    return np.gradient(v) * np.exp(d * np.abs(x))\n\n\n"
+        "def copy(v, d, x):\n"
+        "    def inner():\n"
+        "        return np.exp(2.0 * d * np.abs(x))\n"
+        "    return np.exp(v), inner\n"
+    )
+    assert _quadrature_sites(tmp_path) == {"mod.py kernel", "mod.py inner"}

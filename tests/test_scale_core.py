@@ -17,10 +17,12 @@ from sclab.scale_core import (
     WeightSchedule,
     grid_combine,
     grid_l2_inner,
-    grid_sobolev_inner,
     grid_row,
+    grid_sobolev_gram,
+    grid_sobolev_inner,
     grid_sobolev_norm,
     grid_sobolev_norms,
+    grid_sobolev_pairings,
     grid_window,
     seq_inner,
     seq_norm,
@@ -426,13 +428,46 @@ class TestGridModel:
         assert uniform_trapezoid(y, h) == pytest.approx(want, rel=1e-13, abs=0.0)
 
     def test_sobolev_norm_is_the_hilbert_norm(self):
+        # one quadrature: the norm is the root of the self-pairing, bit for bit
         h = 1e-3
         xs = np.arange(-1.0, 1.0 + h / 2, h)
         f = GridFunction(-1.0, h, np.exp(-4 * xs**2))
         for k in range(3):
             for delta in (0.0, 0.1):
                 quad = math.sqrt(grid_sobolev_inner(f, f, k, delta))
-                assert grid_sobolev_norm(f, k, delta) == pytest.approx(quad, rel=1e-12, abs=0.0)
+                assert grid_sobolev_norm(f, k, delta) == quad
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(0, 3),
+        st.floats(0.0, 2.0),
+        st.floats(-50.0, 50.0),
+        st.integers(7, 400),
+        st.floats(1e-4, 1e-1),
+    )
+    @example(0, 0, 0.0, -1.0, 7, 1e-3)
+    def test_sobolev_norm_is_the_root_of_the_self_pairing(self, seed, k, delta, x0, n, h):
+        vals = np.random.default_rng(seed).normal(size=n)
+        f = GridFunction(x0, h, vals)
+        assert grid_sobolev_norm(f, k, delta) == math.sqrt(grid_sobolev_inner(f, f, k, delta))
+
+    def test_the_gram_is_symmetric_with_the_norms_on_its_diagonal(self):
+        rng = np.random.default_rng(17)
+        h = 1e-3
+        stack = rng.normal(size=(5, 301)) * np.sin(np.linspace(0, math.pi, 301))
+        for x0 in (-2.0, 0.5):
+            for k in range(3):
+                for delta in (0.0, 0.1, 0.3):
+                    gram = grid_sobolev_gram(stack, k, delta, x0, h)
+                    assert np.array_equal(gram, gram.T)
+                    norms = grid_sobolev_norms(stack, k, delta, x0, h)
+                    assert np.array_equal(np.sqrt(np.diag(gram)), norms)
+                    pairs = [(0, 3), (3, 0), (2, 2)]
+                    got = grid_sobolev_pairings(stack, pairs, k, delta, x0, h)
+                    assert np.array_equal(got, [gram[0, 3], gram[3, 0], gram[2, 2]])
+                    f, g = (GridFunction(x0, h, stack[r]) for r in (1, 4))
+                    assert grid_sobolev_inner(f, g, k, delta) == gram[1, 4]
 
     def test_sobolev_norms_are_the_one_row_arithmetic_per_row(self):
         def one_row(vals, x0, h, k, delta):
@@ -484,10 +519,15 @@ class TestGridModel:
 
     def test_sobolev_inner_raises_where_the_weight_overflows(self):
         # 2 delta |x| passes log(max float) = 709.78 on this window at
-        # delta = 0.1, where exp(2 delta |x|) times zero samples gave NaN
+        # delta = 0.1, but the weight exp(delta |x|) itself is finite: zero
+        # samples pair to 0.0, as their norm reads 0.0
         f = GridFunction(-3600.0, 1e-3, np.zeros(1001))
-        with pytest.raises(OverflowError, match=r"delta=0\.1 .*\[-3600\.0, "):
-            grid_sobolev_inner(f, f, 0, 0.1)
+        assert grid_sobolev_inner(f, f, 0, 0.1) == 0.0 == grid_sobolev_norm(f, 1, 0.1)
+        assert grid_sobolev_inner(f, f, 1, 0.1) == 0.0
+        # where exp(delta |x|) overflows, inf times zero samples is NaN
+        z = GridFunction(-8000.0, 1e-3, np.zeros(1001))
+        with pytest.raises(OverflowError, match=r"delta=0\.1 .*\[-8000\.0, "):
+            grid_sobolev_inner(z, z, 0, 0.1)
         # inside the float range of the weight the pairing is computed
         g = GridFunction(-3500.0, 1e-3, np.ones(1001))
         assert math.isfinite(grid_sobolev_inner(g, g, 1, 0.1))
