@@ -41,6 +41,7 @@ __all__ = [
     "bump_window_gram",
     "pair_with_bump",
     "bump_reaches",
+    "bump_onset",
     "bump_self_pairing",
     "phi_gate",
     "phi_gate_logmag",
@@ -329,6 +330,12 @@ def pair_with_bump(
     if not bump_reaches(f.x0, t, margin):
         return 0.0
     return grid_l2_inner(f, shifted_bump(t, order, spacing, margin))
+
+
+def bump_onset(x0: float, margin: float = DEFAULT_MARGIN) -> float:
+    """The first t > 0 at which b_t's window reaches x0 < margin; bump_reaches,
+    which compares in log form, can differ from it by the rounding of 1/t."""
+    return 1.0 / math.log(1.0 + margin - x0)
 
 
 def bump_reaches(x0: float, t: float, margin: float = DEFAULT_MARGIN) -> bool:

@@ -15,13 +15,14 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import bump_profiles
-from .bump_profiles import bump_self_pairing, log_limit_probe, phi_gate, shifted_bump, step_n
+from .bump_profiles import bump_self_pairing, log_limit_probe, phi_gate, shifted_bump
 from .gallery import (
     h_family_handle,
     h_transversality_data,
     h_zero_branch,
     phi_value,
     rho_eval,
+    rho_k_eval,
     rho_k_tangent,
     s_proj_diff,
     s_proj_handle,
@@ -51,11 +52,9 @@ from .scale_core import (
     AnalyticTailFunction,
     GridFunction,
     LogScalar,
-    SeqVector,
     WeightSchedule,
     grid_l2_inner,
     grid_sobolev_norm,
-    seq_norm,
     seq_norms,
     uniform_trapezoid,
 )
@@ -255,23 +254,20 @@ def _stamp() -> dict:
 
 
 def _seq_discontinuity(cfg: ExperimentConfig) -> List[Check]:
-    # the diagonal map multiplies mode m by f_m(t): row n - 2 holds e_n and
-    # the factors at t = 1/n for n = 2..10, and one more row those at t = 0
+    # the diagonal map multiplies mode m by f_m(t): row n - 2 of units holds
+    # e_n, and of moved its image at t = 1/n minus its image at t = 0
     units = np.eye(10)[1:]
-    ts = np.append(1.0 / np.arange(2, 11), 0.0)
-    factors = step_n(np.arange(1, 11), ts[:, np.newaxis], 0)
-    moved = factors[:-1] * units - factors[-1] * units
+    moved = np.subtract(*rho_k_eval(0, np.stack([1.0 / np.arange(2, 11), np.zeros(9)]), units))
     gaps = [seq_norms(moved, i) / seq_norms(units, i) - 0.5 for i in range(3)]
     N = cfg.truncation_n
-    # the map at 1/n minus the map at 0 is diagonal, and a diagonal operator
-    # has norm max |d_m| under every diagonal level metric
-    ts = 1.0 / np.array([[2.0], [4.0], [7.0]])
-    opnorms = np.abs(step_n(np.arange(1, N + 1), ts, 0) - 1.0).max(axis=1)
+    # the map at 1/n minus the map at 0 is diagonal, its diagonal d the image
+    # of the all-ones row less 1, and its norm is max |d_m| on every level
+    opnorms = np.abs(rho_k_eval(0, 1.0 / np.array([2.0, 4.0, 7.0]), np.ones(N)) - 1.0).max(axis=1)
     rng = np.random.default_rng(cfg.seed)
     draws = [(rng.normal(size=N), rng.uniform(-0.2, 0.6)) for _ in range(20)]
     xs = np.array([x for x, _ in draws])
-    factors = step_n(np.arange(1, N + 1), np.array([[t] for _, t in draws]), 0)
-    back = (factors * xs) / factors
+    # each draw's image over the map's diagonal, its image of the all-ones row
+    back = np.divide(*rho_k_eval(0, [t for _, t in draws], np.stack([xs, np.ones_like(xs)])))
     return [
         _at_most(
             "unit-vector gap",
@@ -359,24 +355,19 @@ def _diagonal_map_ratio(rng: np.random.Generator, dim: int) -> float:
 
     Each block draws its trials' x, then their t, then their levels."""
     worst = 0.0
-    modes = np.arange(1, dim + 1)
     for _, size in _blocks(1000):
         x = rng.normal(size=(size, dim))
         ts = rng.uniform(-0.5, 1.0, size)
         levels = rng.integers(0, 3, size)
-        image = step_n(modes, ts[:, np.newaxis], 0) * x
-        worst = _running_max(worst, seq_norms(image, levels) / seq_norms(x, levels))
+        worst = _running_max(worst, seq_norms(rho_k_eval(0, ts, x), levels) / seq_norms(x, levels))
     return worst
 
 
 def _seq_tail_bounds(cfg: ExperimentConfig) -> List[Check]:
     N = 16
-    e_N = SeqVector.basis(N)
-    eq_gaps = [
-        abs(seq_norm(e_N, i) - N ** (-3 * k) * seq_norm(e_N, i + k))
-        for i in range(2)
-        for k in range(1, 3)
-    ]
+    e_N = np.eye(N)[-1:]
+    sharp = [float(seq_norms(e_N, i)[0]) for i in range(4)]
+    eq_gaps = [abs(sharp[i] - N ** (-3 * k) * sharp[i + k]) for i in range(2) for k in range(1, 3)]
     rng = np.random.default_rng(cfg.seed)  # the three checks draw in list order
     return [
         _at_most(
@@ -420,12 +411,9 @@ def _seq_tangent_check(cfg: ExperimentConfig) -> List[Check]:
         handle = seq_rho_k_handle(k)
         reps = finite_diff_differential(handle, (ts, xs), (Ts, Xs), level=0, steps=steps)
         worst = _running_max(worst, [rep.mismatch for rep in reps])
-    x = SeqVector(rng.normal(size=10))
-    X = SeqVector(rng.normal(size=10))
-    d0 = rho_k_tangent(0, 0.0, x, 1.0, X)
-    gap0 = seq_norm(d0.add(X.scaled(-1.0)), 0)
-    d1 = rho_k_tangent(1, 0.0, x, 1.0, X)
-    gap1 = seq_norm(d1, 0)
+    x, X = rng.normal(size=(1, 10)), rng.normal(size=(1, 10))
+    gap0 = float(seq_norms(rho_k_tangent(0, 0.0, x, 1.0, X) - X, 0)[0])
+    gap1 = float(seq_norms(rho_k_tangent(1, 0.0, x, 1.0, X), 0)[0])
     return [
         _at_most(
             "interior tangent formula",
@@ -504,9 +492,9 @@ def _identity_differential(cfg: ExperimentConfig) -> List[Check]:
     x0 = b0.x0
     T = float(rng.uniform(0.5, 1.5))
     # below the first parameter at which b_t's window reaches x0
-    # (bump_reaches) no step has a bump term, and the identity is the whole
+    # (bump_onset) no step has a bump term, and the identity is the whole
     # differential; past it the sweeps would meet b_t off the tangent's nodes
-    reach, swept = 1.0 / math.log(1.0 + cfg.margin - x0), max(DEFAULT_FD_STEPS) * T
+    reach, swept = bump_profiles.bump_onset(x0, cfg.margin), max(DEFAULT_FD_STEPS) * T
     checks.append(
         _check(
             "origin sweeps stay off the bump",

@@ -393,23 +393,15 @@ def h_transversality_data(
 
 
 def seq_diffeo(t: float, x: SeqVector) -> SeqVector:
-    """Coefficient-wise multiplication by the plateau values f_n(t)."""
-    return _rho(0, t, x)
+    """Coefficient-wise multiplication by the plateau values f_n(t): the
+    one-vector shell, which bench/ reads, of rho_k_eval(0, t, x.coeffs)."""
+    return SeqVector(rho_k_eval(0, t, x.coeffs))
 
 
 def seq_diffeo_inv(t: float, y: SeqVector) -> SeqVector:
-    """Coefficient-wise division by f_n(t); exact since f_n never vanishes."""
+    """Coefficient-wise division by f_n(t), which never vanishes; it rounds,
+    so a round trip through seq_diffeo is within 2u + u^2 relative, u = 2^-53."""
     return SeqVector(y.coeffs / step_n(np.arange(1, y.dim + 1), t, 0))
-
-
-def rho_k_eval(k: int, t: float, x: SeqVector) -> SeqVector:
-    """Coefficient-wise multiplication by the k-th derivatives of f_n.
-
-    For k >= 1 only the coefficient n = floor(1/t) can survive (the
-    derivative supports are disjoint), and the map vanishes for t <= 0.
-    """
-    _check_k(k)
-    return _rho(k, t, x)
 
 
 def _check_k(k: int) -> None:
@@ -417,36 +409,26 @@ def _check_k(k: int) -> None:
         raise ValueError(f"k must be in 0..{K_MAX}")
 
 
-def _rho(k: int, t: float, x: SeqVector) -> SeqVector:
-    # for t <= 0 every mode sits left of its transition window, where the
-    # derivatives of order k >= 1 are exactly 0
-    return SeqVector(step_n(np.arange(1, x.dim + 1), t, k) * x.coeffs)
-
-
-def rho_k_tangent(k: int, t: float, x: SeqVector, T: float, X: SeqVector) -> SeqVector:
-    """Tangent map: rho_k(t, X) + T rho_{k+1}(t, x), for every k of the family."""
+def rho_k_eval(k: int, ts, rows) -> np.ndarray:
+    """Rows (..., n) times the k-th derivatives of f_1, ..., f_n at ts, which
+    broadcast against the rows' leading axes.  For k >= 1 only mode floor(1/t)
+    can survive (the derivative supports are disjoint), and for t <= 0, where
+    every mode sits left of its transition window, the map vanishes."""
     _check_k(k)
-    n = max(x.dim, X.dim)
-    ts, Ts = np.array([t], dtype=float), np.array([T], dtype=float)
-    return SeqVector(_tangent_rows(k, ts, _seq_rows([x], n), Ts, _seq_rows([X], n))[0])
+    ts = np.asarray(ts, dtype=float)[..., np.newaxis]
+    return step_n(np.arange(1, np.shape(rows)[-1] + 1), ts, k) * rows
 
 
-def _seq_rows(vectors, n: int) -> np.ndarray:
-    """The vectors' coefficients as rows on n modes, added into zeros as
-    SeqVector.add adds them."""
-    out = np.zeros((len(vectors), n))
-    for row, v in zip(out, vectors):
-        row[: v.dim] += v.coeffs
-    return out
-
-
-def _tangent_rows(k: int, ts, xs, Ts, Xs) -> np.ndarray:
-    """Rows of rho_k(t, X) + T rho_{k+1}(t, x), one per entry of ts, from two
-    step_n calls; each row has the bits of the SeqVector sum on its modes."""
-    modes, ts = np.arange(1, xs.shape[1] + 1), ts[:, np.newaxis]
-    out = np.zeros(xs.shape)
+def rho_k_tangent(k: int, ts, xs, Ts, Xs) -> np.ndarray:
+    """Rows of the tangent map rho_k(t, X) + T rho_{k+1}(t, x), for every k
+    of the family, added into zeros (a -0.0 sum reads 0.0); ts and Ts
+    broadcast against the leading axes of the (..., n) rows xs and Xs."""
+    _check_k(k)
+    ts, Ts = (np.asarray(a, dtype=float)[..., np.newaxis] for a in (ts, Ts))
+    modes = np.arange(1, np.shape(xs)[-1] + 1)
+    out = np.zeros(np.broadcast_shapes(ts.shape, Ts.shape, np.shape(xs), np.shape(Xs)))
     out += step_n(modes, ts, k) * Xs
-    out += step_n(modes, ts, k + 1) * xs * Ts[:, np.newaxis]
+    out += step_n(modes, ts, k + 1) * xs * Ts
     return out
 
 
@@ -503,8 +485,8 @@ def _pair_norms(norms: Callable) -> Callable:
 def _seq_sweep(k: int, points, tangents, hs) -> Sweep:
     """Rows of rho_k(t + h T, x + h X), one (P, n) stack per h in hs for the
     P points (ts, xs) and tangents (Ts, Xs), each a (P,) parameter array and
-    a (P, n) row stack, and the rows of rho_k_tangent.  All rows come from
-    one step_n call and the tangents from two, whatever P is.
+    a (P, n) row stack, and the rows of rho_k_tangent, each from one call of
+    its kernel, whatever P is.
     """
     (ts, xs), (Ts, Xs) = points, tangents
     ts, xs, Ts, Xs = (np.asarray(a, dtype=float) for a in (ts, xs, Ts, Xs))
@@ -515,9 +497,8 @@ def _seq_sweep(k: int, points, tangents, hs) -> Sweep:
             f"{ts.shape} and {xs.shape} at the points, {Ts.shape} and {Xs.shape} at the tangents"
         )
     hs = np.asarray(hs, dtype=float)[:, np.newaxis]
-    lines = xs + hs[..., np.newaxis] * Xs
-    rows = step_n(np.arange(1, xs.shape[1] + 1), (ts + hs * Ts)[..., np.newaxis], k) * lines
-    exact = _tangent_rows(k, ts, xs, Ts, Xs)
+    rows = rho_k_eval(k, ts + hs * Ts, xs + hs[..., np.newaxis] * Xs)
+    exact = rho_k_tangent(k, ts, xs, Ts, Xs)
     return Sweep(rows, lambda i: (exact, seq_norms(exact, i)), seq_norms)
 
 

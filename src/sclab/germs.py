@@ -27,7 +27,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bump_profiles import DEFAULT_MARGIN, DEFAULT_SPACING, bump_self_pairing, make_bump
+from .bump_profiles import DEFAULT_MARGIN, DEFAULT_SPACING, bump_onset, bump_self_pairing, make_bump
 from .operator_probe import OperatorHandle, metric_singular_values
 from .scale_core import GridFunction, WeightSchedule, grid_sobolev_gram, grid_sobolev_pairings
 
@@ -402,12 +402,18 @@ def _bump_pairings(spacing: float) -> np.ndarray:
 def _base_context(schedule: WeightSchedule, spacing: float) -> GermContext:
     """The atoms' context, built once per (schedule, spacing) and shared by
     every germ: its level Gram matrix is grid_sobolev_gram of the atoms'
-    samples, which share one window, at the level's weight."""
+    samples, which share one window, at the level's weight.  A build raises
+    ValueError where cond * u passes 1e-6 (u = 2^-53): solves keep < 6 digits."""
     atoms = _atoms(spacing)
     rows = [a.values for a in atoms]
 
     def build(level: int) -> np.ndarray:
-        return grid_sobolev_gram(rows, level, schedule.delta(level), atoms[0].x0, spacing)
+        delta = schedule.delta(level)
+        g = grid_sobolev_gram(rows, level, delta, atoms[0].x0, spacing)
+        cond = np.linalg.cond(g)
+        if not cond * 2.0**-53 <= 1e-6:  # a NaN cond raises too
+            raise ValueError(f"level-{level} Gram at delta {delta!r}: cond {cond:.3g}")
+        return g
 
     return GermContext(len(atoms), build)
 
@@ -495,12 +501,12 @@ def _moving_bump(base: GermContext, spacing: float, margin: float) -> BasicGerm:
         return g
 
     ctx = GermContext(base.dim + 1, gram)
-    reach = 1.0 + margin - _ATOM_WINDOW[0]
-    c_max = 1.0 / math.log(reach)
+    c_max = bump_onset(_ATOM_WINDOW[0], margin)
 
     def live(c: np.ndarray) -> np.ndarray:
         if (c >= c_max).any():
-            raise ValueError(f"moving-bump B needs c < 1/ln({reach:g}), got c={float(c.max())!r}")
+            bound = f"1/ln({math.exp(1.0 / c_max):g})"
+            raise ValueError(f"moving-bump B needs c < {bound}, got c={float(c.max())!r}")
         return c > 0.0
 
     def B(c: np.ndarray, v: np.ndarray) -> np.ndarray:

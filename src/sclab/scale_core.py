@@ -443,7 +443,8 @@ def grid_combine(terms: list) -> GridFunction:
 class SeqVector:
     """Finite vector of coefficients in the abstract orthogonal basis e_1, e_2, ...
 
-    The level-i inner product weights the n-th coefficient by n^(6i).
+    The level-i inner product weights the n-th coefficient by n^(6i).  The
+    sequence model works on (..., n) rows; bench/ reads this one-vector shell.
     """
 
     coeffs: np.ndarray
@@ -469,16 +470,6 @@ class SeqVector:
     def dim(self) -> int:
         return self.coeffs.size
 
-    def add(self, other: "SeqVector") -> "SeqVector":
-        n = max(self.dim, other.dim)
-        c = np.zeros(n)
-        c[: self.dim] += self.coeffs
-        c[: other.dim] += other.coeffs
-        return SeqVector(c)
-
-    def scaled(self, c: float) -> "SeqVector":
-        return SeqVector(c * self.coeffs)
-
 
 @functools.lru_cache(maxsize=256)
 def _seq_weights(n: int, i: int) -> np.ndarray:
@@ -489,7 +480,7 @@ def _seq_weights(n: int, i: int) -> np.ndarray:
 
 
 def seq_inner(x: SeqVector, y: SeqVector, i: int) -> float:
-    """Level-i inner product: sum over n of n^(6i) x_n y_n."""
+    """Level-i inner product: sum over n of n^(6i) x_n y_n (a shell for bench/)."""
     i = check_level(i)
     n = min(x.dim, y.dim)
     return float((_seq_weights(n, i) * x.coeffs[:n] * y.coeffs[:n]).sum())
@@ -545,7 +536,7 @@ def seq_norms(rows: np.ndarray, i: int | np.ndarray) -> np.ndarray:
 
 
 def tail_projection(x: SeqVector, N: int) -> SeqVector:
-    """Zero out all coefficients with basis index below N."""
+    """Zero out all coefficients with basis index below N (a shell for bench/)."""
     if N < 1:
         raise ValueError("N must be >= 1")
     c = x.coeffs.copy()

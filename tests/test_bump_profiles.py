@@ -13,6 +13,7 @@ from sclab.bump_profiles import (
     _logsumexp,
     _pair_tail_log,
     _tail_nodes,
+    bump_onset,
     bump_reaches,
     bump_self_pairing,
     bump_window,
@@ -354,6 +355,17 @@ class TestShiftedBump:
                 assert bump_reaches(x0, t) == (b.x_end >= x0)
         # exp(1/t) overflows: the window lies left of every float x0
         assert not bump_reaches(-1e300, 1e-4)
+
+    def test_bump_onset_is_where_bump_reaches_turns_true(self):
+        # 1/log(1 + margin - x0) bit for bit, which bump_reaches brackets up
+        # to the rounding of 1/t
+        for margin in (0.5, 1.0, 2.0):
+            for x0 in (-2.0, -0.5, 0.3, margin - 1e-3):
+                t = bump_onset(x0, margin)
+                assert t == 1.0 / math.log(1.0 + margin - x0)
+                assert bump_reaches(x0, t * (1.0 + 1e-12), margin)
+                assert not bump_reaches(x0, t * (1.0 - 1e-12), margin)
+        assert bump_onset(-2.0) == 1.0 / math.log(4.0)
 
     def test_pairing_unrepresentable_overlap_errors(self):
         # a window far enough left that it may reach the escaped bump

@@ -36,7 +36,6 @@ from sclab.experiments import (
 )
 from sclab.gallery import (
     h_family_handle,
-    rho_k_eval,
     s_proj,
     s_proj_handle,
     seq_diffeo,
@@ -481,7 +480,7 @@ def _old_diagonal_map_ratio(rng, dim):
         levels = rng.integers(0, 3, size)
         for row, t, i in zip(xs, ts.tolist(), levels.tolist()):
             x = SeqVector(row)
-            ratio = _old_seq_norm(rho_k_eval(0, t, x), i) / _old_seq_norm(x, i)
+            ratio = _old_seq_norm(seq_diffeo(t, x), i) / _old_seq_norm(x, i)
             worst_ratio = max(worst_ratio, ratio)
     return worst_ratio
 
@@ -493,7 +492,7 @@ def _old_seq_discontinuity(cfg: ExperimentConfig):
     for n in range(2, 11):
         for i in range(3):
             e_n = SeqVector.basis(n)
-            moved = seq_diffeo(1.0 / n, e_n).add(seq_diffeo(0.0, e_n).scaled(-1.0))
+            moved = SeqVector(seq_diffeo(1.0 / n, e_n).coeffs - seq_diffeo(0.0, e_n).coeffs)
             worst = max(worst, abs(seq_norm(moved, i) / seq_norm(e_n, i) - 0.5))
     rng = np.random.default_rng(cfg.seed)
     worst_rt = 0.0
@@ -501,7 +500,7 @@ def _old_seq_discontinuity(cfg: ExperimentConfig):
         x = SeqVector(rng.normal(size=cfg.truncation_n))
         t = float(rng.uniform(-0.2, 0.6))
         back = seq_diffeo_inv(t, seq_diffeo(t, x))
-        worst_rt = max(worst_rt, seq_norm(back.add(x.scaled(-1.0)), 0) / seq_norm(x, 0))
+        worst_rt = max(worst_rt, seq_norm(SeqVector(back.coeffs - x.coeffs), 0) / seq_norm(x, 0))
     return worst, worst_rt
 
 
@@ -563,7 +562,7 @@ class TestStackedSeqLoops:
     def test_diagonal_map_ratio_makes_two_norm_calls_per_block(self, monkeypatch, dim):
         # the image's and x's norms at each trial's own level, one call each
         calls = []
-        for name in ("step_n", "seq_norms"):
+        for name in ("rho_k_eval", "seq_norms"):
             real = getattr(experiments, name)
 
             def counted(*args, _real=real, _name=name):
@@ -572,7 +571,7 @@ class TestStackedSeqLoops:
 
             monkeypatch.setattr(experiments, name, counted)
         experiments._diagonal_map_ratio(np.random.default_rng(0), dim)
-        assert calls == ["step_n", "seq_norms", "seq_norms"] * 10
+        assert calls == ["rho_k_eval", "seq_norms", "seq_norms"] * 10
 
     @pytest.mark.parametrize("dim", [16, 32, 64])
     @pytest.mark.parametrize("seed", range(4))
@@ -635,16 +634,17 @@ class TestStackedSeqLoops:
 
 
 def _scale_diagonal_map(monkeypatch):
-    # the plateau values f_n(t) of the diagonal map scaled by 2.1
-    step = experiments.step_n
-    monkeypatch.setattr(experiments, "step_n", lambda *args: 2.1 * step(*args))
+    # the plateau values f_n(t) of the diagonal map, which the gallery's row
+    # kernels read, scaled by 2.1
+    step = gallery.step_n
+    monkeypatch.setattr(gallery, "step_n", lambda *args: 2.1 * step(*args))
 
 
 def _scale_tangent_rows(monkeypatch):
-    # the rows of the analytic tangent rho_k(t, X) + T rho_{k+1}(t, x)
-    # scaled by 1 + 1e-5
-    rows = gallery._tangent_rows
-    monkeypatch.setattr(gallery, "_tangent_rows", lambda *args: (1.0 + 1e-5) * rows(*args))
+    # the rows of the analytic tangent rho_k(t, X) + T rho_{k+1}(t, x), which
+    # the sweeps read, scaled by 1 + 1e-5
+    rows = gallery.rho_k_tangent
+    monkeypatch.setattr(gallery, "rho_k_tangent", lambda *args: (1.0 + 1e-5) * rows(*args))
 
 
 def _scale_level_two_weights(monkeypatch):
@@ -1075,25 +1075,25 @@ def _witness_logmags(a, b):
 #: (experiment, check, fault): each fault puts a NaN into what the check
 #: reduces to its measured value, past the first position where the
 #: reduction has one, and the check must then fail.  Call indices are at the
-#: default config (truncation_n = 32: seq-tail-bounds' seq_norms calls 0-4
-#: are the single modes' levels, 5-12 the tails')
+#: default config (truncation_n = 32: seq-tail-bounds' seq_norms calls 0-3
+#: are the sharp mode's levels, 4-8 the single modes', 9-16 the tails')
 _NAN_FAULTS = [
     ("seq-discontinuity", "unit-vector gap", _nan_on_call("seq_norms", 0)),
-    ("seq-discontinuity", "difference operator norm at least 1/2", _nan_on_call("step_n", 1)),
-    ("seq-discontinuity", "difference operator norm at most 1", _nan_on_call("step_n", 1)),
+    ("seq-discontinuity", "difference operator norm at least 1/2", _nan_on_call("rho_k_eval", 1)),
+    ("seq-discontinuity", "difference operator norm at most 1", _nan_on_call("rho_k_eval", 1)),
     ("seq-discontinuity", "round trip", _nan_on_call("seq_norms", 6)),
-    ("seq-tail-bounds", "single-mode level scaling", _nan_on_call("seq_norms", 1)),
-    ("seq-tail-bounds", "tail bound with sharp mode", _nan_on_call("seq_norm")),
-    ("seq-tail-bounds", "tail bound with sharp mode", _nan_on_call("seq_norm", 5)),
-    ("seq-tail-bounds", "tail bound with sharp mode", _nan_on_call("seq_norms", 6)),
-    ("seq-tail-bounds", "diagonal map bounded by two", _nan_on_call("step_n", 0)),
+    ("seq-tail-bounds", "single-mode level scaling", _nan_on_call("seq_norms", 5)),
+    ("seq-tail-bounds", "tail bound with sharp mode", _nan_on_call("seq_norms", 0)),
+    ("seq-tail-bounds", "tail bound with sharp mode", _nan_on_call("seq_norms", 3)),
+    ("seq-tail-bounds", "tail bound with sharp mode", _nan_on_call("seq_norms", 10)),
+    ("seq-tail-bounds", "diagonal map bounded by two", _nan_on_call("rho_k_eval", 0)),
     (
         "seq-tangent-check",
         "interior tangent formula",
         _patch_result("finite_diff_differential", 0, _last_mismatch_nan),
     ),
-    ("seq-tangent-check", "tangent at the limit parameter", _nan_on_call("seq_norm", 0)),
-    ("seq-tangent-check", "tangent at the limit parameter", _nan_on_call("seq_norm", 1)),
+    ("seq-tangent-check", "tangent at the limit parameter", _nan_on_call("seq_norms", 0)),
+    ("seq-tangent-check", "tangent at the limit parameter", _nan_on_call("seq_norms", 1)),
     ("retract-image-gap", "projection orthogonality", _nan_on_call("uniform_trapezoid", 1)),
     ("retract-image-gap", "missed target pairing", _nan_on_call("grid_l2_inner", 1)),
     # grid_sobolev_norm alternates: the distance, then the kernel witness, per t
@@ -1170,25 +1170,30 @@ class TestBoundChecksFailOnNaN:
         assert (check.measured, check.passed) == ("inf", False)
 
     def test_the_sharp_mode_fails_where_one_pair_is_off(self, monkeypatch):
-        # the level-3 norm scaled by 1 + 1e-9 moves only (i, k) = (1, 2) off
-        # equality, by 16^3 1e-9
-        norm = experiments.seq_norm
-        monkeypatch.setattr(
-            experiments, "seq_norm", lambda x, i: norm(x, i) * (1.0 + 1e-9 if i == 3 else 1.0)
-        )
+        # the sharp mode's level-3 norm (seq_norms call 3) scaled by 1 + 1e-9
+        # moves only (i, k) = (1, 2) off equality, by 16^3 1e-9
+        _patch_result("seq_norms", 3, lambda out: out * (1.0 + 1e-9))(monkeypatch)
         got = {c.name: c for c in run("seq-tail-bounds", ExperimentConfig()).checks}
         check = got["tail bound with sharp mode"]
         assert not check.passed
         assert float(check.measured) == pytest.approx(16**3 * 1e-9, rel=1e-3)
 
     def test_the_sharp_mode_builds_the_basis_vector_once(self, monkeypatch):
+        # one (1, 16) row e_16, normed once per level 0-3; every other stack
+        # of the default config is 32 wide
         calls = []
-        basis = SeqVector.basis
-        monkeypatch.setattr(
-            SeqVector, "basis", staticmethod(lambda n: calls.append(n) or basis(n))
-        )
+        norms = experiments.seq_norms
+
+        def recorded(rows, i):
+            if rows.shape[1] == 16:
+                calls.append((rows, i))
+            return norms(rows, i)
+
+        monkeypatch.setattr(experiments, "seq_norms", recorded)
         assert run("seq-tail-bounds", ExperimentConfig()).passed
-        assert calls == [16]
+        assert [i for _, i in calls] == [0, 1, 2, 3]
+        assert all(rows is calls[0][0] for rows, _ in calls)
+        assert np.array_equal(calls[0][0], np.eye(16)[-1:])
 
 
 class TestCli:

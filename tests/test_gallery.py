@@ -43,7 +43,7 @@ from sclab.scale_core import (
     grid_l2_inner,
     grid_row,
     grid_sobolev_norm,
-    seq_norm,
+    seq_norms,
 )
 
 from independent_routes import materialize
@@ -401,35 +401,34 @@ class TestSeqDiffeo:
         # t in (1/(n+1), 1/n) activates only mode n for k >= 1
         for n in (2, 4, 7):
             t = 0.5 * (1.0 / (n + 1) + 1.0 / n)
-            x = SeqVector(np.ones(10))
-            out = rho_k_eval(1, t, x)
-            nz = np.nonzero(out.coeffs)[0]
+            out = rho_k_eval(1, t, np.ones(10))
+            nz = np.nonzero(out)[0]
             assert list(nz) == [n - 1]
 
     def test_rho_k_vanishes_at_zero_and_on_plateaus(self):
-        x = SeqVector(np.ones(10))
+        x = np.ones((1, 10))
         for k in (1, 2, 3):
-            assert seq_norm(rho_k_eval(k, 0.0, x), 0) == 0.0
-            assert seq_norm(rho_k_eval(k, -0.5, x), 0) == 0.0
-            assert seq_norm(rho_k_eval(k, 2.0, x), 0) == 0.0
+            assert seq_norms(rho_k_eval(k, 0.0, x), 0)[0] == 0.0
+            assert seq_norms(rho_k_eval(k, -0.5, x), 0)[0] == 0.0
+            assert seq_norms(rho_k_eval(k, 2.0, x), 0)[0] == 0.0
 
     def test_tangent_is_sum_of_parts(self):
         t = 0.29
-        x = SeqVector(np.ones(6))
-        X = SeqVector(np.arange(1.0, 7.0))
+        x = np.ones(6)
+        X = np.arange(1.0, 7.0)
         T = 0.7
         got = rho_k_tangent(0, t, x, T, X)
-        expect = rho_k_eval(0, t, X).add(rho_k_eval(1, t, x).scaled(T))
-        assert np.allclose(got.coeffs, expect.coeffs, rtol=1e-14)
+        expect = rho_k_eval(0, t, X) + T * rho_k_eval(1, t, x)
+        assert np.allclose(got, expect, rtol=1e-14)
 
     def test_tangent_serves_the_whole_family(self):
         t = 0.29
-        x = SeqVector(np.ones(6))
-        X = SeqVector(np.arange(1.0, 7.0))
+        x = np.ones(6)
+        X = np.arange(1.0, 7.0)
         got = rho_k_tangent(K_MAX, t, x, 0.7, X)
-        top = SeqVector(step_n(np.arange(1, 7), t, K_MAX + 1) * x.coeffs)
-        expect = rho_k_eval(K_MAX, t, X).add(top.scaled(0.7))
-        assert np.array_equal(got.coeffs, expect.coeffs)
+        top = step_n(np.arange(1, 7), t, K_MAX + 1) * x
+        expect = rho_k_eval(K_MAX, t, X) + 0.7 * top
+        assert np.array_equal(got, expect)
         with pytest.raises(ValueError):
             rho_k_tangent(K_MAX + 1, t, x, 0.7, X)
         with pytest.raises(ValueError):
@@ -440,8 +439,8 @@ class TestSeqDiffeo:
         sups = []
         for n in (2, 4, 8):
             ts = np.linspace(1.0 / (n + 1), 1.0 / n, 400)
-            x = SeqVector.basis(n)
-            sups.append(max(seq_norm(rho_k_eval(1, t, x), 0) for t in ts))
+            x = np.eye(n)[-1:]  # the single mode n
+            sups.append(seq_norms(rho_k_eval(1, ts, x), 0).max())
         assert sups[1] > 3.0 * sups[0]
         assert sups[2] > 3.0 * sups[1]
 
@@ -451,16 +450,32 @@ class TestSeqDiffeo:
             return np.array([step_n(n, t, k) for n in range(1, dim + 1)])
 
         def same_bits(a, b):
-            return np.array_equal(a.coeffs.view(np.int64), b.coeffs.view(np.int64))
+            return np.array_equal(a.view(np.int64), b.view(np.int64))
 
         rng = np.random.default_rng(11)
         x = SeqVector(rng.normal(size=40))
         for t in (-0.2, 0.0, 0.05, 0.21, 1.0 / 3.0, 0.29, 0.5, 0.7, 1.4):
-            ref = SeqVector(factors(0, t, x.dim) * x.coeffs)
-            assert same_bits(seq_diffeo(t, x), ref)
-            ref = SeqVector(x.coeffs / factors(0, t, x.dim))
-            assert same_bits(seq_diffeo_inv(t, x), ref)
+            ref = factors(0, t, x.dim) * x.coeffs
+            assert same_bits(seq_diffeo(t, x).coeffs, ref)
+            ref = x.coeffs / factors(0, t, x.dim)
+            assert same_bits(seq_diffeo_inv(t, x).coeffs, ref)
             if t > 0:
                 for k in range(1, K_MAX + 1):
-                    ref = SeqVector(factors(k, t, x.dim) * x.coeffs)
-                    assert same_bits(rho_k_eval(k, t, x), ref)
+                    ref = factors(k, t, x.dim) * x.coeffs
+                    assert same_bits(rho_k_eval(k, t, x.coeffs), ref)
+
+    def test_row_kernels_broadcast_the_parameters_against_leading_axes(self):
+        # every row of a stack has the bits of the one-row call
+        rng = np.random.default_rng(5)
+        ts, Ts = rng.uniform(-0.2, 1.0, size=(3, 4)), rng.uniform(0.5, 1.5, size=(3, 4))
+        xs, Xs = rng.normal(size=(3, 4, 12)), rng.normal(size=(4, 12))
+        for k in range(K_MAX + 1):
+            image, tangent = rho_k_eval(k, ts, xs), rho_k_tangent(k, ts, xs, Ts, Xs)
+            assert image.shape == tangent.shape == (3, 4, 12)
+            for h, p in np.ndindex(3, 4):
+                one = rho_k_eval(k, ts[h, p], xs[h, p])
+                assert np.array_equal(image[h, p].view(np.int64), one.view(np.int64))
+                one = rho_k_tangent(k, ts[h, p], xs[h, p], Ts[h, p], Xs[p])
+                assert np.array_equal(tangent[h, p].view(np.int64), one.view(np.int64))
+            # one parameter for every row
+            assert np.array_equal(rho_k_eval(k, 0.3, xs), rho_k_eval(k, np.full((3, 4), 0.3), xs))

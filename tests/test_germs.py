@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import json
 import math
+import re
 from collections import Counter
 
 import numpy as np
@@ -1123,6 +1124,35 @@ class TestContexts:
         assert not g.flags.writeable and np.array_equal(g, 2.0 * np.eye(2))
         ctx.gram(0)
         assert built == [1, 0]
+
+    @pytest.mark.parametrize("spacing", [1e-3, 5e-4])
+    def test_default_level_grams_keep_their_digits(self, spacing):
+        # levels 0-5 of the default schedule sit at cond <= 1.1e4, far inside
+        # the bound cond * 2^-53 <= 1e-6 that every build checks
+        base = germs._base_context(WeightSchedule.default(6), spacing)
+        assert max(np.linalg.cond(base.gram(level)) for level in range(6)) <= 1.1e4
+
+    @pytest.mark.parametrize("weight_step, cond", [(20.0, "1.18e+17"), (90.0, "7.45e+77")])
+    def test_an_ill_conditioned_level_gram_is_an_error(self, weight_step, cond):
+        # at germ_level 2 the level-2 Gram carries no digits: its first build
+        # raises, and run() reports that as the one error check
+        base = germs._base_context(WeightSchedule.default(4, weight_step), DEFAULT_SPACING)
+        message = f"level-2 Gram at delta {2 * weight_step!r}: cond {cond}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            base.gram(2)
+        for eid in ("germ-continuity", "germ-openness"):
+            report = run(eid, ExperimentConfig(germ_level=2, weight_step=weight_step))
+            (check,) = report.checks
+            assert check.name == "error" and not report.passed
+            assert check.measured == f"ValueError: {message}"
+
+    def test_a_well_conditioned_level_gram_is_no_error(self):
+        # at weight step 10 cond(G_2) is 2.4e8, cond * 2^-53 = 2.7e-8
+        base = germs._base_context(WeightSchedule.default(4, 10.0), DEFAULT_SPACING)
+        assert float(f"{np.linalg.cond(base.gram(2)):.2g}") == 2.4e8
+        for eid in ("germ-continuity", "germ-openness"):
+            report = run(eid, ExperimentConfig(germ_level=2, weight_step=10.0))
+            assert "error" not in {c.name for c in report.checks}
 
     @pytest.mark.parametrize("spacing", [1e-3, 5e-4])
     @pytest.mark.parametrize("margin", [0.5, 1.0, 2.0])

@@ -40,7 +40,7 @@ from sclab.scale_core import (
     grid_row,
     grid_sobolev_norm,
     grid_window,
-    seq_norm,
+    seq_norms,
 )
 
 from independent_routes import witness_ratio
@@ -168,9 +168,8 @@ class TestFiniteDiffDifferential:
         # the diagonal diffeomorphism rho_0 is linear in x at fixed t, so
         # the f-direction finite difference is exact to roundoff
         handle = seq_rho_k_handle(0)
-        x = SeqVector(np.ones(8))
-        point = (0.29, x)
-        tangent = (0.0, SeqVector(np.arange(1.0, 9.0)))
+        point = (0.29, np.ones(8))
+        tangent = (0.0, np.arange(1.0, 9.0))
         (rep,) = finite_diff_differential(handle, *_seq_stacks([point], [tangent]), level=0)
         assert rep.mismatch < 1e-10
 
@@ -178,8 +177,8 @@ class TestFiniteDiffDifferential:
         handle = seq_rho_k_handle(0)
         n = 3
         t = 0.5 * (1.0 / (n + 1) + 1.0 / n)
-        point = (t, SeqVector.basis(n))
-        tangent = (1.0, SeqVector(np.zeros(0)))
+        point = (t, _basis(n))
+        tangent = (1.0, np.zeros(0))
         (rep,) = finite_diff_differential(handle, *_seq_stacks([point], [tangent]), level=0)
         assert rep.mismatch < 1e-7
         # central differences of a smooth map converge at second order
@@ -210,7 +209,7 @@ class TestFiniteDiffDifferential:
 
     def test_report_fields(self):
         handle = seq_rho_k_handle(0)
-        batch = _seq_stacks([(0.29, SeqVector.basis(3))], [(1.0, SeqVector.basis(2))])
+        batch = _seq_stacks([(0.29, _basis(3))], [(1.0, _basis(2))])
         (rep,) = finite_diff_differential(handle, *batch, level=1)
         assert rep.map_name == "rho-0"
         assert rep.level == 1
@@ -230,7 +229,7 @@ class TestFiniteDiffDifferential:
         handle = ScMapHandle(inner.name, recorded)
         for level, steps in SWEEPS:
             calls.clear()
-            points, tans = _seq_stacks([(0.29, SeqVector.basis(3))], [(1.0, SeqVector.basis(2))])
+            points, tans = _seq_stacks([(0.29, _basis(3))], [(1.0, _basis(2))])
             got = finite_diff_differential(handle, points, tans, level, steps)
             assert calls == [[s for h in steps for s in (h, -h, h / 2.0, -h / 2.0)]]
             assert len(calls[0]) == 4 * len(steps)
@@ -238,30 +237,43 @@ class TestFiniteDiffDifferential:
 
     def test_reports_one_per_point_and_checks_the_batch(self):
         handle = seq_rho_k_handle(0)
-        point, tan = (0.29, SeqVector.basis(3)), (1.0, SeqVector.basis(2))
+        point, tan = (0.29, _basis(3)), (1.0, _basis(2))
         assert len(finite_diff_differential(handle, *_seq_stacks([point] * 3, [tan] * 3))) == 3
         (ts, xs), (Ts, Xs) = _seq_stacks([point] * 2, [tan] * 2)
         with pytest.raises(ValueError, match=r"not \(2,\) and \(2, 3\) at the points, \(1,\)"):
             finite_diff_differential(handle, (ts, xs), (Ts[:1], Xs[:1]))
 
 
+def _basis(n):
+    """The coefficients of the single mode n, on modes 1..n."""
+    return np.eye(n)[-1]
+
+
+def _seq_sum(terms, n=0):
+    """sum(c * v) over 1-D coefficient arrays of any lengths, added in order
+    into zeros on the modes of the longest (at least n), as the one-vector
+    loop added them."""
+    out = np.zeros(max([n, *(v.size for _, v in terms)]))
+    for c, v in terms:
+        out[: v.size] += c * v
+    return out
+
+
 def _seq_stacks(points, tangents):
-    """(t, SeqVector) points and tangents as a sequence handle takes them:
-    each a (P,) parameter array and a (P, n) row stack, every vector added
-    into zeros on the n modes of the longest, as SeqVector.add adds them."""
-    n = max(v.dim for _, v in (*points, *tangents))
+    """(t, coefficients) points and tangents as a sequence handle takes
+    them: each a (P,) parameter array and a (P, n) row stack, every vector
+    added into zeros on the n modes of the longest."""
+    n = max(v.size for _, v in (*points, *tangents))
 
     def stack(pairs):
-        rows = np.zeros((len(pairs), n))
-        for row, (_, v) in zip(rows, pairs):
-            row[: v.dim] += v.coeffs
+        rows = np.array([_seq_sum([(1.0, v)], n) for _, v in pairs]).reshape(len(pairs), n)
         return np.array([t for t, _ in pairs], dtype=float), rows
 
     return stack(points), stack(tangents)
 
 
 def _seq_move(p, h, tan):
-    return (p[0] + h * tan[0], p[1].add(tan[1].scaled(h)))
+    return (p[0] + h * tan[0], _seq_sum([(1.0, p[1]), (h, tan[1])]))
 
 
 def _grid_move(p, h, tan):
@@ -277,10 +289,7 @@ def _combine(terms):
         return (sum(c * v[0] for c, v in terms), _combine([(c, v[1]) for c, v in terms]))
     if isinstance(first, GridFunction):
         return grid_combine(terms)
-    out = SeqVector(np.zeros(0))
-    for c, v in terms:
-        out = out.add(v.scaled(c))
-    return out
+    return _seq_sum(terms)
 
 
 def _norm(v, level, schedule=WeightSchedule.default()):
@@ -288,7 +297,7 @@ def _norm(v, level, schedule=WeightSchedule.default()):
         return math.hypot(v[0], _norm(v[1], level, schedule))
     if isinstance(v, GridFunction):
         return grid_sobolev_norm(v, level, schedule.delta(level))
-    return seq_norm(v, level)
+    return float(seq_norms(v[np.newaxis], level)[0])
 
 
 def _one_point_sweep(
@@ -334,12 +343,15 @@ SWEEPS = [
 
 
 def _seq_map(k):
-    """The handle, the one-point map and its differential of rho_k."""
-    return (
-        seq_rho_k_handle(k),
-        lambda p: rho_k_eval(k, p[0], p[1]),
-        lambda p, tan: rho_k_tangent(k, p[0], p[1], tan[0], tan[1]),
-    )
+    """The handle, the one-point map and its differential of rho_k; the
+    differential reads x and X on the modes of the longer."""
+
+    def diff(p, tan):
+        n = max(p[1].size, tan[1].size)
+        x, X = (_seq_sum([(1.0, v)], n) for v in (p[1], tan[1]))
+        return rho_k_tangent(k, p[0], x, tan[0], X)
+
+    return seq_rho_k_handle(k), lambda p: rho_k_eval(k, p[0], p[1]), diff
 
 
 def _grid_map(name, spacing=1e-3):
@@ -388,9 +400,9 @@ class TestOneCallSweep:
         rng = np.random.default_rng(40)
         # t = 1e-4 and -0.2 put some or all of the sweep at t <= 0
         for t in (-0.2, 1e-4, 0.29, 0.41, 0.7, *rng.uniform(0.05, 0.6, size=5)):
-            x = SeqVector(rng.normal(size=int(rng.integers(1, 12))))
-            tan = (float(rng.uniform(0.5, 1.5)), SeqVector(rng.normal(size=int(rng.integers(0, 12)))))
-            for point in ((float(t), x), (float(t), SeqVector.basis(3))):
+            x = rng.normal(size=int(rng.integers(1, 12)))
+            tan = (float(rng.uniform(0.5, 1.5)), rng.normal(size=int(rng.integers(0, 12))))
+            for point in ((float(t), x), (float(t), _basis(3))):
                 _assert_seq_sweeps_equal(k, point, tan)
 
     @pytest.mark.parametrize("k", [1, 2, 0])
@@ -409,11 +421,11 @@ class TestOneCallSweep:
         for t in (-0.05, -0.3, 0.0):  # t <= 0 across the sweep, or half of it
             cases += [(t, 6, 6, 1.3), (t, 9, 2, 0.7)]
         for t, nx, nX, T in cases:
-            x, X = SeqVector(rng.normal(size=nx)), SeqVector(rng.normal(size=nX))
+            x, X = rng.normal(size=nx), rng.normal(size=nX)
             _assert_seq_sweeps_equal(k, (t, x), (T, X))
         # a direction with zeros inside and at the end
-        X = SeqVector(np.where(np.arange(12) % 3 == 1, 0.0, rng.normal(size=12)))
-        _assert_seq_sweeps_equal(k, (0.2, SeqVector(rng.normal(size=12))), (1.0, X))
+        X = np.where(np.arange(12) % 3 == 1, 0.0, rng.normal(size=12))
+        _assert_seq_sweeps_equal(k, (0.2, rng.normal(size=12)), (1.0, X))
 
     @pytest.mark.parametrize("name", ["s-proj", "h-family"])
     def test_grid_sweeps_norm_with_the_given_schedule(self, name):
@@ -492,17 +504,18 @@ class TestOneCallSweep:
                 assert _assert_grid_sweep_equal(maps, point, tan, level, steps).mismatch < 1e-9
 
     def test_eval_returns_one_stack_per_step_in_order(self):
-        points = [(0.29, SeqVector(np.arange(1.0, 6.0))), (0.13, SeqVector(np.ones(7)))]
-        tans = [(1.0, SeqVector(np.ones(7))), (-0.4, SeqVector(np.arange(2.0, 5.0)))]
+        points = [(0.29, np.arange(1.0, 6.0)), (0.13, np.ones(7))]
+        tans = [(1.0, np.ones(7)), (-0.4, np.arange(2.0, 5.0))]
         hs = [1e-2, -1e-2, 0.0, 0.5, -0.4]
         stacks = list(seq_rho_k_handle(0).eval(*_seq_stacks(points, tans), hs).rows)
         assert len(stacks) == len(hs)
         for h, stack in zip(hs, stacks):
             assert stack.shape == (2, 7)
             for row, point, tan in zip(stack, points, tans):
-                want = seq_diffeo(*_seq_move(point, h, tan))
-                assert np.array_equal(row[: want.dim], want.coeffs)
-                assert not row[want.dim :].any()
+                t, x = _seq_move(point, h, tan)
+                want = seq_diffeo(t, SeqVector(x)).coeffs
+                assert np.array_equal(row[: want.size], want)
+                assert not row[want.size :].any()
 
     @pytest.mark.parametrize("name", ["s-proj", "h-family"])
     def test_grid_rows_are_the_one_point_outputs_on_one_window(self, name):
@@ -532,8 +545,8 @@ class TestOneCallSweep:
         points, tans = [], []
         for j, t in enumerate(ts):
             nx, nX = (9, int(rng.integers(0, 10))) if j % 2 else (int(rng.integers(1, 10)), 9)
-            points.append((t, SeqVector(rng.normal(size=nx))))
-            tans.append((float(rng.uniform(-1.5, 1.5)), SeqVector(rng.normal(size=nX))))
+            points.append((t, rng.normal(size=nx)))
+            tans.append((float(rng.uniform(-1.5, 1.5)), rng.normal(size=nX)))
         for level in (0, 1, 2):
             for steps in (DEFAULT_FD_STEPS, (1e-3, 3e-4, 1e-4, 3e-5, 1e-5)):
                 batch = finite_diff_differential(
@@ -635,8 +648,8 @@ class TestSweepStructure:
         made = []
         for size in (1, 20):
             ts = rng.uniform(0.1, 0.5, size).tolist()
-            points = [(t, SeqVector(rng.normal(size=10))) for t in ts]
-            tans = [(1.0, SeqVector(rng.normal(size=10))) for _ in range(size)]
+            points = [(t, rng.normal(size=10)) for t in ts]
+            tans = [(1.0, rng.normal(size=10)) for _ in range(size)]
             calls.clear()
             finite_diff_differential(seq_rho_k_handle(1), *_seq_stacks(points, tans), 0)
             made.append(len(calls))

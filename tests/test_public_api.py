@@ -186,24 +186,34 @@ def _np_call(node, name: str) -> bool:
     )
 
 
-def _quadrature_sites(root: Path):
-    """'module.py function' for every innermost src/sclab function that calls
-    np.gradient or builds a weight np.exp(... np.abs(...) ...)."""
+def _sites(root: Path, predicate):
+    """'module.py function' for every innermost src/sclab function (or
+    '<module>') holding a node for which is_site(node) holds, where is_site
+    is predicate(tree) of the module's tree."""
     sites = set()
 
-    def visit(node, module: str, function: str) -> None:
+    def visit(node, is_site, module: str, function: str) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             function = node.name
-        if _np_call(node, "gradient") or (
-            _np_call(node, "exp") and any(_np_call(n, "abs") for n in ast.walk(node))
-        ):
+        if is_site(node):
             sites.add(f"{module} {function}")
         for child in ast.iter_child_nodes(node):
-            visit(child, module, function)
+            visit(child, is_site, module, function)
 
     for path in sorted((root / "src" / "sclab").glob("*.py")):
-        visit(ast.parse(path.read_text()), path.name, "<module>")
+        tree = ast.parse(path.read_text())
+        visit(tree, predicate(tree), path.name, "<module>")
     return sites
+
+
+def _quadrature_sites(root: Path):
+    """Every function that calls np.gradient or builds a weight
+    np.exp(... np.abs(...) ...)."""
+    return _sites(
+        root,
+        lambda tree: lambda node: _np_call(node, "gradient")
+        or (_np_call(node, "exp") and any(_np_call(n, "abs") for n in ast.walk(node))),
+    )
 
 
 def test_one_function_holds_the_sobolev_quadrature():
@@ -224,3 +234,68 @@ def test_a_second_quadrature_is_flagged(tmp_path):
         "    return np.exp(v), inner\n"
     )
     assert _quadrature_sites(tmp_path) == {"mod.py kernel", "mod.py inner"}
+
+
+def _calls_step_n(node) -> bool:
+    """Whether node holds a call of step_n, by its name or as an attribute."""
+    return any(
+        isinstance(n, ast.Call) and getattr(n.func, "id", getattr(n.func, "attr", "")) == "step_n"
+        for n in ast.walk(node)
+    )
+
+
+def _plateau_sites(root: Path):
+    """Every function that multiplies or divides by the plateau factors
+    f_n(t): an expression holding a step_n call, or a name that the module
+    binds to one."""
+
+    def predicate(tree):
+        names = {
+            target.id
+            for n in ast.walk(tree)
+            if isinstance(n, ast.Assign) and _calls_step_n(n.value)
+            for target in n.targets
+            if isinstance(target, ast.Name)
+        }
+
+        def plateau(node) -> bool:
+            return _calls_step_n(node) or any(
+                isinstance(n, ast.Name) and n.id in names for n in ast.walk(node)
+            )
+
+        return lambda node: (
+            isinstance(node, ast.BinOp)
+            and isinstance(node.op, (ast.Mult, ast.Div))
+            and (plateau(node.left) or plateau(node.right))
+        )
+
+    return _sites(root, predicate)
+
+
+def test_two_kernels_apply_the_sequence_map():
+    # the diagonal map and its derivative family act on coefficient rows in
+    # rho_k_eval and rho_k_tangent, and the inverse divides in one place, so
+    # that no second copy of rho_k grows back
+    assert _plateau_sites(ROOT) == {
+        "gallery.py rho_k_eval",
+        "gallery.py rho_k_tangent",
+        "gallery.py seq_diffeo_inv",
+    }
+
+
+def test_a_second_plateau_product_is_flagged(tmp_path):
+    (tmp_path / "src" / "sclab").mkdir(parents=True)
+    (tmp_path / "src" / "sclab" / "mod.py").write_text(
+        "from . import bump_profiles\n"
+        "from .bump_profiles import step_n\n\n\n"
+        "def rho_k_eval(k, ts, rows):\n"
+        "    return step_n(modes, ts[..., None], k) * rows\n\n\n"
+        "def copy(x, t):\n"
+        "    def inner():\n"
+        "        return (x / bump_profiles.step_n(1, t))[0]\n"
+        "    return step_n(1, t) - 1.0, (step_n(2, t) + 1.0) ** 2, inner\n\n\n"
+        "def alias(x, t):\n"
+        "    factors = step_n(3, t)\n"
+        "    return x * factors[0]\n"
+    )
+    assert _plateau_sites(tmp_path) == {"mod.py rho_k_eval", "mod.py inner", "mod.py alias"}
